@@ -73,6 +73,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.games is not None and args.games < 1:
+        print(f"config error: --games: must be >= 1 (got {args.games})", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         violations = run_suite(args.suite, seed=args.seed, games=args.games, mechanism=args.mechanism)
     except ValueError as exc:

@@ -39,6 +39,8 @@ FAMILIES = (
 
 SKEWS = ("uniform", "early", "late")
 
+INT_FIELDS = ("users", "slots", "opt_count", "substitutes_per_user", "duration", "seed", "trials", "executions_per_slot")
+
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
@@ -61,8 +63,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ScenarioError(f"scenario.family: unknown family {self.family!r}")
-        for name in ("users", "slots", "opt_count", "substitutes_per_user", "duration", "trials", "executions_per_slot"):
-            if getattr(self, name) < 1:
+        for name in INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ScenarioError(f"scenario.{name}: expected an integer, got {value!r}")
+            if name != "seed" and value < 1:
                 raise ScenarioError(f"scenario.{name}: must be >= 1")
         if self.cost <= 0:
             raise ScenarioError("scenario.cost: must be positive")
@@ -95,11 +100,16 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        if not isinstance(data, dict):
+            raise ScenarioError("scenario: expected a JSON object")
         data = dict(data)
         if "family" not in data:
             raise ScenarioError("scenario.family: missing")
         if "cost" in data:
-            data["cost"] = parse_money(data["cost"])
+            try:
+                data["cost"] = parse_money(data["cost"])
+            except ValueError as exc:
+                raise ScenarioError(f"scenario.cost: {exc}") from exc
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ScenarioError(f"scenario: unknown fields {sorted(unknown)}")
@@ -132,6 +142,20 @@ def generate(spec: ScenarioSpec, trial: int):
     rng = _trial_rng(spec, trial)
     builder = _BUILDERS[spec.family]
     return builder(spec, rng)
+
+
+def recost(game, spec: ScenarioSpec, cost: Money):
+    """The game ``generate(spec.with_cost(cost), trial)`` builds, made from the
+    one ``generate(spec, trial)`` built.  Cost enters a game only through its
+    catalog and draws no random numbers, so only the catalog changes."""
+    if spec.family == "selectivity":
+        scale = cost / spec.cost  # catalog costs are proportional to spec.cost
+        catalog = tuple(Optimization(o.id, o.cost * scale) for o in game.catalog)
+        return SubstOnlineGame(catalog, game.horizon, game.bids)
+    if spec.family == "usecase_shape":
+        catalog = tuple(Optimization(o.id, cost) for o in game.catalog)
+        return AdditiveOnlineMultiGame(catalog, game.horizon, game.bids)
+    return OnlineAdditiveGame(Optimization(game.optimization.id, cost), game.horizon, game.bids)
 
 
 def _single_opt_additive(spec: ScenarioSpec, rng) -> OnlineAdditiveGame:

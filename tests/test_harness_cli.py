@@ -1,4 +1,6 @@
+import hashlib
 import json
+import multiprocessing
 import os
 from fractions import Fraction
 
@@ -7,7 +9,8 @@ import pytest
 from optshare.cli import main
 from optshare.core import AdditiveOnlineBid, OnlineAdditiveGame, Optimization, SlotHorizon
 from optshare.gamefiles import dump_game, game_from_dict, game_to_dict, load_game, money_str
-from optshare.harness import ConfigError, config_from_dict, run_experiment
+from optshare import harness
+from optshare.harness import ConfigError, config_from_dict, default_workers, run_experiment, sweep
 from optshare.scenarios import ScenarioSpec
 from optshare.verification import run_suite
 
@@ -167,25 +170,149 @@ def test_verify_unknown_suite():
 
 
 def test_parallel_sweep_matches_sequential():
-    from optshare.harness import sweep
-
     spec = ScenarioSpec(family="collab_size", users=4, slots=6, cost=F("0.3"), seed=5, trials=30)
     points = (F("0.2"), F("0.4"))
     seq = sweep(spec, ("add_on", "regret"), points, trials=30, workers=1)
     par = sweep(spec, ("add_on", "regret"), points, trials=30, workers=2)
-    for key, cell in seq.items():
-        assert par[key].sum_u == cell.sum_u
-        assert par[key].sum_b == cell.sum_b
-        assert par[key].implemented == cell.implemented
+    assert par == seq  # every CellStats field: n, sums, sums of squares, implemented
+    assert all(cell.n == 30 for cell in seq.values())
+
+
+# sha256 of (CSV, details JSONL) for small details configs, recorded on the
+# cost-point-major sweep that regenerated every game at every cost point.
+DETAIL_DIGESTS = {
+    "collab_size": (
+        {"family": "collab_size", "users": 4, "slots": 6, "cost": "0.3", "seed": 11, "trials": 12},
+        ["add_on", "regret"],
+        ["0.1", "0.3", "0.5"],
+        "925a10de341bcbbe9418a2028fc4a4eaa72aff971540e758b7144e1e900537e5",
+        "6d69dda58697b2a33f5295f9c401525fdda349c0b7f82b41471aa15bc8b4365d",
+    ),
+    "selectivity": (
+        {"family": "selectivity", "users": 5, "slots": 4, "opt_count": 4, "substitutes_per_user": 2,
+         "cost": "0.36", "seed": 3, "trials": 12},
+        ["subst_on", "regret"],
+        ["0.2", "0.36", "0.7"],
+        "37f0ae0e654c7025d8e1fe5fac3bee9a19b4be4ad13497d65e79617055e41a0b",
+        "8b9d6113511299d3e94282e6caa6ba01b0cb3a1644bbec6c93bd436331b258c5",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(DETAIL_DIGESTS))
+def test_details_bytes_are_recorded_ones(tmp_path, name, workers):
+    scenario, mechanisms, points, csv_sha, details_sha = DETAIL_DIGESTS[name]
+    cfg = config_from_dict(
+        {"schema": 1, "scenario": scenario, "mechanisms": mechanisms, "cost_sweep": points, "output": "exp", "details": True}
+    )
+    csv_path, details_path = run_experiment(cfg, tmp_path, workers=workers)
+    assert hashlib.sha256(open(csv_path, "rb").read()).hexdigest() == csv_sha
+    assert hashlib.sha256(open(details_path, "rb").read()).hexdigest() == details_sha
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by a pool that starts nothing, runs its
+    jobs in this process and records its size; os.cpu_count() reads 4."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_generates_each_trial_once_in_at_most_one_pool(monkeypatch, pool_sizes, workers):
+    calls = []
+    real_generate = harness.generate
+
+    def counting_generate(spec, trial):
+        calls.append(trial)
+        return real_generate(spec, trial)
+
+    monkeypatch.setattr(harness, "generate", counting_generate)
+    spec = ScenarioSpec(family="selectivity", users=4, slots=4, opt_count=4, cost=F("0.3"), seed=2, trials=9)
+    cells = sweep(spec, ("subst_on", "regret"), (F("0.1"), F("0.3"), F("0.9")), workers=workers)
+    assert sorted(calls) == list(range(9))
+    assert len(pool_sizes) == (0 if workers == 1 else 1)
+    assert all(cell.n == 9 for cell in cells.values())
+
+
+def test_pool_size_is_capped(monkeypatch, pool_sizes):
+    def run(trials, workers):
+        spec = ScenarioSpec(family="collab_size", users=3, slots=4, cost=F("0.3"), seed=1, trials=trials)
+        sweep(spec, ("add_on",), (F("0.3"),), workers=workers)
+
+    monkeypatch.setenv("OPTSHARE_WORKERS", "100000")
+    run(trials=3, workers=default_workers())  # capped by trials
+    run(trials=40, workers=100000)  # capped by os.cpu_count(), patched to 4
+    run(trials=1, workers=100000)  # one process: no pool at all
+    assert pool_sizes == [3, 4]
 
 
 def test_workers_env_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("OPTSHARE_WORKERS", "not-a-number")
-    from optshare.harness import default_workers
-
     with pytest.raises(ConfigError):
         default_workers()
+    for bad in ("0", "-3"):
+        monkeypatch.setenv("OPTSHARE_WORKERS", bad)
+        with pytest.raises(ConfigError, match="OPTSHARE_WORKERS: must be >= 1"):
+            default_workers()
     monkeypatch.setenv("OPTSHARE_WORKERS", "2")
     assert default_workers() == 2
     monkeypatch.delenv("OPTSHARE_WORKERS")
     assert default_workers() == 1
+
+
+def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_dict()))
+    monkeypatch.setenv("OPTSHARE_WORKERS", "-3")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "OPTSHARE_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"cost_sweep": {"start": "abc", "stop": "0.3", "step": "0.1"}}, "cost_sweep.start"),
+        ({"cost_sweep": {"start": "0.1", "stop": [1], "step": "0.1"}}, "cost_sweep.stop"),
+        ({"cost_sweep": {"start": "0.1", "stop": "0.3", "step": "x"}}, "cost_sweep.step"),
+        ({"cost_sweep": {"start": "0.1", "stop": "1e9", "step": "1e-9"}}, "cost_sweep"),
+        ({"cost_sweep": "0.1"}, "cost_sweep"),
+        ({"scenario": 5}, "scenario"),
+        ({"scenario": {"family": "collab_size", "users": 6.5}}, "scenario.users"),
+        ({"scenario": {"family": "collab_size", "trials": True}}, "scenario.trials"),
+        ({"scenario": {"family": "collab_size", "seed": "7"}}, "scenario.seed"),
+        ({"scenario": {"family": "collab_size", "cost": "cheap"}}, "scenario.cost"),
+    ],
+)
+def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_dict(**change)))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}" in err
+    assert not (tmp_path / "exp.csv").exists()
+
+
+@pytest.mark.parametrize("games", ["0", "-5"])
+def test_cli_verify_rejects_empty_runs(capsys, games):
+    assert main(["verify", "--suite", "cost_recovery", "--games", games]) == 2
+    captured = capsys.readouterr()
+    assert "--games" in captured.err
+    assert "PASS" not in captured.out

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optshare.core import AdditiveOnlineMultiGame, OnlineAdditiveGame, SubstOnlineGame
-from optshare.scenarios import GRID, ScenarioError, ScenarioSpec, generate
+from optshare.scenarios import FAMILIES, GRID, SKEWS, ScenarioError, ScenarioSpec, generate, recost
 
 F = Fraction
 
@@ -25,6 +26,36 @@ def test_cost_does_not_disturb_the_draws():
     b = generate(spec(cost=F(9, 10)), 5)
     assert a.bids == b.bids
     assert a.optimization.cost == F(1, 10) and b.optimization.cost == F(9, 10)
+
+
+positive_money = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def specs(draw, family):
+    opt_count = draw(st.integers(1, 6))
+    slots = draw(st.integers(1, 8))
+    return ScenarioSpec(
+        family=family,
+        users=draw(st.integers(1, 8)),
+        slots=slots,
+        opt_count=opt_count,
+        cost=draw(positive_money),
+        substitutes_per_user=draw(st.integers(1, opt_count)),
+        duration=draw(st.integers(1, slots)),
+        skew=draw(st.sampled_from(SKEWS)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        trials=4,
+        executions_per_slot=draw(st.integers(1, 40)),
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data(), trial=st.integers(0, 3), cost=positive_money)
+@settings(max_examples=60, deadline=None)
+def test_recost_equals_generating_at_that_cost(family, data, trial, cost):
+    s = data.draw(specs(family))
+    assert recost(generate(s, trial), s, cost) == generate(s.with_cost(cost), trial)
 
 
 def test_collab_size_supports():
@@ -118,6 +149,10 @@ def test_trial_bounds_and_validation():
         spec(cost=F(0))
     with pytest.raises(ScenarioError):
         spec(skew="sideways")
+    with pytest.raises(ScenarioError, match="scenario.users: expected an integer"):
+        spec(users=6.5)
+    with pytest.raises(ScenarioError, match="scenario.trials: expected an integer"):
+        spec(trials=True)
 
 
 def test_round_trip_through_dict():
