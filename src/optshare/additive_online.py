@@ -6,17 +6,25 @@ infinite bids, so the cumulative serviced set never shrinks and the share
 only falls as newcomers join.  A user pays exactly once, when her bid
 expires, at the share computed in that slot; users who left stay pinned and
 keep lowering later arrivals' shares.
+
+The mechanism itself is one integer kernel, :func:`serve`, over a
+:class:`~optshare.scaled.ScaledGame`: it reports the slot each serviced bid
+joined and the cumulative serviced count per slot, from which every share
+and payment follows.  The experiment harness reads those directly, once per
+cost point of a trial; :func:`add_on` builds the full trace from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable
 
 from .core import (
     AdditiveOnlineBid,
     GameError,
     OnlineAdditiveGame,
+    OptId,
     Optimization,
     RevisionError,
     RevisionViolation,
@@ -28,6 +36,7 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
+from .scaled import ScaledGame
 from .shapley import _fixed_point, common_scale
 
 
@@ -38,47 +47,43 @@ class OnlineTrace:
     share_history: dict[Slot, Money]  # slot -> cost/|cumulative| once non-empty
 
 
+def serve(game: ScaledGame, opt: OptId, cost: int) -> tuple[dict[int, Slot], list[int]]:
+    """The online additive mechanism for optimization ``opt`` at scaled cost
+    ``cost``: the slot each serviced bid joined, by bid index, and the
+    cumulative serviced count after each slot (index 0 unused).  A bid that
+    joins at slot t is serviced from t to the end of its window and pays
+    ``cost / count[end]``."""
+    joined: dict[int, Slot] = {}
+    count = [0] * (game.z + 1)
+    offers, interest = game.offers, game.interest
+    k = 0
+    for t in range(1, game.z + 1):
+        if offers[t]:
+            open_bids = [o for o in offers[t] if o[1] not in joined and opt in interest[o[1]]]
+            m = _fixed_point(cost, open_bids, k)
+            for _, i in open_bids[:m]:
+                joined[i] = t
+            k += m
+        count[t] = k
+    return joined, count
+
+
 def add_on(game: OnlineAdditiveGame) -> OnlineTrace:
     """Run the online additive mechanism for the whole horizon."""
-    users = [b.user for b in game.bids]
-    if len(users) != len(set(users)):
-        raise GameError("one bid per user per game")
-    cost = game.optimization.cost
-    opt = game.optimization.id
-
-    # One rescale for the whole game; per-slot loops are pure integer math.
-    scale = common_scale([cost, *(v for b in game.bids for v in b.per_slot)])
-    cost_s = cost.numerator * (scale // cost.denominator)
-    suffix: dict[UserId, list[int]] = {}
-    for bid in game.bids:
-        # suffix[u][k] = scaled residual from slot (start + k); trailing 0.
-        acc = [0]
-        for v in reversed(bid.per_slot):
-            acc.append(acc[-1] + v.numerator * (scale // v.denominator))
-        suffix[bid.user] = acc[::-1]
-
-    cs: set[UserId] = set()
-    served: dict[tuple[int, Slot], frozenset[UserId]] = {}
-    share_history: dict[Slot, Money] = {}
-    payments: dict[UserId, Money] = {b.user: ZERO for b in game.bids}
-
-    for t in game.horizon.slots():
-        candidates = []
-        for bid in game.bids:
-            if bid.user in cs or t < bid.start:
-                continue
-            residual = suffix[bid.user][t - bid.start] if t <= bid.end else 0
-            candidates.append((bid.user, residual))
-        cs.update(_fixed_point(cost_s, candidates, len(cs)))
-        share = cost / len(cs) if cs else None
-        if share is not None:
-            share_history[t] = share
-        active = frozenset(b.user for b in game.bids if b.user in cs and t <= b.end)
-        if active:
-            served[(opt, t)] = active
-        for bid in game.bids:
-            if bid.end == t and bid.user in cs:
-                payments[bid.user] = share
+    opt = game.optimization
+    scaled = ScaledGame(game)
+    joined, count = serve(scaled, opt.id, scaled.costs[0][opt.id])
+    users, ends = scaled.users, scaled.ends
+    shares = {k: opt.cost / k for k in set(count) if k}
+    share_history = {t: shares[k] for t, k in enumerate(count) if k}
+    active: dict[Slot, list[UserId]] = {}
+    for i, t in joined.items():
+        for tau in range(t, ends[i] + 1):
+            active.setdefault(tau, []).append(users[i])
+    served = {(opt.id, t): frozenset(active[t]) for t in sorted(active)}
+    payments: dict[UserId, Money] = dict.fromkeys(users, ZERO)
+    for i in joined:
+        payments[users[i]] = shares[count[ends[i]]]
     return OnlineTrace(ServiceSchedule(served), payments, share_history)
 
 
@@ -157,8 +162,10 @@ def step_session(
         }
         scale = common_scale([cost, *residuals.values()])
         cost_s = cost.numerator * (scale // cost.denominator)
-        finite = [(u, r.numerator * (scale // r.denominator)) for u, r in residuals.items()]
-        cs.update(_fixed_point(cost_s, finite, len(cs)))
+        finite = sorted(
+            ((r.numerator * (scale // r.denominator), u) for u, r in residuals.items()), key=itemgetter(0), reverse=True
+        )
+        cs.update(u for _, u in finite[: _fixed_point(cost_s, finite, len(cs))])
         share = cost / len(cs) if cs else None
         if share is not None:
             share_history[t] = share

@@ -173,25 +173,29 @@ def score_subst_online(
 
 
 def score_regret(game, trace: RegretTrace, truth=None) -> Metrics:
-    """Recompute metrics for a baseline run from its serviced schedule."""
-    bids = truth if truth is not None else {b.user: b for b in game.bids}
+    """Recompute metrics for a baseline run from its serviced schedule.
+
+    Every bid is scored, so a user with additive bids on several
+    optimizations realizes each of them; ``truth`` replaces the bids user by
+    user."""
+    bids = list(truth.values()) if truth is not None else list(game.bids)
+    users = {b.user for b in bids}
     per_user: dict[UserId, Money] = {}
     total_value = ZERO
     slots_of: dict[UserId, set[tuple[OptId, Slot]]] = {}
-    for (j, t), users in trace.serviced.served.items():
-        for u in users:
-            if u not in bids:
+    for (j, t), served in trace.serviced.served.items():
+        for u in served:
+            if u not in users:
                 raise GameError("schedule references unknown users")
             slots_of.setdefault(u, set()).add((j, t))
-    additive = isinstance(next(iter(bids.values())), AdditiveOnlineBid) if bids else True
-    for user, bid in bids.items():
-        pairs = slots_of.get(user, ())
-        if additive:
-            value = sum((bid.value_at(t) for j, t in pairs if j == bid.opt), ZERO)
-        else:
-            value = sum((bid.value_at(t) for j, t in pairs if j in bid.substitutes), ZERO)
+    for bid in bids:
+        pairs = slots_of.get(bid.user, ())
+        wanted = (bid.opt,) if isinstance(bid, AdditiveOnlineBid) else bid.substitutes
+        value = sum((bid.value_at(t) for j, t in pairs if j in wanted), ZERO)
         total_value += value
-        per_user[user] = value - trace.payments.get(user, ZERO)
+        per_user[bid.user] = per_user.get(bid.user, ZERO) + value
+    for user in per_user:
+        per_user[user] -= trace.payments.get(user, ZERO)
     return Metrics(
         total_value,
         trace.total_cost,

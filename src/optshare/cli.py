@@ -96,7 +96,7 @@ def cmd_replay(args) -> int:
     try:
         game = load_game(args.game)
         result, metrics, payments = _replay(args.mechanism, game)
-    except (GameError, ConfigError, ValueError, FileNotFoundError) as exc:
+    except (GameError, ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for user in sorted(payments):

@@ -103,30 +103,32 @@ def _bid_to_dict(bid) -> dict:
 
 
 def game_from_dict(data: dict):
+    """Build a game from its JSON form.  Every malformed field raises a
+    :class:`GameError` that names it by path (``bids[0].user``)."""
+    data = _object(data, "game")
     kind = data.get("kind")
     if kind not in KINDS:
         raise GameError(f"kind: expected one of {KINDS}, got {kind!r}")
-    catalog = tuple(Optimization(int(o["id"]), parse_money(o["cost"])) for o in data.get("catalog", ()))
-    slots = int(data.get("slots", 1))
-    bids = data.get("bids", ())
+    catalog = []
+    for i, o in enumerate(_field(data, "catalog", "", _list)):
+        o = _object(o, f"catalog[{i}]")
+        catalog.append(Optimization(_field(o, "id", f"catalog[{i}]", _int), _field(o, "cost", f"catalog[{i}]", _money)))
+    catalog = tuple(catalog)
+    slots = _int(data.get("slots", 1), "slots")
+    bids = [(_object(b, f"bids[{i}]"), f"bids[{i}]") for i, b in enumerate(_field(data, "bids", "", _list))]
     if kind == "additive_offline":
         return AdditiveOfflineGame(
             catalog,
-            tuple(
-                AdditiveOfflineBid(int(b["user"]), {int(j): parse_money(v) for j, v in b.get("values", {}).items()})
-                for b in bids
-            ),
+            tuple(AdditiveOfflineBid(_field(b, "user", p, _int), _offline_values(b, p)) for b, p in bids),
         )
     if kind == "additive_online":
         parsed = tuple(
             AdditiveOnlineBid(
-                int(b["user"]),
-                int(b.get("opt", catalog[0].id if catalog else 1)),
-                int(b["start"]),
-                int(b["end"]),
-                tuple(parse_money(v) for v in b["per_slot"]),
+                _field(b, "user", p, _int),
+                _int(b.get("opt", catalog[0].id if catalog else 1), f"{p}.opt"),
+                *_window(b, p),
             )
-            for b in bids
+            for b, p in bids
         )
         if len(catalog) == 1:
             return OnlineAdditiveGame(catalog[0], SlotHorizon(slots), parsed)
@@ -135,24 +137,78 @@ def game_from_dict(data: dict):
         return SubstOfflineGame(
             catalog,
             tuple(
-                SubstitutableOfflineBid(int(b["user"]), frozenset(int(j) for j in b["substitutes"]), parse_money(b["value"]))
-                for b in bids
+                SubstitutableOfflineBid(
+                    _field(b, "user", p, _int), _field(b, "substitutes", p, _substitutes), _field(b, "value", p, _money)
+                )
+                for b, p in bids
             ),
         )
     return SubstOnlineGame(
         catalog,
         SlotHorizon(slots),
         tuple(
-            SubstitutableOnlineBid(
-                int(b["user"]),
-                frozenset(int(j) for j in b["substitutes"]),
-                int(b["start"]),
-                int(b["end"]),
-                tuple(parse_money(v) for v in b["per_slot"]),
-            )
-            for b in bids
+            SubstitutableOnlineBid(_field(b, "user", p, _int), _field(b, "substitutes", p, _substitutes), *_window(b, p))
+            for b, p in bids
         ),
     )
+
+
+def _field(obj: dict, key: str, path: str, parse):
+    """``parse(obj[key], name)``, where name is the field's path."""
+    name = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise GameError(f"{name}: missing")
+    return parse(obj[key], name)
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise GameError(f"{path}: expected a JSON object")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise GameError(f"{path}: expected a list")
+    return value
+
+
+def _int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise GameError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _money(value, path: str) -> Money:
+    try:
+        return parse_money(value)
+    except ValueError as exc:
+        raise GameError(f"{path}: {exc}") from None
+
+
+def _substitutes(value, path: str) -> frozenset:
+    return frozenset(_int(j, f"{path}[{k}]") for k, j in enumerate(_list(value, path)))
+
+
+def _window(bid: dict, path: str) -> tuple:
+    """(start, end, per_slot) of an online bid."""
+    per_slot = _field(bid, "per_slot", path, _list)
+    return (
+        _field(bid, "start", path, _int),
+        _field(bid, "end", path, _int),
+        tuple(_money(v, f"{path}.per_slot[{k}]") for k, v in enumerate(per_slot)),
+    )
+
+
+def _offline_values(bid: dict, path: str) -> dict:
+    out = {}
+    for j, v in _object(bid.get("values", {}), f"{path}.values").items():
+        try:
+            opt = int(j)
+        except ValueError:
+            raise GameError(f"{path}.values: key {j!r} is not an optimization id") from None
+        out[opt] = _money(v, f"{path}.values.{j}")
+    return out
 
 
 def dump_game(game, path):

@@ -1,34 +1,41 @@
 """Experiment engine: run mechanism-vs-baseline sweeps over seeded Monte
 Carlo scenarios and emit deterministic CSV summaries.
 
-Sweeps run trial-major: each trial's game is generated once, re-costed for
-every cost point and fed to each requested mechanism, serially or in one
-process pool per sweep.  Utilities and balances aggregate as exact
-rationals, so scheduling and arrival order cannot change a single output
-byte.  Files are written to a temp path and atomically renamed.
+Sweeps run trial-major: each trial's game is generated once and rescaled
+once to integers (``scaled.ScaledGame``), with one integer cost per cost
+point, and every requested mechanism's integer kernel runs on it at each
+point.  Utility and balance come straight from the kernels' join slots,
+counts and prices as integers over one denominator, and fold into integer
+cells; ``Fraction``s appear only when a cell's mean or variance is read.
+Sums are exact, so scheduling and arrival order cannot change a single
+output byte.  Trials run serially or in one process pool per sweep, whose
+workers fold chunks of trials into partial cells that the parent merges.
+Files are written to a temp path and atomically renamed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
-from .additive_online import add_on
-from .analysis import score_additive_online, score_subst_online
-from .core import (
-    AdditiveOnlineMultiGame,
-    OnlineAdditiveGame,
-    SubstOnlineGame,
-)
-from .money import ZERO, Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
-from .regret import regret_run
-from .scenarios import ScenarioError, ScenarioSpec, generate, recost
-from .substitutable import subst_on
+from .additive_online import serve
+from .money import Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
+from .regret import trigger
+from .scaled import ScaledGame
+from .scenarios import ScenarioError, ScenarioSpec, generate
+from .substitutable import grant
+
+# Bound here only for perfbench/spans.py, whose traced run wraps each of
+# these names on this module; the sweep runs the integer kernels above.
+from .additive_online import add_on  # noqa: F401
+from .analysis import score_additive_online, score_subst_online  # noqa: F401
+from .regret import regret_run  # noqa: F401
+from .substitutable import subst_on  # noqa: F401
 
 MECHANISMS = ("add_off", "add_on", "subst_off", "subst_on", "regret")
 
@@ -44,10 +51,12 @@ FAMILY_MECHANISMS = {
 # Every cost point runs every trial; the shipped configs use 25 points.
 MAX_COST_POINTS = 1000
 
-# Trials a pool worker takes at a time.  Of 1, 2, 4 and 8, 4 was fastest on a
-# 256-trial, 25-point sweep with two workers on a 2-vCPU VM; single trials
-# cost more in messages than they gain in balance.
-TRIALS_PER_TASK = 4
+# Trials in one pool job, which the worker folds into partial cells.  On a
+# 256-trial, 25-point sweep with two workers on a 2-vCPU VM, 16 to 64 were
+# about a fifth faster than 4 and twice as fast as 1 (each job returns a
+# full set of cells); 16 still leaves 625 jobs to balance a shipped
+# 10000-trial sweep.
+TRIALS_PER_TASK = 16
 
 CSV_HEADER = (
     "mechanism,cost,trials,mean_total_utility,sd_total_utility,"
@@ -150,53 +159,68 @@ def load_config(path) -> ExperimentConfig:
 # Running
 
 
-def run_mechanism(mechanism: str, game) -> tuple[Money, Money, bool]:
-    """Run one mechanism on one game; returns (total utility, cloud balance,
+def run_mechanism(mechanism: str, game: ScaledGame, point: int = 0) -> tuple[int, int, int, bool]:
+    """Run one mechanism's kernel on a scaled game at cost point ``point``;
+    returns (total utility, cloud balance, their common denominator,
     implemented anything)."""
-    if mechanism == "regret":
-        if isinstance(game, OnlineAdditiveGame):
-            trace = regret_run((game.optimization,), game.horizon, game.bids)
-        elif isinstance(game, (AdditiveOnlineMultiGame, SubstOnlineGame)):
-            trace = regret_run(game.catalog, game.horizon, game.bids)
-        else:
-            raise ConfigError(f"regret cannot run on {type(game).__name__}")
-        return trace.total_utility, trace.cloud_balance, bool(trace.implement_slot)
-    if mechanism == "add_on":
-        if isinstance(game, OnlineAdditiveGame):
-            games = [game]
-        elif isinstance(game, AdditiveOnlineMultiGame):
-            games = game.per_opt_games()
-        else:
-            raise ConfigError(f"add_on cannot run on {type(game).__name__}")
-        utility = balance = ZERO
-        implemented = False
-        for g in games:
-            metrics = score_additive_online(g, add_on(g))
-            utility += metrics.total_utility
-            balance += metrics.cloud_balance
-            implemented = implemented or metrics.total_cost > 0
-        return utility, balance, implemented
-    if mechanism == "subst_on":
-        if not isinstance(game, SubstOnlineGame):
-            raise ConfigError(f"subst_on cannot run on {type(game).__name__}")
-        trace = subst_on(game.catalog, game.horizon, game.bids)
-        metrics = score_subst_online(game, trace)
-        return metrics.total_utility, metrics.cloud_balance, bool(trace.implemented)
-    raise ConfigError(f"mechanism {mechanism!r} is not runnable in experiments")
+    costs = game.costs[point]
+    realized = spent = 0
+    payments = []  # (numerator, denominator, payers): payers each pay num/den
+    if mechanism == "add_on" and game.additive:
+        for j, cost in costs.items():
+            joined, count = serve(game, j, cost)
+            if joined:
+                spent += cost
+            payers = {}  # share denominator k -> payers
+            for i, t in joined.items():
+                realized += game.suffix[i][t - game.starts[i]]
+                k = count[game.ends[i]]
+                payers[k] = payers.get(k, 0) + 1
+            payments.extend((cost, k, n) for k, n in payers.items())
+    elif mechanism == "subst_on" and not game.additive:
+        granted, joined, count, _ = grant(game, costs)
+        payers = {}  # (opt, share denominator k) -> payers
+        for i, j in granted.items():
+            realized += game.suffix[i][joined[i] - game.starts[i]]
+            key = (j, count[j][game.ends[i]])
+            payers[key] = payers.get(key, 0) + 1
+        spent = sum(costs[j] for j in count)
+        payments.extend((costs[j], k, n) for (j, k), n in payers.items())
+    elif mechanism == "regret":
+        run = trigger(game, costs)
+        realized = run.realized
+        spent = sum(costs[j] for j in run.implement_slot)
+        payments.extend((*run.price[j], len(buyers)) for j, buyers in run.buyers.items())
+    else:
+        kind = "additive" if game.additive else "substitutable"
+        raise ConfigError(f"{mechanism} cannot run on {kind} games")
+    lcm = math.lcm(*[den for _, den, _ in payments])
+    paid = sum(n * num * (lcm // den) for num, den, n in payments)
+    return (realized - spent) * lcm, paid - spent * lcm, game.scale * lcm, spent > 0
 
 
 @dataclass
 class CellStats:
-    """Exact running aggregates for one (mechanism, cost) cell."""
+    """Exact running aggregates for one (mechanism, cost) cell.
+
+    Sums are integers over the common denominator ``den`` (sums of squares
+    over ``den**2``).  ``den`` grows to the lcm of every denominator added or
+    merged, which does not depend on arrival order, so neither do the sums.
+    """
 
     n: int = 0
-    sum_u: Fraction = ZERO
-    sum_u2: Fraction = ZERO
-    sum_b: Fraction = ZERO
-    sum_b2: Fraction = ZERO
+    den: int = 1
+    sum_u: int = 0
+    sum_u2: int = 0
+    sum_b: int = 0
+    sum_b2: int = 0
     implemented: int = 0
 
-    def add(self, utility: Money, balance: Money, implemented: bool):
+    def add(self, utility: int, balance: int, den: int, implemented: bool):
+        """Add one trial: utility/den and balance/den."""
+        f = self._widen(den)
+        utility *= f
+        balance *= f
         self.n += 1
         self.sum_u += utility
         self.sum_u2 += utility * utility
@@ -204,37 +228,80 @@ class CellStats:
         self.sum_b2 += balance * balance
         self.implemented += bool(implemented)
 
+    def merge(self, other: "CellStats"):
+        """Add every trial ``other`` holds."""
+        f = self._widen(other.den)
+        self.n += other.n
+        self.sum_u += other.sum_u * f
+        self.sum_u2 += other.sum_u2 * f * f
+        self.sum_b += other.sum_b * f
+        self.sum_b2 += other.sum_b2 * f * f
+        self.implemented += other.implemented
+
+    def _widen(self, den: int) -> int:
+        """Grow ``self.den`` to a multiple of ``den``; returns the factor
+        that brings a value over ``den`` onto it."""
+        if self.den % den:
+            f = den // math.gcd(self.den, den)
+            self.den *= f
+            self.sum_u *= f
+            self.sum_b *= f
+            self.sum_u2 *= f * f
+            self.sum_b2 *= f * f
+        return self.den // den
+
     @property
     def mean_utility(self) -> Fraction:
-        return self.sum_u / self.n
+        return Fraction(self.sum_u, self.den * self.n)
 
     @property
     def var_utility(self) -> Fraction:
-        return self.sum_u2 / self.n - self.mean_utility**2
+        return Fraction(self.sum_u2, self.den * self.den * self.n) - self.mean_utility**2
 
     @property
     def mean_balance(self) -> Fraction:
-        return self.sum_b / self.n
+        return Fraction(self.sum_b, self.den * self.n)
 
     @property
     def var_balance(self) -> Fraction:
-        return self.sum_b2 / self.n - self.mean_balance**2
+        return Fraction(self.sum_b2, self.den * self.den * self.n) - self.mean_balance**2
 
     @property
     def implemented_rate(self) -> Fraction:
         return Fraction(self.implemented, self.n)
 
 
-def _trial_results(spec: ScenarioSpec, mechanisms, cost_points, trial: int):
-    """One trial at every cost point: ``(trial, rows)`` with one row per cost
-    point, each holding (utility, balance, implemented) per mechanism.  The
-    game is generated once and re-costed per point."""
-    game = generate(spec, trial)
-    rows = []
-    for cost in cost_points:
-        game_at = recost(game, spec, cost)
-        rows.append([run_mechanism(m, game_at) for m in mechanisms])
-    return trial, rows
+def _trial_results(spec: ScenarioSpec, mechanisms, factors, trial: int):
+    """One trial at every cost point: one row per point, each holding
+    ``run_mechanism``'s result per mechanism.  The game is generated and
+    scaled once; cost point p costs ``factors[p]`` times the generated
+    catalog (see ``scenarios.recost``)."""
+    game = ScaledGame(generate(spec, trial), factors)
+    return [[run_mechanism(m, game, p) for m in mechanisms] for p in range(len(factors))]
+
+
+def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, details: bool, trials):
+    """Run ``trials`` and fold them into fresh cells; returns the cells and,
+    if ``details``, the detail records per cost point as (trial, record)."""
+    factors = [cost / spec.cost for cost in cost_points]
+    cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
+    records = [[] for _ in cost_points] if details else None
+    for trial in trials:
+        for point, row in enumerate(_trial_results(spec, mechanisms, factors, trial)):
+            cost = cost_points[point]
+            for mechanism, (utility, balance, den, implemented) in zip(mechanisms, row):
+                cells[(mechanism, cost)].add(utility, balance, den, implemented)
+                if records is not None:
+                    record = {
+                        "mechanism": mechanism,
+                        "cost": render_exact(cost),
+                        "trial": trial,
+                        "total_utility": render_exact(Fraction(utility, den)),
+                        "cloud_balance": render_exact(Fraction(balance, den)),
+                        "implemented": bool(implemented),
+                    }
+                    records[point].append((trial, record))
+    return cells, records
 
 
 def default_workers() -> int:
@@ -260,40 +327,35 @@ def sweep(
 ) -> dict[tuple[str, Money], CellStats]:
     """Run trials x cost points x mechanisms; exact aggregation per cell.
 
-    Trial-major: each trial's game is generated once, re-costed for every
-    cost point (``scenarios.recost``) and run through every mechanism.  With
-    more than one worker, one process pool of at most
+    Trial-major: each trial's game is generated and scaled to integers once
+    and every mechanism's kernel runs on it at every cost point.  With more
+    than one worker, one process pool of at most
     ``min(workers, os.cpu_count(), trials)`` processes serves the whole
-    sweep, one job per trial.  Serial or pooled, each trial's results are
-    folded into the cells as they arrive; exact sums do not depend on arrival
-    order.  Detail records are buffered per cost point and handed to
-    ``detail_sink`` in (cost, trial, mechanism) order.
+    sweep; a job is a chunk of ``TRIALS_PER_TASK`` trials, which the worker
+    folds into partial cells (and detail records, if asked for) for the
+    parent to merge.  Serial runs fold every trial through the same
+    function.  Exact sums do not depend on arrival order.  Detail records are
+    handed to ``detail_sink`` in (cost, trial, mechanism) order.
     """
     trials = trials if trials is not None else spec.trials
     workers = workers if workers is not None else default_workers()
     mechanisms, cost_points = tuple(mechanisms), tuple(cost_points)
-    cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
-    details = [[] for _ in cost_points] if detail_sink is not None else None
-    job = partial(_trial_results, spec, mechanisms, cost_points)
+    fold = partial(_fold_trials, spec, mechanisms, cost_points, detail_sink is not None)
     processes = min(workers, os.cpu_count() or 1, trials)
-    if processes > 1:
+    if processes <= 1:
+        cells, details = fold(range(trials))
+    else:
         import multiprocessing as mp  # imported here: most runs never start a pool
-    with mp.Pool(processes) if processes > 1 else nullcontext() as pool:
-        results = pool.imap_unordered(job, range(trials), TRIALS_PER_TASK) if pool else map(job, range(trials))
-        for trial, rows in results:
-            for point, (cost, row) in enumerate(zip(cost_points, rows)):
-                for mechanism, (utility, balance, implemented) in zip(mechanisms, row):
-                    cells[(mechanism, cost)].add(utility, balance, implemented)
-                    if details is not None:
-                        record = {
-                            "mechanism": mechanism,
-                            "cost": render_exact(cost),
-                            "trial": trial,
-                            "total_utility": render_exact(utility),
-                            "cloud_balance": render_exact(balance),
-                            "implemented": bool(implemented),
-                        }
-                        details[point].append((trial, record))
+
+        cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
+        details = [[] for _ in cost_points] if detail_sink is not None else None
+        chunks = [range(lo, min(lo + TRIALS_PER_TASK, trials)) for lo in range(0, trials, TRIALS_PER_TASK)]
+        with mp.Pool(processes) as pool:
+            for part, records in pool.imap_unordered(fold, chunks):
+                for key, cell in part.items():
+                    cells[key].merge(cell)
+                for point, point_records in enumerate(records or ()):
+                    details[point].extend(point_records)
     for records in details or ():
         records.sort(key=itemgetter(0))  # stable: a trial's mechanisms keep their order
         for _, record in records:

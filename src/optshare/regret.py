@@ -9,6 +9,11 @@ minimize the provider's loss (so the baseline is evaluated at its best).
 
 The baseline trusts bids to be true values; the simulator always feeds it
 the truth.
+
+The baseline itself is one integer kernel, :func:`trigger`, over a
+:class:`~optshare.scaled.ScaledGame`; the experiment harness reads its
+realized value, posted prices and buyer counts directly, once per cost point
+of a trial, and :func:`regret_run` builds the full trace from it.
 """
 
 from __future__ import annotations
@@ -16,48 +21,64 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     AdditiveOnlineBid,
+    AdditiveOnlineMultiGame,
     GameError,
     OptId,
     Optimization,
     ServiceSchedule,
     Slot,
     SlotHorizon,
+    SubstOnlineGame,
     SubstitutableOnlineBid,
     UserId,
 )
 from .money import ZERO, Money
-from .shapley import common_scale
+from .scaled import ScaledGame
+from .shapley import _fixed_point, common_scale
 
 
 def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tuple[Money, Money]:
     """Price minimizing max(cost - price * buyers, 0); smallest price on ties.
 
-    Buyers at price p are the residuals >= p.  With residuals sorted
-    descending, prices with k buyers are (r_{k+1}, r_k], so cost recovery is
-    possible iff k * r_k >= cost for some k, and the smallest recovering
-    price is cost/k for the largest such k.  If no price recovers the cost,
-    revenue p * buyers is maximized at some residual value; the smallest
-    maximizer wins the tie.
+    Buyers at price p are the residuals >= p.  See :func:`_posted_price`,
+    which this runs on the residuals and cost scaled to integers.
     """
     if any(r < 0 for r in future_residuals):
         raise GameError("residuals must be >= 0")
-    residuals = sorted((r for r in future_residuals if r > 0), reverse=True)
-    recovering = 0
-    for k, r in enumerate(residuals, start=1):
-        if r * k >= cost:
-            recovering = k
+    scale = common_scale([cost, *future_residuals])
+    num, den, loss = _posted_price(
+        cost.numerator * (scale // cost.denominator),
+        [r.numerator * (scale // r.denominator) for r in future_residuals if r > 0],
+    )
+    return Fraction(num, den * scale), Fraction(loss, scale)
+
+
+def _posted_price(cost: int, residuals: list[int]) -> tuple[int, int, int]:
+    """Integer form of :func:`optimal_posted_price` on positive residuals:
+    (price numerator, price denominator, loss), all on the residuals' scale.
+
+    With residuals sorted descending, prices with k buyers are
+    (r_{k+1}, r_k], so cost recovery is possible iff k * r_k >= cost for
+    some k, and the smallest recovering price is cost/k for the largest
+    such k, which is the equal-share fixed point with nobody pinned.  If no
+    price recovers the cost, revenue p * buyers is maximized at some residual
+    value; the smallest maximizer wins the tie.
+    """
+    descending = sorted(((r, None) for r in residuals), key=itemgetter(0), reverse=True)
+    recovering = _fixed_point(cost, descending, 0)
     if recovering:
-        return cost / recovering, ZERO
-    best_price, best_revenue = ZERO, ZERO
-    for k, r in enumerate(residuals, start=1):
+        return cost, recovering, 0
+    best_price, best_revenue = 0, 0
+    for k, (r, _) in enumerate(descending, start=1):
         revenue = r * k
         if revenue > best_revenue or (revenue == best_revenue and r < best_price):
             best_price, best_revenue = r, revenue
-    return best_price, cost - best_revenue
+    return best_price, 1, cost - best_revenue
 
 
 @dataclass(frozen=True)
@@ -82,150 +103,132 @@ class RegretTrace:
         return self.realized_value - self.total_cost
 
 
-def regret_run(
-    catalog: Iterable[Optimization],
-    horizon: SlotHorizon,
-    values: Sequence[AdditiveOnlineBid] | Sequence[SubstitutableOnlineBid],
-) -> RegretTrace:
-    """Run the baseline on truthful per-slot values.
+class RegretRun(NamedTuple):
+    """What :func:`trigger` reports, by bid index and on the game's scale.
+    A buyer of j pays ``price[j][0] / price[j][1]``."""
+
+    implement_slot: dict[OptId, Slot]
+    price: dict[OptId, tuple[int, int]]
+    loss: dict[OptId, int]
+    riders: dict[OptId, list[int]]  # bids serviced free in the trigger slot
+    buyers: dict[OptId, list[int]]  # bids that bought access after it
+    realized: int
+    series: dict[tuple[OptId, Slot], int]
+
+
+def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> RegretRun:
+    """Run the baseline at scaled costs ``costs``.
 
     Additive bids contribute to every optimization they name, independently.
     Substitutable bids contribute their value to every optimization in the
     substitute set until the user is first serviced by one of them, at which
     point she stops benefiting from (and stops accruing regret for) the rest.
     """
-    catalog = tuple(catalog)
-    costs = {o.id: o.cost for o in catalog}
-    bids = tuple(values)
-    if not bids:
-        return _empty_trace()
-    additive = isinstance(bids[0], AdditiveOnlineBid)
-    for b in bids:
-        if isinstance(b, AdditiveOnlineBid) != additive:
-            raise GameError("cannot mix additive and substitutable bids")
-        if b.end > horizon.z:
-            raise GameError(f"user {b.user}: bid window ends past the horizon")
-
-    if additive:
-        seen = set()
-        for b in bids:
-            if b.opt not in costs:
-                raise GameError(f"user {b.user} bids unknown optimization {b.opt}")
-            if (b.user, b.opt) in seen:
-                raise GameError(f"duplicate bid for user {b.user}, optimization {b.opt}")
-            seen.add((b.user, b.opt))
-        interest = [frozenset([b.opt]) for b in bids]
-    else:
-        users = [b.user for b in bids]
-        if len(users) != len(set(users)):
-            raise GameError("one bid per user per game")
-        for b in bids:
-            if not b.substitutes <= costs.keys():
-                raise GameError(f"user {b.user} wants unknown optimizations")
-        interest = [b.substitutes for b in bids]
-
-    scale = common_scale([*costs.values(), *(v for b in bids for v in b.per_slot)])
-    costs_s = {j: c.numerator * (scale // c.denominator) for j, c in costs.items()}
+    additive = game.additive
+    starts, ends, interest, suffix = game.starts, game.ends, game.interest, game.suffix
+    by_opt, values = game.by_opt, game.values
     opt_ids = sorted(costs)
-    vals: list[list[int]] = []  # scaled per-slot values, indexed like each bid window
-    suffix: list[list[int]] = []  # suffix[i][k]: value of bid i from slot start+k on
-    for b in bids:
-        row = [v.numerator * (scale // v.denominator) for v in b.per_slot]
-        vals.append(row)
-        acc = [0]
-        for v in reversed(row):
-            acc.append(acc[-1] + v)
-        suffix.append(acc[::-1])
-
-    def residual_after(i: int, t: Slot) -> int:
-        """Scaled declared value strictly after slot t."""
-        b = bids[i]
-        tau = max(t + 1, b.start)
-        if tau > b.end:
-            return 0
-        return suffix[i][tau - b.start]
-
-    def value_at(i: int, t: Slot) -> int:
-        b = bids[i]
-        if b.start <= t <= b.end:
-            return vals[i][t - b.start]
-        return 0
-
-    regret: dict[OptId, int] = {j: 0 for j in costs}
+    regret = dict.fromkeys(opt_ids, 0)
     series: dict[tuple[OptId, Slot], int] = {}
     implement_slot: dict[OptId, Slot] = {}
-    posted_price: dict[OptId, Money] = {}
-    price_loss: dict[OptId, Money] = {}
-    served: dict[tuple[OptId, Slot], set[UserId]] = {}
-    payments: dict[UserId, Money] = {b.user: ZERO for b in bids}
-    bound: dict[UserId, OptId] = {}  # substitutable: first optimization that serviced the user
-    realized_s = 0
+    price: dict[OptId, tuple[int, int]] = {}
+    loss: dict[OptId, int] = {}
+    riders: dict[OptId, list[int]] = {}
+    buyers: dict[OptId, list[int]] = {}
+    bound: dict[int, OptId] = {}  # substitutable: first optimization that serviced the bid
+    realized = 0
 
-    def is_open(i: int) -> bool:
-        """Whether the user still benefits from, and accrues regret for,
-        not-yet-implemented optimizations (substitutable users stop once
-        serviced by any member of their set)."""
-        return additive or bids[i].user not in bound
-
-    for t in horizon.slots():
+    for t in range(1, game.z + 1):
         for j in opt_ids:
             if j not in implement_slot:
                 series[(j, t)] = regret[j]
         # greedy trigger, lowest optimization id first
         for j in opt_ids:
-            if j in implement_slot or regret[j] < costs_s[j]:
+            if j in implement_slot or regret[j] < costs[j]:
                 continue
             implement_slot[j] = t
-            pool = [i for i in range(len(bids)) if j in interest[i] and is_open(i)]
-            # users active in the trigger slot are serviced for free
+            # users still open to j: additive ones always, substitutable ones
+            # until first serviced
+            pool = [i for i in by_opt[j] if additive or i not in bound]
+            # users active in the trigger slot are serviced for free; one
+            # posted price covers everything after it
+            riders[j] = []
+            future = []  # (bid, scaled value after slot t) where positive
             for i in pool:
-                b = bids[i]
-                if b.start <= t <= b.end:
-                    served.setdefault((j, t), set()).add(b.user)
-                    realized_s += value_at(i, t)
-                    if not additive:
-                        bound[b.user] = j
-            # one posted price for everything after the trigger slot
-            future = [(i, residual_after(i, t)) for i in pool]
-            price, loss = optimal_posted_price(
-                costs[j], [Fraction(r, scale) for _, r in future if r > 0]
-            )
-            posted_price[j] = price
-            price_loss[j] = loss
-            p_num, p_den = price.numerator, price.denominator
-            for i, r in future:
-                if r <= 0:
+                start = starts[i]
+                if t > ends[i]:
                     continue
-                b = bids[i]
-                # r/scale >= price, cross-multiplied to stay in integers
-                if r * p_den >= p_num * scale and (additive or b.user not in bound or bound[b.user] == j):
-                    payments[b.user] += price
-                    realized_s += r
+                if start <= t:
+                    riders[j].append(i)
+                    r = suffix[i][t + 1 - start]
+                    realized += suffix[i][t - start] - r
                     if not additive:
-                        bound[b.user] = j
-                    for tau in range(max(b.start, t + 1), b.end + 1):
-                        served.setdefault((j, tau), set()).add(b.user)
+                        bound[i] = j
+                else:
+                    r = suffix[i][0]
+                if r:
+                    future.append((i, r))
+            num, den, loss[j] = _posted_price(costs[j], [r for _, r in future])
+            price[j] = (num, den)
+            buyers[j] = []
+            for i, r in future:
+                if r * den >= num and bound.get(i, j) == j:
+                    buyers[j].append(i)
+                    realized += r
+                    if not additive:
+                        bound[i] = j
+        if len(implement_slot) == len(opt_ids):
+            break  # nothing left to accrue regret for
         # accumulate regret for still-unimplemented optimizations
-        for i, b in enumerate(bids):
-            if b.start <= t <= b.end and is_open(i):
-                v = value_at(i, t)
-                if v:
-                    for j in interest[i]:
-                        if j not in implement_slot:
-                            regret[j] += v
+        for i, v in values[t]:
+            if additive or i not in bound:
+                for j in interest[i]:
+                    if j not in implement_slot:
+                        regret[j] += v
+    return RegretRun(implement_slot, price, loss, riders, buyers, realized, series)
 
-    total_cost = sum((costs[j] for j in implement_slot), ZERO)
+
+def regret_run(
+    catalog: Iterable[Optimization],
+    horizon: SlotHorizon,
+    values: Sequence[AdditiveOnlineBid] | Sequence[SubstitutableOnlineBid],
+) -> RegretTrace:
+    """Run the baseline on truthful per-slot values (see :func:`trigger`)."""
+    catalog = tuple(catalog)
+    bids = tuple(values)
+    if not bids:
+        return _empty_trace()
+    additive = isinstance(bids[0], AdditiveOnlineBid)
+    if any(isinstance(b, AdditiveOnlineBid) != additive for b in bids):
+        raise GameError("cannot mix additive and substitutable bids")
+    game = AdditiveOnlineMultiGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
+    scaled = ScaledGame(game)
+    run = trigger(scaled, scaled.costs[0])
+    scale = scaled.scale
+    costs = {o.id: o.cost for o in catalog}
+    posted_price = {j: Fraction(num, den * scale) for j, (num, den) in run.price.items()}
+    served: dict[tuple[OptId, Slot], set[UserId]] = {}
+    payments: dict[UserId, Money] = {b.user: ZERO for b in bids}
+    for j, t in run.implement_slot.items():
+        for i in run.riders[j]:
+            served.setdefault((j, t), set()).add(bids[i].user)
+        for i in run.buyers[j]:
+            payments[bids[i].user] += posted_price[j]
+            for tau in range(max(bids[i].start, t + 1), bids[i].end + 1):
+                served.setdefault((j, tau), set()).add(bids[i].user)
+
+    total_cost = sum((costs[j] for j in run.implement_slot), ZERO)
     total_paid = sum(payments.values(), ZERO)
     return RegretTrace(
-        implement_slot,
+        run.implement_slot,
         posted_price,
-        price_loss,
+        {j: Fraction(loss, scale) for j, loss in run.loss.items()},
         ServiceSchedule({k: frozenset(v) for k, v in served.items()}),
         payments,
         total_paid - total_cost,
-        Fraction(realized_s, scale),
+        Fraction(run.realized, scale),
         total_cost,
-        series,
+        run.series,
         scale,
     )
 

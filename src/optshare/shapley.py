@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     AdditiveOfflineBid,
@@ -36,27 +37,29 @@ class ShapleyResult:
     payments: dict[UserId, Money]
 
 
-def _fixed_point(cost_scaled: int, finite_scaled: Iterable[tuple[UserId, int]], n_pinned: int) -> list[UserId]:
-    """Fixed-point eviction loop over integer-scaled bids.
+def _fixed_point(cost_scaled: int, descending: Sequence[tuple[int, object]], n_pinned: int) -> int:
+    """Fixed-point eviction over integer-scaled bids, in closed form.
 
-    ``bid >= cost/k`` is evaluated as ``bid * k >= cost`` so no divisions
-    happen until the final share is reported.  Pinned users (infinite bids)
-    always stay and only contribute to the head count.
+    ``descending`` holds (bid, key) pairs, highest bid first; the result is
+    how many of its leading pairs stay serviced.  Eviction (split the cost
+    over everyone left, drop each bid below the share, repeat) keeps exactly
+    the longest prefix of m bids whose smallest one covers
+    ``cost / (n_pinned + m)``: a bid that covers a share keeps covering it as
+    the set shrinks, so no member of such a prefix is ever dropped, and the
+    survivors form such a prefix.  ``bid >= cost/k`` is evaluated as
+    ``bid * k >= cost``; with a positive cost a zero bid never survives.
+    Pinned users (infinite bids) always stay and only add to the head count.
     """
-    kept = [(u, b) for u, b in finite_scaled if b > 0]  # zero bids never survive
-    while True:
-        k = n_pinned + len(kept)
-        if k == 0:
-            return []
-        survivors = [(u, b) for u, b in kept if b * k >= cost_scaled]
-        if len(survivors) == len(kept):
-            return [u for u, _ in kept]
-        kept = survivors
+    kept = 0
+    for m, (bid, _) in enumerate(descending, 1):
+        if bid * (n_pinned + m) >= cost_scaled:
+            kept = m
+    return kept
 
 
 def common_scale(values: Iterable[Money]) -> int:
     """Least common denominator; 1 for an empty collection."""
-    return math.lcm(*(v.denominator for v in values))
+    return math.lcm(*[v.denominator for v in values])
 
 
 def shapley(cost: Money, bids: Mapping[UserId, Bid]) -> ShapleyResult:
@@ -82,9 +85,11 @@ def shapley(cost: Money, bids: Mapping[UserId, Bid]) -> ShapleyResult:
 
     scale = common_scale([cost, *finite.values()])
     cost_s = cost.numerator * (scale // cost.denominator)
-    finite_s = [(u, b.numerator * (scale // b.denominator)) for u, b in finite.items()]
-
-    serviced = set(pinned) | set(_fixed_point(cost_s, finite_s, len(pinned)))
+    finite_s = sorted(
+        ((b.numerator * (scale // b.denominator), u) for u, b in finite.items()), key=itemgetter(0), reverse=True
+    )
+    kept = _fixed_point(cost_s, finite_s, len(pinned))
+    serviced = set(pinned).union(u for _, u in finite_s[:kept])
     share = cost / len(serviced) if serviced else None
     payments = {u: (share if u in serviced else ZERO) for u in bids}
     return ShapleyResult(frozenset(serviced), share, payments)

@@ -16,6 +16,7 @@ from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
+    AdditiveOnlineMultiGame,
     EnumerationGuard,
     OnlineAdditiveGame,
     Optimization,
@@ -236,3 +237,13 @@ def test_score_dispatch_matches_internal_totals():
     assert m2.total_value == trace.realized_value
     assert m2.cloud_balance == trace.cloud_balance
     assert m2.total_utility == trace.total_utility
+    # one user bidding on two additive optimizations realizes both
+    g3 = AdditiveOnlineMultiGame(
+        (Optimization(1, F(5)), Optimization(2, F(5))),
+        SlotHorizon(2),
+        (AdditiveOnlineBid(1, 1, 1, 2, (F(6), F(6))), AdditiveOnlineBid(1, 2, 1, 2, (F(6), F(6)))),
+    )
+    trace3 = regret_run(g3.catalog, g3.horizon, g3.bids)
+    m3 = score(g3, trace3)
+    assert m3.total_value == trace3.realized_value == F(12)
+    assert m3.per_user_utility == {1: F(12)}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,16 @@ from optshare.cli import main
 from optshare.core import AdditiveOnlineBid, OnlineAdditiveGame, Optimization, SlotHorizon
 from optshare.gamefiles import dump_game, game_from_dict, game_to_dict, load_game, money_str
 from optshare import harness
-from optshare.harness import ConfigError, config_from_dict, default_workers, run_experiment, sweep
-from optshare.scenarios import ScenarioSpec
-from optshare.verification import run_suite
+from optshare.experiments import trend_configs
+from optshare.harness import CellStats, ConfigError, config_from_dict, default_workers, run_experiment, sweep
+from optshare.scenarios import ScenarioSpec, generate
+from optshare.verification import (
+    rand_additive_offline,
+    rand_additive_online,
+    rand_subst_offline,
+    rand_subst_online,
+    run_suite,
+)
 
 F = Fraction
 
@@ -46,6 +54,14 @@ def test_game_file_round_trip(tmp_path):
     dump_game(game, path)
     assert load_game(path) == game
     assert game_from_dict(game_to_dict(game)) == game
+
+
+def test_every_game_kind_round_trips_through_json():
+    rng = random.Random(5)
+    games = [make(rng) for make in (rand_additive_offline, rand_additive_online, rand_subst_offline, rand_subst_online)]
+    games.append(generate(ScenarioSpec(family="usecase_shape", slots=3, opt_count=3, trials=1), 0))
+    for game in games:
+        assert game_from_dict(json.loads(json.dumps(game_to_dict(game)))) == game
 
 
 def test_config_validation_errors():
@@ -179,7 +195,9 @@ def test_parallel_sweep_matches_sequential():
 
 
 # sha256 of (CSV, details JSONL) for small details configs, recorded on the
-# cost-point-major sweep that regenerated every game at every cost point.
+# Fraction-based sweeps before the integer kernels: collab_size and
+# selectivity on the cost-point-major sweep that regenerated every game at
+# every cost point, the others on the trial-major sweep that followed it.
 DETAIL_DIGESTS = {
     "collab_size": (
         {"family": "collab_size", "users": 4, "slots": 6, "cost": "0.3", "seed": 11, "trials": 12},
@@ -196,6 +214,28 @@ DETAIL_DIGESTS = {
         "37f0ae0e654c7025d8e1fe5fac3bee9a19b4be4ad13497d65e79617055e41a0b",
         "8b9d6113511299d3e94282e6caa6ba01b0cb3a1644bbec6c93bd436331b258c5",
     ),
+    "duration_spread": (  # multi-slot windows, per-slot values off the 1e-6 grid
+        {"family": "duration_spread", "users": 5, "slots": 6, "duration": 3, "cost": "0.3", "seed": 7, "trials": 12},
+        ["add_on", "regret"],
+        ["0.1", "0.3", "0.5"],
+        "415679413873e3b506afd26296ca47dfe1481eb189a6bed1562cf39a03ee3a46",
+        "4efcce1aa0358c9a70924aa9f7045355a3253812ba9ef77c0c1a8ed960ef942d",
+    ),
+    "usecase_shape": (  # several optimizations per game
+        {"family": "usecase_shape", "users": 6, "slots": 4, "opt_count": 5, "cost": "0.5",
+         "executions_per_slot": 2, "seed": 9, "trials": 12},
+        ["add_on", "regret"],
+        ["0.2", "0.5", "1.1"],
+        "3ec65c1a7c8ad17576b8214d00a7d4d89aefd46c41c39f3079517a0a0e0758a4",
+        "a7baa8e4ed72d1aced8d01b56287d8b147664e9d6e7c79cb21a20d693271802e",
+    ),
+    "arrival_skew": (
+        {"family": "arrival_skew", "users": 6, "slots": 8, "skew": "late", "cost": "0.54", "seed": 13, "trials": 12},
+        ["add_on", "regret"],
+        ["0.3", "0.54", "0.9"],
+        "770e179fff7d1ea7e6f9c689d124f18ac906d8d0d2b7911dba3876eb2187b658",
+        "9436b5af44b50c4ff8ad4f679ca70e374fcb9c891118bed9ba97b6c8eddf2841",
+    ),
 }
 
 
@@ -209,6 +249,47 @@ def test_details_bytes_are_recorded_ones(tmp_path, name, workers):
     csv_path, details_path = run_experiment(cfg, tmp_path, workers=workers)
     assert hashlib.sha256(open(csv_path, "rb").read()).hexdigest() == csv_sha
     assert hashlib.sha256(open(details_path, "rb").read()).hexdigest() == details_sha
+
+
+# sha256 of each trend_configs(200) CSV, recorded on the Fraction-based
+# trial-major sweep before the integer kernels.
+TREND_DIGESTS = {
+    "collab_small": "4164625d0592aade5d8af7595cd1814aa409158bd84711b0dee6bcecebd8d0df",
+    "collab_large": "e1df90c4c6459c63d0e1c49f80db55cdf4625ab342dcda1eb7526b24e857b897",
+    "selectivity_3of4": "023186068ad76f77f4fdc39622d6ec2b362ca49b5fc499c8f0871e2db743be46",
+    "selectivity_3of12": "4a30b1e045ec525205d1bd247fca9f6e619b44e4cc96b1d47c23194232440402",
+    "arrival_skew_uniform": "91adb30e1735ba65699d2ce82a45d5e2833767a6e3f6d8ce12e10ee5c35fd3b4",
+    "arrival_skew_early": "b5cc86be3da4e20469682d5e8a31f1bc5bbba777f3e0437e913f2ada2bdafe6f",
+    "arrival_skew_late": "bd5f2f51247fd6c7830e2ad44deb57f2a21cd5825f05ed891e1a8b32a70ab6c0",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(TREND_DIGESTS))
+def test_trend_csv_bytes_are_recorded_ones(tmp_path, name, workers):
+    (csv_path,) = run_experiment(trend_configs(200)[name], tmp_path, workers=workers)
+    assert hashlib.sha256(open(csv_path, "rb").read()).hexdigest() == TREND_DIGESTS[name]
+
+
+def test_cell_stats_merge_equals_adding_in_any_order():
+    values = [(1, -2, 2, True), (5, 3, 3, False), (-7, 0, 6, True), (4, 4, 10, True)]
+    forward, backward = CellStats(), CellStats()
+    for v in values:
+        forward.add(*v)
+    for v in reversed(values):
+        backward.add(*v)
+    merged, rest = CellStats(), CellStats()
+    merged.add(*values[2])
+    for v in (values[3], values[0], values[1]):
+        rest.add(*v)
+    merged.merge(rest)
+    assert forward == backward == merged
+    assert forward.den == 30
+    us = [F(u, d) for u, _, d, _ in values]
+    assert forward.mean_utility == sum(us) / 4
+    assert forward.var_utility == sum(u * u for u in us) / 4 - (sum(us) / 4) ** 2
+    assert forward.mean_balance == sum(F(b, d) for _, b, d, _ in values) / 4
+    assert forward.implemented_rate == F(3, 4)
 
 
 @pytest.fixture
@@ -316,3 +397,25 @@ def test_cli_verify_rejects_empty_runs(capsys, games):
     captured = capsys.readouterr()
     assert "--games" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "break_it, field",
+    [
+        (lambda game: game["bids"][0].pop("user"), "bids[0].user"),
+        (lambda game: game.pop("bids"), "bids"),
+        (lambda game: game["bids"][1]["per_slot"].__setitem__(0, "lots"), "bids[1].per_slot[0]"),
+        (lambda game: game["catalog"][0].__setitem__("id", "1"), "catalog[0].id"),
+        (lambda game: game.__setitem__("bids", {"user": 1}), "bids"),
+    ],
+)
+def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
+    with open(os.path.join(os.path.dirname(__file__), "..", "scripts", "games", "staggered_arrivals.json")) as fh:
+        game = json.load(fh)
+    break_it(game)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    assert main(["replay", "--game", str(path), "--mechanism", "add_on"]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err
+    assert captured.out == ""
