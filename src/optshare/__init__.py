@@ -3,14 +3,17 @@
 from .additive_online import OnlineTrace, add_on, new_session, step_session
 from .analysis import (
     DeviationReport,
+    MECHANISMS,
     GridSpec,
     Metrics,
     ProbeReport,
+    Settlement,
     deviation_search,
     efficient_outcome,
     multi_identity_probe,
     naive_pay_your_bid,
     score,
+    settle,
 )
 from .core import (
     AdditiveOfflineBid,

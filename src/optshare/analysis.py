@@ -1,4 +1,4 @@
-"""Scoring, the brute-force efficiency oracle, and the strategy lab.
+"""Settlements, the mechanism registry and scoring; the efficiency oracle; the strategy lab.
 
 Utilities are always computed against *true* values, even when the bids fed
 to a mechanism were deviations; payments are whatever the mechanism charged.
@@ -10,18 +10,20 @@ positive control.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .additive_online import OnlineTrace, add_on
 from .core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
+    AdditiveOnlineMultiGame,
     EnumerationGuard,
     GameError,
     OnlineAdditiveGame,
+    OnlineBid,
     OptId,
     Optimization,
     Outcome,
@@ -30,11 +32,10 @@ from .core import (
     SubstOfflineGame,
     SubstOnlineGame,
     SubstitutableOfflineBid,
-    SubstitutableOnlineBid,
     UserId,
 )
 from .money import ZERO, Money
-from .regret import RegretTrace
+from .regret import RegretTrace, regret_run
 from .shapley import add_off, shapley
 from .substitutable import SubstOffResult, SubstOnlineTrace, subst_off, subst_on
 
@@ -69,162 +70,102 @@ def naive_pay_your_bid(
 
 
 # ---------------------------------------------------------------------------
-# Scoring
+# Settlements, the mechanism registry, and scoring
 
 
-def _true_online_value(bid, serviced_slots: Iterable[Slot]) -> Money:
-    return sum((bid.value_at(t) for t in serviced_slots), ZERO)
+class Settlement(NamedTuple):
+    """What one mechanism run settled, whatever its result type: the users
+    served each optimization in each slot (offline results use slot 1, the
+    paper's one-slot degeneration), each user's total payment, and the
+    implemented optimizations."""
+
+    served: Mapping[tuple[OptId, Slot], frozenset[UserId]]
+    payments: Mapping[UserId, Money]  # users absent from the map pay 0
+    implemented: frozenset[OptId]
 
 
-def score_additive_offline(
-    game: AdditiveOfflineGame,
-    outcome: Outcome,
-    ledger: PaymentLedger,
-    truth: Mapping[UserId, AdditiveOfflineBid] | None = None,
-) -> Metrics:
-    truth = truth if truth is not None else {b.user: b for b in game.bids}
-    per_user: dict[UserId, Money] = {}
-    total_value = ZERO
-    for user, bid in truth.items():
-        value = sum((bid.value_for(j) for u, j in outcome.grants if u == user), ZERO)
-        total_value += value
-        per_user[user] = value - ledger.total_for(user)
-    _check_known_users(outcome.grants, truth)
-    total_cost = sum((o.cost for o in game.catalog if o.id in outcome.implemented), ZERO)
-    return Metrics(total_value, total_cost, total_value - total_cost, ledger.grand_total() - total_cost, per_user)
-
-
-def score_additive_online(
-    game: OnlineAdditiveGame,
-    trace: OnlineTrace,
-    truth: Mapping[UserId, AdditiveOnlineBid] | None = None,
-) -> Metrics:
-    truth = truth if truth is not None else {b.user: b for b in game.bids}
-    opt = game.optimization.id
-    serviced_users = set()
-    slots_of: dict[UserId, list[Slot]] = {}
-    for (j, t), users in trace.schedule.served.items():
-        for u in users:
-            serviced_users.add(u)
-            if u in truth:
-                slots_of.setdefault(u, []).append(t)
-    if not serviced_users <= set(truth) | {b.user for b in game.bids}:
-        raise GameError("schedule references unknown users")
-    per_user: dict[UserId, Money] = {}
-    total_value = ZERO
-    for user, bid in truth.items():
-        value = _true_online_value(bid, slots_of.get(user, ()))
-        total_value += value
-        per_user[user] = value - trace.payments.get(user, ZERO)
-    implemented = trace.schedule.cumulative_at(opt, game.horizon.z)
-    total_cost = game.optimization.cost if implemented else ZERO
-    paid = sum(trace.payments.values(), ZERO)
-    return Metrics(total_value, total_cost, total_value - total_cost, paid - total_cost, per_user)
-
-
-def score_subst_offline(
-    game: SubstOfflineGame,
-    result: SubstOffResult,
-    truth: Mapping[UserId, SubstitutableOfflineBid] | None = None,
-) -> Metrics:
-    truth = truth if truth is not None else {b.user: b for b in game.bids}
-    _check_known_users(result.outcome.grants, truth)
-    per_user: dict[UserId, Money] = {}
-    total_value = ZERO
-    for user, bid in truth.items():
-        granted = result.outcome.grants_for(user)
-        value = bid.value if granted & bid.substitutes else ZERO
-        total_value += value
-        per_user[user] = value - result.payments.total_for(user)
-    total_cost = sum((o.cost for o in game.catalog if o.id in result.outcome.implemented), ZERO)
-    return Metrics(
-        total_value,
-        total_cost,
-        total_value - total_cost,
-        result.payments.grand_total() - total_cost,
-        per_user,
-    )
-
-
-def score_subst_online(
-    game: SubstOnlineGame,
-    trace: SubstOnlineTrace,
-    truth: Mapping[UserId, SubstitutableOnlineBid] | None = None,
-) -> Metrics:
-    truth = truth if truth is not None else {b.user: b for b in game.bids}
-    per_user: dict[UserId, Money] = {}
-    total_value = ZERO
-    slots_of: dict[UserId, list[tuple[OptId, Slot]]] = {}
-    for (j, t), users in trace.schedule.served.items():
-        unknown = users - truth.keys()
-        if unknown:
-            raise GameError(f"schedule references unknown users {sorted(unknown)}")
-        for u in users:
-            slots_of.setdefault(u, []).append((j, t))
-    for user, bid in truth.items():
-        value = sum(
-            (bid.value_at(t) for j, t in slots_of.get(user, ()) if j in bid.substitutes), ZERO
-        )
-        total_value += value
-        per_user[user] = value - trace.payments.get(user, ZERO)
-    total_cost = sum((o.cost for o in game.catalog if o.id in trace.implemented), ZERO)
-    paid = sum(trace.payments.values(), ZERO)
-    return Metrics(total_value, total_cost, total_value - total_cost, paid - total_cost, per_user)
-
-
-def score_regret(game, trace: RegretTrace, truth=None) -> Metrics:
-    """Recompute metrics for a baseline run from its serviced schedule.
-
-    Every bid is scored, so a user with additive bids on several
-    optimizations realizes each of them; ``truth`` replaces the bids user by
-    user."""
-    bids = list(truth.values()) if truth is not None else list(game.bids)
-    users = {b.user for b in bids}
-    per_user: dict[UserId, Money] = {}
-    total_value = ZERO
-    slots_of: dict[UserId, set[tuple[OptId, Slot]]] = {}
-    for (j, t), served in trace.serviced.served.items():
-        for u in served:
-            if u not in users:
-                raise GameError("schedule references unknown users")
-            slots_of.setdefault(u, set()).add((j, t))
-    for bid in bids:
-        pairs = slots_of.get(bid.user, ())
-        wanted = (bid.opt,) if isinstance(bid, AdditiveOnlineBid) else bid.substitutes
-        value = sum((bid.value_at(t) for j, t in pairs if j in wanted), ZERO)
-        total_value += value
-        per_user[bid.user] = per_user.get(bid.user, ZERO) + value
-    for user in per_user:
-        per_user[user] -= trace.payments.get(user, ZERO)
-    return Metrics(
-        total_value,
-        trace.total_cost,
-        total_value - trace.total_cost,
-        trace.cloud_balance,
-        per_user,
-    )
-
-
-def score(game, result, truth=None) -> Metrics:
-    """Mechanism-agnostic scoring: dispatch on the game/result pair."""
+def settle(result) -> Settlement:
+    """The settlement of any mechanism's result: an offline ``(Outcome,
+    PaymentLedger)`` pair, a :class:`SubstOffResult`, or an online trace
+    (:class:`OnlineTrace`, :class:`SubstOnlineTrace`, :class:`RegretTrace`).
+    Online traces lend their own dicts, which are read, never written."""
+    if isinstance(result, OnlineTrace):
+        served = result.schedule.served
+        return Settlement(served, result.payments, frozenset([j for j, _ in served]))
+    if isinstance(result, SubstOnlineTrace):
+        return Settlement(result.schedule.served, result.payments, result.implemented)
     if isinstance(result, RegretTrace):
-        return score_regret(game, result, truth)
-    if isinstance(game, AdditiveOfflineGame):
-        outcome, ledger = result
-        return score_additive_offline(game, outcome, ledger, truth)
-    if isinstance(game, OnlineAdditiveGame):
-        return score_additive_online(game, result, truth)
-    if isinstance(game, SubstOfflineGame):
-        return score_subst_offline(game, result, truth)
-    if isinstance(game, SubstOnlineGame):
-        return score_subst_online(game, result, truth)
-    raise TypeError(f"cannot score {type(game).__name__}")
+        return Settlement(result.serviced.served, result.payments, frozenset(result.implement_slot))
+    if isinstance(result, SubstOffResult):
+        phases = result.phases
+        payments = {u: p.share for p in phases for u in p.serviced}
+        return Settlement({(p.opt, 1): p.serviced for p in phases}, payments, result.outcome.implemented)
+    outcome, ledger = result
+    served = {(j, 1): frozenset(u for u, o in outcome.grants if o == j) for j in outcome.implemented}
+    return Settlement(served, {u: ledger.total_for(u) for u, _ in ledger.entries}, outcome.implemented)
 
 
-def _check_known_users(grants, truth):
-    unknown = {u for u, _ in grants} - set(truth)
+def realized(bid, ids: AbstractSet[UserId], settlement: Settlement) -> Money:
+    """True value ``bid`` realizes when served to any identity in ``ids``:
+    in each slot of its window, additive bids realize their value per
+    optimization, substitutable ones once for any served substitute."""
+    served = settlement.served
+    if isinstance(bid, OnlineBid):
+        wanted = (bid.opt,) if isinstance(bid, AdditiveOnlineBid) else bid.substitutes
+        value = ZERO
+        for t, v in enumerate(bid.per_slot, bid.start):
+            for j in wanted:
+                if not ids.isdisjoint(served.get((j, t), ())):
+                    value += v
+                    break
+        return value
+    if isinstance(bid, AdditiveOfflineBid):
+        return sum((v for j, v in bid.values.items() if not ids.isdisjoint(served.get((j, 1), ()))), ZERO)
+    hit = any(not ids.isdisjoint(served.get((j, 1), ())) for j in bid.substitutes)
+    return bid.value if hit else ZERO
+
+
+# Every mechanism by name: (the game kinds it runs on, runner(game, bids)),
+# where ``bids`` replace the game's own.
+MECHANISMS = {
+    "add_off": ((AdditiveOfflineGame,), lambda game, bids: add_off(game.catalog, bids)),
+    "add_on": (
+        (OnlineAdditiveGame,),
+        lambda game, bids: add_on(OnlineAdditiveGame(game.optimization, game.horizon, tuple(bids))),
+    ),
+    "subst_off": ((SubstOfflineGame,), lambda game, bids: subst_off(game.catalog, bids)),
+    "subst_on": ((SubstOnlineGame,), lambda game, bids: subst_on(game.catalog, game.horizon, bids)),
+    "regret": (
+        (OnlineAdditiveGame, AdditiveOnlineMultiGame, SubstOnlineGame),
+        lambda game, bids: regret_run(game.catalog, game.horizon, bids),
+    ),
+}
+
+
+# The mechanisms the paper proves truthful; the regret baseline is not one (it
+# trusts bids to be true values).
+TRUTHFUL_MECHANISMS = ("add_off", "add_on", "subst_off", "subst_on")
+
+
+def score(game, result, truth: Mapping[UserId, object] | None = None) -> Metrics:
+    """Score any mechanism's result on ``game``.
+
+    Every bid realizes its true value from what the run served its user;
+    ``truth`` replaces the game's bids user by user."""
+    settlement = settle(result)
+    bids = game.bids if truth is None else truth.values()
+    per_user: dict[UserId, Money] = {}
+    for bid in bids:
+        per_user[bid.user] = per_user.get(bid.user, ZERO) + realized(bid, {bid.user}, settlement)
+    unknown = set().union(*settlement.served.values()) - per_user.keys()
     if unknown:
         raise GameError(f"schedule references unknown users {sorted(unknown)}")
+    total_value = sum(per_user.values(), ZERO)
+    for user in per_user:
+        per_user[user] -= settlement.payments.get(user, ZERO)
+    total_cost = sum((o.cost for o in game.catalog if o.id in settlement.implemented), ZERO)
+    paid = sum(settlement.payments.values(), ZERO)
+    return Metrics(total_value, total_cost, total_value - total_cost, paid - total_cost, per_user)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +244,42 @@ def deviation_search(mechanism: str, game, deviator: UserId, grid: GridSpec = Gr
     """
     if mechanism in ("add_off", "shapley", "naive_pay_bid"):
         return _search_additive_offline(mechanism, game, deviator, grid)
-    if mechanism == "subst_off":
-        return _search_subst_offline(game, deviator, grid)
-    if mechanism == "add_on":
-        return _search_additive_online(game, deviator, grid)
-    if mechanism == "subst_on":
-        return _search_subst_online(game, deviator, grid)
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+    run = _lab_runner(mechanism)
+    true_bid = {b.user: b for b in game.bids}[deviator]
+    others = [b for b in game.bids if b.user != deviator]
+    if isinstance(true_bid, OnlineBid):
+        # Worst-case continuation for a bid placed at the deviator's arrival:
+        # whoever has arrived by then is known, nobody else ever shows up.
+        # (Placement cannot be earlier, and evaluating later placements
+        # against later arrivals would hand the deviator knowledge of the
+        # future, which the worst-case truthfulness notion denies her.)
+        others = [b for b in others if b.start <= true_bid.start]
+    ids = {deviator}
+
+    def utility(bid) -> Money:
+        settlement = settle(run(game, others if bid is None else others + [bid]))
+        return realized(true_bid, ids, settlement) - settlement.payments.get(deviator, ZERO)
+
+    truthful = utility(true_bid)
+    best, best_note = truthful, None
+    for bid, note in _misreports(game, true_bid, grid):
+        u = utility(bid)
+        if u > best:
+            best, best_note = u, note
+    return DeviationReport(mechanism, deviator, truthful, best, best_note, best > truthful)
+
+
+def _lab_runner(mechanism: str):
+    """Registry runner of a truthful mechanism (``shapley`` names
+    ``add_off``), the strategy lab's subjects."""
+    name = "add_off" if mechanism == "shapley" else mechanism
+    if name not in TRUTHFUL_MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    return MECHANISMS[name][1]
 
 
 def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator, grid) -> DeviationReport:
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[deviator]
+    true_bid = {b.user: b for b in game.bids}[deviator]
     others = [b for b in game.bids if b.user != deviator]
 
     # The per-optimization runs are independent, so the best joint misreport
@@ -353,34 +318,6 @@ def _column_utility(mechanism, others, deviator, true_bid, opt, declared) -> Mon
     return ZERO
 
 
-def _search_subst_offline(game: SubstOfflineGame, deviator, grid) -> DeviationReport:
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[deviator]
-    others = [b for b in game.bids if b.user != deviator]
-
-    def utility(bid: SubstitutableOfflineBid | None) -> Money:
-        bids = others + ([bid] if bid is not None else [])
-        result = subst_off(game.catalog, bids)
-        granted = result.outcome.grants_for(deviator)
-        value = true_bid.value if granted & true_bid.substitutes else ZERO
-        return value - result.payments.total_for(deviator)
-
-    truthful = utility(true_bid)
-    best, best_note = truthful, None
-    for subset in _subset_options(game.catalog, true_bid.substitutes, grid):
-        for scale in grid.scales():
-            declared = true_bid.value * scale
-            bid = (
-                SubstitutableOfflineBid(deviator, subset, declared) if declared > 0 else None
-            )
-            if bid is None and subset != true_bid.substitutes:
-                continue  # withdrawing is one deviation, not one per subset
-            u = utility(bid)
-            if u > best:
-                best, best_note = u, f"set {sorted(subset)} x{scale}"
-    return DeviationReport("subst_off", deviator, truthful, best, best_note, best > truthful)
-
-
 def _subset_options(catalog, true_set: frozenset[OptId], grid) -> list[frozenset[OptId]]:
     ids = sorted(o.id for o in catalog)
     if len(ids) <= grid.subset_catalog_limit:
@@ -393,83 +330,40 @@ def _subset_options(catalog, true_set: frozenset[OptId], grid) -> list[frozenset
     return subsets
 
 
-def _window_options(z: Slot, earliest: Slot) -> list[tuple[Slot, Slot]]:
-    return [(s, e) for s in range(earliest, z + 1) for e in range(s, z + 1)]
-
-
-def _shifted_values(bid, s: Slot, e: Slot, scale: Fraction) -> tuple[Money, ...]:
-    return tuple(bid.value_at(t) * scale for t in range(s, e + 1))
-
-
-def _search_additive_online(game: OnlineAdditiveGame, deviator, grid) -> DeviationReport:
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[deviator]
-    z = game.horizon.z
-    # Worst-case continuation for a bid placed at the deviator's arrival:
-    # whoever has arrived by then is known, nobody else ever shows up.
-    # (Placement cannot be earlier, and evaluating later placements against
-    # later arrivals would hand the deviator knowledge of the future, which
-    # the worst-case truthfulness notion denies her.)
-    prefix = [b for b in game.bids if b.user != deviator and b.start <= true_bid.start]
-
-    def utility(bids: list[AdditiveOnlineBid]) -> Money:
-        trace = add_on(OnlineAdditiveGame(game.optimization, game.horizon, tuple(bids)))
-        opt = game.optimization.id
-        value = sum(
-            (
-                true_bid.value_at(t)
-                for t in game.horizon.slots()
-                if deviator in trace.schedule.serviced_at(opt, t)
-            ),
-            ZERO,
-        )
-        return value - trace.payments.get(deviator, ZERO)
-
-    truthful = utility(prefix + [true_bid])
-    best, best_note = truthful, None
-    for s, e in _window_options(z, true_bid.start):
-        for scale in grid.scales():
-            dev = AdditiveOnlineBid(
-                deviator, true_bid.opt, s, e, _shifted_values(true_bid, s, e, scale)
-            )
-            u = utility(prefix + [dev])
-            if u > best:
-                best, best_note = u, f"window [{s},{e}] x{scale}"
-    return DeviationReport("add_on", deviator, truthful, best, best_note, best > truthful)
-
-
-def _search_subst_online(game: SubstOnlineGame, deviator, grid) -> DeviationReport:
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[deviator]
-    z = game.horizon.z
-    prefix = [b for b in game.bids if b.user != deviator and b.start <= true_bid.start]
-
-    def utility(bids: list[SubstitutableOnlineBid]) -> Money:
-        trace = subst_on(game.catalog, game.horizon, bids)
-        value = sum(
-            (
-                true_bid.value_at(t)
-                for (j, t), users in trace.schedule.served.items()
-                if deviator in users and j in true_bid.substitutes
-            ),
-            ZERO,
-        )
-        return value - trace.payments.get(deviator, ZERO)
-
-    truthful = utility(prefix + [true_bid])
-    best, best_note = truthful, None
-    subsets = _subset_options(game.catalog, true_bid.substitutes, grid)
-    for s, e in _window_options(z, true_bid.start):
+def _misreports(game, bid, grid: GridSpec):
+    """Every grid misreport of a substitutable or online ``bid`` as (declared
+    bid, note), window by window, then substitute set by set, then scale by
+    scale.  An online bid may declare any window that opens at its arrival or
+    later, with its true per-slot values scaled.  A declaration with no
+    positive value withdraws a substitutable bid: offline that is tried once
+    (as None), online not at all."""
+    online = isinstance(bid, OnlineBid)
+    windows = [(1, 1)]
+    if online:
+        z = game.horizon.z
+        windows = [(s, e) for s in range(bid.start, z + 1) for e in range(s, z + 1)]
+    subsets = [None] if isinstance(bid, AdditiveOnlineBid) else _subset_options(game.catalog, bid.substitutes, grid)
+    scales = grid.scales()
+    for s, e in windows:
+        true_values = [bid.value_at(t) for t in range(s, e + 1)] if online else [bid.value]
+        declared = [(f"x{scale}", tuple(v * scale for v in true_values)) for scale in scales]
         for subset in subsets:
-            for scale in grid.scales():
-                values = _shifted_values(true_bid, s, e, scale)
-                if not any(v > 0 for v in values):
-                    continue
-                dev = SubstitutableOnlineBid(deviator, subset, s, e, values)
-                u = utility(prefix + [dev])
-                if u > best:
-                    best, best_note = u, f"set {sorted(subset)} window [{s},{e}] x{scale}"
-    return DeviationReport("subst_on", deviator, truthful, best, best_note, best > truthful)
+            if subset is None:
+                fields, note = {"user": bid.user, "opt": bid.opt}, ""
+            else:
+                fields, note = {"user": bid.user, "substitutes": subset}, f"set {sorted(subset)} "
+            if online:
+                fields.update(start=s, end=e)
+                note += f"window [{s},{e}] "
+            for tag, values in declared:
+                if online:
+                    fields["per_slot"] = values
+                else:
+                    fields["value"] = values[0]
+                if subset is None or any(values):  # values are >= 0
+                    yield type(bid)(**fields), note + tag
+                elif not online and subset == bid.substitutes:
+                    yield None, note + tag  # withdrawing is one deviation, not one per subset
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +398,6 @@ class ProbeReport:
             s for s in self.splits if s.splitter_utility > self.baseline_utility and s.harmed
         )
 
-    @property
-    def any_harm(self) -> tuple[SplitOutcome, ...]:
-        return tuple(s for s in self.splits if s.harmed)
-
-    @property
-    def best_split(self) -> SplitOutcome:
-        return max(self.splits, key=lambda s: s.splitter_utility)
-
 
 DEFAULT_SPLIT_LEVELS = tuple(Fraction(k, 4) for k in range(0, 9))  # 0, 1/4, ..., 2
 
@@ -532,156 +418,31 @@ def multi_identity_probe(
     that benefits the splitter must never harm anyone else, while the
     substitutable mechanisms are probed in demonstrate-only mode.
     """
-    runner = _PROBE_RUNNERS.get(mechanism)
-    if runner is None:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    base_mine, base_others = runner(game, splitter, None)
+    run = _lab_runner(mechanism)
+    true_bid = {b.user: b for b in game.bids}[splitter]
+    others = [b for b in game.bids if b.user != splitter]
+    fresh = [max(b.user for b in game.bids) + 1 + k for k in range(identities)]
+
+    def utilities(bids, ids):
+        settlement = settle(run(game, others + bids))
+        paid = settlement.payments
+        mine = realized(true_bid, ids, settlement) - sum((paid.get(i, ZERO) for i in ids), ZERO)
+        return mine, {b.user: realized(b, {b.user}, settlement) - paid.get(b.user, ZERO) for b in others}
+
+    base_mine, base_others = utilities([true_bid], {splitter})
     splits = []
     for levels in itertools.product(split_levels, repeat=identities):
-        mine, others = runner(game, splitter, levels)
-        deltas = {u: others[u] - base_others[u] for u in base_others}
+        split = [(i, lv) for i, lv in zip(fresh, levels) if lv > 0]
+        mine, others_util = utilities([_scaled_bid(true_bid, i, lv) for i, lv in split], {i for i, _ in split})
+        deltas = {u: others_util[u] - base_others[u] for u in base_others}
         splits.append(SplitOutcome(levels, mine, deltas))
     return ProbeReport(mechanism, splitter, identities, base_mine, base_others, tuple(splits))
 
 
-def _identity_ids(game, splitter, n) -> list[UserId]:
-    top = max(b.user for b in game.bids)
-    return [top + 1 + k for k in range(n)]
-
-
-def _probe_add_off(game: AdditiveOfflineGame, splitter, levels):
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[splitter]
-    others = [b for b in game.bids if b.user != splitter]
-    if levels is None:
-        bids, ids = others + [true_bid], [splitter]
-    else:
-        ids = _identity_ids(game, splitter, len(levels))
-        bids = others + [
-            AdditiveOfflineBid(i, {j: v * lv for j, v in true_bid.values.items()})
-            for i, lv in zip(ids, levels)
-            if lv > 0
-        ]
-        ids = [i for i, lv in zip(ids, levels) if lv > 0]
-    outcome, ledger = add_off(game.catalog, bids)
-    granted = {j for u, j in outcome.grants if u in ids}
-    mine = sum((true_bid.value_for(j) for j in granted), ZERO) - sum(
-        (ledger.total_for(i) for i in ids), ZERO
-    )
-    others_util = {}
-    for b in others:
-        value = sum((b.value_for(j) for u, j in outcome.grants if u == b.user), ZERO)
-        others_util[b.user] = value - ledger.total_for(b.user)
-    return mine, others_util
-
-
-def _probe_add_on(game: OnlineAdditiveGame, splitter, levels):
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[splitter]
-    others = [b for b in game.bids if b.user != splitter]
-    if levels is None:
-        bids, ids = others + [true_bid], [splitter]
-    else:
-        ids = _identity_ids(game, splitter, len(levels))
-        bids = others + [
-            AdditiveOnlineBid(
-                i, true_bid.opt, true_bid.start, true_bid.end, tuple(v * lv for v in true_bid.per_slot)
-            )
-            for i, lv in zip(ids, levels)
-            if lv > 0
-        ]
-        ids = [i for i, lv in zip(ids, levels) if lv > 0]
-    trace = add_on(OnlineAdditiveGame(game.optimization, game.horizon, tuple(bids)))
-    opt = game.optimization.id
-    mine = sum(
-        (
-            true_bid.value_at(t)
-            for t in game.horizon.slots()
-            if trace.schedule.serviced_at(opt, t) & set(ids)
-        ),
-        ZERO,
-    ) - sum((trace.payments.get(i, ZERO) for i in ids), ZERO)
-    others_util = {}
-    for b in others:
-        value = sum(
-            (b.value_at(t) for t in game.horizon.slots() if b.user in trace.schedule.serviced_at(opt, t)),
-            ZERO,
-        )
-        others_util[b.user] = value - trace.payments.get(b.user, ZERO)
-    return mine, others_util
-
-
-def _probe_subst_off(game: SubstOfflineGame, splitter, levels):
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[splitter]
-    others = [b for b in game.bids if b.user != splitter]
-    if levels is None:
-        bids, ids = others + [true_bid], [splitter]
-    else:
-        ids = _identity_ids(game, splitter, len(levels))
-        bids = others + [
-            SubstitutableOfflineBid(i, true_bid.substitutes, true_bid.value * lv)
-            for i, lv in zip(ids, levels)
-            if lv > 0
-        ]
-        ids = [i for i, lv in zip(ids, levels) if lv > 0]
-    result = subst_off(game.catalog, bids)
-    granted = {j for u, j in result.outcome.grants if u in ids}
-    mine = (true_bid.value if granted & true_bid.substitutes else ZERO) - sum(
-        (result.payments.total_for(i) for i in ids), ZERO
-    )
-    others_util = {}
-    for b in others:
-        got = result.outcome.grants_for(b.user)
-        value = b.value if got & b.substitutes else ZERO
-        others_util[b.user] = value - result.payments.total_for(b.user)
-    return mine, others_util
-
-
-def _probe_subst_on(game: SubstOnlineGame, splitter, levels):
-    truth = {b.user: b for b in game.bids}
-    true_bid = truth[splitter]
-    others = [b for b in game.bids if b.user != splitter]
-    if levels is None:
-        bids, ids = others + [true_bid], [splitter]
-    else:
-        ids = _identity_ids(game, splitter, len(levels))
-        bids = others + [
-            SubstitutableOnlineBid(
-                i,
-                true_bid.substitutes,
-                true_bid.start,
-                true_bid.end,
-                tuple(v * lv for v in true_bid.per_slot),
-            )
-            for i, lv in zip(ids, levels)
-            if lv > 0
-        ]
-        ids = [i for i, lv in zip(ids, levels) if lv > 0]
-    trace = subst_on(game.catalog, game.horizon, bids)
-    mine_value = ZERO
-    for t in game.horizon.slots():
-        for j in true_bid.substitutes:
-            if trace.schedule.serviced_at(j, t) & set(ids):
-                mine_value += true_bid.value_at(t)
-                break
-    mine = mine_value - sum((trace.payments.get(i, ZERO) for i in ids), ZERO)
-    others_util = {}
-    for b in others:
-        value = ZERO
-        for t in game.horizon.slots():
-            for j in b.substitutes:
-                if b.user in trace.schedule.serviced_at(j, t):
-                    value += b.value_at(t)
-                    break
-        others_util[b.user] = value - trace.payments.get(b.user, ZERO)
-    return mine, others_util
-
-
-_PROBE_RUNNERS = {
-    "add_off": _probe_add_off,
-    "shapley": _probe_add_off,
-    "add_on": _probe_add_on,
-    "subst_off": _probe_subst_off,
-    "subst_on": _probe_subst_on,
-}
+def _scaled_bid(bid, user: UserId, level: Fraction):
+    """``bid`` declared by identity ``user`` with every value times ``level``."""
+    if isinstance(bid, AdditiveOfflineBid):
+        return replace(bid, user=user, values={j: v * level for j, v in bid.values.items()})
+    if isinstance(bid, SubstitutableOfflineBid):
+        return replace(bid, user=user, value=bid.value * level)
+    return replace(bid, user=user, per_slot=tuple(v * level for v in bid.per_slot))

@@ -9,21 +9,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .additive_online import add_on
-from .analysis import score
-from .core import (
-    AdditiveOfflineGame,
-    AdditiveOnlineMultiGame,
-    GameError,
-    OnlineAdditiveGame,
-    SubstOfflineGame,
-    SubstOnlineGame,
-)
+from .analysis import MECHANISMS, score, settle
+from .core import GameError
 from .gamefiles import load_game, money_str
 from .harness import ConfigError, default_workers, load_config, run_experiment
-from .regret import regret_run
-from .shapley import add_off
-from .substitutable import subst_off, subst_on
+from .money import ZERO
 from .verification import SUITES, run_suite
 
 EXIT_OK = 0
@@ -54,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="run one mechanism on a serialized game")
     p_replay.add_argument("--game", required=True, help="game JSON file")
-    p_replay.add_argument(
-        "--mechanism", required=True, choices=("add_off", "add_on", "subst_off", "subst_on", "regret")
-    )
+    p_replay.add_argument("--mechanism", required=True, choices=tuple(MECHANISMS))
     return parser
 
 
@@ -64,7 +52,7 @@ def cmd_run(args) -> int:
     try:
         config = load_config(args.config)
         written = run_experiment(config, args.out, workers=default_workers())
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in written:
@@ -95,7 +83,7 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     try:
         game = load_game(args.game)
-        result, metrics, payments = _replay(args.mechanism, game)
+        metrics, payments = _replay(args.mechanism, game)
     except (GameError, ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -109,36 +97,13 @@ def cmd_replay(args) -> int:
 
 
 def _replay(mechanism: str, game):
-    if mechanism == "add_off":
-        if not isinstance(game, AdditiveOfflineGame):
-            raise ConfigError("add_off replays additive_offline games")
-        outcome, ledger = add_off(game.catalog, game.bids)
-        payments = {b.user: ledger.total_for(b.user) for b in game.bids}
-        return (outcome, ledger), score(game, (outcome, ledger)), payments
-    if mechanism == "add_on":
-        if not isinstance(game, OnlineAdditiveGame):
-            raise ConfigError("add_on replays single-optimization additive_online games")
-        trace = add_on(game)
-        return trace, score(game, trace), trace.payments
-    if mechanism == "subst_off":
-        if not isinstance(game, SubstOfflineGame):
-            raise ConfigError("subst_off replays substitutable_offline games")
-        res = subst_off(game.catalog, game.bids)
-        payments = {b.user: res.payments.total_for(b.user) for b in game.bids}
-        return res, score(game, res), payments
-    if mechanism == "subst_on":
-        if not isinstance(game, SubstOnlineGame):
-            raise ConfigError("subst_on replays substitutable_online games")
-        trace = subst_on(game.catalog, game.horizon, game.bids)
-        return trace, score(game, trace), trace.payments
-    # regret: runs on either online kind
-    if isinstance(game, OnlineAdditiveGame):
-        trace = regret_run((game.optimization,), game.horizon, game.bids)
-    elif isinstance(game, (AdditiveOnlineMultiGame, SubstOnlineGame)):
-        trace = regret_run(game.catalog, game.horizon, game.bids)
-    else:
-        raise ConfigError("regret replays online games")
-    return trace, score(game, trace), trace.payments
+    kinds, run = MECHANISMS[mechanism]
+    if not isinstance(game, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ConfigError(f"{mechanism} replays {names} games, not {type(game).__name__}")
+    result = run(game, game.bids)
+    paid = settle(result).payments
+    return score(game, result), {b.user: paid.get(b.user, ZERO) for b in game.bids}
 
 
 def main(argv=None) -> int:

@@ -71,15 +71,9 @@ class AdditiveOfflineBid:
         return self.values.get(opt, ZERO)
 
 
-@dataclass(frozen=True)
-class AdditiveOnlineBid:
-    """Declared per-slot values for one optimization over [start, end]."""
-
-    user: UserId
-    opt: OptId
-    start: Slot
-    end: Slot
-    per_slot: tuple[Money, ...]
+class OnlineBid:
+    """Declared per-slot values over the window [start, end]: the part the
+    online bids share (``start``, ``end`` and ``per_slot`` are theirs)."""
 
     def __post_init__(self):
         object.__setattr__(self, "per_slot", tuple(self.per_slot))
@@ -105,6 +99,17 @@ class AdditiveOnlineBid:
 
 
 @dataclass(frozen=True)
+class AdditiveOnlineBid(OnlineBid):
+    """Declared per-slot values for one optimization over [start, end]."""
+
+    user: UserId
+    opt: OptId
+    start: Slot
+    end: Slot
+    per_slot: tuple[Money, ...]
+
+
+@dataclass(frozen=True)
 class SubstitutableOfflineBid:
     """One value, realized by access to any single optimization in the set."""
 
@@ -121,7 +126,7 @@ class SubstitutableOfflineBid:
 
 
 @dataclass(frozen=True)
-class SubstitutableOnlineBid:
+class SubstitutableOnlineBid(OnlineBid):
     user: UserId
     substitutes: frozenset[OptId]
     start: Slot
@@ -130,27 +135,9 @@ class SubstitutableOnlineBid:
 
     def __post_init__(self):
         object.__setattr__(self, "substitutes", frozenset(self.substitutes))
-        object.__setattr__(self, "per_slot", tuple(self.per_slot))
         if not self.substitutes:
             raise GameError(f"user {self.user}: substitute set must be non-empty")
-        if not (1 <= self.start <= self.end):
-            raise GameError(f"user {self.user}: bad slot window [{self.start}, {self.end}]")
-        if len(self.per_slot) != self.end - self.start + 1:
-            raise GameError(f"user {self.user}: per-slot vector length mismatch")
-        if any(v < 0 for v in self.per_slot):
-            raise GameError(f"user {self.user}: per-slot values must be >= 0")
-
-    def value_at(self, t: Slot) -> Money:
-        if self.start <= t <= self.end:
-            return self.per_slot[t - self.start]
-        return ZERO
-
-    def residual_from(self, t: Slot) -> Money:
-        if t <= self.start:
-            return sum(self.per_slot, ZERO)
-        if t > self.end:
-            return ZERO
-        return sum(self.per_slot[t - self.start :], ZERO)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -166,12 +153,6 @@ class Outcome:
         for user, opt in self.grants:
             if opt not in self.implemented:
                 raise GameError(f"grant ({user}, {opt}) for unimplemented optimization")
-
-    def grants_for(self, user: UserId) -> frozenset[OptId]:
-        return frozenset(opt for u, opt in self.grants if u == user)
-
-
-EMPTY_OUTCOME = Outcome(frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -227,6 +208,8 @@ class AdditiveOfflineGame:
         object.__setattr__(self, "catalog", tuple(self.catalog))
         object.__setattr__(self, "bids", tuple(self.bids))
         _check_unique_catalog(self.catalog)
+        if len({b.user for b in self.bids}) != len(self.bids):
+            raise GameError("one bid per user per game")
         ids = {o.id for o in self.catalog}
         for bid in self.bids:
             unknown = set(bid.values) - ids
@@ -250,6 +233,10 @@ class OnlineAdditiveGame:
                 raise CatalogMismatch(f"user {bid.user} bids optimization {bid.opt}, game has {self.optimization.id}")
             if bid.end > self.horizon.z:
                 raise GameError(f"user {bid.user}: bid window ends past the horizon")
+
+    @property
+    def catalog(self) -> tuple[Optimization, ...]:
+        return (self.optimization,)
 
 
 @dataclass(frozen=True)

@@ -60,19 +60,12 @@ def game_kind(game) -> str:
 
 
 def game_to_dict(game) -> dict:
-    kind = game_kind(game)
-    if isinstance(game, OnlineAdditiveGame):
-        catalog = (game.optimization,)
-        slots = game.horizon.z
-    elif kind == "additive_offline" or kind == "substitutable_offline":
-        catalog, slots = game.catalog, 1
-    else:
-        catalog, slots = game.catalog, game.horizon.z
+    horizon = getattr(game, "horizon", None)  # offline games have none: one slot
     data = {
         "schema": SCHEMA,
-        "kind": kind,
-        "catalog": [{"id": o.id, "cost": money_str(o.cost)} for o in catalog],
-        "slots": slots,
+        "kind": game_kind(game),
+        "catalog": [{"id": o.id, "cost": money_str(o.cost)} for o in game.catalog],
+        "slots": horizon.z if horizon else 1,
         "bids": [_bid_to_dict(b) for b in game.bids],
     }
     return data

@@ -24,6 +24,7 @@ from functools import partial
 from operator import itemgetter
 
 from .additive_online import serve
+from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
 from .regret import trigger
 from .scaled import ScaledGame
@@ -31,13 +32,12 @@ from .scenarios import ScenarioError, ScenarioSpec, generate
 from .substitutable import grant
 
 # Bound here only for perfbench/spans.py, whose traced run wraps each of
-# these names on this module; the sweep runs the integer kernels above.
+# these names on this module; the sweep runs the integer kernels above.  Both
+# score names are the one scorer, ``analysis.score``.
 from .additive_online import add_on  # noqa: F401
-from .analysis import score_additive_online, score_subst_online  # noqa: F401
+from .analysis import score as score_additive_online, score as score_subst_online  # noqa: F401
 from .regret import regret_run  # noqa: F401
 from .substitutable import subst_on  # noqa: F401
-
-MECHANISMS = ("add_off", "add_on", "subst_off", "subst_on", "regret")
 
 FAMILY_MECHANISMS = {
     "collab_size": {"add_on", "regret"},
@@ -128,11 +128,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 raise ConfigError(f"cost_sweep[{i}]: {exc}") from exc
     if not sweep:
         sweep = [scenario.cost]
-    mechanisms = tuple(data.get("mechanisms", ()))
+    mechanisms = data.get("mechanisms", [])
+    if not isinstance(mechanisms, list) or not all(isinstance(m, str) for m in mechanisms):
+        raise ConfigError(f"mechanisms: expected a list of strings, got {mechanisms!r}")
     output = data.get("output", "experiment")
-    details = bool(data.get("details", False))
+    if not isinstance(output, str) or not output:
+        raise ConfigError(f"output: expected a non-empty string, got {output!r}")
+    details = data.get("details", False)
+    if not isinstance(details, bool):
+        raise ConfigError(f"details: expected true or false, got {details!r}")
     try:
-        return ExperimentConfig(scenario, mechanisms, tuple(sweep), output, details)
+        return ExperimentConfig(scenario, tuple(mechanisms), tuple(sweep), output, details)
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -150,7 +156,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 

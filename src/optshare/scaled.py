@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import GameError, OnlineAdditiveGame, OptId, SubstOnlineGame
+from .core import GameError, OptId, SubstOnlineGame
 from .money import Money
 
 
@@ -43,7 +43,7 @@ class ScaledGame:
     """
 
     def __init__(self, game, factors: Sequence[Money] = (1,)):
-        catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
+        catalog = game.catalog
         self.additive = additive = not isinstance(game, SubstOnlineGame)
         self.z = z = game.horizon.z
         # Costs need cost_lcm, factors factor_lcm and values the lcm of their

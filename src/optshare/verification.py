@@ -14,12 +14,12 @@ from fractions import Fraction
 
 from .additive_online import add_on, new_session, step_session
 from .analysis import (
+    TRUTHFUL_MECHANISMS,
     GridSpec,
     deviation_search,
     efficient_outcome,
     multi_identity_probe,
-    score_additive_offline,
-    score_subst_offline,
+    score,
 )
 from .core import (
     AdditiveOfflineBid,
@@ -250,7 +250,7 @@ def suite_golden_examples() -> list[Violation]:
             SubstitutableOfflineBid(3, frozenset({2}), F(7)),
         ),
     )
-    base = score_subst_offline(game62, subst_off(game62.catalog, game62.bids))
+    base = score(game62, subst_off(game62.catalog, game62.bids))
     check(
         base.per_user_utility == {1: ZERO, 2: F("0.01"), 3: F("4.5")},
         "substitutable split: baseline utilities",
@@ -283,7 +283,7 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
                     out.append(Violation("cost_recovery", f"additive offline: optimization {opt.id} recovered {paid} != {opt.cost}", game_json(game)))
             elif paid != 0:
                 out.append(Violation("cost_recovery", f"additive offline: unimplemented optimization {opt.id} charged {paid}", game_json(game)))
-        metrics = score_additive_offline(game, outcome, ledger)
+        metrics = score(game, (outcome, ledger))
         if metrics.cloud_balance != 0:
             out.append(Violation("cost_recovery", f"additive offline: balance {metrics.cloud_balance} != 0", game_json(game)))
 
@@ -336,9 +336,6 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
 
 # ---------------------------------------------------------------------------
 # Truthfulness
-
-
-TRUTHFUL_MECHANISMS = ("add_off", "add_on", "subst_off", "subst_on")
 
 
 def _small_game(mechanism: str, rng):
@@ -528,14 +525,14 @@ def suite_oracle_dominance(seed: int, games: int) -> list[Violation]:
     for _ in range(games):
         game = rand_additive_offline(rng, max_users=4, max_opts=3)
         outcome, ledger = add_off(game.catalog, game.bids)
-        mech = score_additive_offline(game, outcome, ledger).total_utility
+        mech = score(game, (outcome, ledger)).total_utility
         _, best = efficient_outcome(game.catalog, game.bids)
         if best < mech:
             out.append(Violation("oracle_dominance", f"additive offline: oracle {best} < mechanism {mech}", game_json(game)))
     for _ in range(games):
         game = rand_subst_offline(rng, max_users=4, max_opts=3)
         res = subst_off(game.catalog, game.bids)
-        mech = score_subst_offline(game, res).total_utility
+        mech = score(game, res).total_utility
         _, best = efficient_outcome(game.catalog, game.bids)
         if best < mech:
             out.append(Violation("oracle_dominance", f"substitutable offline: oracle {best} < mechanism {mech}", game_json(game)))

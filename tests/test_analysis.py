@@ -10,7 +10,6 @@ from optshare.analysis import (
     multi_identity_probe,
     naive_pay_your_bid,
     score,
-    score_additive_online,
 )
 from optshare.core import (
     AdditiveOfflineBid,
@@ -43,7 +42,7 @@ def test_score_staggered_online_trace():
             AdditiveOnlineBid(4, 1, 2, 2, (F(26),)),
         ),
     )
-    m = score_additive_online(g, add_on(g))
+    m = score(g, add_on(g))
     # user 2's slot-1 value is not realized: she is only serviced from slot 2
     assert m.total_value == F(101 + 32 + 26 + 26)
     assert m.total_cost == F(100)
@@ -54,14 +53,14 @@ def test_score_staggered_online_trace():
 
 def test_score_empty_schedule():
     g = OnlineAdditiveGame(Optimization(1, F(100)), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 1, (F(1),)),))
-    m = score_additive_online(g, add_on(g))
+    m = score(g, add_on(g))
     assert m.total_value == 0 and m.total_cost == 0 and m.cloud_balance == 0
 
 
 def test_score_uses_true_values_not_bids():
     g = OnlineAdditiveGame(Optimization(1, F(10)), SlotHorizon(1), (AdditiveOnlineBid(1, 1, 1, 1, (F(20),)),))
     truth = {1: AdditiveOnlineBid(1, 1, 1, 1, (F(4),))}  # overbidder's real value
-    m = score_additive_online(g, add_on(g), truth)
+    m = score(g, add_on(g), truth)
     assert m.per_user_utility[1] == F(4) - F(10)
 
 
@@ -126,11 +125,10 @@ def test_oracle_dominates_mechanism():
         SubstitutableOfflineBid(3, frozenset({1, 2, 3}), F(60)),
         SubstitutableOfflineBid(4, frozenset({2}), F(70)),
     )
-    from optshare.analysis import score_subst_offline
     from optshare.substitutable import subst_off
 
     game = SubstOfflineGame(catalog, bids)
-    mech = score_subst_offline(game, subst_off(catalog, bids)).total_utility
+    mech = score(game, subst_off(catalog, bids)).total_utility
     _, best = efficient_outcome(catalog, bids)
     assert best >= mech
 

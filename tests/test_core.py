@@ -4,6 +4,7 @@ import pytest
 
 from optshare.core import (
     AdditiveOfflineBid,
+    AdditiveOfflineGame,
     AdditiveOnlineBid,
     CatalogMismatch,
     GameError,
@@ -13,6 +14,7 @@ from optshare.core import (
     ServiceSchedule,
     SlotHorizon,
     SubstitutableOfflineBid,
+    SubstitutableOnlineBid,
     cost_of_outcome,
     validate_revision,
     value_of_outcome,
@@ -77,6 +79,16 @@ def test_bid_validation():
         SubstitutableOfflineBid(1, frozenset(), F(5))
     with pytest.raises(GameError):
         SubstitutableOfflineBid(1, frozenset({1}), F(0))
+    with pytest.raises(GameError):
+        SubstitutableOnlineBid(1, frozenset(), 1, 1, (F(1),))
+    with pytest.raises(GameError):
+        SubstitutableOnlineBid(1, frozenset({1}), 3, 2, ())
+    with pytest.raises(GameError):
+        SubstitutableOnlineBid(1, frozenset({1}), 1, 2, (F(1),))  # wrong vector length
+    with pytest.raises(GameError):
+        SubstitutableOnlineBid(1, frozenset({1}), 1, 1, (F(-1),))
+    with pytest.raises(GameError):  # one additive offline bid per user
+        AdditiveOfflineGame((Optimization(1, F(1)),), (AdditiveOfflineBid(1, {1: F(1)}), AdditiveOfflineBid(1, {})))
 
 
 def test_online_bid_residuals():
@@ -87,6 +99,10 @@ def test_online_bid_residuals():
     assert bid.residual_from(4) == F(30)
     assert bid.residual_from(5) == 0
     assert bid.value_at(1) == 0 and bid.value_at(3) == F(20)
+    subst = SubstitutableOnlineBid(1, [1, 2], 2, 4, [F(10), F(20), F(30)])
+    assert subst.per_slot == bid.per_slot and subst.substitutes == frozenset({1, 2})
+    assert [subst.residual_from(t) for t in range(1, 6)] == [bid.residual_from(t) for t in range(1, 6)]
+    assert [subst.value_at(t) for t in range(1, 6)] == [bid.value_at(t) for t in range(1, 6)]
 
 
 def test_revision_rules():

@@ -134,8 +134,9 @@ def test_cli_run_and_replay(tmp_path, capsys):
     assert "user 3 pays 25" in out and "user 4 pays 25" in out
     assert "cloud balance 75" in out
 
-    # wrong mechanism for the game kind -> config error
+    # wrong mechanism for the game kind -> config error naming the mechanism
     assert main(["replay", "--game", str(game_path), "--mechanism", "subst_on"]) == 2
+    assert "config error: subst_on " in capsys.readouterr().err
 
 
 def test_cli_config_errors(tmp_path, capsys):
@@ -380,6 +381,11 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"scenario": {"family": "collab_size", "trials": True}}, "scenario.trials"),
         ({"scenario": {"family": "collab_size", "seed": "7"}}, "scenario.seed"),
         ({"scenario": {"family": "collab_size", "cost": "cheap"}}, "scenario.cost"),
+        ({"mechanisms": "add_on"}, "mechanisms: expected a list of strings"),
+        ({"mechanisms": ["add_on", 7]}, "mechanisms: expected a list of strings"),
+        ({"output": 5}, "output"),
+        ({"output": ""}, "output"),
+        ({"details": "no"}, "details"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
@@ -389,6 +395,17 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
     err = capsys.readouterr().err
     assert f"config error: {field}" in err
     assert not (tmp_path / "exp.csv").exists()
+
+
+@pytest.mark.parametrize("name, content", [("a_directory", None), ("latin1.json", b'{"output": "\xe9"}')])
+def test_cli_run_rejects_unreadable_config(tmp_path, capsys, name, content):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("games", ["0", "-5"])

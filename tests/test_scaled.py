@@ -4,7 +4,7 @@
 from the kernels on one scaled game per trial.  The reference here never
 touches that path's arithmetic: it re-costs the game in Fractions
 (``scenarios.recost``), runs the public mechanism and scores its trace with
-``analysis.score_*``.
+``analysis.score``.
 """
 
 import random
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optshare.additive_online import add_on
-from optshare.analysis import score_additive_online, score_regret, score_subst_online
+from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
     AdditiveOnlineMultiGame,
@@ -40,18 +40,18 @@ def reference(mechanism, game):
     if mechanism == "regret":
         catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
         trace = regret_run(catalog, game.horizon, game.bids)
-        metrics = score_regret(game, trace)
+        metrics = score(game, trace)
         return metrics.total_utility, metrics.cloud_balance, bool(trace.implement_slot)
     if mechanism == "add_on":
         games = [game] if isinstance(game, OnlineAdditiveGame) else game.per_opt_games()
-        metrics = [score_additive_online(g, add_on(g)) for g in games]
+        metrics = [score(g, add_on(g)) for g in games]
         return (
             sum((m.total_utility for m in metrics), F(0)),
             sum((m.cloud_balance for m in metrics), F(0)),
             any(m.total_cost > 0 for m in metrics),
         )
     trace = subst_on(game.catalog, game.horizon, game.bids)
-    metrics = score_subst_online(game, trace)
+    metrics = score(game, trace)
     return metrics.total_utility, metrics.cloud_balance, bool(trace.implemented)
 
 
