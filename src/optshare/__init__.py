@@ -4,7 +4,6 @@ from .additive_online import OnlineTrace, add_on, new_session, step_session
 from .analysis import (
     DeviationReport,
     MECHANISMS,
-    GridSpec,
     Metrics,
     ProbeReport,
     Settlement,

@@ -11,13 +11,15 @@ The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`: it reports the slot each serviced bid
 joined and the cumulative serviced count per slot, from which every share
 and payment follows.  The experiment harness reads those directly, once per
-cost point of a trial; :func:`add_on` builds the full trace from them.
+cost point of a trial; :func:`add_on` and the slot-by-slot session
+(:func:`step_session`, which plays the bids still in play with its serviced
+users pinned) build their traces from the join slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import accumulate
 from typing import Iterable
 
 from .core import (
@@ -37,7 +39,11 @@ from .core import (
 )
 from .money import ZERO, Money
 from .scaled import ScaledGame
-from .shapley import _fixed_point, common_scale
+from .shapley import _fixed_point
+
+# Bound here only for perfbench/spans.py, whose traced run wraps this name on
+# this module; the session rescales through ``ScaledGame`` like ``add_on``.
+from .shapley import common_scale  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,16 +53,17 @@ class OnlineTrace:
     share_history: dict[Slot, Money]  # slot -> cost/|cumulative| once non-empty
 
 
-def serve(game: ScaledGame, opt: OptId, cost: int) -> tuple[dict[int, Slot], list[int]]:
+def serve(game: ScaledGame, opt: OptId, cost: int, pinned: int = 0) -> tuple[dict[int, Slot], list[int]]:
     """The online additive mechanism for optimization ``opt`` at scaled cost
     ``cost``: the slot each serviced bid joined, by bid index, and the
-    cumulative serviced count after each slot (index 0 unused).  A bid that
-    joins at slot t is serviced from t to the end of its window and pays
-    ``cost / count[end]``."""
+    cumulative serviced count after each slot (index 0 unused).  ``pinned``
+    users outside the game, serviced before it, count toward every share.  A
+    bid that joins at slot t is serviced from t to the end of its window and
+    pays ``cost / count[end]``."""
     joined: dict[int, Slot] = {}
     count = [0] * (game.z + 1)
     offers, interest = game.offers, game.interest
-    k = 0
+    k = pinned
     for t in range(1, game.z + 1):
         if offers[t]:
             open_bids = [o for o in offers[t] if o[1] not in joined and opt in interest[o[1]]]
@@ -68,23 +75,37 @@ def serve(game: ScaledGame, opt: OptId, cost: int) -> tuple[dict[int, Slot], lis
     return joined, count
 
 
+def _trace(
+    opt: Optimization, bids: Iterable[AdditiveOnlineBid], joined: dict[UserId, Slot], through_slot: Slot
+) -> OnlineTrace:
+    """The trace of ``bids`` played through ``through_slot``, given the slot
+    each serviced user joined: a serviced bid is served from its join slot to
+    the end of its window, and pays the share of its last slot once that slot
+    has been played."""
+    count = [0] * (through_slot + 1)
+    for t in joined.values():
+        count[t] += 1
+    count = list(accumulate(count))  # serviced users after each slot
+    shares = {k: opt.cost / k for k in set(count) if k}
+    active: dict[Slot, list[UserId]] = {}
+    payments: dict[UserId, Money] = {}
+    for b in bids:
+        if b.user in joined:
+            for t in range(joined[b.user], min(b.end, through_slot) + 1):
+                active.setdefault(t, []).append(b.user)
+        paid = b.user in joined and b.end <= through_slot
+        payments[b.user] = shares[count[b.end]] if paid else ZERO
+    served = {(opt.id, t): frozenset(active[t]) for t in sorted(active)}
+    return OnlineTrace(ServiceSchedule(served), payments, {t: shares[k] for t, k in enumerate(count) if k})
+
+
 def add_on(game: OnlineAdditiveGame) -> OnlineTrace:
     """Run the online additive mechanism for the whole horizon."""
     opt = game.optimization
     scaled = ScaledGame(game)
-    joined, count = serve(scaled, opt.id, scaled.costs[0][opt.id])
-    users, ends = scaled.users, scaled.ends
-    shares = {k: opt.cost / k for k in set(count) if k}
-    share_history = {t: shares[k] for t, k in enumerate(count) if k}
-    active: dict[Slot, list[UserId]] = {}
-    for i, t in joined.items():
-        for tau in range(t, ends[i] + 1):
-            active.setdefault(tau, []).append(users[i])
-    served = {(opt.id, t): frozenset(active[t]) for t in sorted(active)}
-    payments: dict[UserId, Money] = dict.fromkeys(users, ZERO)
-    for i in joined:
-        payments[users[i]] = shares[count[ends[i]]]
-    return OnlineTrace(ServiceSchedule(served), payments, share_history)
+    joined, _ = serve(scaled, opt.id, scaled.costs[0][opt.id])
+    users = scaled.users
+    return _trace(opt, game.bids, {users[i]: t for i, t in joined.items()}, game.horizon.z)
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +118,18 @@ class SessionState:
     horizon: SlotHorizon
     next_slot: Slot
     declared: dict[UserId, AdditiveOnlineBid]
-    cumulative: frozenset[UserId]
-    served: dict[tuple[int, Slot], frozenset[UserId]]
-    payments: dict[UserId, Money]
-    share_history: dict[Slot, Money]
+    joined: dict[UserId, Slot]  # serviced user -> join slot
+
+    @property
+    def cumulative(self) -> frozenset[UserId]:
+        return frozenset(self.joined)
 
     def trace(self) -> OnlineTrace:
-        payments = {u: self.payments.get(u, ZERO) for u in self.declared}
-        return OnlineTrace(ServiceSchedule(dict(self.served)), payments, dict(self.share_history))
+        return _trace(self.optimization, self.declared.values(), self.joined, self.next_slot - 1)
 
 
 def new_session(optimization: Optimization, horizon: SlotHorizon) -> SessionState:
-    return SessionState(optimization, horizon, 1, {}, frozenset(), {}, {}, {})
+    return SessionState(optimization, horizon, 1, {}, {})
 
 
 def step_session(
@@ -121,6 +142,10 @@ def step_session(
     revisions must leave past slots untouched and only move future values
     upward.  Returns (serviced set at ``slot``, departures with their
     payments, new state).
+
+    The slots from ``next_slot`` on are one game of the declared bids not yet
+    serviced, each cut to those slots, which :func:`serve` plays with the
+    serviced users pinned; its joins up to ``slot`` are kept.
     """
     if not (1 <= slot <= state.horizon.z):
         raise SlotOrderError(f"slot {slot} outside horizon 1..{state.horizon.z}")
@@ -146,48 +171,17 @@ def step_session(
                 raise RevisionError(violation)
         declared[bid.user] = bid
 
-    cost = state.optimization.cost
-    cs = set(state.cumulative)
-    served = dict(state.served)
-    payments = dict(state.payments)
-    share_history = dict(state.share_history)
-    serviced_now: frozenset[UserId] = frozenset()
-    departures: dict[UserId, Money] = {}
+    opt, start = state.optimization, state.next_slot
+    joined = dict(state.joined)
+    open_bids = [
+        replace(b, start=start, per_slot=b.per_slot[start - b.start :]) if b.start < start else b
+        for u, b in declared.items()
+        if u not in joined and b.end >= start
+    ]
+    scaled = ScaledGame(OnlineAdditiveGame(opt, state.horizon, open_bids))
+    new, _ = serve(scaled, opt.id, scaled.costs[0][opt.id], len(joined))
+    joined.update((scaled.users[i], t) for i, t in new.items() if t <= slot)
 
-    for t in range(state.next_slot, slot + 1):
-        residuals = {
-            u: b.residual_from(t)
-            for u, b in declared.items()
-            if u not in cs and b.start <= t
-        }
-        scale = common_scale([cost, *residuals.values()])
-        cost_s = cost.numerator * (scale // cost.denominator)
-        finite = sorted(
-            ((r.numerator * (scale // r.denominator), u) for u, r in residuals.items()), key=itemgetter(0), reverse=True
-        )
-        cs.update(u for _, u in finite[: _fixed_point(cost_s, finite, len(cs))])
-        share = cost / len(cs) if cs else None
-        if share is not None:
-            share_history[t] = share
-        active = frozenset(u for u in cs if t <= declared[u].end)
-        if active:
-            served[(state.optimization.id, t)] = active
-        if t == slot:
-            serviced_now = active
-        for u, b in declared.items():
-            if b.end == t:
-                paid = share if u in cs else ZERO
-                payments[u] = paid
-                if t == slot:
-                    departures[u] = paid
-
-    new_state = replace(
-        state,
-        next_slot=slot + 1,
-        declared=declared,
-        cumulative=frozenset(cs),
-        served=served,
-        payments=payments,
-        share_history=share_history,
-    )
-    return serviced_now, departures, new_state
+    serviced = frozenset(u for u in joined if declared[u].end >= slot)
+    departures = {u: opt.cost / len(joined) if u in joined else ZERO for u, b in declared.items() if b.end == slot}
+    return serviced, departures, replace(state, next_slot=slot + 1, declared=declared, joined=joined)

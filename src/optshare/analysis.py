@@ -213,15 +213,10 @@ def efficient_outcome(catalog: Iterable[Optimization], bids) -> tuple[Outcome, M
 # Deviation search (truthfulness on a grid)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Finite misreport grid: value levels span [0, 2x truth]."""
-
-    levels: int = 21
-    subset_catalog_limit: int = 3  # enumerate all substitute subsets up to this size
-
-    def scales(self) -> list[Fraction]:
-        return [Fraction(2 * k, self.levels - 1) for k in range(self.levels)]
+# The finite misreport grid: 21 value scales spanning [0, 2x truth], and
+# every substitute subset of catalogs up to SUBSET_CATALOG_LIMIT in size.
+GRID_SCALES = tuple(Fraction(k, 10) for k in range(21))
+SUBSET_CATALOG_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -234,7 +229,7 @@ class DeviationReport:
     profitable: bool
 
 
-def deviation_search(mechanism: str, game, deviator: UserId, grid: GridSpec = GridSpec()) -> DeviationReport:
+def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     """Grid search for a profitable unilateral misreport.
 
     Offline mechanisms compare each grid bid against truth on the full game.
@@ -243,7 +238,7 @@ def deviation_search(mechanism: str, game, deviator: UserId, grid: GridSpec = Gr
     future bids arrive.
     """
     if mechanism in ("add_off", "shapley", "naive_pay_bid"):
-        return _search_additive_offline(mechanism, game, deviator, grid)
+        return _search_additive_offline(mechanism, game, deviator)
     run = _lab_runner(mechanism)
     true_bid = {b.user: b for b in game.bids}[deviator]
     others = [b for b in game.bids if b.user != deviator]
@@ -262,7 +257,7 @@ def deviation_search(mechanism: str, game, deviator: UserId, grid: GridSpec = Gr
 
     truthful = utility(true_bid)
     best, best_note = truthful, None
-    for bid, note in _misreports(game, true_bid, grid):
+    for bid, note in _misreports(game, true_bid):
         u = utility(bid)
         if u > best:
             best, best_note = u, note
@@ -278,7 +273,7 @@ def _lab_runner(mechanism: str):
     return MECHANISMS[name][1]
 
 
-def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator, grid) -> DeviationReport:
+def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator) -> DeviationReport:
     true_bid = {b.user: b for b in game.bids}[deviator]
     others = [b for b in game.bids if b.user != deviator]
 
@@ -291,7 +286,7 @@ def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator, gri
         v = true_bid.value_for(opt.id)
         truthful += _column_utility(mechanism, others, deviator, true_bid, opt, v)
         column_best = None
-        for scale in grid.scales():
+        for scale in GRID_SCALES:
             u = _column_utility(mechanism, others, deviator, true_bid, opt, v * scale)
             if column_best is None or u > column_best[0]:
                 column_best = (u, scale)
@@ -318,9 +313,9 @@ def _column_utility(mechanism, others, deviator, true_bid, opt, declared) -> Mon
     return ZERO
 
 
-def _subset_options(catalog, true_set: frozenset[OptId], grid) -> list[frozenset[OptId]]:
+def _subset_options(catalog, true_set: frozenset[OptId]) -> list[frozenset[OptId]]:
     ids = sorted(o.id for o in catalog)
-    if len(ids) <= grid.subset_catalog_limit:
+    if len(ids) <= SUBSET_CATALOG_LIMIT:
         pool = ids
     else:
         pool = sorted(true_set)  # large catalogs: vary within the true set only
@@ -330,7 +325,7 @@ def _subset_options(catalog, true_set: frozenset[OptId], grid) -> list[frozenset
     return subsets
 
 
-def _misreports(game, bid, grid: GridSpec):
+def _misreports(game, bid):
     """Every grid misreport of a substitutable or online ``bid`` as (declared
     bid, note), window by window, then substitute set by set, then scale by
     scale.  An online bid may declare any window that opens at its arrival or
@@ -342,11 +337,10 @@ def _misreports(game, bid, grid: GridSpec):
     if online:
         z = game.horizon.z
         windows = [(s, e) for s in range(bid.start, z + 1) for e in range(s, z + 1)]
-    subsets = [None] if isinstance(bid, AdditiveOnlineBid) else _subset_options(game.catalog, bid.substitutes, grid)
-    scales = grid.scales()
+    subsets = [None] if isinstance(bid, AdditiveOnlineBid) else _subset_options(game.catalog, bid.substitutes)
     for s, e in windows:
         true_values = [bid.value_at(t) for t in range(s, e + 1)] if online else [bid.value]
-        declared = [(f"x{scale}", tuple(v * scale for v in true_values)) for scale in scales]
+        declared = [(f"x{scale}", tuple(v * scale for v in true_values)) for scale in GRID_SCALES]
         for subset in subsets:
             if subset is None:
                 fields, note = {"user": bid.user, "opt": bid.opt}, ""

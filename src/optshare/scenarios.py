@@ -41,6 +41,10 @@ SKEWS = ("uniform", "early", "late")
 
 INT_FIELDS = ("users", "slots", "opt_count", "substitutes_per_user", "duration", "seed", "trials", "executions_per_slot")
 
+# Upper bounds on the sizes a scenario may ask for (duration and
+# substitutes_per_user are bounded by slots and opt_count).
+MAX_SIZES = {"trials": 1_000_000, "users": 1_000, "slots": 1_000, "opt_count": 1_000, "executions_per_slot": 1_000}
+
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration."""
@@ -69,6 +73,8 @@ class ScenarioSpec:
                 raise ScenarioError(f"scenario.{name}: expected an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ScenarioError(f"scenario.{name}: must be >= 1")
+            if value > MAX_SIZES.get(name, value):
+                raise ScenarioError(f"scenario.{name}: must be <= {MAX_SIZES[name]}")
         if self.cost <= 0:
             raise ScenarioError("scenario.cost: must be positive")
         if self.skew not in SKEWS:

@@ -15,9 +15,10 @@ even after leaving, to keep later users' shares honest.
 Both run the same integer phase loop.  The online mechanism is one kernel,
 :func:`grant`, over a :class:`~optshare.scaled.ScaledGame`: it reports the
 optimization and slot each serviced bid was granted, the cumulative count
-per optimization and slot, and the phases of every slot.  The experiment
-harness reads the first three directly, once per cost point of a trial;
-:func:`subst_on` builds the full trace from all four.
+per optimization and slot, and the phases of every slot with a new offer.
+The experiment harness reads the first three directly, once per cost point
+of a trial; :func:`subst_on` builds the full trace from all four, adding
+the phases of the slots where only pinned users remain.
 """
 
 from __future__ import annotations
@@ -170,9 +171,9 @@ def grant(
     index: the optimization each serviced bid was granted, the slot it was
     granted in, the cumulative number of bids granted each optimization after
     each slot, and each slot's phases as ``_phases_scaled`` returns them
-    (index 0 unused in the last two).  A bid granted j is serviced from its
-    grant slot to the end of its window and pays
-    ``costs[j] / count[j][end]``."""
+    (index 0 unused in the last two; empty in a slot without a new offer,
+    which grants nobody).  A bid granted j is serviced from its grant slot
+    to the end of its window and pays ``costs[j] / count[j][end]``."""
     granted: dict[int, OptId] = {}
     joined: dict[int, Slot] = {}
     count: dict[OptId, list[int]] = {}
@@ -180,7 +181,7 @@ def grant(
     slot_phases: list[list] = [[]]
     for t in range(1, game.z + 1):
         offers = [o for o in game.offers[t] if o[1] not in granted]
-        phases = _phases_scaled(costs, offers, game.interest, granted) if offers or granted else []
+        phases = _phases_scaled(costs, offers, game.interest, granted) if offers else []
         for opt, serviced, _ in phases:
             for i in serviced:
                 if i not in granted:
@@ -216,9 +217,14 @@ def subst_on(
 
     slot_phases: dict[Slot, tuple[Phase, ...]] = {}
     for t in horizon.slots():
+        # grant skips the slots without a new offer: their phases pin only
+        # the bids granted before them
+        raw = raw_phases[t] or _phases_scaled(
+            scaled.costs[0], [], scaled.interest, {i: j for i, j in granted.items() if joined[i] < t}
+        )
         slot_phases[t] = tuple(
             Phase(opt, frozenset([users[i] for i in serviced]), share(opt, len(serviced)), ties)
-            for opt, serviced, ties in raw_phases[t]
+            for opt, serviced, ties in raw
         )
     active: dict[tuple[OptId, Slot], list[UserId]] = {}
     for i, j in granted.items():

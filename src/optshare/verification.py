@@ -15,7 +15,6 @@ from fractions import Fraction
 from .additive_online import add_on, new_session, step_session
 from .analysis import (
     TRUTHFUL_MECHANISMS,
-    GridSpec,
     deviation_search,
     efficient_outcome,
     multi_identity_probe,
@@ -339,7 +338,7 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
 
 
 def _small_game(mechanism: str, rng):
-    if mechanism in ("add_off", "naive_pay_bid"):
+    if mechanism in ("add_off", "shapley", "naive_pay_bid"):
         return rand_additive_offline(rng, max_users=4, max_opts=3)
     if mechanism == "add_on":
         return rand_additive_online(rng, max_users=4, max_slots=3)
@@ -353,7 +352,6 @@ def suite_truthfulness(seed: int, games: int, mechanism: str | None = None) -> l
     mechanisms is a violation.  With mechanism="naive_pay_bid" the subject is
     the pay-your-bid control, whose profitable underbids are reported (so the
     run fails, as it should)."""
-    grid = GridSpec()
     out: list[Violation] = []
     subjects = (mechanism,) if mechanism else TRUTHFUL_MECHANISMS
     for subject in subjects:
@@ -361,7 +359,7 @@ def suite_truthfulness(seed: int, games: int, mechanism: str | None = None) -> l
         for _ in range(games):
             game = _small_game(subject, rng)
             for bid in game.bids:
-                report = deviation_search(subject, game, bid.user, grid)
+                report = deviation_search(subject, game, bid.user)
                 if report.profitable:
                     out.append(
                         Violation(

@@ -161,6 +161,12 @@ def test_cli_verify_catches_naive_mechanism(capsys):
     assert "game:" in out  # offending game serialized for replay
 
 
+def test_cli_verify_truthfulness_of_shapley(capsys):
+    # shapley is searched column by column on additive offline games
+    assert main(["verify", "--suite", "truthfulness", "--mechanism", "shapley", "--games", "2"]) == 0
+    assert "PASS truthfulness" in capsys.readouterr().out
+
+
 def test_verify_cost_recovery_small():
     assert run_suite("cost_recovery", seed=3, games=150) == []
 
@@ -386,6 +392,8 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"output": 5}, "output"),
         ({"output": ""}, "output"),
         ({"details": "no"}, "details"),
+        ({"scenario": {"family": "collab_size", "trials": 1_000_001}}, "scenario.trials"),
+        ({"scenario": {"family": "collab_size", "users": 1_001}}, "scenario.users"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):

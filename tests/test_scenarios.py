@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optshare.core import AdditiveOnlineMultiGame, OnlineAdditiveGame, SubstOnlineGame
-from optshare.scenarios import FAMILIES, GRID, SKEWS, ScenarioError, ScenarioSpec, generate, recost
+from optshare.scenarios import FAMILIES, GRID, MAX_SIZES, SKEWS, ScenarioError, ScenarioSpec, generate, recost
 
 F = Fraction
 
@@ -153,6 +153,10 @@ def test_trial_bounds_and_validation():
         spec(users=6.5)
     with pytest.raises(ScenarioError, match="scenario.trials: expected an integer"):
         spec(trials=True)
+    for name, bound in MAX_SIZES.items():
+        spec(**{name: bound})  # the bound itself is allowed
+        with pytest.raises(ScenarioError, match=f"scenario.{name}: must be <= {bound}"):
+            spec(**{name: bound + 1})
 
 
 def test_round_trip_through_dict():
