@@ -2,19 +2,23 @@
 
 Utilities are always computed against *true* values, even when the bids fed
 to a mechanism were deviations; payments are whatever the mechanism charged.
-The strategy lab searches bid/timing/set misreports on a finite grid and
-identity splits, with the deliberately gameable pay-your-bid mechanism as a
-positive control.
+The strategy lab searches bid/timing/set misreports on a finite grid, each
+one on an integer kernel (fractions are built only for the report), and
+identity splits through the registry, with the deliberately gameable
+pay-your-bid mechanism as a positive control.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
+from types import SimpleNamespace
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
-from .additive_online import OnlineTrace, add_on
+from .additive_online import OnlineTrace, add_on, serve
 from .core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
@@ -29,15 +33,22 @@ from .core import (
     Outcome,
     PaymentLedger,
     Slot,
+    SlotHorizon,
     SubstOfflineGame,
     SubstOnlineGame,
     SubstitutableOfflineBid,
+    SubstitutableOnlineBid,
     UserId,
 )
 from .money import ZERO, Money
 from .regret import RegretTrace, regret_run
-from .shapley import add_off, shapley
-from .substitutable import SubstOffResult, SubstOnlineTrace, subst_off, subst_on
+from .scaled import ScaledGame
+from .shapley import _fixed_point, add_off, common_scale
+from .substitutable import SubstOffResult, SubstOnlineTrace, grant, subst_off, subst_on
+
+# Bound here only for perfbench/spans.py, whose traced run wraps this name on
+# this module; the strategy lab runs the equal share on ``_fixed_point``.
+from .shapley import shapley  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -213,8 +224,9 @@ def efficient_outcome(catalog: Iterable[Optimization], bids) -> tuple[Outcome, M
 # Deviation search (truthfulness on a grid)
 
 
-# The finite misreport grid: 21 value scales spanning [0, 2x truth], and
-# every substitute subset of catalogs up to SUBSET_CATALOG_LIMIT in size.
+# The finite misreport grid: 21 value scales k/10 spanning [0, 2x truth]
+# (the lab reads scale k as the integer k over ten), and every substitute
+# subset of catalogs up to SUBSET_CATALOG_LIMIT in size.
 GRID_SCALES = tuple(Fraction(k, 10) for k in range(21))
 SUBSET_CATALOG_LIMIT = 3
 
@@ -239,9 +251,10 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     """
     if mechanism in ("add_off", "shapley", "naive_pay_bid"):
         return _search_additive_offline(mechanism, game, deviator)
-    run = _lab_runner(mechanism)
+    _lab_runner(mechanism)  # unknown and non-truthful mechanisms raise
     true_bid = {b.user: b for b in game.bids}[deviator]
     others = [b for b in game.bids if b.user != deviator]
+    window, own = (1, 1), getattr(true_bid, "substitutes", None)  # None: additive
     if isinstance(true_bid, OnlineBid):
         # Worst-case continuation for a bid placed at the deviator's arrival:
         # whoever has arrived by then is known, nobody else ever shows up.
@@ -249,19 +262,16 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
         # against later arrivals would hand the deviator knowledge of the
         # future, which the worst-case truthfulness notion denies her.)
         others = [b for b in others if b.start <= true_bid.start]
-    ids = {deviator}
-
-    def utility(bid) -> Money:
-        settlement = settle(run(game, others if bid is None else others + [bid]))
-        return realized(true_bid, ids, settlement) - settlement.payments.get(deviator, ZERO)
-
-    truthful = utility(true_bid)
-    best, best_note = truthful, None
-    for bid, note in _misreports(game, true_bid):
-        u = utility(bid)
-        if u > best:
+        window = (true_bid.start, true_bid.end)
+    utility, scale = _lab(mechanism, game, others, true_bid)
+    truthful = best = utility(window, own, 10)
+    best_note = None
+    for window, subset, k, note in _misreports(game, true_bid):
+        u = utility(window, subset, k)
+        if u[0] * best[1] > best[0] * u[1]:
             best, best_note = u, note
-    return DeviationReport(mechanism, deviator, truthful, best, best_note, best > truthful)
+    truthful_u, best_u = (Fraction(n, c * scale) for n, c in (truthful, best))
+    return DeviationReport(mechanism, deviator, truthful_u, best_u, best_note, best_u > truthful_u)
 
 
 def _lab_runner(mechanism: str):
@@ -273,91 +283,126 @@ def _lab_runner(mechanism: str):
     return MECHANISMS[name][1]
 
 
+def _lab(mechanism: str, game, others, true_bid):
+    """The deviator's strategy lab (``subst_off`` runs as the one-slot
+    ``subst_on`` it degenerates to) and its scale: ``utility(window, subset,
+    k)`` is her true utility, ``n / (c * scale)`` as ``(n, c)``, declaring
+    ``subset`` (None: her one optimization) over ``window`` at her true
+    values times ``k/10``.  The truthful profile is checked and rescaled
+    once, as a run of it would be; at ten times its scale each declaration
+    is k times an integer row, merged into the others' per-slot offers.
+    Granted ``j`` in slot ``t``, she realizes her true value from ``t`` to
+    her declared end ``e`` if ``j`` is a true substitute, and pays
+    ``cost[j] / c``, ``c`` the count of ``j`` after slot ``e``."""
+    profile = [*others, true_bid]
+    if mechanism == "add_on":
+        scaled = ScaledGame(OnlineAdditiveGame(game.optimization, game.horizon, profile))
+    elif mechanism == "subst_off":
+        profile = [SubstitutableOnlineBid(b.user, b.substitutes, 1, 1, (b.value,)) for b in profile]
+        scaled = ScaledGame(SubstOnlineGame(game.catalog, SlotHorizon(1), profile))
+    else:
+        scaled = ScaledGame(SubstOnlineGame(game.catalog, game.horizon, profile))
+    n, own, interest = len(others), scaled.interest[-1], list(scaled.interest)
+    costs = {j: 10 * c for j, c in scaled.costs[0].items()}
+    # the others' offers per slot, highest first, and their negations to bisect
+    offers = [[(10 * v, i) for v, i in slot if i != n] for slot in scaled.offers]
+    negated = [[-v for v, _ in slot] for slot in offers]
+    # the deviator's true value through each slot, at a tenth of the scale
+    prefix = list(accumulate(int(profile[-1].value_at(t) * scaled.scale) for t in range(scaled.z + 1)))
+    lab = SimpleNamespace(z=scaled.z, offers=offers, interest=interest)
+
+    def utility(window, subset, k) -> tuple[int, int]:
+        s, e = window
+        lab.offers = merged = offers[:]
+        for t in range(s, e + 1):
+            v = k * (prefix[e] - prefix[t - 1])
+            if v:
+                p = bisect_right(negated[t], -v)  # after the equal offers
+                merged[t] = [*offers[t][:p], (v, n), *offers[t][p:]]
+        if scaled.additive:
+            joined, count = serve(lab, own[0], costs[own[0]])
+            j, count = own[0], {own[0]: count}
+        else:
+            interest[n] = subset
+            granted, joined, count, _ = grant(lab, costs)
+            j = granted.get(n)
+        t = joined.get(n)
+        if t is None:
+            return 0, 1
+        c = count[j][e]
+        return (10 * (prefix[e] - prefix[t - 1]) if j in own else 0) * c - costs[j], c
+
+    return utility, 10 * scaled.scale
+
+
 def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator) -> DeviationReport:
     true_bid = {b.user: b for b in game.bids}[deviator]
     others = [b for b in game.bids if b.user != deviator]
 
-    # The per-optimization runs are independent, so the best joint misreport
-    # is the best per-column misreport, searched column by column.
-    truthful = ZERO
-    best_total = ZERO
+    # The per-optimization runs are independent, so the best joint misreport is the best per-column
+    # misreport, searched column by column in integers at ten times the column's common denominator.
+    truthful = best_total = ZERO
     notes = []
     for opt in game.catalog:
         v = true_bid.value_for(opt.id)
-        truthful += _column_utility(mechanism, others, deviator, true_bid, opt, v)
+        column = [w for w in (b.value_for(opt.id) for b in others) if w > 0]
+        scale = 10 * common_scale([opt.cost, v, *column])
+        cost, true_s, *rest = (x.numerator * (scale // x.denominator) for x in (opt.cost, v, *column))
+        rest.sort(reverse=True)
         column_best = None
-        for scale in GRID_SCALES:
-            u = _column_utility(mechanism, others, deviator, true_bid, opt, v * scale)
-            if column_best is None or u > column_best[0]:
-                column_best = (u, scale)
-        best_total += column_best[0]
-        if column_best[1] != 1:
-            notes.append(f"opt {opt.id} x{column_best[1]}")
-    best_deviation = ", ".join(notes) if notes else None
-    return DeviationReport(
-        mechanism, deviator, truthful, best_total, best_deviation, best_total > truthful
-    )
+        for k in range(len(GRID_SCALES)):
+            u = _column_utility(mechanism, cost, rest, true_s, k * true_s // 10)
+            if k == 10:
+                truthful += Fraction(u[0], u[1] * scale)
+            if column_best is None or u[0] * column_best[1] > column_best[0] * u[1]:
+                column_best, best_k = u, k
+        best_total += Fraction(column_best[0], column_best[1] * scale)
+        if best_k != 10:
+            notes.append(f"opt {opt.id} x{GRID_SCALES[best_k]}")
+    return DeviationReport(mechanism, deviator, truthful, best_total, ", ".join(notes) or None, best_total > truthful)
 
 
-def _column_utility(mechanism, others, deviator, true_bid, opt, declared) -> Money:
-    column = {b.user: b.value_for(opt.id) for b in others if b.value_for(opt.id) > 0}
-    if declared > 0:
-        column[deviator] = declared
-    if mechanism == "naive_pay_bid":
-        if column and sum(column.values(), ZERO) >= opt.cost and deviator in column:
-            return true_bid.value_for(opt.id) - declared
-        return ZERO
-    result = shapley(opt.cost, column)
-    if deviator in result.serviced:
-        return true_bid.value_for(opt.id) - result.share
-    return ZERO
+def _column_utility(mechanism, cost: int, rest: list[int], true_value: int, declared: int) -> tuple[int, int]:
+    """The deviator's true utility, ``n / c`` at the column's scale as ``(n, c)``,
+    declaring ``declared`` against the others' positive bids ``rest``, highest first."""
+    if declared and mechanism == "naive_pay_bid":
+        return (true_value - declared, 1) if sum(rest) + declared >= cost else (0, 1)
+    p = sum(1 for w in rest if w >= declared)  # after the equal bids
+    kept = _fixed_point(cost, [(w, 0) for w in (*rest[:p], declared, *rest[p:])], 0) if declared else 0
+    return (true_value * kept - cost, kept) if p < kept else (0, 1)
 
 
 def _subset_options(catalog, true_set: frozenset[OptId]) -> list[frozenset[OptId]]:
-    ids = sorted(o.id for o in catalog)
-    if len(ids) <= SUBSET_CATALOG_LIMIT:
-        pool = ids
-    else:
+    pool = sorted(o.id for o in catalog)
+    if len(pool) > SUBSET_CATALOG_LIMIT:
         pool = sorted(true_set)  # large catalogs: vary within the true set only
-    subsets = []
-    for r in range(1, len(pool) + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(pool, r))
-    return subsets
+    return [frozenset(c) for r in range(1, len(pool) + 1) for c in itertools.combinations(pool, r)]
 
 
 def _misreports(game, bid):
-    """Every grid misreport of a substitutable or online ``bid`` as (declared
-    bid, note), window by window, then substitute set by set, then scale by
-    scale.  An online bid may declare any window that opens at its arrival or
-    later, with its true per-slot values scaled.  A declaration with no
+    """Every grid misreport of a substitutable or online ``bid`` as (window,
+    substitute set, k, note), declaring its true values times
+    ``GRID_SCALES[k]`` over the window: window by window, then substitute
+    set by set, then scale by scale.  An online bid may declare any window
+    that opens at its arrival or later (the set is None for an additive
+    one); an offline one declares the window (1, 1).  A declaration with no
     positive value withdraws a substitutable bid: offline that is tried once
-    (as None), online not at all."""
+    (k = 0 with the true set), online not at all."""
     online = isinstance(bid, OnlineBid)
     windows = [(1, 1)]
     if online:
-        z = game.horizon.z
-        windows = [(s, e) for s in range(bid.start, z + 1) for e in range(s, z + 1)]
+        windows = [(s, e) for s in range(bid.start, game.horizon.z + 1) for e in range(s, game.horizon.z + 1)]
     subsets = [None] if isinstance(bid, AdditiveOnlineBid) else _subset_options(game.catalog, bid.substitutes)
     for s, e in windows:
-        true_values = [bid.value_at(t) for t in range(s, e + 1)] if online else [bid.value]
-        declared = [(f"x{scale}", tuple(v * scale for v in true_values)) for scale in GRID_SCALES]
+        positive = not online or any(bid.value_at(t) for t in range(s, e + 1))
         for subset in subsets:
-            if subset is None:
-                fields, note = {"user": bid.user, "opt": bid.opt}, ""
-            else:
-                fields, note = {"user": bid.user, "substitutes": subset}, f"set {sorted(subset)} "
+            note = "" if subset is None else f"set {sorted(subset)} "
             if online:
-                fields.update(start=s, end=e)
                 note += f"window [{s},{e}] "
-            for tag, values in declared:
-                if online:
-                    fields["per_slot"] = values
-                else:
-                    fields["value"] = values[0]
-                if subset is None or any(values):  # values are >= 0
-                    yield type(bid)(**fields), note + tag
-                elif not online and subset == bid.substitutes:
-                    yield None, note + tag  # withdrawing is one deviation, not one per subset
+            withdraws = not online and subset == bid.substitutes
+            for k, scale in enumerate(GRID_SCALES):
+                if subset is None or (k and positive) or withdraws:
+                    yield (s, e), subset, k, f"{note}x{scale}"
 
 
 # ---------------------------------------------------------------------------

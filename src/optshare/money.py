@@ -28,12 +28,23 @@ def is_infinite(value) -> bool:
     return value == INFINITE_BID
 
 
+# Bounds on money text, checked before any number is built (an exponent adds digits the text does not show).
+MAX_MONEY_CHARS = 400
+MAX_MONEY_EXPONENT = 100
+
+
 def parse_money(text: str) -> Money:
-    """Parse a decimal string ("2.51") or ratio ("251/100") exactly."""
+    """Parse a decimal string ("2.51", "1e-6") or ratio ("251/100") exactly,
+    of at most MAX_MONEY_CHARS characters and a decimal exponent of at most
+    MAX_MONEY_EXPONENT in magnitude."""
     try:
-        return Fraction(str(text).strip())
+        text = str(text).strip()
+        _, e, exponent = text.lower().partition("e")
+        if len(text) <= MAX_MONEY_CHARS and not (e and abs(int(exponent)) > MAX_MONEY_EXPONENT):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a money value: {text!r}") from exc
+    raise ValueError(f"money value over {MAX_MONEY_CHARS} characters or with an exponent beyond ±{MAX_MONEY_EXPONENT}")
 
 
 def render_exact(value: Money) -> str:

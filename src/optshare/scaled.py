@@ -11,8 +11,10 @@ factor per cost point, and the scaled cost of optimization ``j`` at point
 The harness builds one per trial, with the factor ``cost / spec.cost`` of
 each cost point (every family's catalog costs are proportional to
 ``spec.cost``, see ``scenarios.recost``).  The public mechanism functions
-build one per call with the single factor 1, which makes the scale the
-least common denominator of the game's own costs and values.
+build one per call, and the strategy lab one per deviator of its truthful
+profile, with the single factor 1, which makes the scale the least common
+denominator of the game's own costs and values; the lab runs every
+misreport on its offers, with the deviator's row merged in.
 
 Construction checks, once per game, what the game's constructor leaves to
 it: one bid per user (per optimization for additive bids) and positive

@@ -68,6 +68,8 @@ class Violation:
 def run_suite(name: str, seed: int = 0, games: int | None = None, mechanism: str | None = None) -> list[Violation]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r} (have {', '.join(SUITES)})")
+    if mechanism is not None and name != "truthfulness":
+        raise ValueError(f"mechanism: only the truthfulness suite takes one, not {name} (got {mechanism!r})")
     runner = globals()[f"suite_{name}"]
     if name == "golden_examples":
         return runner()

@@ -3,10 +3,25 @@
 These deliberately avoid the library's internals: serviced sets come from
 all-subsets enumeration, online traces from a literal slot-by-slot replay,
 and posted prices from exhaustive candidate evaluation plus a fine grid.
+The reference deviation search runs every misreport as a bid through the
+public mechanisms of the registry and scores it with ``settle`` and
+``realized``, the path the integer strategy lab replaces.
 """
 
 import itertools
 from fractions import Fraction
+
+from optshare.analysis import (
+    GRID_SCALES,
+    MECHANISMS,
+    TRUTHFUL_MECHANISMS,
+    DeviationReport,
+    _subset_options,
+    realized,
+    settle,
+)
+from optshare.core import AdditiveOnlineBid, OnlineBid
+from optshare.shapley import shapley
 
 ZERO = Fraction(0)
 
@@ -94,3 +109,92 @@ def efficient_enumeration_additive(costs, values):
                 total += sum((user_values.get(j, ZERO) for j in chosen), ZERO)
             best = max(best, total)
     return best
+
+
+def reference_deviation_search(mechanism, game, deviator):
+    """``analysis.deviation_search`` on the registry path: a bid, a game, a
+    run, a settlement and a realized sum per misreport."""
+    if mechanism in ("add_off", "shapley", "naive_pay_bid"):
+        return _reference_additive_offline(mechanism, game, deviator)
+    if mechanism not in TRUTHFUL_MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    run = MECHANISMS[mechanism][1]
+    true_bid = {b.user: b for b in game.bids}[deviator]
+    others = [b for b in game.bids if b.user != deviator]
+    if isinstance(true_bid, OnlineBid):
+        others = [b for b in others if b.start <= true_bid.start]
+
+    def utility(bid):
+        settlement = settle(run(game, others if bid is None else others + [bid]))
+        return realized(true_bid, {deviator}, settlement) - settlement.payments.get(deviator, ZERO)
+
+    truthful = utility(true_bid)
+    best, best_note = truthful, None
+    for bid, note in reference_misreports(game, true_bid):
+        u = utility(bid)
+        if u > best:
+            best, best_note = u, note
+    return DeviationReport(mechanism, deviator, truthful, best, best_note, best > truthful)
+
+
+def _reference_additive_offline(mechanism, game, deviator):
+    true_bid = {b.user: b for b in game.bids}[deviator]
+    others = [b for b in game.bids if b.user != deviator]
+    truthful = best_total = ZERO
+    notes = []
+    for opt in game.catalog:
+        v = true_bid.value_for(opt.id)
+        truthful += _reference_column(mechanism, others, deviator, v, opt, v)
+        column_best = None
+        for scale in GRID_SCALES:
+            u = _reference_column(mechanism, others, deviator, v, opt, v * scale)
+            if column_best is None or u > column_best[0]:
+                column_best = (u, scale)
+        best_total += column_best[0]
+        if column_best[1] != 1:
+            notes.append(f"opt {opt.id} x{column_best[1]}")
+    best_deviation = ", ".join(notes) if notes else None
+    return DeviationReport(mechanism, deviator, truthful, best_total, best_deviation, best_total > truthful)
+
+
+def _reference_column(mechanism, others, deviator, true_value, opt, declared):
+    column = {b.user: b.value_for(opt.id) for b in others if b.value_for(opt.id) > 0}
+    if declared > 0:
+        column[deviator] = declared
+    if mechanism == "naive_pay_bid":
+        if column and sum(column.values(), ZERO) >= opt.cost and deviator in column:
+            return true_value - declared
+        return ZERO
+    result = shapley(opt.cost, column)
+    return true_value - result.share if deviator in result.serviced else ZERO
+
+
+def reference_misreports(game, bid):
+    """Every grid misreport of a substitutable or online ``bid`` as (declared
+    bid or None for a withdrawal, note), in the lab's order."""
+    online = isinstance(bid, OnlineBid)
+    windows = [(1, 1)]
+    if online:
+        z = game.horizon.z
+        windows = [(s, e) for s in range(bid.start, z + 1) for e in range(s, z + 1)]
+    subsets = [None] if isinstance(bid, AdditiveOnlineBid) else _subset_options(game.catalog, bid.substitutes)
+    for s, e in windows:
+        true_values = [bid.value_at(t) for t in range(s, e + 1)] if online else [bid.value]
+        declared = [(f"x{scale}", tuple(v * scale for v in true_values)) for scale in GRID_SCALES]
+        for subset in subsets:
+            if subset is None:
+                fields, note = {"user": bid.user, "opt": bid.opt}, ""
+            else:
+                fields, note = {"user": bid.user, "substitutes": subset}, f"set {sorted(subset)} "
+            if online:
+                fields.update(start=s, end=e)
+                note += f"window [{s},{e}] "
+            for tag, values in declared:
+                if online:
+                    fields["per_slot"] = values
+                else:
+                    fields["value"] = values[0]
+                if subset is None or any(values):
+                    yield type(bid)(**fields), note + tag
+                elif not online and subset == bid.substitutes:
+                    yield None, note + tag

@@ -167,6 +167,25 @@ def test_cli_verify_truthfulness_of_shapley(capsys):
     assert "PASS truthfulness" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["cost_recovery", "golden_examples", "degeneration"])
+def test_cli_verify_rejects_mechanism_outside_truthfulness(capsys, suite):
+    assert main(["verify", "--suite", suite, "--mechanism", "add_on", "--games", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: mechanism" in captured.err
+    assert captured.out == ""
+
+
+def test_shipped_configs_and_games_parse():
+    scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
+    configs = sorted(os.listdir(os.path.join(scripts, "configs")))
+    games = sorted(os.listdir(os.path.join(scripts, "games")))
+    assert len(configs) == 7 and games
+    for name in configs:
+        harness.load_config(os.path.join(scripts, "configs", name))
+    for name in games:
+        load_game(os.path.join(scripts, "games", name))
+
+
 def test_verify_cost_recovery_small():
     assert run_suite("cost_recovery", seed=3, games=150) == []
 
@@ -394,6 +413,9 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"details": "no"}, "details"),
         ({"scenario": {"family": "collab_size", "trials": 1_000_001}}, "scenario.trials"),
         ({"scenario": {"family": "collab_size", "users": 1_001}}, "scenario.users"),
+        ({"scenario": {"family": "collab_size", "cost": "1e400"}}, "scenario.cost"),
+        ({"cost_sweep": ["0.1", "1e-400"]}, "cost_sweep[1]"),
+        ({"cost_sweep": {"start": "0.1", "stop": "9" * 401, "step": "0.1"}}, "cost_sweep.stop"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
@@ -444,3 +466,14 @@ def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
     captured = capsys.readouterr()
     assert f"config error: {field}:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "break_it, field",
+    [
+        (lambda game: game["bids"][1]["per_slot"].__setitem__(0, "1e400"), "bids[1].per_slot[0]"),
+        (lambda game: game["catalog"][0].__setitem__("cost", "1" * 401), "catalog[0].cost"),
+    ],
+)
+def test_cli_replay_rejects_money_beyond_the_bound(tmp_path, capsys, break_it, field):
+    test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field)

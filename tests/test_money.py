@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from optshare import money
 from optshare.gamefiles import money_str
 from optshare.money import (
     INFINITE_BID,
+    MAX_MONEY_CHARS,
+    MAX_MONEY_EXPONENT,
     parse_money,
     render_decimal,
     render_decimal_sqrt,
@@ -20,6 +24,31 @@ def test_parse_decimal_strings_exactly():
     assert parse_money("0.000001") == F(1, 10**6)
     assert parse_money("100") == F(100)
     assert parse_money("1/3") == F(1, 3)
+
+
+def test_parse_money_takes_exponents_within_the_bound():
+    assert parse_money("1e-6") == F(1, 10**6)
+    assert parse_money(f"2.5E+{MAX_MONEY_EXPONENT}") == F(5, 2) * 10**MAX_MONEY_EXPONENT
+    assert parse_money(1e-07) == F(1, 10**7)  # a JSON number reads as a float
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e400", "1E-400", f"5e{MAX_MONEY_EXPONENT + 1}", "1e99999999999999999999", "0." + "1" * MAX_MONEY_CHARS],
+)
+def test_parse_money_rejects_huge_text_before_building_a_number(monkeypatch, text):
+    def never(*args):
+        raise AssertionError("a number was built")
+
+    monkeypatch.setattr(money, "Fraction", never)
+    with pytest.raises(ValueError, match="beyond"):
+        parse_money(text)
+
+
+def test_parse_money_names_the_text_it_cannot_read():
+    for text in ("cheap", "1e", "1/0", "1ex5"):
+        with pytest.raises(ValueError, match="not a money value"):
+            parse_money(text)
 
 
 def test_render_decimal_round_half_even():
