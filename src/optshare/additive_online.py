@@ -8,19 +8,17 @@ expires, at the share computed in that slot; users who left stay pinned and
 keep lowering later arrivals' shares.
 
 The mechanism itself is one integer kernel, :func:`serve`, over a
-:class:`~optshare.scaled.ScaledGame`: it reports the slot each serviced bid
-joined and the cumulative serviced count per slot, from which every share
-and payment follows.  The experiment harness reads those directly, once per
-cost point of a trial; :func:`add_on` and the slot-by-slot session
-(:func:`step_session`, which plays the bids still in play with its serviced
-users pinned) build their traces from the join slots.
+:class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
+session (:func:`step_session`, which plays the bids still in play with its
+serviced users pinned) build their traces from its settlement.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from typing import Iterable
+from fractions import Fraction
+from typing import Iterable, Mapping
 
 from .core import (
     AdditiveOnlineBid,
@@ -38,7 +36,7 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame
+from .scaled import ScaledGame, ScaledSettlement, served_and_paid
 from .shapley import _fixed_point
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
@@ -53,59 +51,48 @@ class OnlineTrace:
     share_history: dict[Slot, Money]  # slot -> cost/|cumulative| once non-empty
 
 
-def serve(game: ScaledGame, opt: OptId, cost: int, pinned: int = 0) -> tuple[dict[int, Slot], list[int]]:
-    """The online additive mechanism for optimization ``opt`` at scaled cost
-    ``cost``: the slot each serviced bid joined, by bid index, and the
-    cumulative serviced count after each slot (index 0 unused).  ``pinned``
-    users outside the game, serviced before it, count toward every share.  A
-    bid that joins at slot t is serviced from t to the end of its window and
-    pays ``cost / count[end]``."""
-    joined: dict[int, Slot] = {}
-    count = [0] * (game.z + 1)
-    offers, interest = game.offers, game.interest
-    k = pinned
-    for t in range(1, game.z + 1):
-        if offers[t]:
-            open_bids = [o for o in offers[t] if o[1] not in joined and opt in interest[o[1]]]
-            m = _fixed_point(cost, open_bids, k)
-            for _, i in open_bids[:m]:
-                joined[i] = t
-            k += m
-        count[t] = k
-    return joined, count
+def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0) -> ScaledSettlement:
+    """The online additive mechanism for every optimization in ``costs``, at
+    its scaled cost there; ``pinned`` users outside the game, serviced before
+    it, count toward every share.  A bid joining at slot t is served from t
+    to its end and pays ``cost / count[end]``.  The implemented optimizations
+    and the log are one dict: ``count``, the serviced users after each slot
+    (index 0 unused), of each optimization whose count ends positive."""
+    entries = {}
+    counts = {}
+    offers, interest, ends = game.offers, game.interest, game.ends
+    for j, cost in costs.items():
+        joined: dict[int, Slot] = {}
+        count = [0] * (game.z + 1)
+        k = pinned
+        for t in range(1, game.z + 1):
+            if offers[t]:
+                open_bids = [o for o in offers[t] if o[1] not in joined and j in interest[o[1]]]
+                m = _fixed_point(cost, open_bids, k)
+                for _, i in open_bids[:m]:
+                    joined[i] = t
+                k += m
+            count[t] = k
+        for i, t in joined.items():
+            entries[i] = (j, t, ends[i], cost, count[ends[i]])
+        if k:
+            counts[j] = count
+    return entries, counts, counts
 
 
-def _trace(
-    opt: Optimization, bids: Iterable[AdditiveOnlineBid], joined: dict[UserId, Slot], through_slot: Slot
-) -> OnlineTrace:
-    """The trace of ``bids`` played through ``through_slot``, given the slot
-    each serviced user joined: a serviced bid is served from its join slot to
-    the end of its window, and pays the share of its last slot once that slot
-    has been played."""
-    count = [0] * (through_slot + 1)
-    for t in joined.values():
-        count[t] += 1
-    count = list(accumulate(count))  # serviced users after each slot
-    shares = {k: opt.cost / k for k in set(count) if k}
-    active: dict[Slot, list[UserId]] = {}
-    payments: dict[UserId, Money] = {}
-    for b in bids:
-        if b.user in joined:
-            for t in range(joined[b.user], min(b.end, through_slot) + 1):
-                active.setdefault(t, []).append(b.user)
-        paid = b.user in joined and b.end <= through_slot
-        payments[b.user] = shares[count[b.end]] if paid else ZERO
-    served = {(opt.id, t): frozenset(active[t]) for t in sorted(active)}
-    return OnlineTrace(ServiceSchedule(served), payments, {t: shares[k] for t, k in enumerate(count) if k})
+def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:
+    """The trace of ``serve``'s settlement of a one-optimization game played
+    through slot ``through``."""
+    ((opt, cost),) = game.costs[0].items()
+    count = run[2].get(opt, ())[: through + 1]
+    shares = {k: Fraction(cost, k * game.scale) for k in set(count) if k}
+    return OnlineTrace(*served_and_paid(game, run, through), {t: shares[k] for t, k in enumerate(count) if k})
 
 
 def add_on(game: OnlineAdditiveGame) -> OnlineTrace:
     """Run the online additive mechanism for the whole horizon."""
-    opt = game.optimization
     scaled = ScaledGame(game)
-    joined, _ = serve(scaled, opt.id, scaled.costs[0][opt.id])
-    users = scaled.users
-    return _trace(opt, game.bids, {users[i]: t for i, t in joined.items()}, game.horizon.z)
+    return _trace(scaled, serve(scaled, scaled.costs[0]), game.horizon.z)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +112,16 @@ class SessionState:
         return frozenset(self.joined)
 
     def trace(self) -> OnlineTrace:
-        return _trace(self.optimization, self.declared.values(), self.joined, self.next_slot - 1)
+        """The declared bids played through the last fed slot, each serviced
+        one served from its join slot."""
+        opt, joined = self.optimization.id, self.joined
+        game = ScaledGame(OnlineAdditiveGame(self.optimization, self.horizon, tuple(self.declared.values())))
+        slots = sorted(joined.values())
+        count = [bisect_right(slots, t) for t in range(game.z + 1)]  # serviced users after each slot
+        cost, ends = game.costs[0][opt], game.ends
+        entries = {i: (opt, joined[u], ends[i], cost, count[ends[i]]) for i, u in enumerate(game.users) if u in joined}
+        counts = {opt: count} if joined else {}
+        return _trace(game, (entries, counts, counts), self.next_slot - 1)
 
 
 def new_session(optimization: Optimization, horizon: SlotHorizon) -> SessionState:
@@ -179,8 +175,8 @@ def step_session(
         if u not in joined and b.end >= start
     ]
     scaled = ScaledGame(OnlineAdditiveGame(opt, state.horizon, open_bids))
-    new, _ = serve(scaled, opt.id, scaled.costs[0][opt.id], len(joined))
-    joined.update((scaled.users[i], t) for i, t in new.items() if t <= slot)
+    new, _, _ = serve(scaled, scaled.costs[0], len(joined))
+    joined.update((scaled.users[i], t) for i, (_, t, *_) in new.items() if t <= slot)
 
     serviced = frozenset(u for u in joined if declared[u].end >= slot)
     departures = {u: opt.cost / len(joined) if u in joined else ZERO for u, b in declared.items() if b.end == slot}

@@ -290,10 +290,10 @@ def _lab(mechanism: str, game, others, true_bid):
     ``subset`` (None: her one optimization) over ``window`` at her true
     values times ``k/10``.  The truthful profile is checked and rescaled
     once, as a run of it would be; at ten times its scale each declaration
-    is k times an integer row, merged into the others' per-slot offers.
-    Granted ``j`` in slot ``t``, she realizes her true value from ``t`` to
-    her declared end ``e`` if ``j`` is a true substitute, and pays
-    ``cost[j] / c``, ``c`` the count of ``j`` after slot ``e``."""
+    is k times an integer row, merged into the others' per-slot offers, and
+    the mechanism's kernel settles it.  Served ``j`` from slot ``t``, she
+    realizes her true value from ``t`` to her declared end if ``j`` is a
+    true substitute, and pays her entry's charge."""
     profile = [*others, true_bid]
     if mechanism == "add_on":
         scaled = ScaledGame(OnlineAdditiveGame(game.optimization, game.horizon, profile))
@@ -302,14 +302,15 @@ def _lab(mechanism: str, game, others, true_bid):
         scaled = ScaledGame(SubstOnlineGame(game.catalog, SlotHorizon(1), profile))
     else:
         scaled = ScaledGame(SubstOnlineGame(game.catalog, game.horizon, profile))
-    n, own, interest = len(others), scaled.interest[-1], list(scaled.interest)
+    kernel = serve if scaled.additive else grant
+    n, own, interest, ends = len(others), scaled.interest[-1], list(scaled.interest), list(scaled.ends)
     costs = {j: 10 * c for j, c in scaled.costs[0].items()}
     # the others' offers per slot, highest first, and their negations to bisect
     offers = [[(10 * v, i) for v, i in slot if i != n] for slot in scaled.offers]
     negated = [[-v for v, _ in slot] for slot in offers]
     # the deviator's true value through each slot, at a tenth of the scale
     prefix = list(accumulate(int(profile[-1].value_at(t) * scaled.scale) for t in range(scaled.z + 1)))
-    lab = SimpleNamespace(z=scaled.z, offers=offers, interest=interest)
+    lab = SimpleNamespace(z=scaled.z, offers=offers, interest=interest, ends=ends)
 
     def utility(window, subset, k) -> tuple[int, int]:
         s, e = window
@@ -319,18 +320,12 @@ def _lab(mechanism: str, game, others, true_bid):
             if v:
                 p = bisect_right(negated[t], -v)  # after the equal offers
                 merged[t] = [*offers[t][:p], (v, n), *offers[t][p:]]
-        if scaled.additive:
-            joined, count = serve(lab, own[0], costs[own[0]])
-            j, count = own[0], {own[0]: count}
-        else:
-            interest[n] = subset
-            granted, joined, count, _ = grant(lab, costs)
-            j = granted.get(n)
-        t = joined.get(n)
-        if t is None:
+        interest[n], ends[n] = subset or own, e
+        entry = kernel(lab, costs)[0].get(n)
+        if entry is None:
             return 0, 1
-        c = count[j][e]
-        return (10 * (prefix[e] - prefix[t - 1]) if j in own else 0) * c - costs[j], c
+        j, t, _, num, den = entry
+        return (10 * (prefix[e] - prefix[t - 1]) if j in own else 0) * den - num, den
 
     return utility, 10 * scaled.scale
 

@@ -4,8 +4,8 @@ Carlo scenarios and emit deterministic CSV summaries.
 Sweeps run trial-major: each trial's game is generated once and rescaled
 once to integers (``scaled.ScaledGame``), with one integer cost per cost
 point, and every requested mechanism's integer kernel runs on it at each
-point.  Utility and balance come straight from the kernels' join slots,
-counts and prices as integers over one denominator, and fold into integer
+point.  Utility and balance are folded from the kernel's settlement
+(``scaled.totals``) as integers over one denominator and added to integer
 cells; ``Fraction``s appear only when a cell's mean or variance is read.
 Sums are exact, so scheduling and arrival order cannot change a single
 output byte.  Trials run serially or in one process pool per sweep, whose
@@ -27,7 +27,7 @@ from .additive_online import serve
 from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
 from .regret import trigger
-from .scaled import ScaledGame
+from .scaled import ScaledGame, totals
 from .scenarios import ScenarioError, ScenarioSpec, generate
 from .substitutable import grant
 
@@ -83,6 +83,8 @@ class ExperimentConfig:
         for i, m in enumerate(self.mechanisms):
             if m not in MECHANISMS:
                 raise ConfigError(f"mechanisms[{i}]: unknown mechanism {m!r}")
+            if m in self.mechanisms[:i]:
+                raise ConfigError(f"mechanisms[{i}]: {m!r} listed twice")
             if m not in allowed:
                 raise ConfigError(
                     f"mechanisms[{i}]: {m!r} incompatible with scenario family "
@@ -92,9 +94,13 @@ class ExperimentConfig:
             raise ConfigError("cost_sweep: at least one cost point required")
         if len(self.cost_sweep) > MAX_COST_POINTS:
             raise ConfigError(f"cost_sweep: {len(self.cost_sweep)} points (at most {MAX_COST_POINTS})")
+        seen = set()
         for i, c in enumerate(self.cost_sweep):
             if c <= 0:
                 raise ConfigError(f"cost_sweep[{i}]: cost must be positive")
+            if c in seen:
+                raise ConfigError(f"cost_sweep[{i}]: cost point {c} listed twice")
+            seen.add(c)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -165,43 +171,20 @@ def load_config(path) -> ExperimentConfig:
 # Running
 
 
+# The kernel of each mechanism, by (mechanism, whether the game is additive).
+KERNELS = {("add_on", True): serve, ("subst_on", False): grant, ("regret", True): trigger, ("regret", False): trigger}
+
+
 def run_mechanism(mechanism: str, game: ScaledGame, point: int = 0) -> tuple[int, int, int, bool]:
     """Run one mechanism's kernel on a scaled game at cost point ``point``;
     returns (total utility, cloud balance, their common denominator,
     implemented anything)."""
-    costs = game.costs[point]
-    realized = spent = 0
-    payments = []  # (numerator, denominator, payers): payers each pay num/den
-    if mechanism == "add_on" and game.additive:
-        for j, cost in costs.items():
-            joined, count = serve(game, j, cost)
-            if joined:
-                spent += cost
-            payers = {}  # share denominator k -> payers
-            for i, t in joined.items():
-                realized += game.suffix[i][t - game.starts[i]]
-                k = count[game.ends[i]]
-                payers[k] = payers.get(k, 0) + 1
-            payments.extend((cost, k, n) for k, n in payers.items())
-    elif mechanism == "subst_on" and not game.additive:
-        granted, joined, count, _ = grant(game, costs)
-        payers = {}  # (opt, share denominator k) -> payers
-        for i, j in granted.items():
-            realized += game.suffix[i][joined[i] - game.starts[i]]
-            key = (j, count[j][game.ends[i]])
-            payers[key] = payers.get(key, 0) + 1
-        spent = sum(costs[j] for j in count)
-        payments.extend((costs[j], k, n) for (j, k), n in payers.items())
-    elif mechanism == "regret":
-        run = trigger(game, costs)
-        realized = run.realized
-        spent = sum(costs[j] for j in run.implement_slot)
-        payments.extend((*run.price[j], len(buyers)) for j, buyers in run.buyers.items())
-    else:
+    kernel = KERNELS.get((mechanism, game.additive))
+    if kernel is None:
         kind = "additive" if game.additive else "substitutable"
         raise ConfigError(f"{mechanism} cannot run on {kind} games")
-    lcm = math.lcm(*[den for _, den, _ in payments])
-    paid = sum(n * num * (lcm // den) for num, den, n in payments)
+    costs = game.costs[point]
+    realized, spent, paid, lcm = totals(game, kernel(game, costs), costs)
     return (realized - spent) * lcm, paid - spent * lcm, game.scale * lcm, spent > 0
 
 
@@ -277,30 +260,26 @@ class CellStats:
         return Fraction(self.implemented, self.n)
 
 
-def _trial_results(spec: ScenarioSpec, mechanisms, factors, trial: int):
-    """One trial at every cost point: one row per point, each holding
-    ``run_mechanism``'s result per mechanism.  The game is generated and
-    scaled once; cost point p costs ``factors[p]`` times the generated
-    catalog (see ``scenarios.recost``)."""
-    game = ScaledGame(generate(spec, trial), factors)
-    return [[run_mechanism(m, game, p) for m in mechanisms] for p in range(len(factors))]
-
-
 def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, details: bool, trials):
     """Run ``trials`` and fold them into fresh cells; returns the cells and,
-    if ``details``, the detail records per cost point as (trial, record)."""
+    if ``details``, the detail records per cost point as (trial, record).
+    Each trial's game is generated and scaled once; cost point p costs
+    ``cost_points[p] / spec.cost`` times the generated catalog (see
+    ``scenarios.recost``)."""
     factors = [cost / spec.cost for cost in cost_points]
     cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
+    rows = [[(m, cells[(m, cost)]) for m in mechanisms] for cost in cost_points]  # per point, no Fraction hashing
     records = [[] for _ in cost_points] if details else None
     for trial in trials:
-        for point, row in enumerate(_trial_results(spec, mechanisms, factors, trial)):
-            cost = cost_points[point]
-            for mechanism, (utility, balance, den, implemented) in zip(mechanisms, row):
-                cells[(mechanism, cost)].add(utility, balance, den, implemented)
+        game = ScaledGame(generate(spec, trial), factors)
+        for point, row in enumerate(rows):
+            for mechanism, cell in row:
+                utility, balance, den, implemented = run_mechanism(mechanism, game, point)
+                cell.add(utility, balance, den, implemented)
                 if records is not None:
                     record = {
                         "mechanism": mechanism,
-                        "cost": render_exact(cost),
+                        "cost": render_exact(cost_points[point]),
                         "trial": trial,
                         "total_utility": render_exact(Fraction(utility, den)),
                         "cloud_balance": render_exact(Fraction(balance, den)),

@@ -11,9 +11,8 @@ The baseline trusts bids to be true values; the simulator always feeds it
 the truth.
 
 The baseline itself is one integer kernel, :func:`trigger`, over a
-:class:`~optshare.scaled.ScaledGame`; the experiment harness reads its
-realized value, posted prices and buyer counts directly, once per cost point
-of a trial, and :func:`regret_run` builds the full trace from it.
+:class:`~optshare.scaled.ScaledGame`; :func:`regret_run` builds the full
+trace from its settlement.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     AdditiveOnlineBid,
@@ -38,7 +37,7 @@ from .core import (
     UserId,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame
+from .scaled import ScaledGame, ScaledSettlement, served_and_paid, totals
 from .shapley import _fixed_point, common_scale
 
 
@@ -103,26 +102,19 @@ class RegretTrace:
         return self.realized_value - self.total_cost
 
 
-class RegretRun(NamedTuple):
-    """What :func:`trigger` reports, by bid index and on the game's scale.
-    A buyer of j pays ``price[j][0] / price[j][1]``."""
-
-    implement_slot: dict[OptId, Slot]
-    price: dict[OptId, tuple[int, int]]
-    loss: dict[OptId, int]
-    riders: dict[OptId, list[int]]  # bids serviced free in the trigger slot
-    buyers: dict[OptId, list[int]]  # bids that bought access after it
-    realized: int
-    series: dict[tuple[OptId, Slot], int]
-
-
-def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> RegretRun:
+def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     """Run the baseline at scaled costs ``costs``.
 
     Additive bids contribute to every optimization they name, independently.
     Substitutable bids contribute their value to every optimization in the
     substitute set until the user is first serviced by one of them, at which
     point she stops benefiting from (and stops accruing regret for) the rest.
+    Bids active in the trigger slot ride free in it (charged 0/1); buyers
+    are served from the trigger slot if they ride, else from their start,
+    through their end, at the posted price ``price[j]``, a (numerator,
+    denominator) pair.  The implemented optimizations map to their trigger
+    slots, and the log is ``(price, loss, series)``: the price, its shortfall
+    on j's cost, and j's regret before each slot, on the game's scale.
     """
     additive = game.additive
     starts, ends, interest, suffix = game.starts, game.ends, game.interest, game.suffix
@@ -133,10 +125,7 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> RegretRun:
     implement_slot: dict[OptId, Slot] = {}
     price: dict[OptId, tuple[int, int]] = {}
     loss: dict[OptId, int] = {}
-    riders: dict[OptId, list[int]] = {}
-    buyers: dict[OptId, list[int]] = {}
-    bound: dict[int, OptId] = {}  # substitutable: first optimization that serviced the bid
-    realized = 0
+    entries: dict[int, tuple[OptId, Slot, Slot, int, int]] = {}  # a substitutable bid in here is closed to the rest
 
     for t in range(1, game.z + 1):
         for j in opt_ids:
@@ -149,43 +138,36 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> RegretRun:
             implement_slot[j] = t
             # users still open to j: additive ones always, substitutable ones
             # until first serviced
-            pool = [i for i in by_opt[j] if additive or i not in bound]
+            pool = [i for i in by_opt[j] if additive or i not in entries]
             # users active in the trigger slot are serviced for free; one
             # posted price covers everything after it
-            riders[j] = []
-            future = []  # (bid, scaled value after slot t) where positive
+            future = []  # (bid, scaled value after slot t, first served slot) where positive
             for i in pool:
-                start = starts[i]
+                first = starts[i]
                 if t > ends[i]:
                     continue
-                if start <= t:
-                    riders[j].append(i)
-                    r = suffix[i][t + 1 - start]
-                    realized += suffix[i][t - start] - r
-                    if not additive:
-                        bound[i] = j
+                if first <= t:
+                    entries[i] = (j, t, t, 0, 1)
+                    r = suffix[i][t + 1 - first]
+                    first = t
                 else:
                     r = suffix[i][0]
                 if r:
-                    future.append((i, r))
-            num, den, loss[j] = _posted_price(costs[j], [r for _, r in future])
+                    future.append((i, r, first))
+            num, den, loss[j] = _posted_price(costs[j], [r for _, r, _ in future])
             price[j] = (num, den)
-            buyers[j] = []
-            for i, r in future:
-                if r * den >= num and bound.get(i, j) == j:
-                    buyers[j].append(i)
-                    realized += r
-                    if not additive:
-                        bound[i] = j
+            for i, r, first in future:
+                if r * den >= num:
+                    entries[i] = (j, first, ends[i], num, den)
         if len(implement_slot) == len(opt_ids):
             break  # nothing left to accrue regret for
         # accumulate regret for still-unimplemented optimizations
         for i, v in values[t]:
-            if additive or i not in bound:
+            if additive or i not in entries:
                 for j in interest[i]:
                     if j not in implement_slot:
                         regret[j] += v
-    return RegretRun(implement_slot, price, loss, riders, buyers, realized, series)
+    return entries, implement_slot, (price, loss, series)
 
 
 def regret_run(
@@ -197,41 +179,26 @@ def regret_run(
     catalog = tuple(catalog)
     bids = tuple(values)
     if not bids:
-        return _empty_trace()
+        return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, 1)
     additive = isinstance(bids[0], AdditiveOnlineBid)
     if any(isinstance(b, AdditiveOnlineBid) != additive for b in bids):
         raise GameError("cannot mix additive and substitutable bids")
     game = AdditiveOnlineMultiGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
     scaled = ScaledGame(game)
     run = trigger(scaled, scaled.costs[0])
+    _, implement_slot, (price, loss, series) = run
     scale = scaled.scale
-    costs = {o.id: o.cost for o in catalog}
-    posted_price = {j: Fraction(num, den * scale) for j, (num, den) in run.price.items()}
-    served: dict[tuple[OptId, Slot], set[UserId]] = {}
-    payments: dict[UserId, Money] = {b.user: ZERO for b in bids}
-    for j, t in run.implement_slot.items():
-        for i in run.riders[j]:
-            served.setdefault((j, t), set()).add(bids[i].user)
-        for i in run.buyers[j]:
-            payments[bids[i].user] += posted_price[j]
-            for tau in range(max(bids[i].start, t + 1), bids[i].end + 1):
-                served.setdefault((j, tau), set()).add(bids[i].user)
-
-    total_cost = sum((costs[j] for j in run.implement_slot), ZERO)
-    total_paid = sum(payments.values(), ZERO)
+    realized, spent, paid, lcm = totals(scaled, run, scaled.costs[0])
+    schedule, payments = served_and_paid(scaled, run, horizon.z)
     return RegretTrace(
-        run.implement_slot,
-        posted_price,
-        {j: Fraction(loss, scale) for j, loss in run.loss.items()},
-        ServiceSchedule({k: frozenset(v) for k, v in served.items()}),
+        implement_slot,
+        {j: Fraction(num, den * scale) for j, (num, den) in price.items()},
+        {j: Fraction(short, scale) for j, short in loss.items()},
+        schedule,
         payments,
-        total_paid - total_cost,
-        Fraction(run.realized, scale),
-        total_cost,
-        run.series,
+        Fraction(paid - spent * lcm, lcm * scale),
+        Fraction(realized, scale),
+        Fraction(spent, scale),
+        series,
         scale,
     )
-
-
-def _empty_trace() -> RegretTrace:
-    return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, 1)

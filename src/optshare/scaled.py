@@ -1,4 +1,4 @@
-"""Online games rescaled to integers once, for every mechanism and cost point.
+"""Online games rescaled to integers once, and what a kernel settles on one.
 
 A :class:`ScaledGame` multiplies every per-slot value and every catalog cost
 by one common scale, so the mechanism kernels (``additive_online``,
@@ -16,6 +16,9 @@ profile, with the single factor 1, which makes the scale the least common
 denominator of the game's own costs and values; the lab runs every
 misreport on its offers, with the deviator's row merged in.
 
+Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
+folds into the harness's sums and :func:`served_and_paid` into a trace.
+
 Construction checks, once per game, what the game's constructor leaves to
 it: one bid per user (per optimization for additive bids) and positive
 cost factors.
@@ -24,10 +27,11 @@ cost factors.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from fractions import Fraction
+from typing import Any, Collection, Mapping, Sequence
 
-from .core import GameError, OptId, SubstOnlineGame
-from .money import Money
+from .core import GameError, OptId, ServiceSchedule, Slot, SubstOnlineGame, UserId
+from .money import ZERO, Money
 
 
 class ScaledGame:
@@ -121,3 +125,55 @@ class ScaledGame:
                 for j in opts:
                     self._by_opt[j].append(i)
         return self._by_opt
+
+
+# What one kernel run settled on a :class:`ScaledGame`: ``(entries,
+# implemented, log)``.  Served bid ``i`` is served ``opt`` in slots ``first``
+# through ``last`` and charged ``num / (den * scale)``, where ``entries[i]
+# = (opt, first, last, num, den)``; ``implemented`` holds every optimization
+# paid for, served or not, and ``log`` is the kernel's own record.  A plain
+# tuple: a named tuple's constructor costs a Python call per kernel run.
+ScaledSettlement = tuple[dict[int, tuple[OptId, Slot, Slot, int, int]], Collection[OptId], Any]
+
+
+def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) -> tuple[int, int, int, int]:
+    """``(realized, spent, paid, den)`` of ``run`` at scaled costs ``costs``:
+    the value its bids realize over their served slots and the cost of the
+    implemented optimizations, both on the game's scale, and the charges,
+    ``paid`` over ``den`` times the scale."""
+    entries, implemented, _ = run
+    starts, suffix = game.starts, game.suffix
+    realized = spent = paid = 0
+    charges: dict[int, int] = {}  # denominator -> sum of numerators
+    for i, (_, first, last, num, den) in entries.items():
+        start = starts[i]
+        realized += suffix[i][first - start] - suffix[i][last + 1 - start]
+        charges[den] = charges.get(den, 0) + num
+    for j in implemented:
+        spent += costs[j]
+    lcm = math.lcm(*charges)
+    for den, num in charges.items():
+        paid += num * (lcm // den)
+    return realized, spent, paid, lcm
+
+
+def served_and_paid(
+    game: ScaledGame, run: ScaledSettlement, through: Slot
+) -> tuple[ServiceSchedule, dict[UserId, Money]]:
+    """The schedule and payments of ``run`` played through slot ``through``:
+    the users served each optimization in each slot up to it, and each user's
+    charges, in bid order, of the bids whose last served slot it reaches."""
+    users, scale = game.users, game.scale
+    served: dict[tuple[OptId, Slot], list[UserId]] = {}
+    payments = dict.fromkeys(users, ZERO)
+    charges: dict[tuple[int, int], Money] = {}  # one Fraction per distinct charge
+    for i, (j, first, last, num, den) in run[0].items():
+        user = users[i]
+        for t in range(first, min(last, through) + 1):
+            served.setdefault((j, t), []).append(user)
+        if last <= through:
+            if (num, den) not in charges:
+                charges[num, den] = Fraction(num, den * scale)
+            paid = payments[user]  # a user with several bids pays for each
+            payments[user] = paid + charges[num, den] if paid else charges[num, den]
+    return ServiceSchedule({key: frozenset(members) for key, members in served.items()}), payments

@@ -13,17 +13,14 @@ bid there, zero elsewhere), so she can never switch and stays in the pool,
 even after leaving, to keep later users' shares honest.
 
 Both run the same integer phase loop.  The online mechanism is one kernel,
-:func:`grant`, over a :class:`~optshare.scaled.ScaledGame`: it reports the
-optimization and slot each serviced bid was granted, the cumulative count
-per optimization and slot, and the phases of every slot with a new offer.
-The experiment harness reads the first three directly, once per cost point
-of a trial; :func:`subst_on` builds the full trace from all four, adding
-the phases of the slots where only pinned users remain.
+:func:`grant`, over a :class:`~optshare.scaled.ScaledGame`; :func:`subst_on`
+builds its trace from the kernel's settlement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -42,8 +39,8 @@ from .core import (
     SubstitutableOnlineBid,
     UserId,
 )
-from .money import ZERO, Money
-from .scaled import ScaledGame
+from .money import Money
+from .scaled import ScaledGame, ScaledSettlement, served_and_paid
 from .shapley import _fixed_point, common_scale
 
 K = TypeVar("K")  # bidder key: a user id, or a bid index inside a kernel
@@ -164,20 +161,17 @@ class SubstOnlineTrace:
         return Outcome(self.implemented, frozenset(self.granted.items()))
 
 
-def grant(
-    game: ScaledGame, costs: Mapping[OptId, int]
-) -> tuple[dict[int, OptId], dict[int, Slot], dict[OptId, list[int]], list[list]]:
-    """The online substitutable mechanism at scaled costs ``costs``, by bid
-    index: the optimization each serviced bid was granted, the slot it was
-    granted in, the cumulative number of bids granted each optimization after
-    each slot, and each slot's phases as ``_phases_scaled`` returns them
-    (index 0 unused in the last two; empty in a slot without a new offer,
-    which grants nobody).  A bid granted j is serviced from its grant slot
-    to the end of its window and pays ``costs[j] / count[j][end]``."""
+def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
+    """The online substitutable mechanism at scaled costs ``costs``.  A bid
+    granted j in slot t is served j from t to the end of its window and pays
+    ``costs[j]`` over the number of bids granted j by its last slot.  The
+    log holds each slot's phases as ``_phases_scaled`` returns them (index 0
+    unused; empty in a slot without a new offer, which grants nobody); the
+    implemented optimizations are those granted to anyone."""
     granted: dict[int, OptId] = {}
     joined: dict[int, Slot] = {}
-    count: dict[OptId, list[int]] = {}
     tally: dict[OptId, int] = {}
+    tallies = [{}]  # tallies[t]: bids granted each optimization through slot t
     slot_phases: list[list] = [[]]
     for t in range(1, game.z + 1):
         offers = [o for o in game.offers[t] if o[1] not in granted]
@@ -187,14 +181,15 @@ def grant(
                 if i not in granted:
                     granted[i] = opt
                     joined[i] = t
-                    if opt not in tally:
-                        tally[opt] = 0
-                        count[opt] = [0] * (game.z + 1)
-                    tally[opt] += 1
-        for j, n in tally.items():
-            count[j][t] = n
+                    tally[opt] = tally.get(opt, 0) + 1
+        tallies.append(tally.copy())
         slot_phases.append(phases)
-    return granted, joined, count, slot_phases
+    entries = {}
+    ends = game.ends
+    for i, t in joined.items():
+        j, end = granted[i], ends[i]
+        entries[i] = (j, t, end, costs[j], tallies[end][j])
+    return entries, tally, slot_phases
 
 
 def subst_on(
@@ -205,41 +200,24 @@ def subst_on(
     """Online mechanism for substitutable optimizations."""
     game = SubstOnlineGame(tuple(catalog), horizon, tuple(bids))
     scaled = ScaledGame(game)
-    granted, joined, count, raw_phases = grant(scaled, scaled.costs[0])
-    users, ends = scaled.users, scaled.ends
-    costs = {o.id: o.cost for o in game.catalog}
-    shares: dict[tuple[OptId, int], Money] = {}  # (opt, serviced count) -> cost share
-
-    def share(opt: OptId, k: int) -> Money:
-        if (opt, k) not in shares:
-            shares[(opt, k)] = costs[opt] / k
-        return shares[(opt, k)]
-
+    run = grant(scaled, scaled.costs[0])
+    entries, implemented, phases = run
+    users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
     slot_phases: dict[Slot, tuple[Phase, ...]] = {}
     for t in horizon.slots():
         # grant skips the slots without a new offer: their phases pin only
         # the bids granted before them
-        raw = raw_phases[t] or _phases_scaled(
-            scaled.costs[0], [], scaled.interest, {i: j for i, j in granted.items() if joined[i] < t}
-        )
+        raw = phases[t] or _phases_scaled(costs, [], scaled.interest, {i: e[0] for i, e in entries.items() if e[1] < t})
         slot_phases[t] = tuple(
-            Phase(opt, frozenset([users[i] for i in serviced]), share(opt, len(serviced)), ties)
+            Phase(opt, frozenset([users[i] for i in serviced]), Fraction(costs[opt], len(serviced) * scale), ties)
             for opt, serviced, ties in raw
         )
-    active: dict[tuple[OptId, Slot], list[UserId]] = {}
-    for i, j in granted.items():
-        for t in range(joined[i], ends[i] + 1):
-            active.setdefault((j, t), []).append(users[i])
-    served = {key: frozenset(members) for key, members in active.items()}
-    payments: dict[UserId, Money] = dict.fromkeys(users, ZERO)
-    for i, j in granted.items():
-        payments[users[i]] = share(j, count[j][ends[i]])
-
+    schedule, payments = served_and_paid(scaled, run, horizon.z)
     return SubstOnlineTrace(
-        ServiceSchedule(served),
+        schedule,
         payments,
-        {users[i]: j for i, j in granted.items()},
-        {users[i]: t for i, t in joined.items()},
-        frozenset(granted.values()),
+        {users[i]: e[0] for i, e in entries.items()},
+        {users[i]: e[1] for i, e in entries.items()},
+        frozenset(implemented),
         slot_phases,
     )

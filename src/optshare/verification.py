@@ -70,12 +70,15 @@ def run_suite(name: str, seed: int = 0, games: int | None = None, mechanism: str
         raise ValueError(f"unknown suite {name!r} (have {', '.join(SUITES)})")
     if mechanism is not None and name != "truthfulness":
         raise ValueError(f"mechanism: only the truthfulness suite takes one, not {name} (got {mechanism!r})")
+    if games is not None and games < 1:
+        raise ValueError(f"games: must be >= 1 (got {games})")
     runner = globals()[f"suite_{name}"]
     if name == "golden_examples":
         return runner()
+    games = DEFAULT_GAMES[name] if games is None else games
     if name == "truthfulness":
-        return runner(seed, games or DEFAULT_GAMES[name], mechanism)
-    return runner(seed, games or DEFAULT_GAMES[name])
+        return runner(seed, games, mechanism)
+    return runner(seed, games)
 
 
 # ---------------------------------------------------------------------------

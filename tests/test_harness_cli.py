@@ -15,6 +15,7 @@ from optshare.experiments import trend_configs
 from optshare.harness import CellStats, ConfigError, config_from_dict, default_workers, run_experiment, sweep
 from optshare.scenarios import ScenarioSpec, generate
 from optshare.verification import (
+    SUITES,
     rand_additive_offline,
     rand_additive_online,
     rand_subst_offline,
@@ -209,6 +210,13 @@ def test_verify_truthfulness_small():
 def test_verify_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize("suite", [s for s in SUITES if s != "golden_examples"])
+@pytest.mark.parametrize("games", [0, -1])
+def test_run_suite_rejects_an_empty_corpus(suite, games):
+    with pytest.raises(ValueError, match="games: must be >= 1"):
+        run_suite(suite, games=games)
 
 
 def test_parallel_sweep_matches_sequential():
@@ -416,6 +424,10 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"scenario": {"family": "collab_size", "cost": "1e400"}}, "scenario.cost"),
         ({"cost_sweep": ["0.1", "1e-400"]}, "cost_sweep[1]"),
         ({"cost_sweep": {"start": "0.1", "stop": "9" * 401, "step": "0.1"}}, "cost_sweep.stop"),
+        ({"mechanisms": ["add_on", "add_on"]}, "mechanisms[1]"),
+        ({"mechanisms": ["add_on", "regret", "add_on"]}, "mechanisms[2]"),
+        ({"cost_sweep": ["0.5", "0.5"]}, "cost_sweep[1]"),
+        ({"cost_sweep": ["0.5", "0.2", "1/2"]}, "cost_sweep[2]"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
