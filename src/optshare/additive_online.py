@@ -10,7 +10,9 @@ keep lowering later arrivals' shares.
 The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
 session (:func:`step_session`, which plays the bids still in play with its
-serviced users pinned) build their traces from its settlement.
+serviced users pinned) build their traces from its settlement, and
+:func:`serve_points` settles every cost point of a game with as few runs of
+it as the points' distinct outcomes need.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     AdditiveOnlineBid,
@@ -36,7 +38,7 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, served_and_paid
+from .scaled import ScaledGame, ScaledSettlement, served_and_paid, totals
 from .shapley import _fixed_point
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
@@ -51,21 +53,24 @@ class OnlineTrace:
     share_history: dict[Slot, Money]  # slot -> cost/|cumulative| once non-empty
 
 
-def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0) -> ScaledSettlement:
+def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through: Slot | None = None) -> ScaledSettlement:
     """The online additive mechanism for every optimization in ``costs``, at
     its scaled cost there; ``pinned`` users outside the game, serviced before
     it, count toward every share.  A bid joining at slot t is served from t
     to its end and pays ``cost / count[end]``.  The implemented optimizations
     and the log are one dict: ``count``, the serviced users after each slot
-    (index 0 unused), of each optimization whose count ends positive."""
+    (index 0 unused), of each optimization whose count ends positive.  Play
+    stops after slot ``through`` (the horizon if None): no bid joins later.
+    """
     entries = {}
     counts = {}
-    offers, interest, ends = game.offers, game.interest, game.ends
+    offers, interest, ends, z = game.offers, game.interest, game.ends, game.z
+    last = z if through is None else through
     for j, cost in costs.items():
         joined: dict[int, Slot] = {}
-        count = [0] * (game.z + 1)
+        count = [0] * (z + 1)
         k = pinned
-        for t in range(1, game.z + 1):
+        for t in range(1, last + 1):
             if offers[t]:
                 open_bids = [o for o in offers[t] if o[1] not in joined and j in interest[o[1]]]
                 m = _fixed_point(cost, open_bids, k)
@@ -73,11 +78,54 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0) -> Scal
                     joined[i] = t
                 k += m
             count[t] = k
+        if last < z:
+            count[last + 1 :] = [k] * (z - last)
         for i, t in joined.items():
             entries[i] = (j, t, ends[i], cost, count[ends[i]])
         if k:
             counts[j] = count
     return entries, counts, counts
+
+
+def serve_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """:func:`~optshare.scaled.totals` of :func:`serve` at every cost point
+    of ``game``, in point order; ``order`` lists the points by rising cost.
+
+    As the cost rises a bid's join slot never moves earlier, and a bid left
+    out stays out (the equal share is cross-monotonic), so each slot's
+    serviced set only shrinks.  Where ``serve``'s per-slot counts agree at
+    the two ends of an interval of the sorted points, every point inside has
+    the same joins: its realized value and charge denominator are the ends',
+    and its spent cost and charges are its ``units`` entry times the same
+    integers.  Those points are filled without running ``serve``; any other
+    interval is split at its middle point, which ``serve`` settles.
+    """
+    costs, units = game.costs, game.units
+    out: list = [None] * len(costs)
+
+    def settle(p: int):
+        run = serve(game, costs[p])
+        out[p] = totals(game, run, costs[p])
+        return run[1]
+
+    cheapest = settle(order[0])
+    dearest = settle(order[-1]) if len(order) > 1 else cheapest
+    intervals = [(0, len(order) - 1, cheapest, dearest)]
+    while intervals:
+        a, b, counts_a, counts_b = intervals.pop()
+        if b - a < 2:
+            continue
+        if counts_a == counts_b:
+            realized, spent, paid, lcm = out[order[a]]
+            unit = units[order[a]]
+            spent, paid = spent // unit, paid // unit
+            for p in order[a + 1 : b]:
+                out[p] = (realized, spent * units[p], paid * units[p], lcm)
+        else:
+            m = (a + b) // 2
+            counts_m = settle(order[m])
+            intervals += ((a, m, counts_a, counts_m), (m, b, counts_m, counts_b))
+    return out
 
 
 def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:
@@ -140,8 +188,8 @@ def step_session(
     payments, new state).
 
     The slots from ``next_slot`` on are one game of the declared bids not yet
-    serviced, each cut to those slots, which :func:`serve` plays with the
-    serviced users pinned; its joins up to ``slot`` are kept.
+    serviced, each cut to those slots, which :func:`serve` plays through
+    ``slot`` with the serviced users pinned.
     """
     if not (1 <= slot <= state.horizon.z):
         raise SlotOrderError(f"slot {slot} outside horizon 1..{state.horizon.z}")
@@ -175,8 +223,8 @@ def step_session(
         if u not in joined and b.end >= start
     ]
     scaled = ScaledGame(OnlineAdditiveGame(opt, state.horizon, open_bids))
-    new, _, _ = serve(scaled, scaled.costs[0], len(joined))
-    joined.update((scaled.users[i], t) for i, (_, t, *_) in new.items() if t <= slot)
+    new, _, _ = serve(scaled, scaled.costs[0], len(joined), slot)
+    joined.update((scaled.users[i], t) for i, (_, t, *_) in new.items())
 
     serviced = frozenset(u for u in joined if declared[u].end >= slot)
     departures = {u: opt.cost / len(joined) if u in joined else ZERO for u, b in declared.items() if b.end == slot}

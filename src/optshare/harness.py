@@ -3,8 +3,13 @@ Carlo scenarios and emit deterministic CSV summaries.
 
 Sweeps run trial-major: each trial's game is generated once and rescaled
 once to integers (``scaled.ScaledGame``), with one integer cost per cost
-point, and every requested mechanism's integer kernel runs on it at each
-point.  Utility and balance are folded from the kernel's settlement
+point, and each requested mechanism settles every point of it in one
+``run_mechanism`` call.  On additive games the points share work: as the
+cost rises no join slot and no regret trigger slot moves earlier, so
+``add_on`` runs ``serve`` only where the sorted points' outcomes differ and
+the regret baseline finds its trigger slots by bisection.  Substitutable
+games are not monotone in the cost and run their kernel at every point.
+Utility and balance are folded from the kernels' settlements
 (``scaled.totals``) as integers over one denominator and added to integer
 cells; ``Fraction``s appear only when a cell's mean or variance is read.
 Sums are exact, so scheduling and arrival order cannot change a single
@@ -23,10 +28,10 @@ from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 
-from .additive_online import serve
+from .additive_online import serve_points
 from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
-from .regret import trigger
+from .regret import trigger, trigger_points
 from .scaled import ScaledGame, totals
 from .scenarios import ScenarioError, ScenarioSpec, generate
 from .substitutable import grant
@@ -171,21 +176,48 @@ def load_config(path) -> ExperimentConfig:
 # Running
 
 
-# The kernel of each mechanism, by (mechanism, whether the game is additive).
-KERNELS = {("add_on", True): serve, ("subst_on", False): grant, ("regret", True): trigger, ("regret", False): trigger}
+def _each_point(kernel, game: ScaledGame, order) -> list[tuple[int, int, int, int]]:
+    """``scaled.totals`` of ``kernel`` run at every cost point of ``game``."""
+    return [totals(game, kernel(game, costs), costs) for costs in game.costs]
 
 
-def run_mechanism(mechanism: str, game: ScaledGame, point: int = 0) -> tuple[int, int, int, bool]:
-    """Run one mechanism's kernel on a scaled game at cost point ``point``;
-    returns (total utility, cloud balance, their common denominator,
-    implemented anything)."""
-    kernel = KERNELS.get((mechanism, game.additive))
-    if kernel is None:
+# What settles every cost point of a game at once, by (mechanism, whether the
+# game is additive): each takes the game and its points by rising cost and
+# returns one ``scaled.totals`` tuple per point, in point order.  Additive
+# games share work across the points; substitutable ones are not monotone
+# in the cost and run their kernel at each point.
+SETTLERS = {
+    ("add_on", True): serve_points,
+    ("subst_on", False): partial(_each_point, grant),
+    ("regret", True): lambda game, order: trigger_points(game),
+    ("regret", False): partial(_each_point, trigger),
+}
+
+
+def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[tuple[int, int, int, bool]]:
+    """Run one mechanism on a scaled game at every one of its cost points;
+    returns per point, in point order, (total utility, cloud balance, their
+    common denominator, implemented anything).  ``order`` lists the points
+    by rising cost; the sweep sorts them once, and they are sorted here if
+    it is not given.
+
+    ``add_on`` runs ``serve`` only at the ends of intervals of the sorted
+    points and fills the points between equal ends without it; the regret
+    baseline on additive games finds each point's trigger slots by
+    bisection (see ``additive_online.serve_points`` and
+    ``regret.trigger_points``).
+    """
+    settle = SETTLERS.get((mechanism, game.additive))
+    if settle is None:
         kind = "additive" if game.additive else "substitutable"
         raise ConfigError(f"{mechanism} cannot run on {kind} games")
-    costs = game.costs[point]
-    realized, spent, paid, lcm = totals(game, kernel(game, costs), costs)
-    return (realized - spent) * lcm, paid - spent * lcm, game.scale * lcm, spent > 0
+    if order is None:
+        order = sorted(range(len(game.units)), key=game.units.__getitem__)
+    scale = game.scale
+    return [
+        ((realized - spent) * lcm, paid - spent * lcm, scale * lcm, spent > 0)
+        for realized, spent, paid, lcm in settle(game, order)
+    ]
 
 
 @dataclass
@@ -265,18 +297,20 @@ def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, details: bool, tri
     if ``details``, the detail records per cost point as (trial, record).
     Each trial's game is generated and scaled once; cost point p costs
     ``cost_points[p] / spec.cost`` times the generated catalog (see
-    ``scenarios.recost``)."""
+    ``scenarios.recost``), and each mechanism settles every point of it in
+    one ``run_mechanism`` call."""
     factors = [cost / spec.cost for cost in cost_points]
+    order = sorted(range(len(factors)), key=factors.__getitem__)
     cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
-    rows = [[(m, cells[(m, cost)]) for m in mechanisms] for cost in cost_points]  # per point, no Fraction hashing
+    columns = [(m, [cells[(m, cost)] for cost in cost_points]) for m in mechanisms]  # per point, no Fraction hashing
     records = [[] for _ in cost_points] if details else None
     for trial in trials:
         game = ScaledGame(generate(spec, trial), factors)
-        for point, row in enumerate(rows):
-            for mechanism, cell in row:
-                utility, balance, den, implemented = run_mechanism(mechanism, game, point)
-                cell.add(utility, balance, den, implemented)
+        for mechanism, column in columns:
+            for point, (cell, result) in enumerate(zip(column, run_mechanism(mechanism, game, order))):
+                cell.add(*result)
                 if records is not None:
+                    utility, balance, den, implemented = result
                     record = {
                         "mechanism": mechanism,
                         "cost": render_exact(cost_points[point]),

@@ -44,8 +44,10 @@ class ScaledGame:
     bid ``i``'s user and window, ``suffix[i][k]`` its scaled value from slot
     ``starts[i] + k`` on, with a trailing 0, and ``interest[i]`` the
     optimizations it values.  ``costs[p][j]`` is optimization ``j``'s scaled
-    cost at cost point ``p``.  ``values`` and ``by_opt``, which only the
-    regret baseline reads, are built on first use.
+    cost at cost point ``p``, a fixed integer per optimization times
+    ``units[p]``, so the points rank by ``units`` as by their factors.
+    ``values`` and ``by_opt``, which only the regret baseline reads, are
+    built on first use.
     """
 
     def __init__(self, game, factors: Sequence[Money] = (1,)):
@@ -64,8 +66,10 @@ class ScaledGame:
         self.scale = scale = math.lcm(cost_lcm * factor_lcm, *[v.denominator for b in game.bids for v in b.per_slot])
         per_unit = scale // (cost_lcm * factor_lcm)
         self.costs = []
+        self.units = []
         for f in factors:
             unit = f.numerator * (factor_lcm // f.denominator) * per_unit
+            self.units.append(unit)
             self.costs.append({o.id: o.cost.numerator * (cost_lcm // o.cost.denominator) * unit for o in catalog})
 
         self.users = users = []

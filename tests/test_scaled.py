@@ -1,10 +1,14 @@
 """The integer kernels the harness runs against the public mechanisms.
 
-``harness.run_mechanism`` reads utility, balance and implemented straight
-from the kernels on one scaled game per trial.  The reference here never
-touches that path's arithmetic: it re-costs the game in Fractions
-(``scenarios.recost``), runs the public mechanism and scores its trace with
-``analysis.score``.
+``harness.run_mechanism`` settles every cost point of one scaled game per
+trial and reads utility, balance and implemented straight from the
+kernels.  The reference here never touches that path's arithmetic: at each
+cost point it re-costs the game in Fractions (``scenarios.recost``), runs
+the public mechanism and scores its trace with ``analysis.score``.
+
+On additive games the harness shares work across the points, which rests
+on one premise, checked here first: as the cost rises, no bid's ``serve``
+join slot and no optimization's ``trigger`` slot moves earlier.
 """
 
 import random
@@ -13,7 +17,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optshare.additive_online import add_on
+from optshare import additive_online
+from optshare.additive_online import add_on, serve
 from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
@@ -26,11 +31,12 @@ from optshare.core import (
     SubstitutableOnlineBid,
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
-from optshare.regret import regret_run
+from optshare.regret import regret_run, trigger
 from optshare.scaled import ScaledGame
 from optshare.scenarios import FAMILIES, SKEWS, ScenarioSpec, generate, recost
 from optshare.substitutable import subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
+from test_traces import _rand_multi as rand_additive_multi
 
 F = Fraction
 
@@ -55,12 +61,22 @@ def reference(mechanism, game):
     return metrics.total_utility, metrics.cloud_balance, bool(trace.implemented)
 
 
-def kernel(mechanism, scaled, point):
-    utility, balance, den, implemented = run_mechanism(mechanism, scaled, point)
-    return F(utility, den), F(balance, den), implemented
+def kernel(mechanism, scaled):
+    """(utility, balance, implemented) of every cost point, in point order."""
+    return [(F(u, den), F(b, den), implemented) for u, b, den, implemented in run_mechanism(mechanism, scaled)]
 
 
 positive_money = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def cost_points(draw, max_size):
+    """Costs in drawn order, some of them repeated."""
+    costs = draw(st.lists(positive_money, min_size=1, max_size=max_size))
+    return draw(st.permutations(costs + draw(st.lists(st.sampled_from(costs), max_size=2))))
+
+
+ADDITIVE_FAMILIES = [f for f in FAMILIES if "subst_on" not in FAMILY_MECHANISMS[f]]
 
 
 @st.composite
@@ -83,16 +99,29 @@ def specs(draw, family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@given(data=st.data(), trial=st.integers(0, 3), costs=st.lists(positive_money, min_size=1, max_size=4))
+@given(data=st.data(), trial=st.integers(0, 3), costs=cost_points(max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_kernels_match_public_mechanisms_on_every_family(family, data, trial, costs):
     spec = data.draw(specs(family))
     game = generate(spec, trial)
     scaled = ScaledGame(game, [c / spec.cost for c in costs])
-    point = data.draw(st.integers(0, len(costs) - 1))
     for mechanism in sorted(FAMILY_MECHANISMS[family]):
-        want = reference(mechanism, recost(game, spec, costs[point]))
-        assert kernel(mechanism, scaled, point) == want
+        want = [reference(mechanism, recost(game, spec, cost)) for cost in costs]
+        assert kernel(mechanism, scaled) == want
+
+
+def test_kernels_match_public_mechanisms_at_25_shuffled_points_of_usecase_shape():
+    spec = ScenarioSpec(
+        family="usecase_shape", users=6, slots=4, opt_count=5, cost=F("0.5"), executions_per_slot=2, seed=9, trials=6
+    )
+    costs = [F(k, 20) for k in range(1, 24)] + [F(3, 20), F(11, 20)]
+    random.Random(25).shuffle(costs)
+    for trial in range(spec.trials):
+        game = generate(spec, trial)
+        assert len(game.catalog) == 5
+        scaled = ScaledGame(game, [c / spec.cost for c in costs])
+        for mechanism in ("add_on", "regret"):
+            assert kernel(mechanism, scaled) == [reference(mechanism, recost(game, spec, c)) for c in costs]
 
 
 def recosted(game, factor):
@@ -100,21 +129,79 @@ def recosted(game, factor):
         opt = game.optimization
         return OnlineAdditiveGame(Optimization(opt.id, opt.cost * factor), game.horizon, game.bids)
     catalog = tuple(Optimization(o.id, o.cost * factor) for o in game.catalog)
-    return SubstOnlineGame(catalog, game.horizon, game.bids)
+    return type(game)(catalog, game.horizon, game.bids)
 
 
-@given(seed=st.integers(0, 2**32), factors=st.lists(positive_money, min_size=1, max_size=3), data=st.data())
+@given(seed=st.integers(0, 2**32), factors=cost_points(max_size=3))
 @settings(max_examples=150, deadline=None)
-def test_kernels_match_public_mechanisms_on_arbitrary_rationals(seed, factors, data):
+def test_kernels_match_public_mechanisms_on_arbitrary_rationals(seed, factors):
     rng = random.Random(seed)
-    point = data.draw(st.integers(0, len(factors) - 1))
     for game, mechanisms in (
         (rand_additive_online(rng, max_users=6, max_slots=5), ("add_on", "regret")),
+        (rand_additive_multi(rng), ("add_on", "regret")),
         (rand_subst_online(rng, max_users=6, max_opts=4, max_slots=5), ("subst_on", "regret")),
     ):
         scaled = ScaledGame(game, factors)
         for mechanism in mechanisms:
-            assert kernel(mechanism, scaled, point) == reference(mechanism, recosted(game, factors[point]))
+            assert kernel(mechanism, scaled) == [reference(mechanism, recosted(game, f)) for f in factors]
+
+
+def test_serve_runs_only_at_the_ends_when_their_joins_agree(monkeypatch):
+    calls = []
+
+    def counting_serve(game, costs, *args):
+        calls.append(costs)
+        return serve(game, costs, *args)
+
+    monkeypatch.setattr(additive_online, "serve", counting_serve)
+    bids = (AdditiveOnlineBid(1, 1, 1, 2, (F(30), F(1))), AdditiveOnlineBid(2, 1, 2, 3, (F(20), F(5))))
+    game = OnlineAdditiveGame(Optimization(1, F(1)), SlotHorizon(3), bids)
+    factors = [F(k, 5) for k in range(25, 0, -1)]  # dearest first: the sweep sorts them
+    scaled = ScaledGame(game, factors)
+    settled = kernel("add_on", scaled)
+    assert calls == [scaled.costs[-1], scaled.costs[0]]  # cheapest, then dearest
+    assert settled == [reference("add_on", recosted(game, f)) for f in factors]
+    calls.clear()
+    # both bids join at a cost of 1 and neither at 60: the middle point is run too
+    factors = [F(60), F(1), F(40)]
+    settled = kernel("add_on", ScaledGame(game, factors))
+    assert len(calls) == 3
+    assert settled == [reference("add_on", recosted(game, f)) for f in factors]
+
+
+def joins_and_triggers(scaled, point, pinned=0):
+    """Each served bid's join slot and each implemented optimization's
+    trigger slot at one cost point."""
+    served, _, _ = serve(scaled, scaled.costs[point], pinned)
+    _, triggered, _ = trigger(scaled, scaled.costs[point])
+    return {i: first for i, (_, first, *_) in served.items()}, triggered
+
+
+def assert_never_earlier(scaled, pinned=0):
+    order = sorted(range(len(scaled.units)), key=scaled.units.__getitem__)
+    for cheaper, dearer in zip(order, order[1:]):
+        joins_lo, triggers_lo = joins_and_triggers(scaled, cheaper, pinned)
+        joins_hi, triggers_hi = joins_and_triggers(scaled, dearer, pinned)
+        for i, t in joins_hi.items():
+            assert i in joins_lo and joins_lo[i] <= t  # a bid left out stays out
+        for j, t in triggers_hi.items():
+            assert j in triggers_lo and triggers_lo[j] <= t
+
+
+@given(seed=st.integers(0, 2**32), factors=st.lists(positive_money, min_size=2, max_size=6), pinned=st.integers(0, 3))
+@settings(max_examples=500, deadline=None)
+def test_join_and_trigger_slots_never_move_earlier_as_cost_rises(seed, factors, pinned):
+    rng = random.Random(seed)
+    assert_never_earlier(ScaledGame(rand_additive_online(rng, max_users=7, max_slots=6), factors), pinned)
+    assert_never_earlier(ScaledGame(rand_additive_multi(rng), factors))
+
+
+@pytest.mark.parametrize("family", ADDITIVE_FAMILIES)
+@given(data=st.data(), trial=st.integers(0, 3), costs=st.lists(positive_money, min_size=2, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_join_and_trigger_slots_never_move_earlier_on_scenario_games(family, data, trial, costs):
+    spec = data.draw(specs(family))
+    assert_never_earlier(ScaledGame(generate(spec, trial), [c / spec.cost for c in costs]))
 
 
 def test_scaled_costs_are_one_multiply_per_point():
