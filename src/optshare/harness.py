@@ -32,7 +32,7 @@ from .additive_online import serve_points
 from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
 from .regret import trigger, trigger_points
-from .scaled import ScaledGame, totals
+from .scaled import Factors, ScaledGame, totals
 from .scenarios import ScenarioError, ScenarioSpec, generate
 from .substitutable import grant
 
@@ -292,15 +292,14 @@ class CellStats:
         return Fraction(self.implemented, self.n)
 
 
-def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, details: bool, trials):
+def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, details: bool, trials):
     """Run ``trials`` and fold them into fresh cells; returns the cells and,
     if ``details``, the detail records per cost point as (trial, record).
-    Each trial's game is generated and scaled once; cost point p costs
-    ``cost_points[p] / spec.cost`` times the generated catalog (see
-    ``scenarios.recost``), and each mechanism settles every point of it in
-    one ``run_mechanism`` call."""
-    factors = [cost / spec.cost for cost in cost_points]
-    order = sorted(range(len(factors)), key=factors.__getitem__)
+    Each trial's game is generated and scaled once; cost point p scales the
+    generated catalog by ``cost_points[p] / spec.cost``, entry p of
+    ``factors`` (see ``scenarios.recost``), and each mechanism settles every
+    point of it in one ``run_mechanism`` call."""
+    order = sorted(range(len(factors.nums)), key=factors.nums.__getitem__)
     cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
     columns = [(m, [cells[(m, cost)] for cost in cost_points]) for m in mechanisms]  # per point, no Fraction hashing
     records = [[] for _ in cost_points] if details else None
@@ -359,7 +358,8 @@ def sweep(
     trials = trials if trials is not None else spec.trials
     workers = workers if workers is not None else default_workers()
     mechanisms, cost_points = tuple(mechanisms), tuple(cost_points)
-    fold = partial(_fold_trials, spec, mechanisms, cost_points, detail_sink is not None)
+    factors = Factors([cost / spec.cost for cost in cost_points])
+    fold = partial(_fold_trials, spec, mechanisms, cost_points, factors, detail_sink is not None)
     processes = min(workers, os.cpu_count() or 1, trials)
     if processes <= 1:
         cells, details = fold(range(trials))

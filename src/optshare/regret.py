@@ -129,7 +129,13 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     ``price[j]``, a (numerator, denominator) pair.  The implemented
     optimizations map to their trigger slots, and the log is ``(price, loss,
     series)``: the price, its shortfall on j's cost, and j's regret before
-    each slot through its trigger, on the game's scale.
+    slot t at ``(j, t)``, on the game's scale, for the slots through its
+    trigger where it differs from the regret before t - 1 (0 before slot 1);
+    :func:`regret_run` expands it to every slot.
+
+    Regret rises only in slots with values, and costs are positive, so an
+    optimization can trigger only in the slot right after its regret rose;
+    the slot loop checks just those, in ascending id.
     """
     opt_ids = sorted(costs)
     price: dict[OptId, tuple[int, int]] = {}
@@ -141,30 +147,32 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
         implement_slot = {j: t for t, j in sorted((t, j) for j, t in slots.items() if t <= game.z)}
         for j, t in implement_slot.items():
             _implement(game, j, t, costs[j], entries, price, loss)
-        series = {(j, t): before[j][t] for t in range(1, game.z + 1) for j in opt_ids if t <= slots[j]}
+        rows = {j: before[j][: min(slots[j], game.z) + 1] for j in opt_ids}
+        series = {(j, t): row[t] for j, row in rows.items() for t in range(1, len(row)) if row[t] != row[t - 1]}
         return entries, implement_slot, (price, loss, series)
 
     interest, values = game.interest, game.values
     regret = dict.fromkeys(opt_ids, 0)
     series = {}
     implement_slot = {}
+    rose: set[OptId] = set()  # the optimizations whose regret rose in slot t - 1
     for t in range(1, game.z + 1):
-        for j in opt_ids:
-            if j not in implement_slot:
-                series[(j, t)] = regret[j]
         # greedy trigger, lowest optimization id first
-        for j in opt_ids:
-            if j not in implement_slot and regret[j] >= costs[j]:
+        for j in sorted(rose):
+            series[(j, t)] = regret[j]
+            if regret[j] >= costs[j]:
                 implement_slot[j] = t
                 _implement(game, j, t, costs[j], entries, price, loss)
         if len(implement_slot) == len(opt_ids):
             break  # nothing left to accrue regret for
         # accumulate regret for still-unimplemented optimizations
+        rose = set()
         for i, v in values[t]:
             if i not in entries:
                 for j in interest[i]:
                     if j not in implement_slot:
                         regret[j] += v
+                        rose.add(j)
     return entries, implement_slot, (price, loss, series)
 
 
@@ -266,7 +274,10 @@ def regret_run(
     horizon: SlotHorizon,
     values: Sequence[AdditiveOnlineBid] | Sequence[SubstitutableOnlineBid],
 ) -> RegretTrace:
-    """Run the baseline on truthful per-slot values (see :func:`trigger`)."""
+    """Run the baseline on truthful per-slot values (see :func:`trigger`).
+    ``regret_series`` holds each optimization's regret before every slot
+    through its trigger, slot by slot in ascending id, expanded from
+    :func:`trigger`'s log of the slots where it changed."""
     catalog = tuple(catalog)
     bids = tuple(values)
     if not bids:
@@ -277,7 +288,13 @@ def regret_run(
     game = AdditiveOnlineMultiGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
     scaled = ScaledGame(game)
     run = trigger(scaled, scaled.costs[0])
-    _, implement_slot, (price, loss, series) = run
+    _, implement_slot, (price, loss, changes) = run
+    level = dict.fromkeys(sorted(scaled.costs[0]), 0)
+    series = {}  # every open optimization's regret before each slot
+    for t in horizon.slots():
+        for j in level:
+            if implement_slot.get(j, t) >= t:
+                level[j] = series[j, t] = changes.get((j, t), level[j])
     scale = scaled.scale
     realized, spent, paid, lcm = totals(scaled, run, scaled.costs[0])
     schedule, payments = served_and_paid(scaled, run, horizon.z)

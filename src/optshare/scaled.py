@@ -10,7 +10,8 @@ factor per cost point, and the scaled cost of optimization ``j`` at point
 
 The harness builds one per trial, with the factor ``cost / spec.cost`` of
 each cost point (every family's catalog costs are proportional to
-``spec.cost``, see ``scenarios.recost``).  The public mechanism functions
+``spec.cost``, see ``scenarios.recost``), from one :class:`Factors` per
+sweep.  The public mechanism functions
 build one per call, and the strategy lab one per deviator of its truthful
 profile, with the single factor 1, which makes the scale the least common
 denominator of the game's own costs and values; the lab runs every
@@ -20,8 +21,8 @@ Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
 folds into the harness's sums and :func:`served_and_paid` into a trace.
 
 Construction checks, once per game, what the game's constructor leaves to
-it: one bid per user (per optimization for additive bids) and positive
-cost factors.
+it: one bid per user (per optimization for additive bids).  Cost factors
+are checked positive where their :class:`Factors` is built.
 """
 
 from __future__ import annotations
@@ -32,6 +33,18 @@ from typing import Any, Collection, Mapping, Sequence
 
 from .core import GameError, OptId, ServiceSchedule, Slot, SubstOnlineGame, UserId
 from .money import ZERO, Money
+
+
+class Factors:
+    """Cost factors, each checked positive, as integers over their least
+    common denominator: factor ``p`` is ``nums[p] / lcm``.  A sweep builds
+    one for all its trials."""
+
+    def __init__(self, factors: Sequence[Money]):
+        if any(f <= 0 for f in factors):
+            raise GameError("optimization cost must be positive")
+        self.lcm = lcm = math.lcm(*[f.denominator for f in factors])
+        self.nums = tuple(f.numerator * (lcm // f.denominator) for f in factors)
 
 
 class ScaledGame:
@@ -46,31 +59,24 @@ class ScaledGame:
     optimizations it values.  ``costs[p][j]`` is optimization ``j``'s scaled
     cost at cost point ``p``, a fixed integer per optimization times
     ``units[p]``, so the points rank by ``units`` as by their factors.
+    ``factors`` are Money values or a :class:`Factors` built from them.
     ``values`` and ``by_opt``, which only the regret baseline reads, are
     built on first use.
     """
 
-    def __init__(self, game, factors: Sequence[Money] = (1,)):
+    def __init__(self, game, factors: Sequence[Money] | Factors = (1,)):
+        factors = factors if isinstance(factors, Factors) else Factors(factors)
         catalog = game.catalog
         self.additive = additive = not isinstance(game, SubstOnlineGame)
         self.z = z = game.horizon.z
-        # Costs need cost_lcm, factors factor_lcm and values the lcm of their
+        # Costs need cost_lcm, factors factors.lcm and values the lcm of their
         # denominators; every product cost * factor * scale is then an integer.
-        cost_lcm = factor_lcm = 1
-        for o in catalog:
-            cost_lcm = math.lcm(cost_lcm, o.cost.denominator)
-        for f in factors:
-            if f <= 0:
-                raise GameError("optimization cost must be positive")
-            factor_lcm = math.lcm(factor_lcm, f.denominator)
-        self.scale = scale = math.lcm(cost_lcm * factor_lcm, *[v.denominator for b in game.bids for v in b.per_slot])
-        per_unit = scale // (cost_lcm * factor_lcm)
-        self.costs = []
-        self.units = []
-        for f in factors:
-            unit = f.numerator * (factor_lcm // f.denominator) * per_unit
-            self.units.append(unit)
-            self.costs.append({o.id: o.cost.numerator * (cost_lcm // o.cost.denominator) * unit for o in catalog})
+        cost_lcm = math.lcm(*[o.cost.denominator for o in catalog])
+        common = cost_lcm * factors.lcm
+        self.scale = scale = math.lcm(common, *[v.denominator for b in game.bids for v in b.per_slot])
+        self.units = units = [n * (scale // common) for n in factors.nums]
+        base = [(o.id, o.cost.numerator * (cost_lcm // o.cost.denominator)) for o in catalog]
+        self.costs = [{j: c * unit for j, c in base} for unit in units]
 
         self.users = users = []
         self.starts = starts = []

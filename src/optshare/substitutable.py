@@ -12,9 +12,11 @@ first time a user is granted an optimization she is pinned to it (infinite
 bid there, zero elsewhere), so she can never switch and stays in the pool,
 even after leaving, to keep later users' shares honest.
 
-Both run the same integer phase loop.  The online mechanism is one kernel,
-:func:`grant`, over a :class:`~optshare.scaled.ScaledGame`; :func:`subst_on`
-builds its trace from the kernel's settlement.
+Both run the same integer phase loop, which counts pinned users per
+optimization.  The online mechanism is one kernel, :func:`grant`, over a
+:class:`~optshare.scaled.ScaledGame`, which plays only the optimizations a
+slot's new offers name; :func:`subst_on` builds its trace from the kernel's
+settlement and every slot's full phases.
 """
 
 from __future__ import annotations
@@ -65,52 +67,50 @@ def _phases_scaled(
     costs_scaled: Mapping[OptId, int],
     offers: Sequence[tuple[int, K]],
     interest: Mapping[K, frozenset[OptId]] | Sequence[frozenset[OptId]],
-    pinned: Mapping[K, OptId],
+    pins: Mapping[OptId, int],
 ) -> list[tuple[OptId, list[K], tuple[OptId, ...]]]:
-    """Phase loop over integer-scaled bids; returns (opt, serviced, ties) per
-    phase in selection order.
+    """Phase loop over integer-scaled bids; returns (opt, served offers,
+    ties) per phase in selection order.
 
     ``offers`` holds (value, bidder) of each unpinned bidder, highest value
     first; a bidder values every optimization in ``interest[bidder]`` the
-    same.  Pinned bidders always count for their pinned optimization and
-    nothing else.  Shares are compared by integer cross-multiplication
-    (cost_j * |S_k| vs cost_k * |S_j|)."""
-    unserved = {key for _, key in offers} | set(pinned)
-    pins_by_opt: dict[OptId, list[K]] = {}
-    for key, opt in pinned.items():
-        pins_by_opt.setdefault(opt, []).append(key)
+    same.  ``pins[j]`` bidders are pinned to ``j``: they count for ``j`` and
+    nothing else, and ``j``'s phase serves all of them, so a phase lists
+    only the offers it serves.  Shares are compared by integer
+    cross-multiplication (cost_j * |S_k| vs cost_k * |S_j|)."""
     bidders_by_opt: dict[OptId, list[tuple[int, K]]] = {}
     for offer in offers:
         for j in interest[offer[1]]:
             bidders_by_opt.setdefault(j, []).append(offer)
     # only optimizations someone bids on or is pinned to can ever be picked
-    remaining = sorted(pins_by_opt.keys() | bidders_by_opt.keys())
+    remaining = sorted(pins.keys() | bidders_by_opt.keys())
+    served: set[K] = set()
 
     phases = []
-    while remaining and unserved:
+    while remaining:
         best = None  # (cost_scaled, serviced count, opt id)
-        candidates = {}  # opt -> (unserved pins, unserved bidders, bidders kept, count)
+        candidates = {}  # opt -> (unserved bidders, bidders kept, count)
         for j in remaining:  # ascending ids: strict < keeps the lowest id on ties
-            pins = [u for u in pins_by_opt.get(j, ()) if u in unserved]
-            finite = [o for o in bidders_by_opt.get(j, ()) if o[1] in unserved]
-            kept = _fixed_point(costs_scaled[j], finite, len(pins))
-            count = len(pins) + kept
+            finite = bidders_by_opt[j] = [o for o in bidders_by_opt.get(j, ()) if o[1] not in served]
+            kept = _fixed_point(costs_scaled[j], finite, pins.get(j, 0))
+            count = pins.get(j, 0) + kept
             if count == 0:
                 continue
-            candidates[j] = (pins, finite, kept, count)
+            candidates[j] = (finite, kept, count)
             if best is None or costs_scaled[j] * best[1] < best[0] * count:
                 best = (costs_scaled[j], count, j)
         if best is None:
             break
         best_cost, best_count, best_opt = best
         ties = tuple(
-            j for j, c in candidates.items() if j != best_opt and costs_scaled[j] * best_count == best_cost * c[3]
+            j for j, c in candidates.items() if j != best_opt and costs_scaled[j] * best_count == best_cost * c[2]
         )
-        pins, finite, kept, _ = candidates[best_opt]
-        serviced = pins + [key for _, key in finite[:kept]]
-        phases.append((best_opt, serviced, ties))
-        unserved.difference_update(serviced)
-        remaining.remove(best_opt)
+        finite, kept, _ = candidates[best_opt]
+        new = [key for _, key in finite[:kept]]
+        phases.append((best_opt, new, ties))
+        served.update(new)
+        # losing bidders never brings a count back above 0
+        remaining = [j for j in candidates if j != best_opt]
     return phases
 
 
@@ -165,31 +165,33 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     """The online substitutable mechanism at scaled costs ``costs``.  A bid
     granted j in slot t is served j from t to the end of its window and pays
     ``costs[j]`` over the number of bids granted j by its last slot.  The
-    log holds each slot's phases as ``_phases_scaled`` returns them (index 0
-    unused; empty in a slot without a new offer, which grants nobody); the
-    implemented optimizations are those granted to anyone."""
-    granted: dict[int, OptId] = {}
-    joined: dict[int, Slot] = {}
-    tally: dict[OptId, int] = {}
-    tallies = [{}]  # tallies[t]: bids granted each optimization through slot t
-    slot_phases: list[list] = [[]]
+    implemented optimizations are those granted to anyone; there is no log.
+    A slot with a new offer runs the phase loop with the bids granted before
+    it as pin counts, only for the optimizations its offers name: one with
+    nothing but pins serves just its own, which changes no other's
+    candidates, so whether or when its phase runs moves no grant."""
+    granted: dict[int, tuple[OptId, Slot]] = {}
+    tally: dict[OptId, int] = {}  # bids granted each optimization so far
+    tallies = [tally]  # tallies[t]: the tally through slot t, never mutated
+    interest = game.interest
     for t in range(1, game.z + 1):
         offers = [o for o in game.offers[t] if o[1] not in granted]
-        phases = _phases_scaled(costs, offers, game.interest, granted) if offers else []
-        for opt, serviced, _ in phases:
-            for i in serviced:
-                if i not in granted:
-                    granted[i] = opt
-                    joined[i] = t
-                    tally[opt] = tally.get(opt, 0) + 1
-        tallies.append(tally.copy())
-        slot_phases.append(phases)
+        if offers:
+            named = {j for _, i in offers for j in interest[i]}
+            phases = _phases_scaled(costs, offers, interest, {j: tally[j] for j in named & tally.keys()})
+            if phases:
+                tally = tally.copy()
+                for opt, served, _ in phases:
+                    tally[opt] = tally.get(opt, 0) + len(served)
+                    for i in served:
+                        granted[i] = (opt, t)
+        tallies.append(tally)
     entries = {}
     ends = game.ends
-    for i, t in joined.items():
-        j, end = granted[i], ends[i]
+    for i, (j, t) in granted.items():
+        end = ends[i]
         entries[i] = (j, t, end, costs[j], tallies[end][j])
-    return entries, tally, slot_phases
+    return entries, tally, None
 
 
 def subst_on(
@@ -201,17 +203,21 @@ def subst_on(
     game = SubstOnlineGame(tuple(catalog), horizon, tuple(bids))
     scaled = ScaledGame(game)
     run = grant(scaled, scaled.costs[0])
-    entries, implemented, phases = run
+    entries, implemented, _ = run
     users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
+    pinned: dict[OptId, list[int]] = {}  # bids granted before slot t, by optimization
     slot_phases: dict[Slot, tuple[Phase, ...]] = {}
     for t in horizon.slots():
-        # grant skips the slots without a new offer: their phases pin only
-        # the bids granted before them
-        raw = phases[t] or _phases_scaled(costs, [], scaled.interest, {i: e[0] for i, e in entries.items() if e[1] < t})
-        slot_phases[t] = tuple(
-            Phase(opt, frozenset([users[i] for i in serviced]), Fraction(costs[opt], len(serviced) * scale), ties)
-            for opt, serviced, ties in raw
-        )
+        # every slot's phases, over all pins and the offers not granted before t
+        offers = [o for o in scaled.offers[t] if entries.get(o[1], (0, t))[1] >= t]
+        phases = []
+        for opt, served, ties in _phases_scaled(costs, offers, scaled.interest, {j: len(b) for j, b in pinned.items()}):
+            members = [users[i] for i in [*pinned.get(opt, ()), *served]]
+            phases.append(Phase(opt, frozenset(members), Fraction(costs[opt], len(members) * scale), ties))
+        slot_phases[t] = tuple(phases)
+        for i, (j, first, *_) in entries.items():
+            if first == t:
+                pinned.setdefault(j, []).append(i)
     schedule, payments = served_and_paid(scaled, run, horizon.z)
     return SubstOnlineTrace(
         schedule,

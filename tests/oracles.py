@@ -5,7 +5,10 @@ all-subsets enumeration, online traces from a literal slot-by-slot replay,
 and posted prices from exhaustive candidate evaluation plus a fine grid.
 The reference deviation search runs every misreport as a bid through the
 public mechanisms of the registry and scores it with ``settle`` and
-``realized``, the path the integer strategy lab replaces.
+``realized``, the path the integer strategy lab replaces.  The reference
+online kernels keep the slot loops the integer kernels shortcut: every
+pinned bid in every phase loop of ``grant``, and every open optimization
+checked and logged in every slot of ``trigger``.
 """
 
 import itertools
@@ -21,7 +24,8 @@ from optshare.analysis import (
     settle,
 )
 from optshare.core import AdditiveOnlineBid, OnlineBid
-from optshare.shapley import shapley
+from optshare.regret import _implement
+from optshare.shapley import _fixed_point, shapley
 
 ZERO = Fraction(0)
 
@@ -198,3 +202,88 @@ def reference_misreports(game, bid):
                     yield type(bid)(**fields), note + tag
                 elif not online and subset == bid.substitutes:
                     yield None, note + tag
+
+
+def _reference_phases(costs, offers, interest, pinned):
+    """The phase loop over a pinned-bid map: ``pinned`` maps each pinned
+    bidder to its optimization, and every phase lists all it serves, pins
+    included, as (opt, serviced, ties)."""
+    unserved = {key for _, key in offers} | set(pinned)
+    pins_by_opt, bidders_by_opt = {}, {}
+    for key, opt in pinned.items():
+        pins_by_opt.setdefault(opt, []).append(key)
+    for offer in offers:
+        for j in interest[offer[1]]:
+            bidders_by_opt.setdefault(j, []).append(offer)
+    remaining = sorted(pins_by_opt.keys() | bidders_by_opt.keys())
+    phases = []
+    while remaining and unserved:
+        best, candidates = None, {}
+        for j in remaining:
+            pins = [u for u in pins_by_opt.get(j, ()) if u in unserved]
+            finite = [o for o in bidders_by_opt.get(j, ()) if o[1] in unserved]
+            kept = _fixed_point(costs[j], finite, len(pins))
+            count = len(pins) + kept
+            if count == 0:
+                continue
+            candidates[j] = (pins, finite, kept, count)
+            if best is None or costs[j] * best[1] < best[0] * count:
+                best = (costs[j], count, j)
+        if best is None:
+            break
+        best_cost, best_count, best_opt = best
+        ties = tuple(j for j, c in candidates.items() if j != best_opt and costs[j] * best_count == best_cost * c[3])
+        pins, finite, kept, _ = candidates[best_opt]
+        serviced = pins + [key for _, key in finite[:kept]]
+        phases.append((best_opt, serviced, ties))
+        unserved.difference_update(serviced)
+        remaining.remove(best_opt)
+    return phases
+
+
+def reference_grant(game, costs):
+    """``substitutable.grant`` as a literal slot loop: each slot with a new
+    offer plays every optimization, with every bid granted before it pinned
+    in the map.  Returns the settlement with each slot's phases as its log
+    (empty in a slot without a new offer)."""
+    granted, joined, tally, tallies, slot_phases = {}, {}, {}, [{}], [[]]
+    for t in range(1, game.z + 1):
+        offers = [o for o in game.offers[t] if o[1] not in granted]
+        phases = _reference_phases(costs, offers, game.interest, granted) if offers else []
+        for opt, serviced, _ in phases:
+            for i in serviced:
+                if i not in granted:
+                    granted[i], joined[i] = opt, t
+                    tally[opt] = tally.get(opt, 0) + 1
+        tallies.append(tally.copy())
+        slot_phases.append(phases)
+    entries = {}
+    for i, t in joined.items():
+        j, end = granted[i], game.ends[i]
+        entries[i] = (j, t, end, costs[j], tallies[end][j])
+    return entries, tally, slot_phases
+
+
+def reference_trigger(game, costs):
+    """``regret.trigger`` as a dense slot loop on any scaled game: in every
+    slot, log every open optimization's regret and check each for its
+    trigger, in ascending id.  Bids add their value in a slot to each open
+    optimization they name until they are served.  The log's series holds
+    every (optimization, slot) through the trigger."""
+    opt_ids = sorted(costs)
+    regret = dict.fromkeys(opt_ids, 0)
+    entries, implement_slot, price, loss, series = {}, {}, {}, {}, {}
+    for t in range(1, game.z + 1):
+        for j in opt_ids:
+            if j not in implement_slot:
+                series[(j, t)] = regret[j]
+        for j in opt_ids:
+            if j not in implement_slot and regret[j] >= costs[j]:
+                implement_slot[j] = t
+                _implement(game, j, t, costs[j], entries, price, loss)
+        for i, v in game.values[t]:
+            if i not in entries:
+                for j in game.interest[i]:
+                    if j not in implement_slot:
+                        regret[j] += v
+    return entries, implement_slot, (price, loss, series)

@@ -14,6 +14,7 @@ from optshare import harness
 from optshare.experiments import trend_configs
 from optshare.harness import CellStats, ConfigError, config_from_dict, default_workers, run_experiment, sweep
 from optshare.scenarios import ScenarioSpec, generate
+from optshare.substitutable import subst_on
 from optshare.verification import (
     SUITES,
     rand_additive_offline,
@@ -489,3 +490,37 @@ def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
 )
 def test_cli_replay_rejects_money_beyond_the_bound(tmp_path, capsys, break_it, field):
     test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field)
+
+
+PINNED_SUBSTITUTES = os.path.join(os.path.dirname(__file__), "..", "scripts", "games", "pinned_substitutes.json")
+
+
+def test_shipped_substitutable_game_ties_and_keeps_a_lapsed_pin():
+    game = load_game(PINNED_SUBSTITUTES)
+    phases = subst_on(game.catalog, game.horizon, game.bids).slot_phases
+    assert (phases[1][0].opt, phases[1][0].serviced, phases[1][0].tied_with) == (1, {1, 2}, (2,))
+    # user 1's window ends in slot 1, but the pin still counts: user 3 joins at 60 / 3
+    assert (phases[2][0].opt, phases[2][0].serviced, phases[2][0].share) == (1, {1, 2, 3}, F(20))
+
+
+# stdout recorded before the phase loop took pin counts
+REPLAYS = {
+    "subst_on": (30, 20, 20, 40, 0, "130", "100", "30", "10"),
+    "regret": (0, 0, 0, 0, 0, "10", "60", "-50", "-60"),
+}
+
+
+@pytest.mark.parametrize("mechanism", sorted(REPLAYS))
+def test_replay_of_the_shipped_substitutable_game(capsys, mechanism):
+    assert main(["replay", "--game", PINNED_SUBSTITUTES, "--mechanism", mechanism]) == 0
+    template = """user 1 pays {}
+user 2 pays {}
+user 3 pays {}
+user 4 pays {}
+user 5 pays {}
+total value {}
+total cost {}
+total utility {}
+cloud balance {}
+"""
+    assert capsys.readouterr().out == template.format(*REPLAYS[mechanism])

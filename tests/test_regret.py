@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,19 @@ from hypothesis import given, settings, strategies as st
 from optshare.core import (
     AdditiveOnlineBid,
     GameError,
+    OnlineAdditiveGame,
     Optimization,
     SlotHorizon,
     SubstitutableOnlineBid,
 )
-from optshare.regret import optimal_posted_price, regret_run
+from optshare.regret import optimal_posted_price, regret_run, trigger
+from optshare.scaled import ScaledGame
+from optshare.scenarios import FAMILIES, generate
+from optshare.verification import rand_additive_online, rand_subst_online
 
-from oracles import posted_price_search
+from oracles import posted_price_search, reference_trigger
+from test_scaled import cost_points, specs
+from test_traces import _rand_multi, _rand_tied_subst
 
 F = Fraction
 
@@ -185,3 +192,41 @@ def test_additive_regret_invariants(args):
     else:
         assert t.realized_value == 0
         assert all(p == 0 for p in t.payments.values())
+
+
+def assert_trigger_matches_dense_loop(game, factors):
+    """``trigger`` at every cost point, and ``regret_run``'s series, against
+    the dense slot loop; ``trigger`` logs only the regrets that changed."""
+    scaled = ScaledGame(game, factors)
+    for costs in scaled.costs:
+        entries, slots, (price, loss, log) = trigger(scaled, costs)
+        want_entries, want_slots, (want_price, want_loss, dense) = reference_trigger(scaled, costs)
+        assert list(entries.items()) == list(want_entries.items())
+        assert list(slots.items()) == list(want_slots.items())
+        assert (price, loss) == (want_price, want_loss)
+        assert log == {(j, t): v for (j, t), v in dense.items() if v != dense.get((j, t - 1), 0)}
+    catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
+    series = regret_run(catalog, game.horizon, game.bids).regret_series
+    scaled = ScaledGame(game)
+    dense = reference_trigger(scaled, scaled.costs[0])[2][2] if game.bids else {}
+    assert list(series.items()) == [(key, F(v, scaled.scale)) for key, v in dense.items()]
+
+
+@given(seed=st.integers(0, 2**32), factors=cost_points(max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_trigger_matches_the_dense_slot_loop(seed, factors):
+    rng = random.Random(seed)
+    for game in (
+        rand_subst_online(rng, max_users=6, max_opts=4, max_slots=5),
+        _rand_tied_subst(rng),
+        rand_additive_online(rng, max_users=6, max_slots=5),
+        _rand_multi(rng),
+    ):
+        assert_trigger_matches_dense_loop(game, factors)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data(), trial=st.integers(0, 3), factors=cost_points(max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_trigger_matches_the_dense_slot_loop_on_scenario_games(family, data, trial, factors):
+    assert_trigger_matches_dense_loop(generate(data.draw(specs(family)), trial), factors)

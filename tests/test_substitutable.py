@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,16 @@ from optshare.core import (
     SubstitutableOfflineBid,
     SubstitutableOnlineBid,
 )
+from optshare.scaled import ScaledGame
+from optshare.scenarios import generate
 from optshare.shapley import add_off
 from optshare.core import AdditiveOfflineBid
-from optshare.substitutable import subst_off, subst_on
+from optshare.substitutable import _phases_scaled, grant, subst_off, subst_on
+from optshare.verification import rand_subst_online
+
+from oracles import reference_grant
+from test_scaled import cost_points, specs
+from test_traces import _rand_tied_subst
 
 F = Fraction
 
@@ -212,3 +220,43 @@ def test_single_slot_equals_offline(args):
     assert t.payments == {b.user: r.payments.total_for(b.user) for b in bids}
     assert t.implemented == r.outcome.implemented
     assert set(t.granted.items()) == set(r.outcome.grants)
+
+
+@st.composite
+def scaled_subst_games(draw):
+    """A random, tied or ``selectivity`` substitutable online game, scaled at
+    drawn cost factors in shuffled order, some repeated."""
+    kind = draw(st.sampled_from(("random", "tied", "selectivity")))
+    if kind == "selectivity":
+        game = generate(draw(specs("selectivity")), draw(st.integers(0, 3)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        game = rand_subst_online(rng, max_users=6, max_opts=4, max_slots=5) if kind == "random" else _rand_tied_subst(rng)
+    return ScaledGame(game, draw(cost_points(max_size=4)))
+
+
+@given(scaled_subst_games())
+@settings(max_examples=400, deadline=None)
+def test_grant_matches_the_reference_slot_loop_at_every_cost_point(scaled):
+    for costs in scaled.costs:
+        entries, implemented, _ = grant(scaled, costs)
+        want_entries, want_implemented, _ = reference_grant(scaled, costs)
+        assert list(entries.items()) == list(want_entries.items())
+        assert list(implemented.items()) == list(want_implemented.items())
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_pins_on_optimizations_no_offer_names_never_move_a_grant(data):
+    n = data.draw(st.integers(2, 6))
+    costs = {j: data.draw(st.integers(1, 40)) for j in range(1, n + 1)}
+    values = data.draw(st.lists(st.integers(0, 20), max_size=7))
+    offers = sorted(((v, i) for i, v in enumerate(values)), reverse=True)
+    interest = [frozenset(data.draw(st.sets(st.integers(1, n), min_size=1))) for _ in values]
+    named = sorted(set().union(*interest))
+    pins = {j: data.draw(st.integers(1, 3)) for j in (data.draw(st.sets(st.sampled_from(named))) if named else ())}
+    extra = {j: data.draw(st.integers(1, 3)) for j in data.draw(st.sets(st.integers(1, n))) if j not in named}
+    phases = _phases_scaled(costs, offers, interest, {**pins, **extra})
+    assert sorted(opt for opt, served, _ in phases if opt in extra and not served) == sorted(extra)
+    grants = [(opt, served) for opt, served, _ in phases if opt not in extra]
+    assert grants == [(opt, served) for opt, served, _ in _phases_scaled(costs, offers, interest, pins)]
