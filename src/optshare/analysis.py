@@ -247,7 +247,8 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     Offline mechanisms compare each grid bid against truth on the full game.
     Online mechanisms are evaluated in the worst-case continuation: for every
     placement slot, only bids already arrived by then are present and no
-    future bids arrive.
+    future bids arrive.  The kernel runs once per cell of grid scales that
+    the deviator's offers cannot tell apart (see :class:`_Lab`).
     """
     if mechanism in ("add_off", "shapley", "naive_pay_bid"):
         return _search_additive_offline(mechanism, game, deviator)
@@ -263,7 +264,8 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
         # future, which the worst-case truthfulness notion denies her.)
         others = [b for b in others if b.start <= true_bid.start]
         window = (true_bid.start, true_bid.end)
-    utility, scale = _lab(mechanism, game, others, true_bid)
+    lab = _Lab(mechanism, game, others, true_bid)
+    utility, scale = lab.utility, lab.scale
     truthful = best = utility(window, own, 10)
     best_note = None
     for window, subset, k, note in _misreports(game, true_bid):
@@ -283,51 +285,89 @@ def _lab_runner(mechanism: str):
     return MECHANISMS[name][1]
 
 
-def _lab(mechanism: str, game, others, true_bid):
+class _Lab:
     """The deviator's strategy lab (``subst_off`` runs as the one-slot
-    ``subst_on`` it degenerates to) and its scale: ``utility(window, subset,
-    k)`` is her true utility, ``n / (c * scale)`` as ``(n, c)``, declaring
-    ``subset`` (None: her one optimization) over ``window`` at her true
-    values times ``k/10``.  The truthful profile is checked and rescaled
-    once, as a run of it would be; at ten times its scale each declaration
-    is k times an integer row, merged into the others' per-slot offers, and
-    the mechanism's kernel settles it.  Served ``j`` from slot ``t``, she
-    realizes her true value from ``t`` to her declared end if ``j`` is a
-    true substitute, and pays her entry's charge."""
-    profile = [*others, true_bid]
-    if mechanism == "add_on":
-        scaled = ScaledGame(OnlineAdditiveGame(game.optimization, game.horizon, profile))
-    elif mechanism == "subst_off":
-        profile = [SubstitutableOnlineBid(b.user, b.substitutes, 1, 1, (b.value,)) for b in profile]
-        scaled = ScaledGame(SubstOnlineGame(game.catalog, SlotHorizon(1), profile))
-    else:
-        scaled = ScaledGame(SubstOnlineGame(game.catalog, game.horizon, profile))
-    kernel = serve if scaled.additive else grant
-    n, own, interest, ends = len(others), scaled.interest[-1], list(scaled.interest), list(scaled.ends)
-    costs = {j: 10 * c for j, c in scaled.costs[0].items()}
-    # the others' offers per slot, highest first, and their negations to bisect
-    offers = [[(10 * v, i) for v, i in slot if i != n] for slot in scaled.offers]
-    negated = [[-v for v, _ in slot] for slot in offers]
-    # the deviator's true value through each slot, at a tenth of the scale
-    prefix = list(accumulate(int(profile[-1].value_at(t) * scaled.scale) for t in range(scaled.z + 1)))
-    lab = SimpleNamespace(z=scaled.z, offers=offers, interest=interest, ends=ends)
+    ``subst_on`` it degenerates to) and its scale: :meth:`utility` is her
+    true utility, ``n / (c * scale)`` as ``(n, c)``, declaring ``subset``
+    (None: her one optimization) over ``window`` at her true values times
+    ``k/10``.  The truthful profile is checked and rescaled once, as a run
+    of it would be; at ten times its scale each declaration is k times an
+    integer row, merged into the others' per-slot offers, and the
+    mechanism's kernel settles it (:meth:`run`).  Served ``j`` from slot
+    ``t``, she realizes her true value from ``t`` to her declared end if
+    ``j`` is a true substitute, and pays her entry's charge.
 
-    def utility(window, subset, k) -> tuple[int, int]:
+    The kernel runs once per :meth:`cell` of scales.  For ``k >= 1`` her
+    offer in slot ``t`` is ``k * r_t`` (``r_t`` her true value from ``t`` to
+    her declared end), and a kernel reads it only in the equal-share fixed
+    point, as ``k * r_t * c >= cost_j`` for ``j`` she declares and a head
+    count ``c`` of at most every bidder; the bids kept are exactly those
+    that cover the final share, so her rank among equal offers does not
+    matter.  The run, and her realized value, are therefore the same for
+    every ``k`` between two breakpoints ``ceil(cost_j / (c * r_t))``;
+    ``k = 0`` makes no offer and is a cell of its own."""
+
+    def __init__(self, mechanism: str, game, others, true_bid):
+        profile = [*others, true_bid]
+        if mechanism == "add_on":
+            scaled = ScaledGame(OnlineAdditiveGame(game.optimization, game.horizon, profile))
+        elif mechanism == "subst_off":
+            profile = [SubstitutableOnlineBid(b.user, b.substitutes, 1, 1, (b.value,)) for b in profile]
+            scaled = ScaledGame(SubstOnlineGame(game.catalog, SlotHorizon(1), profile))
+        else:
+            scaled = ScaledGame(SubstOnlineGame(game.catalog, game.horizon, profile))
+        self.kernel = serve if scaled.additive else grant
+        self.n, self.own = len(others), scaled.interest[-1]
+        self.costs = {j: 10 * c for j, c in scaled.costs[0].items()}
+        # the others' offers per slot, highest first, and their negations to bisect
+        self.offers = [[(10 * v, i) for v, i in slot if i != self.n] for slot in scaled.offers]
+        self.negated = [[-v for v, _ in slot] for slot in self.offers]
+        # the deviator's true value through each slot, at a tenth of the scale
+        self.prefix = list(accumulate(int(profile[-1].value_at(t) * scaled.scale) for t in range(scaled.z + 1)))
+        # what a kernel reads of a ScaledGame; each run merges her row in
+        self.merged = SimpleNamespace(z=scaled.z, offers=None, interest=list(scaled.interest), ends=list(scaled.ends))
+        self.scale = 10 * scaled.scale
+        self.breakpoints: dict = {}  # (window, subset) -> sorted breakpoints
+        self.settled: dict = {}  # (window, subset, cell) -> utility
+
+    def utility(self, window, subset, k) -> tuple[int, int]:
+        """:meth:`run`, once per cell."""
+        key = (window, subset, self.cell(window, subset, k))
+        u = self.settled.get(key)
+        if u is None:
+            u = self.settled[key] = self.run(window, subset, k)
+        return u
+
+    def cell(self, window, subset, k) -> int:
+        """The cell of scale ``k``: -1 for 0, else how many breakpoints of
+        the declaration are at most ``k``."""
+        if not k:
+            return -1
+        breaks = self.breakpoints.get((window, subset))
+        if breaks is None:
+            s, e = window
+            rows = {self.prefix[e] - self.prefix[t - 1] for t in range(s, e + 1)} - {0}
+            costs = [self.costs[j] for j in subset or self.own]
+            breaks = sorted({-(-cost // (c * r)) for cost in costs for r in rows for c in range(1, self.n + 2)})
+            self.breakpoints[window, subset] = breaks
+        return bisect_right(breaks, k)
+
+    def run(self, window, subset, k) -> tuple[int, int]:
+        """Her utility at scale ``k``, from one run of the kernel."""
         s, e = window
+        offers, prefix, n, lab = self.offers, self.prefix, self.n, self.merged
         lab.offers = merged = offers[:]
         for t in range(s, e + 1):
             v = k * (prefix[e] - prefix[t - 1])
             if v:
-                p = bisect_right(negated[t], -v)  # after the equal offers
+                p = bisect_right(self.negated[t], -v)  # after the equal offers
                 merged[t] = [*offers[t][:p], (v, n), *offers[t][p:]]
-        interest[n], ends[n] = subset or own, e
-        entry = kernel(lab, costs)[0].get(n)
+        lab.interest[n], lab.ends[n] = subset or self.own, e
+        entry = self.kernel(lab, self.costs)[0].get(n)
         if entry is None:
             return 0, 1
         j, t, _, num, den = entry
-        return (10 * (prefix[e] - prefix[t - 1]) if j in own else 0) * den - num, den
-
-    return utility, 10 * scaled.scale
+        return (10 * (prefix[e] - prefix[t - 1]) if j in self.own else 0) * den - num, den
 
 
 def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator) -> DeviationReport:

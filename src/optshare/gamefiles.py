@@ -24,6 +24,7 @@ from .core import (
     SubstitutableOnlineBid,
 )
 from .money import Money, parse_money
+from .scenarios import MAX_SIZES
 
 SCHEMA = 1
 
@@ -108,6 +109,8 @@ def game_from_dict(data: dict):
         catalog.append(Optimization(_field(o, "id", f"catalog[{i}]", _int), _field(o, "cost", f"catalog[{i}]", _money)))
     catalog = tuple(catalog)
     slots = _int(data.get("slots", 1), "slots")
+    if slots > MAX_SIZES["slots"]:
+        raise GameError(f"slots: must be <= {MAX_SIZES['slots']} (got {slots})")
     bids = [(_object(b, f"bids[{i}]"), f"bids[{i}]") for i, b in enumerate(_field(data, "bids", "", _list))]
     if kind == "additive_offline":
         return AdditiveOfflineGame(

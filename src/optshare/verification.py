@@ -412,6 +412,15 @@ def _rand_naive_game(rng) -> AdditiveOfflineGame:
 
 
 def suite_multi_identity(seed: int, games: int) -> list[Violation]:
+    """Identity splits in the additive mechanisms: a split that raises the
+    splitter's utility and harms another user is a violation.  A split
+    scales all of the splitter's values by one level per identity, on
+    every optimization at once, and that joint split is a real
+    counterexample to the claim as checked: at seed 2 with 6 games, user 2
+    halved gains on optimization 1 by dropping optimization 2 below its
+    equal share, which user 1 loses (``tests/test_analysis.py`` pins the
+    game; on either optimization alone no split both gains and harms).
+    The substitutable split is a demonstration, not a pass property."""
     out: list[Violation] = []
     rng = random.Random(seed)
     levels = (ZERO, F(1, 2), F(1), F(3, 2), F(2))

@@ -25,6 +25,7 @@ from optshare.core import (
 )
 from optshare.regret import regret_run
 from optshare.shapley import add_off
+from optshare.verification import run_suite
 
 from oracles import efficient_enumeration_additive
 
@@ -220,6 +221,31 @@ def test_substitutable_split_demonstrates_harm():
     assert split.splitter_utility == F(1) > probe.baseline_utility == F(0)
     assert split.other_deltas[3] == F(2) - F(9, 2)
     assert split.harmed == (3,)
+
+
+def test_joint_split_across_additive_optimizations_gains_and_harms():
+    """The multi_identity suite's counterexample at seed 2, 6 games.  Halving
+    user 2's bids on both optimizations at once lets the halves share
+    optimization 1 at 2.5806 / 4 and drops optimization 2 below its equal
+    share, which user 1 loses.  Optimization by optimization no split does
+    both: on 1 alone it gains and harms no one, on 2 alone it gains nothing."""
+    catalog = (Optimization(1, F("2.5806")), Optimization(2, F("2.296")))
+    values = {1: {1: F("1.14"), 2: F("1.93")}, 2: {1: F("1.89"), 2: F("1.35")}, 3: {1: F("0.71")}}
+    game = AdditiveOfflineGame(catalog, tuple(AdditiveOfflineBid(u, v) for u, v in values.items()))
+    levels = (F(0), F(1, 2), F(1), F(3, 2), F(2))
+    probe = multi_identity_probe("add_off", game, 2, 2, levels)
+    assert (probe.baseline_utility, probe.baseline_others) == (F(101, 500), {1: F(391, 500), 3: F(0)})
+    (split,) = probe.beneficial_harmful
+    assert split.levels == (F(1, 2), F(1, 2))
+    assert split.splitter_utility == F(5997, 10000)
+    assert split.other_deltas == {1: F(-5743, 20000), 3: F(1297, 20000)}
+    assert [v.message for v in run_suite("multi_identity", seed=2, games=6)] == [
+        f"add_off: split {split.levels} of user 2 gains and harms (1,)"
+    ]
+    for opt in catalog:
+        column = tuple(AdditiveOfflineBid(u, {opt.id: v[opt.id]} if opt.id in v else {}) for u, v in values.items())
+        one = multi_identity_probe("add_off", AdditiveOfflineGame((opt,), column), 2, 2, levels)
+        assert one.beneficial_harmful == ()
 
 
 def test_score_dispatch_matches_internal_totals():

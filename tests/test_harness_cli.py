@@ -467,6 +467,7 @@ def test_cli_verify_rejects_empty_runs(capsys, games):
         (lambda game: game["bids"][1]["per_slot"].__setitem__(0, "lots"), "bids[1].per_slot[0]"),
         (lambda game: game["catalog"][0].__setitem__("id", "1"), "catalog[0].id"),
         (lambda game: game.__setitem__("bids", {"user": 1}), "bids"),
+        (lambda game: game.__setitem__("slots", 1001), "slots"),  # one past the bound
     ],
 )
 def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):

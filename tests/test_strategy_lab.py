@@ -7,6 +7,10 @@ note, on every game kind the truthfulness suite searches.  The corpus is
 drawn on coarse values so that declared values tie with other bids, and
 it holds catalogs past ``SUBSET_CATALOG_LIMIT``, zero per-slot values and
 deviators who arrive in the last slot.
+
+The lab runs its kernel once per cell of grid scales; the premise tests
+below run the kernel uncached at every scale and require each settlement,
+whole, to equal the one at its cell's first scale.
 """
 
 import random
@@ -16,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optshare.analysis import GRID_SCALES, SUBSET_CATALOG_LIMIT, deviation_search
+from optshare.analysis import GRID_SCALES, SUBSET_CATALOG_LIMIT, _Lab, _misreports, deviation_search
 from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
@@ -51,13 +55,13 @@ MECHANISMS = {
 }
 
 
-def lab_game(kind, randint, choice):
-    """A game of ``kind`` with up to four users, three slots and five
-    optimizations, every value drawn from ``COARSE``."""
-    z, n = randint(1, 3), randint(1, 5)
+def lab_game(kind, randint, choice, users=4, slots=3, opts=5):
+    """A game of ``kind`` with up to ``users`` users, ``slots`` slots and
+    ``opts`` optimizations, every value drawn from ``COARSE``."""
+    z, n = randint(1, slots), randint(1, opts)
     catalog = tuple(Optimization(j, F(randint(1, 8), choice((1, 2)))) for j in range(1, n + 1))
     bids = []
-    for user in range(1, randint(1, 4) + 1):
+    for user in range(1, randint(1, users) + 1):
         start = randint(1, z)
         end = randint(start, z)
         per_slot = tuple(choice(COARSE) for _ in range(end - start + 1))
@@ -183,3 +187,106 @@ def test_lab_rescales_the_truthful_profile_once_per_deviator(monkeypatch, kind):
     game = lab_game(kind, rng.randint, rng.choice)
     deviation_search(MECHANISMS[kind][0], game, game.bids[-1].user)
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# One kernel run per cell of grid scales
+
+LAB_KINDS = {"add_on": "additive_online", "subst_off": "subst_offline", "subst_on": "subst_online"}
+
+
+def lab_of(mechanism, game, deviator):
+    """The lab ``deviation_search`` builds for ``deviator``, and every
+    declaration it searches (the truthful one included) as (window, subset)."""
+    bid = {b.user: b for b in game.bids}[deviator]
+    online = isinstance(bid, OnlineBid)
+    others = [b for b in game.bids if b.user != deviator and (not online or b.start <= bid.start)]
+    truthful = ((bid.start, bid.end) if online else (1, 1), getattr(bid, "substitutes", None))
+    declared = dict.fromkeys([truthful, *((w, s) for w, s, _, _ in _misreports(game, bid))])
+    return _Lab(mechanism, game, others, bid), list(declared)
+
+
+def assert_one_run_per_cell(lab, window, subset) -> set[str]:
+    """Run the kernel uncached at every grid scale of one declaration and
+    require each whole settlement to equal the one at its cell's first
+    scale, and the cached utilities to equal the uncached ones.  Returns
+    what the declaration covered: "shared" if a cell of two or more scales
+    served the deviator, "pinned" if one did so after another bid was
+    served her optimization in an earlier slot."""
+    settlements = []
+    kernel = lab.kernel
+    lab.kernel = lambda game, costs: settlements.append(kernel(game, costs)) or settlements[-1]
+    try:
+        utilities = [lab.run(window, subset, k) for k in range(len(GRID_SCALES))]
+    finally:
+        lab.kernel = kernel
+    cells = [lab.cell(window, subset, k) for k in range(len(GRID_SCALES))]
+    assert cells.count(cells[0]) == 1  # k = 0 makes no offer: a cell of its own
+    covered = set()
+    for k, cell in enumerate(cells):
+        first = cells.index(cell)
+        assert settlements[k] == settlements[first], (window, subset, k, first)
+        assert utilities[k] == utilities[first]
+        mine = settlements[k][0].get(lab.n)
+        if k > first and mine is not None:
+            covered.add("shared")
+            if any(e[0] == mine[0] and e[1] < mine[1] for e in settlements[k][0].values()):
+                covered.add("pinned")
+    assert [lab.utility(window, subset, k) for k in range(len(GRID_SCALES))] == utilities
+    return covered
+
+
+def assert_premise(mechanism, game, deviators) -> set[str]:
+    covered = set()
+    for deviator in deviators:
+        lab, declared = lab_of(mechanism, game, deviator)
+        for window, subset in declared:
+            covered |= assert_one_run_per_cell(lab, window, subset)
+    return covered
+
+
+def test_one_run_per_cell_on_seeded_games():
+    rng = random.Random("one-run-per-cell")
+    draws = {
+        "add_on": lambda: rand_additive_online(rng, max_users=5, max_slots=4),
+        "subst_off": lambda: rand_subst_offline(rng, max_users=5, max_opts=3),
+        "subst_on": lambda: rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4),
+    }
+    for mechanism, draw in draws.items():
+        covered = set()
+        for _ in range(8):
+            for game in (lab_game(LAB_KINDS[mechanism], rng.randint, rng.choice, 5, 4, 3), draw()):
+                covered |= assert_premise(mechanism, game, [b.user for b in game.bids])
+        assert covered == ({"shared"} if mechanism == "subst_off" else {"shared", "pinned"}), mechanism
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(tuple(LAB_KINDS)), st.data())
+def test_one_run_per_cell_on_any_coarse_game(mechanism, data):
+    game = lab_game(
+        LAB_KINDS[mechanism],
+        lambda lo, hi: data.draw(st.integers(lo, hi)),
+        lambda options: data.draw(st.sampled_from(options)),
+        users=5,
+        slots=4,
+        opts=3,
+    )
+    deviator = data.draw(st.sampled_from([b.user for b in game.bids]))
+    assert_premise(mechanism, game, [deviator])
+
+
+def test_everyone_sharing_one_optimization_decides_the_grant():
+    """Three users share one optimization of cost 3 only when all three
+    join: at x1/2 the deviator (true value 2) covers a share of 1 with the
+    two others, below it nobody is served.  That cut is the breakpoint at
+    head count n + 1 = 3 and at no smaller one."""
+    game = SubstOfflineGame(
+        (Optimization(1, F(3)),),
+        tuple(SubstitutableOfflineBid(u, frozenset({1}), v) for u, v in ((1, F(1)), (2, F(1)), (3, F(2)))),
+    )
+    lab, _ = lab_of("subst_off", game, 3)
+    window, subset = (1, 1), frozenset({1})
+    assert [lab.run(window, subset, k) for k in (4, 5)] == [(0, 1), (20 * 3 - 30, 3)]
+    assert lab.cell(window, subset, 4) != lab.cell(window, subset, 5)
+    assert [lab.utility(window, subset, k) for k in range(6)] == [(0, 1)] * 5 + [(30, 3)]
+    assert_one_run_per_cell(lab, window, subset)
