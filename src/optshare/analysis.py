@@ -267,11 +267,12 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     lab = _Lab(mechanism, game, others, true_bid)
     utility, scale = lab.utility, lab.scale
     truthful = best = utility(window, own, 10)
-    best_note = None
-    for window, subset, k, note in _misreports(game, true_bid):
-        u = utility(window, subset, k)
+    best_at = None
+    for misreport in _misreports(game, true_bid):
+        u = utility(*misreport)
         if u[0] * best[1] > best[0] * u[1]:
-            best, best_note = u, note
+            best, best_at = u, misreport
+    best_note = None if best_at is None else _note(isinstance(true_bid, OnlineBid), *best_at)
     truthful_u, best_u = (Fraction(n, c * scale) for n, c in (truthful, best))
     return DeviationReport(mechanism, deviator, truthful_u, best_u, best_note, best_u > truthful_u)
 
@@ -416,7 +417,7 @@ def _subset_options(catalog, true_set: frozenset[OptId]) -> list[frozenset[OptId
 
 def _misreports(game, bid):
     """Every grid misreport of a substitutable or online ``bid`` as (window,
-    substitute set, k, note), declaring its true values times
+    substitute set, k), declaring its true values times
     ``GRID_SCALES[k]`` over the window: window by window, then substitute
     set by set, then scale by scale.  An online bid may declare any window
     that opens at its arrival or later (the set is None for an additive
@@ -431,13 +432,19 @@ def _misreports(game, bid):
     for s, e in windows:
         positive = not online or any(bid.value_at(t) for t in range(s, e + 1))
         for subset in subsets:
-            note = "" if subset is None else f"set {sorted(subset)} "
-            if online:
-                note += f"window [{s},{e}] "
             withdraws = not online and subset == bid.substitutes
-            for k, scale in enumerate(GRID_SCALES):
+            for k in range(len(GRID_SCALES)):
                 if subset is None or (k and positive) or withdraws:
-                    yield (s, e), subset, k, f"{note}x{scale}"
+                    yield (s, e), subset, k
+
+
+def _note(online: bool, window, subset, k: int) -> str:
+    """How a report names the misreport (window, subset, k) of
+    :func:`_misreports`."""
+    note = "" if subset is None else f"set {sorted(subset)} "
+    if online:
+        note += f"window [{window[0]},{window[1]}] "
+    return f"{note}x{GRID_SCALES[k]}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,23 @@
 """Experiment engine: run mechanism-vs-baseline sweeps over seeded Monte
 Carlo scenarios and emit deterministic CSV summaries.
 
-Sweeps run trial-major: each trial's game is generated once and rescaled
-once to integers (``scaled.ScaledGame``), with one integer cost per cost
-point, and each requested mechanism settles every point of it in one
-``run_mechanism`` call.  On additive games the points share work: as the
-cost rises no join slot and no regret trigger slot moves earlier, so
-``add_on`` runs ``serve`` only where the sorted points' outcomes differ and
-the regret baseline finds its trigger slots by bisection.  Substitutable
-games are not monotone in the cost and run their kernel at every point.
-Utility and balance are folded from the kernels' settlements
-(``scaled.totals``) as integers over one denominator and added to integer
-cells; ``Fraction``s appear only when a cell's mean or variance is read.
-Sums are exact, so scheduling and arrival order cannot change a single
-output byte.  Trials run serially or in one process pool per sweep, whose
-workers fold chunks of trials into partial cells that the parent merges.
-Files are written to a temp path and atomically renamed.
+Sweeps run trial-major: each trial's draws go straight into the integer rows
+of a ``scaled.ScaledGame`` (``scenarios.ScaledTrials``), on one scale for
+the sweep, with one integer cost per cost point, and each requested
+mechanism settles every point of it in one ``run_mechanism`` call.  On
+additive games the points share work: as the cost rises no join slot and
+no regret trigger slot moves earlier, so ``add_on`` runs ``serve`` only
+where the sorted points' outcomes differ and the regret baseline finds its
+trigger slots by bisection.  Substitutable games are not monotone in the
+cost and run their kernel at every point.  Utility and balance are folded
+from the kernels' settlements (``scaled.totals``) as integers over one
+denominator and added to integer cells, and each CSV cell is rendered from
+those integer sums (``CellStats.columns``), so no ``Fraction`` is made
+between the config and the CSV text.  Sums are exact, so neither the scale,
+scheduling nor arrival order can change a single output byte.  Trials run
+serially or in one process pool per sweep, whose workers fold chunks of
+trials into partial cells that the parent merges.  Files are written to a
+temp path and atomically renamed.
 """
 
 from __future__ import annotations
@@ -30,18 +32,20 @@ from operator import itemgetter
 
 from .additive_online import serve_points
 from .analysis import MECHANISMS
-from .money import Money, parse_money, render_decimal, render_decimal_sqrt, render_exact
+from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
 from .regret import trigger, trigger_points
 from .scaled import Factors, ScaledGame, totals
-from .scenarios import ScenarioError, ScenarioSpec, generate
+from .scenarios import ScaledTrials, ScenarioError, ScenarioSpec
 from .substitutable import grant
 
 # Bound here only for perfbench/spans.py, whose traced run wraps each of
-# these names on this module; the sweep runs the integer kernels above.  Both
-# score names are the one scorer, ``analysis.score``.
+# these names on this module; the sweep runs the integer kernels above and
+# draws its games through ``ScaledTrials``.  Both score names are the one
+# scorer, ``analysis.score``.
 from .additive_online import add_on  # noqa: F401
 from .analysis import score as score_additive_online, score as score_subst_online  # noqa: F401
 from .regret import regret_run  # noqa: F401
+from .scenarios import generate  # noqa: F401
 from .substitutable import subst_on  # noqa: F401
 
 FAMILY_MECHANISMS = {
@@ -82,6 +86,8 @@ class ExperimentConfig:
     details: bool = False
 
     def __post_init__(self):
+        if self.output in (".", "..") or any(c in self.output for c in "/\\\0"):
+            raise ConfigError(f"output: expected a plain file name, got {self.output!r}")
         if not self.mechanisms:
             raise ConfigError("mechanisms: at least one required")
         allowed = FAMILY_MECHANISMS[self.scenario.family]
@@ -227,6 +233,8 @@ class CellStats:
     Sums are integers over the common denominator ``den`` (sums of squares
     over ``den**2``).  ``den`` grows to the lcm of every denominator added or
     merged, which does not depend on arrival order, so neither do the sums.
+    :meth:`columns` renders the cell from the sums; the ``Fraction``
+    properties are for callers that compare cells.
     """
 
     n: int = 0
@@ -271,6 +279,19 @@ class CellStats:
             self.sum_b2 *= f * f
         return self.den // den
 
+    def columns(self) -> tuple[str, str, str, str, str]:
+        """The CSV columns: mean and sd of utility, of balance, and the
+        implemented rate.  A mean is ``sum / (den * n)`` and an sd
+        ``sqrt(n * sum2 - sum**2) / (den * n)``."""
+        n, over = self.n, self.den * self.n
+        return (
+            render_ratio(self.sum_u, over),
+            render_ratio_sqrt(n * self.sum_u2 - self.sum_u * self.sum_u, over * over),
+            render_ratio(self.sum_b, over),
+            render_ratio_sqrt(n * self.sum_b2 - self.sum_b * self.sum_b, over * over),
+            render_ratio(self.implemented, n),
+        )
+
     @property
     def mean_utility(self) -> Fraction:
         return Fraction(self.sum_u, self.den * self.n)
@@ -295,16 +316,18 @@ class CellStats:
 def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, details: bool, trials):
     """Run ``trials`` and fold them into fresh cells; returns the cells and,
     if ``details``, the detail records per cost point as (trial, record).
-    Each trial's game is generated and scaled once; cost point p scales the
-    generated catalog by ``cost_points[p] / spec.cost``, entry p of
-    ``factors`` (see ``scenarios.recost``), and each mechanism settles every
-    point of it in one ``run_mechanism`` call."""
+    Each trial's game is drawn into integer rows once; cost point p costs
+    the catalog at ``cost_points[p]`` as factor p, ``cost_points[p] /
+    spec.cost``, since every family's catalog costs are proportional to
+    ``spec.cost``, and each mechanism settles every point of it in one
+    ``run_mechanism`` call."""
     order = sorted(range(len(factors.nums)), key=factors.nums.__getitem__)
+    games = ScaledTrials(spec, factors)
     cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
     columns = [(m, [cells[(m, cost)] for cost in cost_points]) for m in mechanisms]  # per point, no Fraction hashing
     records = [[] for _ in cost_points] if details else None
     for trial in trials:
-        game = ScaledGame(generate(spec, trial), factors)
+        game = games.game(trial)
         for mechanism, column in columns:
             for point, (cell, result) in enumerate(zip(column, run_mechanism(mechanism, game, order))):
                 cell.add(*result)
@@ -345,9 +368,9 @@ def sweep(
 ) -> dict[tuple[str, Money], CellStats]:
     """Run trials x cost points x mechanisms; exact aggregation per cell.
 
-    Trial-major: each trial's game is generated and scaled to integers once
-    and every mechanism's kernel runs on it at every cost point.  With more
-    than one worker, one process pool of at most
+    Trial-major: each trial's game is drawn into integer rows once and every
+    mechanism's kernel runs on it at every cost point.  With more than one
+    worker, one process pool of at most
     ``min(workers, os.cpu_count(), trials)`` processes serves the whole
     sweep; a job is a chunk of ``TRIALS_PER_TASK`` trials, which the worker
     folds into partial cells (and detail records, if asked for) for the
@@ -386,21 +409,7 @@ def cells_to_csv(mechanisms, cost_points, cells, trials: int) -> str:
     lines = [CSV_HEADER]
     for mechanism in mechanisms:
         for cost in cost_points:
-            c = cells[(mechanism, cost)]
-            lines.append(
-                ",".join(
-                    (
-                        mechanism,
-                        render_decimal(cost),
-                        str(trials),
-                        render_decimal(c.mean_utility),
-                        render_decimal_sqrt(c.var_utility),
-                        render_decimal(c.mean_balance),
-                        render_decimal_sqrt(c.var_balance),
-                        render_decimal(c.implemented_rate),
-                    )
-                )
-            )
+            lines.append(",".join((mechanism, render_decimal(cost), str(trials), *cells[(mechanism, cost)].columns())))
     return "\n".join(lines) + "\n"
 
 

@@ -59,11 +59,7 @@ def parse_exact(text: str) -> Money:
 
 def render_decimal(value: Money, digits: int = 9) -> str:
     """Render with a fixed number of fractional digits, round-half-even."""
-    scale = 10**digits
-    sign = "-" if value < 0 else ""
-    scaled = _round_half_even(abs(value) * scale)
-    whole, frac = divmod(scaled, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+    return render_ratio(value.numerator, value.denominator, digits)
 
 
 def render_decimal_sqrt(value: Money, digits: int = 9) -> str:
@@ -72,28 +68,33 @@ def render_decimal_sqrt(value: Money, digits: int = 9) -> str:
     The square root of a rational is generally irrational; this computes the
     correctly rounded (half-even) decimal without going through floats.
     """
-    if value < 0:
+    return render_ratio_sqrt(value.numerator, value.denominator, digits)
+
+
+def render_ratio(num: int, den: int, digits: int = 9) -> str:
+    """:func:`render_decimal` of ``num / den``, for integers with ``den > 0``."""
+    scale = 10**digits
+    q, r = divmod(abs(num) * scale, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    sign = "-" if num < 0 else ""
+    whole, frac = divmod(q, scale)
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+
+
+def render_ratio_sqrt(num: int, den: int, digits: int = 9) -> str:
+    """:func:`render_decimal_sqrt` of ``num / den``, for integers with
+    ``den > 0``.  With ``N = num * 10**(2 * digits)``, ``y = isqrt(N // den)``
+    is the floor of ``sqrt(N / den)``; it rounds up when ``N / den`` lies
+    above ``(y + 1/2)**2``, that is ``(2y + 1)**2 * den < 4N``, and on
+    equality to even."""
+    if num < 0:
         raise ValueError("sqrt of negative value")
     scale = 10**digits
-    target = value * scale * scale
-    y = math.isqrt(target.numerator // target.denominator)
-    # isqrt(floor(target)) can be off by one around the boundary; settle the
-    # half-even rounding by exact comparisons against (y +/- 1/2)^2.
-    while Fraction(2 * y + 1, 2) ** 2 < target:
+    n = num * scale * scale
+    y = math.isqrt(n // den)
+    above = 4 * n - (2 * y + 1) ** 2 * den
+    if above > 0 or (above == 0 and y % 2 == 1):
         y += 1
-    while y > 0 and Fraction(2 * y - 1, 2) ** 2 > target:
-        y -= 1
-    if Fraction(2 * y - 1, 2) ** 2 == target and (y % 2 == 1):
-        y -= 1  # exact .5 tie below y: round to even
-    elif Fraction(2 * y + 1, 2) ** 2 == target and (y % 2 == 1):
-        y += 1  # exact .5 tie above y: round to even
     whole, frac = divmod(y, scale)
     return f"{whole}.{frac:0{digits}d}" if digits else str(whole)
-
-
-def _round_half_even(value: Fraction) -> int:
-    q, r = divmod(value.numerator, value.denominator)
-    twice = 2 * r
-    if twice > value.denominator or (twice == value.denominator and q % 2 == 1):
-        q += 1
-    return q

@@ -8,21 +8,26 @@ factor per cost point, and the scaled cost of optimization ``j`` at point
 ``p`` is ``base[j] * unit[p]``, one integer multiply, equal to
 ``catalog cost * factor * scale`` exactly.
 
-The harness builds one per trial, with the factor ``cost / spec.cost`` of
-each cost point (every family's catalog costs are proportional to
-``spec.cost``, see ``scenarios.recost``), from one :class:`Factors` per
-sweep.  The public mechanism functions
-build one per call, and the strategy lab one per deviator of its truthful
-profile, with the single factor 1, which makes the scale the least common
-denominator of the game's own costs and values; the lab runs every
-misreport on its offers, with the deviator's row merged in.
+The harness builds one per trial straight from the trial's draws
+(``scenarios.ScaledTrials``, through :meth:`ScaledGame.from_rows`), on one
+scale for the whole sweep, with the factor ``cost / spec.cost`` of each cost
+point: every family's catalog costs are proportional to ``spec.cost``, so
+that factor costs the generated catalog at ``cost``.  Both constructors
+share one assembly step (suffix sums, offers and their sort).  The public
+mechanism functions build one per call from a game, and the strategy lab
+one per deviator of its truthful profile, with the single factor 1, which
+makes the scale the least common denominator of the game's own costs and
+values; the lab runs every misreport on its offers, with the deviator's row
+merged in.
 
 Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
 folds into the harness's sums and :func:`served_and_paid` into a trace.
 
-Construction checks, once per game, what the game's constructor leaves to
-it: one bid per user (per optimization for additive bids).  Cost factors
-are checked positive where their :class:`Factors` is built.
+Construction from a game checks, once per game, what the game's
+constructor leaves to it: one bid per user (per optimization for additive
+bids); :meth:`ScaledGame.from_rows` checks nothing, as the scenario draws
+are valid by construction.  Cost factors are checked positive where their
+:class:`Factors` is built.
 """
 
 from __future__ import annotations
@@ -46,6 +51,21 @@ class Factors:
         self.lcm = lcm = math.lcm(*[f.denominator for f in factors])
         self.nums = tuple(f.numerator * (lcm // f.denominator) for f in factors)
 
+    def scale(self, cost_lcm: int, value_lcm: int) -> tuple[int, list[int]]:
+        """``(scale, units)`` for costs over ``cost_lcm`` and values over
+        ``value_lcm``: a scale on which every cost times every factor and
+        every value is an integer, and per point the integer that a cost
+        numerator over ``cost_lcm`` is multiplied by there."""
+        common = cost_lcm * self.lcm
+        scale = math.lcm(common, value_lcm)
+        return scale, [n * (scale // common) for n in self.nums]
+
+
+def cost_rows(base: Mapping[OptId, int], units: Sequence[int]) -> list[dict[OptId, int]]:
+    """Per cost point, each optimization's scaled cost: its ``base``
+    numerator times the point's unit."""
+    return [{j: c * unit for j, c in base.items()} for unit in units]
+
 
 class ScaledGame:
     """Bids and costs of one online game as integers over ``scale``.
@@ -60,6 +80,7 @@ class ScaledGame:
     cost at cost point ``p``, a fixed integer per optimization times
     ``units[p]``, so the points rank by ``units`` as by their factors.
     ``factors`` are Money values or a :class:`Factors` built from them.
+    :meth:`from_rows` builds one from integer rows with no game.
     ``values`` and ``by_opt``, which only the regret baseline reads, are
     built on first use.
     """
@@ -67,27 +88,15 @@ class ScaledGame:
     def __init__(self, game, factors: Sequence[Money] | Factors = (1,)):
         factors = factors if isinstance(factors, Factors) else Factors(factors)
         catalog = game.catalog
-        self.additive = additive = not isinstance(game, SubstOnlineGame)
-        self.z = z = game.horizon.z
+        additive = not isinstance(game, SubstOnlineGame)
         # Costs need cost_lcm, factors factors.lcm and values the lcm of their
         # denominators; every product cost * factor * scale is then an integer.
         cost_lcm = math.lcm(*[o.cost.denominator for o in catalog])
-        common = cost_lcm * factors.lcm
-        self.scale = scale = math.lcm(common, *[v.denominator for b in game.bids for v in b.per_slot])
-        self.units = units = [n * (scale // common) for n in factors.nums]
-        base = [(o.id, o.cost.numerator * (cost_lcm // o.cost.denominator)) for o in catalog]
-        self.costs = [{j: c * unit for j, c in base} for unit in units]
-
-        self.users = users = []
-        self.starts = starts = []
-        self.ends = ends = []
-        self.interest = interest = []
-        self.suffix = suffixes = []
-        # offers[t] (index 0 unused): (residual from t, bid) of every bid
-        # whose window holds slot t and has value left, highest first
-        self.offers = offers = [[] for _ in range(z + 1)]
+        scale, units = factors.scale(cost_lcm, math.lcm(*[v.denominator for b in game.bids for v in b.per_slot]))
+        base = {o.id: o.cost.numerator * (cost_lcm // o.cost.denominator) for o in catalog}
+        users, starts, ends, interest, rows = [], [], [], [], []
         seen = set()
-        for i, b in enumerate(game.bids):
+        for b in game.bids:
             key = (b.user, b.opt) if additive else b.user
             if key in seen:
                 if additive:
@@ -98,15 +107,37 @@ class ScaledGame:
             starts.append(b.start)
             ends.append(b.end)
             interest.append((b.opt,) if additive else b.substitutes)
+            rows.append([v.numerator * (scale // v.denominator) for v in b.per_slot])
+        self._assemble(additive, game.horizon.z, scale, units, cost_rows(base, units), users, starts, ends, interest, rows)
+
+    @classmethod
+    def from_rows(cls, additive: bool, z: int, scale: int, units, costs, users, starts, ends, interest, rows) -> "ScaledGame":
+        """The game whose fields are the arguments, and whose bid ``i`` has the
+        scaled value ``rows[i][k]`` in slot ``starts[i] + k``; nothing is
+        checked.  Fields may be shared between games: no kernel mutates one."""
+        game = cls.__new__(cls)
+        game._assemble(additive, z, scale, units, costs, users, starts, ends, interest, rows)
+        return game
+
+    def _assemble(self, additive, z, scale, units, costs, users, starts, ends, interest, rows):
+        """Set the fields, and build each bid's suffix sums and each slot's
+        offers from the bids' scaled per-slot values ``rows``."""
+        self.additive, self.z, self.scale, self.units, self.costs = additive, z, scale, units, costs
+        self.users, self.starts, self.ends, self.interest = users, starts, ends, interest
+        self.suffix = suffixes = []
+        # offers[t] (index 0 unused): (residual from t, bid) of every bid
+        # whose window holds slot t and has value left, highest first
+        self.offers = offers = [[] for _ in range(z + 1)]
+        for i, (start, row) in enumerate(zip(starts, rows)):
             acc = 0
-            k = len(b.per_slot)
+            k = len(row)
             suffix = [0] * (k + 1)
-            for v in reversed(b.per_slot):
+            for v in reversed(row):
                 k -= 1
-                acc += v.numerator * (scale // v.denominator)
+                acc += v
                 suffix[k] = acc
                 if acc:
-                    offers[b.start + k].append((acc, i))
+                    offers[start + k].append((acc, i))
             suffixes.append(suffix)
         for slot in offers:
             if len(slot) > 1:

@@ -6,12 +6,24 @@ consumed in a fixed order (users in id order, fields in declaration order),
 so reruns and other machines reproduce games bit for bit.  Monetary draws
 are sampled directly on the 1e-6 grid (an integer in [0, 1e6] over the value
 range), which keeps every generated amount an exact rational.
+
+:func:`draw` is the one place that consumes the stream: it returns a
+trial's draws as plain integers (:class:`Draws`).  Draws that alternate
+between two uniform integer ranges are made in one broadcast
+``rng.integers`` call, which consumes the stream as the scalar calls in the
+same order do; draws interleaved with ``exponential`` or ``choice`` stay
+scalar.  Two consumers share it: :func:`generate` builds the ``Fraction``
+game, and :class:`ScaledTrials` builds a sweep's
+:class:`~optshare.scaled.ScaledGame` of the same game straight from the
+integers, on one scale for the whole sweep, with no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,12 +31,14 @@ from .core import (
     AdditiveOnlineBid,
     AdditiveOnlineMultiGame,
     OnlineAdditiveGame,
+    OptId,
     Optimization,
     SlotHorizon,
     SubstOnlineGame,
     SubstitutableOnlineBid,
 )
 from .money import Money, parse_money
+from .scaled import Factors, ScaledGame, cost_rows
 
 GRID = 10**6
 
@@ -129,85 +143,93 @@ def _trial_rng(spec: ScenarioSpec, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, trial))))
 
 
-def _grid_value(rng) -> Money:
-    return Fraction(int(rng.integers(0, GRID, endpoint=True)), GRID)
+class Draws(NamedTuple):
+    """One trial's draws as integers, per user in id order: the window
+    ``starts`` through ``ends`` and ``values``, a value numerator over
+    ``GRID`` (duration_spread: the total over the window; usecase_shape draws
+    none).  Selectivity adds ``catalog``, per optimization the ``k`` of its
+    cost ``2 * spec.cost * k / GRID``, and ``picks``, each user's substitute
+    set; its zero values are raised to 1, as substitutable bids must be
+    positive."""
+
+    starts: Sequence[int]
+    ends: Sequence[int]
+    values: Sequence[int] = ()
+    catalog: Sequence[int] = ()
+    picks: Sequence[frozenset[int]] = ()
+
+
+def draw(spec: ScenarioSpec, trial: int) -> Draws:
+    """The draws of one trial of a scenario."""
+    if not (0 <= trial < spec.trials):
+        raise ScenarioError(f"trial {trial} outside 0..{spec.trials - 1}")
+    return _DRAWS.get(spec.family, _draw_single_opt)(spec, _trial_rng(spec, trial))
+
+
+@lru_cache(maxsize=32)
+def _pair_bounds(users: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tile((1, 0), users), np.tile((z, GRID), users)
+
+
+def _uniform_pairs(rng, users: int, z: int) -> tuple[list[int], list[int]]:
+    """Per user, a slot uniform on 1..z, then a value uniform on the grid."""
+    out = rng.integers(*_pair_bounds(users, z), endpoint=True).tolist()
+    return out[0::2], out[1::2]
 
 
 def _start_slot(rng, z: int, skew: str) -> int:
     if skew == "uniform":
         return int(rng.integers(1, z, endpoint=True))
-    draw = rng.exponential(1.2)
-    raw = 1 + draw if skew == "early" else z - draw
+    offset = rng.exponential(1.2)
+    raw = 1 + offset if skew == "early" else z - offset
     return min(max(int(round(raw)), 1), z)
 
 
-def generate(spec: ScenarioSpec, trial: int):
-    """Build the game for one trial of a scenario."""
-    if not (0 <= trial < spec.trials):
-        raise ScenarioError(f"trial {trial} outside 0..{spec.trials - 1}")
-    rng = _trial_rng(spec, trial)
-    builder = _BUILDERS[spec.family]
-    return builder(spec, rng)
+def _draw_single_opt(spec: ScenarioSpec, rng) -> Draws:
+    """collab_size, overlap_slots and arrival_skew: per user one slot and
+    its value, for one optimization."""
+    if spec.skew == "uniform":
+        slots, values = _uniform_pairs(rng, spec.users, spec.slots)
+    else:
+        slots, values = [], []
+        for _ in range(spec.users):
+            slots.append(_start_slot(rng, spec.slots, spec.skew))
+            values.append(int(rng.integers(0, GRID, endpoint=True)))
+    return Draws(slots, slots, values)
 
 
-def recost(game, spec: ScenarioSpec, cost: Money):
-    """The game ``generate(spec.with_cost(cost), trial)`` builds, made from the
-    one ``generate(spec, trial)`` built.  Cost enters a game only through its
-    catalog and draws no random numbers, so only the catalog changes."""
-    if spec.family == "selectivity":
-        scale = cost / spec.cost  # catalog costs are proportional to spec.cost
-        catalog = tuple(Optimization(o.id, o.cost * scale) for o in game.catalog)
-        return SubstOnlineGame(catalog, game.horizon, game.bids)
-    if spec.family == "usecase_shape":
-        catalog = tuple(Optimization(o.id, cost) for o in game.catalog)
-        return AdditiveOnlineMultiGame(catalog, game.horizon, game.bids)
-    return OnlineAdditiveGame(Optimization(game.optimization.id, cost), game.horizon, game.bids)
+def _draw_duration_spread(spec: ScenarioSpec, rng) -> Draws:
+    starts, totals = _uniform_pairs(rng, spec.users, spec.slots)
+    return Draws(starts, [min(s + spec.duration - 1, spec.slots) for s in starts], totals)
 
 
-def _single_opt_additive(spec: ScenarioSpec, rng) -> OnlineAdditiveGame:
-    """One additive optimization; each user wants one slot at one value."""
-    horizon = SlotHorizon(spec.slots)
-    bids = []
-    for user in range(1, spec.users + 1):
-        slot = _start_slot(rng, spec.slots, spec.skew)
-        value = _grid_value(rng)
-        bids.append(AdditiveOnlineBid(user, 1, slot, slot, (value,)))
-    return OnlineAdditiveGame(Optimization(1, spec.cost), horizon, tuple(bids))
+def _draw_selectivity(spec: ScenarioSpec, rng) -> Draws:
+    catalog = rng.integers(1, GRID, size=spec.opt_count, endpoint=True).tolist()
+    slots, values, picks = [], [], []
+    for _ in range(spec.users):
+        slots.append(_start_slot(rng, spec.slots, spec.skew))
+        values.append(int(rng.integers(0, GRID, endpoint=True)) or 1)
+        chosen = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False).tolist()
+        picks.append(frozenset(p + 1 for p in chosen))
+    return Draws(slots, slots, values, catalog, picks)
 
 
-def _duration_spread(spec: ScenarioSpec, rng) -> OnlineAdditiveGame:
-    """Each user's value is split evenly over a service interval of length d
-    starting at a uniform slot (truncated at the horizon)."""
-    horizon = SlotHorizon(spec.slots)
-    d = spec.duration
-    bids = []
-    for user in range(1, spec.users + 1):
-        start = int(rng.integers(1, spec.slots, endpoint=True))
-        end = min(start + d - 1, spec.slots)
-        total = _grid_value(rng)
-        per_slot = total / d
-        bids.append(AdditiveOnlineBid(user, 1, start, end, (per_slot,) * (end - start + 1)))
-    return OnlineAdditiveGame(Optimization(1, spec.cost), horizon, tuple(bids))
+@lru_cache(maxsize=32)
+def _windows(z: int) -> tuple[tuple[int, int], ...]:
+    return tuple((s, e) for s in range(1, z + 1) for e in range(s, z + 1))
 
 
-def _selectivity(spec: ScenarioSpec, rng) -> SubstOnlineGame:
-    """Substitutable optimizations with costs uniform on (0, 2 * mean cost];
-    each user picks a fixed-size substitute set uniformly at random."""
-    horizon = SlotHorizon(spec.slots)
-    catalog = []
-    for j in range(1, spec.opt_count + 1):
-        k = int(rng.integers(1, GRID, endpoint=True))
-        catalog.append(Optimization(j, 2 * spec.cost * Fraction(k, GRID)))
-    bids = []
-    for user in range(1, spec.users + 1):
-        slot = _start_slot(rng, spec.slots, spec.skew)
-        value = _grid_value(rng)
-        picks = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False)
-        substitutes = frozenset(int(p) + 1 for p in picks)
-        if value == 0:
-            value = Fraction(1, GRID)  # substitutable bids must be positive
-        bids.append(SubstitutableOnlineBid(user, substitutes, slot, slot, (value,)))
-    return SubstOnlineGame(tuple(catalog), horizon, tuple(bids))
+def _draw_usecase_shape(spec: ScenarioSpec, rng) -> Draws:
+    windows = _windows(spec.slots)
+    picked = [windows[w] for w in rng.integers(0, len(windows), size=spec.users).tolist()]
+    return Draws([s for s, _ in picked], [e for _, e in picked])
+
+
+_DRAWS = {  # every other family draws as _draw_single_opt
+    "duration_spread": _draw_duration_spread,
+    "selectivity": _draw_selectivity,
+    "usecase_shape": _draw_usecase_shape,
+}
 
 
 # Per-execution savings for the headline view, one entry per user, and the
@@ -217,35 +239,101 @@ USECASE_STRIDES = (1, 2, 4, 1, 2, 4)
 USECASE_OTHER_CENTS = 1
 
 
-def _usecase_shape(spec: ScenarioSpec, rng) -> AdditiveOnlineMultiGame:
+def _usecase_bids(spec: ScenarioSpec, user: int) -> list[tuple[OptId, int]]:
     """Synthetic stand-in with the collaborative-workload shape: a few users
     on quarterly slots, one high-value view plus uniform cheap views, each
-    user active over a random contiguous window."""
+    user active over a random contiguous window.  ``user``'s bids as
+    (optimization, value per active slot in cents), in catalog order."""
+    headline = USECASE_HEADLINE_CENTS[(user - 1) % len(USECASE_HEADLINE_CENTS)]
+    stride = USECASE_STRIDES[(user - 1) % len(USECASE_STRIDES)]
+    cents = [(1, headline)] + [(j, USECASE_OTHER_CENTS) for j in range(2, spec.opt_count + 1) if (j - 1) % stride == 0]
+    return [(j, c * spec.executions_per_slot) for j, c in cents]
+
+
+# ---------------------------------------------------------------------------
+# The Fraction games
+
+
+def generate(spec: ScenarioSpec, trial: int):
+    """Build the game for one trial of a scenario."""
+    d = draw(spec, trial)
     horizon = SlotHorizon(spec.slots)
-    catalog = tuple(Optimization(j, spec.cost) for j in range(1, spec.opt_count + 1))
-    windows = [(s, e) for s in horizon.slots() for e in range(s, spec.slots + 1)]
-    bids = []
-    for user in range(1, spec.users + 1):
-        start, end = windows[int(rng.integers(0, len(windows)))]
-        headline = USECASE_HEADLINE_CENTS[(user - 1) % len(USECASE_HEADLINE_CENTS)]
-        stride = USECASE_STRIDES[(user - 1) % len(USECASE_STRIDES)]
-        for opt in catalog:
-            if opt.id == 1:
-                cents = headline
-            elif (opt.id - 1) % stride == 0:
-                cents = USECASE_OTHER_CENTS
-            else:
-                continue
-            per_slot = Fraction(cents * spec.executions_per_slot, 100)
-            bids.append(AdditiveOnlineBid(user, opt.id, start, end, (per_slot,) * (end - start + 1)))
-    return AdditiveOnlineMultiGame(catalog, horizon, tuple(bids))
+    users = range(1, spec.users + 1)
+    if spec.family == "selectivity":
+        # costs uniform on (0, 2 * mean cost]; each user picks a fixed-size
+        # substitute set uniformly at random
+        catalog = tuple(Optimization(j, 2 * spec.cost * Fraction(k, GRID)) for j, k in enumerate(d.catalog, 1))
+        bids = tuple(
+            SubstitutableOnlineBid(u, subs, t, t, (Fraction(v, GRID),))
+            for u, t, v, subs in zip(users, d.starts, d.values, d.picks)
+        )
+        return SubstOnlineGame(catalog, horizon, bids)
+    if spec.family == "usecase_shape":
+        catalog = tuple(Optimization(j, spec.cost) for j in range(1, spec.opt_count + 1))
+        bids = tuple(
+            AdditiveOnlineBid(u, j, s, e, (Fraction(cents, 100),) * (e - s + 1))
+            for u, s, e in zip(users, d.starts, d.ends)
+            for j, cents in _usecase_bids(spec, u)
+        )
+        return AdditiveOnlineMultiGame(catalog, horizon, bids)
+    # one additive optimization; duration_spread splits each user's value
+    # evenly over a window of its duration, truncated at the horizon
+    duration = spec.duration if spec.family == "duration_spread" else 1
+    bids = tuple(
+        AdditiveOnlineBid(u, 1, s, e, (Fraction(v, GRID * duration),) * (e - s + 1))
+        for u, s, e, v in zip(users, d.starts, d.ends, d.values)
+    )
+    return OnlineAdditiveGame(Optimization(1, spec.cost), horizon, bids)
 
 
-_BUILDERS = {
-    "collab_size": _single_opt_additive,
-    "overlap_slots": _single_opt_additive,
-    "arrival_skew": _single_opt_additive,
-    "duration_spread": _duration_spread,
-    "selectivity": _selectivity,
-    "usecase_shape": _usecase_shape,
-}
+# ---------------------------------------------------------------------------
+# The scaled games of a sweep
+
+
+class ScaledTrials:
+    """The trials of a sweep of ``spec`` at cost ``factors``: :meth:`game`
+    is ``ScaledGame(generate(spec, trial), factors)`` up to its scale, built
+    from :func:`draw` with no ``Fraction``.  Every family's catalog costs are
+    proportional to ``spec.cost``, so a factor of ``cost / spec.cost`` costs
+    the catalog at ``cost``.
+
+    One scale serves every trial: it clears the denominators of ``spec.cost``
+    times each factor (times ``GRID`` for selectivity's drawn costs) and of
+    every value the family can draw, over ``GRID`` (``GRID * duration`` for
+    duration_spread, 100 for usecase_shape's cents).  The points' units and,
+    except for selectivity, their costs are constants of the sweep, as are
+    the bids' users and, except for selectivity, their interests."""
+
+    def __init__(self, spec: ScenarioSpec, factors: Factors):
+        self.spec = spec
+        a, b = spec.cost.numerator, spec.cost.denominator
+        value_lcm = {"duration_spread": GRID * spec.duration, "usecase_shape": 100}.get(spec.family, GRID)
+        cost_lcm = b * GRID if spec.family == "selectivity" else b
+        self.scale, self.units = factors.scale(cost_lcm, value_lcm)
+        self.unit = self.scale // value_lcm  # a value numerator's scaled size
+        # selectivity draws its costs and interests per trial
+        self.users = tuple(range(1, spec.users + 1))
+        self.interest = ((1,),) * spec.users
+        self.costs = cost_rows({1: a}, self.units)
+        if spec.family == "usecase_shape":
+            bids = [(u, j, cents) for u in self.users for j, cents in _usecase_bids(spec, u)]
+            self.owners = [u - 1 for u, _, _ in bids]  # each bid's user, as a draws index
+            self.users = tuple(u for u, _, _ in bids)
+            self.interest = tuple((j,) for _, j, _ in bids)
+            self.rates = [cents * self.unit for _, _, cents in bids]
+            self.costs = cost_rows(dict.fromkeys(range(1, spec.opt_count + 1), a), self.units)
+
+    def game(self, trial: int) -> ScaledGame:
+        d = draw(self.spec, trial)
+        z, scale, units, unit = self.spec.slots, self.scale, self.units, self.unit
+        if self.spec.family == "selectivity":
+            costs = cost_rows({j: 2 * self.spec.cost.numerator * k for j, k in enumerate(d.catalog, 1)}, units)
+            rows = [(v * unit,) for v in d.values]
+            return ScaledGame.from_rows(False, z, scale, units, costs, self.users, d.starts, d.ends, d.picks, rows)
+        if self.spec.family == "usecase_shape":
+            starts = [d.starts[u] for u in self.owners]
+            ends = [d.ends[u] for u in self.owners]
+            rows = [(rate,) * (e - s + 1) for rate, s, e in zip(self.rates, starts, ends)]
+            return ScaledGame.from_rows(True, z, scale, units, self.costs, self.users, starts, ends, self.interest, rows)
+        rows = [(v * unit,) * (e - s + 1) for v, s, e in zip(d.values, d.starts, d.ends)]
+        return ScaledGame.from_rows(True, z, scale, units, self.costs, self.users, d.starts, d.ends, self.interest, rows)

@@ -8,10 +8,15 @@ public mechanisms of the registry and scores it with ``settle`` and
 ``realized``, the path the integer strategy lab replaces.  The reference
 online kernels keep the slot loops the integer kernels shortcut: every
 pinned bid in every phase loop of ``grant``, and every open optimization
-checked and logged in every slot of ``trigger``.
+checked and logged in every slot of ``trigger``.  The scenario oracles
+draw every number with its own scalar numpy call and build each game in
+``Fraction``s (``reference_generate``), and re-cost a generated game by
+rebuilding its catalog (``recost``).  The renderers' oracles round in
+``Fraction`` arithmetic.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from optshare.analysis import (
@@ -23,8 +28,25 @@ from optshare.analysis import (
     realized,
     settle,
 )
-from optshare.core import AdditiveOnlineBid, OnlineBid
+from optshare.core import (
+    AdditiveOnlineBid,
+    AdditiveOnlineMultiGame,
+    OnlineAdditiveGame,
+    OnlineBid,
+    Optimization,
+    SlotHorizon,
+    SubstitutableOnlineBid,
+    SubstOnlineGame,
+)
 from optshare.regret import _implement
+from optshare.scenarios import (
+    GRID,
+    USECASE_HEADLINE_CENTS,
+    USECASE_OTHER_CENTS,
+    USECASE_STRIDES,
+    _start_slot,
+    _trial_rng,
+)
 from optshare.shapley import _fixed_point, shapley
 
 ZERO = Fraction(0)
@@ -287,3 +309,110 @@ def reference_trigger(game, costs):
                     if j not in implement_slot:
                         regret[j] += v
     return entries, implement_slot, (price, loss, series)
+
+
+# ---------------------------------------------------------------------------
+# Scenarios
+
+
+def reference_generate(spec, trial):
+    """``scenarios.generate`` with one scalar numpy call per number, in the
+    order the families define: per user its slot (or window), then its
+    value, then (selectivity) its substitutes; selectivity's catalog first."""
+    rng = _trial_rng(spec, trial)
+    horizon = SlotHorizon(spec.slots)
+    z = spec.slots
+
+    def grid_value():
+        return Fraction(int(rng.integers(0, GRID, endpoint=True)), GRID)
+
+    bids = []
+    if spec.family == "selectivity":
+        catalog = []
+        for j in range(1, spec.opt_count + 1):
+            k = int(rng.integers(1, GRID, endpoint=True))
+            catalog.append(Optimization(j, 2 * spec.cost * Fraction(k, GRID)))
+        for user in range(1, spec.users + 1):
+            slot = _start_slot(rng, z, spec.skew)
+            value = grid_value()
+            picks = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False)
+            substitutes = frozenset(int(p) + 1 for p in picks)
+            if value == 0:
+                value = Fraction(1, GRID)
+            bids.append(SubstitutableOnlineBid(user, substitutes, slot, slot, (value,)))
+        return SubstOnlineGame(tuple(catalog), horizon, tuple(bids))
+    if spec.family == "usecase_shape":
+        catalog = tuple(Optimization(j, spec.cost) for j in range(1, spec.opt_count + 1))
+        windows = [(s, e) for s in horizon.slots() for e in range(s, z + 1)]
+        for user in range(1, spec.users + 1):
+            start, end = windows[int(rng.integers(0, len(windows)))]
+            headline = USECASE_HEADLINE_CENTS[(user - 1) % len(USECASE_HEADLINE_CENTS)]
+            stride = USECASE_STRIDES[(user - 1) % len(USECASE_STRIDES)]
+            for opt in catalog:
+                if opt.id == 1:
+                    cents = headline
+                elif (opt.id - 1) % stride == 0:
+                    cents = USECASE_OTHER_CENTS
+                else:
+                    continue
+                per_slot = Fraction(cents * spec.executions_per_slot, 100)
+                bids.append(AdditiveOnlineBid(user, opt.id, start, end, (per_slot,) * (end - start + 1)))
+        return AdditiveOnlineMultiGame(catalog, horizon, tuple(bids))
+    for user in range(1, spec.users + 1):
+        if spec.family == "duration_spread":
+            start = int(rng.integers(1, z, endpoint=True))
+            end = min(start + spec.duration - 1, z)
+            per_slot = grid_value() / spec.duration
+        else:
+            start = end = _start_slot(rng, z, spec.skew)
+            per_slot = grid_value()
+        bids.append(AdditiveOnlineBid(user, 1, start, end, (per_slot,) * (end - start + 1)))
+    return OnlineAdditiveGame(Optimization(1, spec.cost), horizon, tuple(bids))
+
+
+def recost(game, spec, cost):
+    """The game ``generate(spec.with_cost(cost), trial)`` builds, made from the
+    one ``generate(spec, trial)`` built.  Cost enters a game only through its
+    catalog and draws no random numbers, so only the catalog changes."""
+    if spec.family == "selectivity":
+        scale = cost / spec.cost  # catalog costs are proportional to spec.cost
+        catalog = tuple(Optimization(o.id, o.cost * scale) for o in game.catalog)
+        return SubstOnlineGame(catalog, game.horizon, game.bids)
+    if spec.family == "usecase_shape":
+        catalog = tuple(Optimization(o.id, cost) for o in game.catalog)
+        return AdditiveOnlineMultiGame(catalog, game.horizon, game.bids)
+    return OnlineAdditiveGame(Optimization(game.optimization.id, cost), game.horizon, game.bids)
+
+
+# ---------------------------------------------------------------------------
+# Rendering
+
+
+def reference_render_decimal(value, digits=9):
+    """``money.render_decimal`` in Fraction arithmetic."""
+    scale = 10**digits
+    sign = "-" if value < 0 else ""
+    scaled_value = abs(value) * scale
+    q, r = divmod(scaled_value.numerator, scaled_value.denominator)
+    if 2 * r > scaled_value.denominator or (2 * r == scaled_value.denominator and q % 2 == 1):
+        q += 1
+    whole, frac = divmod(q, scale)
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
+
+
+def reference_render_decimal_sqrt(value, digits=9):
+    """``money.render_decimal_sqrt`` by exact Fraction comparisons against
+    the squares of the half-way points."""
+    scale = 10**digits
+    target = value * scale * scale
+    y = math.isqrt(target.numerator // target.denominator)
+    while Fraction(2 * y + 1, 2) ** 2 < target:
+        y += 1
+    while y > 0 and Fraction(2 * y - 1, 2) ** 2 > target:
+        y -= 1
+    if Fraction(2 * y - 1, 2) ** 2 == target and (y % 2 == 1):
+        y -= 1
+    elif Fraction(2 * y + 1, 2) ** 2 == target and (y % 2 == 1):
+        y += 1
+    whole, frac = divmod(y, scale)
+    return f"{whole}.{frac:0{digits}d}" if digits else str(whole)

@@ -1,11 +1,13 @@
 """The CLI on mutated copies of the shipped game and config files.
 
 Each example drops keys or list items from a shipped JSON file, or replaces
-them with values of another type, huge or negative numbers, or text that is
-not money, then runs ``optshare replay`` or ``optshare run`` on the result.
-A game is replayed with a mechanism that can replay the shipped file.
-The exit-code contract holds for every input: 0 for a run, 2 for input the
-program rejects, never 1 (a property violation) and never an exception.
+them with values of another type, huge or negative numbers, text that is
+not money, or a path where a file name belongs, then runs ``optshare
+replay`` or ``optshare run`` on the result.  A game is replayed with a
+mechanism that can replay the shipped file.  The exit-code contract holds
+for every input: 0 for a run, 2 for input the program rejects, never 1 (a
+property violation) and never an exception; and a run writes nothing
+outside its ``--out`` directory.
 Configs are cut to one trial and two cost points before they are mutated,
 so that a run that is accepted stays small.
 """
@@ -35,6 +37,7 @@ REPLACEMENTS = (
     (10**20, 2**64, 10**400, 1e308, float("inf")),  # huge
     (0, -1, -(10**20), -0.5, float("-inf")),  # zero or negative
     ("", "1/0", "-3", "1/-2", "1e999", "1e-999", "0x10", "nan", "inf", "9" * 500),  # not money, or out of bounds
+    ("../escaped", "sub/escaped", "..", ".", "..\\escaped", "x\0y"),  # a path, not a file name
 )
 
 
@@ -71,7 +74,8 @@ def mutate(data, node):
 
 def run_cli(doc, argv) -> int:
     """Exit code of ``optshare`` on ``doc`` written to a file, whose path
-    replaces ``{file}`` in ``argv``; ``{dir}`` names a scratch directory."""
+    replaces ``{file}`` in ``argv``; ``{dir}`` names a scratch directory
+    beside it, outside which nothing may be written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -79,7 +83,8 @@ def run_cli(doc, argv) -> int:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             with mock.patch.dict(os.environ, {"OPTSHARE_WORKERS": "1"}):
-                rc = main([a.format(file=path, dir=tmp) for a in argv])
+                rc = main([a.format(file=path, dir=os.path.join(tmp, "out")) for a in argv])
+        assert set(os.listdir(tmp)) <= {"input.json", "out"}
     assert "Traceback" not in out.getvalue()
     return rc
 

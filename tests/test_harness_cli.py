@@ -10,7 +10,7 @@ import pytest
 from optshare.cli import main
 from optshare.core import AdditiveOnlineBid, OnlineAdditiveGame, Optimization, SlotHorizon
 from optshare.gamefiles import dump_game, game_from_dict, game_to_dict, load_game, money_str
-from optshare import harness
+from optshare import harness, scenarios
 from optshare.experiments import trend_configs
 from optshare.harness import CellStats, ConfigError, config_from_dict, default_workers, run_experiment, sweep
 from optshare.scenarios import ScenarioSpec, generate
@@ -77,6 +77,18 @@ def test_config_validation_errors():
         config_from_dict(config_dict(cost_sweep=["0.1", "zorp"]))
     with pytest.raises(ConfigError, match="trials"):
         config_from_dict(config_dict(scenario={"family": "collab_size", "trials": 0}))
+
+
+@pytest.mark.parametrize("output", ["../escaped", "sub/name", "/abs/name", "..", ".", "a\\b", "a\0b"])
+def test_output_must_be_a_plain_file_name(tmp_path, capsys, output):
+    with pytest.raises(ConfigError, match="output: expected a plain file name"):
+        config_from_dict(config_dict(output=output))
+    out = tmp_path / "out"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config_dict(output=output)))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "output" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_cost_sweep_range_form():
@@ -354,13 +366,13 @@ def pool_sizes(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_generates_each_trial_once_in_at_most_one_pool(monkeypatch, pool_sizes, workers):
     calls = []
-    real_generate = harness.generate
+    real_draw = scenarios.draw
 
-    def counting_generate(spec, trial):
+    def counting_draw(spec, trial):
         calls.append(trial)
-        return real_generate(spec, trial)
+        return real_draw(spec, trial)
 
-    monkeypatch.setattr(harness, "generate", counting_generate)
+    monkeypatch.setattr(scenarios, "draw", counting_draw)
     spec = ScenarioSpec(family="selectivity", users=4, slots=4, opt_count=4, cost=F("0.3"), seed=2, trials=9)
     cells = sweep(spec, ("subst_on", "regret"), (F("0.1"), F("0.3"), F("0.9")), workers=workers)
     assert sorted(calls) == list(range(9))

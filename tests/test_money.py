@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from optshare import money
 from optshare.gamefiles import money_str
+from optshare.harness import CellStats
 from optshare.money import (
     INFINITE_BID,
     MAX_MONEY_CHARS,
@@ -13,8 +14,12 @@ from optshare.money import (
     render_decimal,
     render_decimal_sqrt,
     render_exact,
+    render_ratio,
+    render_ratio_sqrt,
     parse_exact,
 )
+
+from oracles import reference_render_decimal, reference_render_decimal_sqrt
 
 F = Fraction
 
@@ -99,3 +104,56 @@ def test_sqrt_rendering_is_correctly_rounded(x):
     approx = F(text)
     half_ulp = F(1, 2 * 10**6)
     assert max(approx - half_ulp, F(0)) ** 2 <= x <= (approx + half_ulp) ** 2
+
+
+# The integer renderers take (num, den) unreduced, as a cell's sums give them.
+big = st.integers(1, 10**30)
+
+
+@given(num=st.integers(-(10**30), 10**30), den=big, common=st.integers(1, 10**6), digits=st.integers(0, 12))
+def test_render_ratio_equals_the_fraction_renderer(num, den, common, digits):
+    want = reference_render_decimal(F(num, den), digits)
+    assert render_ratio(num * common, den * common, digits) == want
+    assert render_decimal(F(num, den), digits) == want
+
+
+@given(num=st.integers(0, 10**30), den=big, common=st.integers(1, 10**6), digits=st.integers(0, 12))
+def test_render_ratio_sqrt_equals_the_fraction_renderer(num, den, common, digits):
+    want = reference_render_decimal_sqrt(F(num, den), digits)
+    assert render_ratio_sqrt(num * common, den * common, digits) == want
+    assert render_decimal_sqrt(F(num, den), digits) == want
+
+
+@given(root=st.fractions(min_value=0, max_value=10**6), common=st.integers(1, 10**6))
+def test_render_ratio_sqrt_of_exact_squares(root, common):
+    num, den = root.numerator**2 * common, root.denominator**2 * common
+    assert render_ratio_sqrt(num, den) == reference_render_decimal_sqrt(root**2) == render_decimal(root)
+
+
+@given(y=st.integers(0, 10**15), common=st.integers(1, 10**6))
+def test_render_ratio_sqrt_breaks_ties_at_nine_digits_to_even(y, common):
+    # sqrt is exactly (2y + 1) / (2 * 10**9): half-way between y and y + 1 units
+    num, den = (2 * y + 1) ** 2 * common, 4 * 10**18 * common
+    text = render_ratio_sqrt(num, den)
+    assert text == reference_render_decimal_sqrt(F(num, den))
+    assert int(text.replace(".", "")) == y + y % 2
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12), st.integers(1, 10**8), st.booleans()),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_cell_columns_equal_the_fraction_renderers(trials):
+    cell = CellStats()
+    for trial in trials:
+        cell.add(*trial)
+    assert cell.columns() == (
+        reference_render_decimal(cell.mean_utility),
+        reference_render_decimal_sqrt(cell.var_utility),
+        reference_render_decimal(cell.mean_balance),
+        reference_render_decimal_sqrt(cell.var_balance),
+        reference_render_decimal(cell.implemented_rate),
+    )

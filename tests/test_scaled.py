@@ -3,7 +3,7 @@
 ``harness.run_mechanism`` settles every cost point of one scaled game per
 trial and reads utility, balance and implemented straight from the
 kernels.  The reference here never touches that path's arithmetic: at each
-cost point it re-costs the game in Fractions (``scenarios.recost``), runs
+cost point it re-costs the game in Fractions (``oracles.recost``), runs
 the public mechanism and scores its trace with ``analysis.score``.
 
 On additive games the harness shares work across the points, which rests
@@ -12,6 +12,7 @@ join slot and no optimization's ``trigger`` slot moves earlier.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,10 +33,11 @@ from optshare.core import (
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
 from optshare.regret import regret_run, trigger
-from optshare.scaled import ScaledGame
-from optshare.scenarios import FAMILIES, SKEWS, ScenarioSpec, generate, recost
+from optshare.scaled import Factors, ScaledGame
+from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
+from oracles import recost
 from test_traces import _rand_multi as rand_additive_multi
 
 F = Fraction
@@ -122,6 +124,39 @@ def test_kernels_match_public_mechanisms_at_25_shuffled_points_of_usecase_shape(
         scaled = ScaledGame(game, [c / spec.cost for c in costs])
         for mechanism in ("add_on", "regret"):
             assert kernel(mechanism, scaled) == [reference(mechanism, recost(game, spec, c)) for c in costs]
+
+
+def assert_same_bids(game, direct, factors):
+    """``direct`` holds ``game``'s bids and costs at ``factors``, over its own scale."""
+    scale = direct.scale
+    assert direct.z == game.horizon.z
+    assert list(direct.users) == [b.user for b in game.bids]
+    assert list(direct.starts) == [b.start for b in game.bids]
+    assert list(direct.ends) == [b.end for b in game.bids]
+    assert list(direct.interest) == [(b.opt,) if direct.additive else b.substitutes for b in game.bids]
+    for b, suffix in zip(game.bids, direct.suffix, strict=True):
+        assert [F(suffix[k] - suffix[k + 1], scale) for k in range(len(b.per_slot))] == list(b.per_slot)
+        assert suffix[-1] == 0
+    for costs, factor in zip(direct.costs, factors, strict=True):
+        assert [(j, F(c, scale)) for j, c in costs.items()] == [(o.id, o.cost * factor) for o in game.catalog]
+
+
+@pytest.mark.parametrize("skew", SKEWS)
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data(), costs=cost_points(max_size=5))
+@settings(max_examples=20, deadline=None)
+def test_direct_rows_settle_as_the_fraction_path(family, skew, data, costs):
+    spec = replace(data.draw(specs(family)), skew=skew, trials=10)
+    factors = [c / spec.cost for c in costs]
+    trials = ScaledTrials(spec, Factors(factors))
+    for trial in range(spec.trials):
+        game = generate(spec, trial)
+        direct, reference = trials.game(trial), ScaledGame(game, factors)
+        assert direct.additive == reference.additive
+        assert_same_bids(game, direct, factors)
+        assert [[i for _, i in slot] for slot in direct.offers] == [[i for _, i in slot] for slot in reference.offers]
+        for mechanism in sorted(FAMILY_MECHANISMS[family]):
+            assert kernel(mechanism, direct) == kernel(mechanism, reference)
 
 
 def recosted(game, factor):

@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from optshare.core import AdditiveOnlineMultiGame, OnlineAdditiveGame, SubstOnlineGame
-from optshare.scenarios import FAMILIES, GRID, MAX_SIZES, SKEWS, ScenarioError, ScenarioSpec, generate, recost
+from optshare.scenarios import FAMILIES, GRID, MAX_SIZES, SKEWS, ScenarioError, ScenarioSpec, generate
+
+from oracles import recost, reference_generate
 
 F = Fraction
 
@@ -56,6 +59,16 @@ def specs(draw, family):
 def test_recost_equals_generating_at_that_cost(family, data, trial, cost):
     s = data.draw(specs(family))
     assert recost(generate(s, trial), s, cost) == generate(s.with_cost(cost), trial)
+
+
+@pytest.mark.parametrize("skew", SKEWS)
+@pytest.mark.parametrize("family", FAMILIES)
+@given(data=st.data(), users=st.sampled_from([1, 3, 6, 24, 100]))
+@settings(max_examples=12, deadline=None)
+def test_draws_consume_the_stream_as_one_scalar_call_per_number(family, skew, data, users):
+    s = replace(data.draw(specs(family)), skew=skew, users=users, trials=25)
+    for trial in range(s.trials):
+        assert generate(s, trial) == reference_generate(s, trial)
 
 
 def test_collab_size_supports():

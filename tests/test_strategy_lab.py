@@ -202,7 +202,7 @@ def lab_of(mechanism, game, deviator):
     online = isinstance(bid, OnlineBid)
     others = [b for b in game.bids if b.user != deviator and (not online or b.start <= bid.start)]
     truthful = ((bid.start, bid.end) if online else (1, 1), getattr(bid, "substitutes", None))
-    declared = dict.fromkeys([truthful, *((w, s) for w, s, _, _ in _misreports(game, bid))])
+    declared = dict.fromkeys([truthful, *((w, s) for w, s, _ in _misreports(game, bid))])
     return _Lab(mechanism, game, others, bid), list(declared)
 
 
