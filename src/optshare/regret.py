@@ -180,7 +180,7 @@ def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict, pr
     """Implement ``j`` in slot ``t`` at scaled cost ``cost``: its riders ride
     free in ``t`` and the buyers pay one posted price, which go into
     ``entries`` (whose bids are closed to ``j``), ``price`` and ``loss``."""
-    riders, future, _, descending, _ = _riders(game, j, t, entries)
+    riders, future, _, descending = _riders(game, j, t, entries)
     num, den, loss[j], _ = _posted_price(cost, descending)
     price[j] = (num, den)
     for i in riders:
@@ -215,8 +215,9 @@ def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:
                 continue
             plan = plans.get((j, t))
             if plan is None:
-                plan = plans[j, t] = _riders(game, j, t, ())
-            _, _, ride, descending, tops = plan
+                _, _, ride, descending = _riders(game, j, t, ())
+                plan = plans[j, t] = (ride, descending, list(accumulate((r for r, _ in descending), initial=0)))
+            ride, descending, tops = plan
             num, den, _, buyers = _posted_price(cost, descending)
             realized += ride + tops[buyers]
             spent += cost
@@ -244,12 +245,11 @@ def _regret_before(game: ScaledGame, opt_ids: Sequence[OptId]) -> dict[OptId, li
 
 def _riders(game: ScaledGame, j: OptId, t: Slot, closed: Collection[int]):
     """Who ``j`` implemented in slot ``t`` may serve, leaving out the bids in
-    ``closed``: ``(riders, future, ride, descending, tops)``.  ``riders`` are
-    the bids active in ``t``, in bid order, and ``ride`` their value in
-    ``t``; ``future`` holds ``(bid, residual, first served slot)`` of every
-    bid with value after ``t``, in bid order, ``descending`` those residuals
-    as :func:`_posted_price` reads them, and ``tops[k]`` the sum of the k
-    highest."""
+    ``closed``: ``(riders, future, ride, descending)``.  ``riders`` are the
+    bids active in ``t``, in bid order, and ``ride`` their value in ``t``;
+    ``future`` holds ``(bid, residual, first served slot)`` of every bid
+    with value after ``t``, in bid order, and ``descending`` those residuals
+    as :func:`_posted_price` reads them."""
     starts, ends, suffix = game.starts, game.ends, game.suffix
     riders, future, ride = [], [], 0
     for i in game.by_opt[j]:
@@ -265,8 +265,7 @@ def _riders(game: ScaledGame, j: OptId, t: Slot, closed: Collection[int]):
             r = suffix[i][0]
         if r:
             future.append((i, r, first))
-    descending = _descending(r for _, r, _ in future)
-    return riders, future, ride, descending, list(accumulate((r for r, _ in descending), initial=0))
+    return riders, future, ride, _descending(r for _, r, _ in future)
 
 
 def regret_run(

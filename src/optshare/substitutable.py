@@ -12,11 +12,13 @@ first time a user is granted an optimization she is pinned to it (infinite
 bid there, zero elsewhere), so she can never switch and stays in the pool,
 even after leaving, to keep later users' shares honest.
 
-Both run the same integer phase loop, which counts pinned users per
-optimization.  The online mechanism is one kernel, :func:`grant`, over a
-:class:`~optshare.scaled.ScaledGame`, which plays only the optimizations a
-slot's new offers name; :func:`subst_on` builds its trace from the kernel's
-settlement and every slot's full phases.
+Both run one integer phase loop, which counts pinned users per
+optimization: :func:`_phases_scaled` in full for the offline mechanism and
+the online trace's slot phases, and :func:`_grants`, only its phases that
+serve an offer, for the online kernel :func:`grant` over a
+:class:`~optshare.scaled.ScaledGame`; a slot with a single new offer is
+settled in closed form.  :func:`subst_on` builds its trace from the
+kernel's settlement and every slot's full phases.
 """
 
 from __future__ import annotations
@@ -161,15 +163,76 @@ class SubstOnlineTrace:
         return Outcome(self.implemented, frozenset(self.granted.items()))
 
 
+def _grants(
+    costs_scaled: Mapping[OptId, int],
+    offers: Sequence[tuple[int, K]],
+    interest: Mapping[K, frozenset[OptId]] | Sequence[frozenset[OptId]],
+    pins: Mapping[OptId, int],
+) -> list[tuple[OptId, list[K]]]:
+    """The phases of :func:`_phases_scaled` that serve an offer, as (opt,
+    served offers), in selection order; arguments as there.
+
+    A phase whose best candidate keeps no offer (its count is just its
+    pins) serves nobody, so it changes neither the served set nor any other
+    candidate's kept count.  As bids are served an optimization's kept count
+    can only fall (it is a fixed point over fewer bids), so a candidate that
+    keeps none is dropped for good.  The phases that serve thus come in the
+    same order, with the same tie-break (lowest id among equal shares), and
+    this loop plays only those: no ties, no pinned-only phases.  It stops as
+    soon as every offer is served.  A single offer (v, i) goes in closed form
+    to the lowest (cost_j / (pins_j + 1), j) over the j in ``interest[i]``
+    with v * (pins_j + 1) >= cost_j, if any."""
+    if len(offers) == 1:
+        v, i = offers[0]
+        best = None
+        for j in interest[i]:
+            cost, count = costs_scaled[j], pins.get(j, 0) + 1
+            if v * count >= cost and (
+                best is None or cost * best[1] < best[0] * count or (cost * best[1] == best[0] * count and j < best[2])
+            ):
+                best = (cost, count, j)
+        return [] if best is None else [(best[2], [i])]
+    bidders_by_opt: dict[OptId, list[tuple[int, K]]] = {}
+    for offer in offers:
+        for j in interest[offer[1]]:
+            bidders_by_opt.setdefault(j, []).append(offer)
+    remaining = sorted(bidders_by_opt)
+    unserved = len(offers)
+    phases = []
+    while True:
+        best = None  # (cost_scaled, serviced count, opt id, bidders kept)
+        candidates = []
+        for j in remaining:  # ascending ids: strict < keeps the lowest id on ties
+            count = pins.get(j, 0)
+            kept = _fixed_point(costs_scaled[j], bidders_by_opt[j], count)
+            if kept:
+                candidates.append(j)
+                count += kept
+                if best is None or costs_scaled[j] * best[1] < best[0] * count:
+                    best = (costs_scaled[j], count, j, kept)
+        if best is None:
+            return phases
+        opt, kept = best[2], best[3]
+        new = [key for _, key in bidders_by_opt[opt][:kept]]
+        phases.append((opt, new))
+        unserved -= kept
+        if not unserved:
+            return phases
+        served = set(new)
+        candidates.remove(opt)
+        for j in candidates:
+            bidders_by_opt[j] = [o for o in bidders_by_opt[j] if o[1] not in served]
+        remaining = candidates
+
+
 def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     """The online substitutable mechanism at scaled costs ``costs``.  A bid
     granted j in slot t is served j from t to the end of its window and pays
     ``costs[j]`` over the number of bids granted j by its last slot.  The
-    implemented optimizations are those granted to anyone; there is no log.
-    A slot with a new offer runs the phase loop with the bids granted before
-    it as pin counts, only for the optimizations its offers name: one with
-    nothing but pins serves just its own, which changes no other's
-    candidates, so whether or when its phase runs moves no grant."""
+    implemented optimizations are those granted to anyone; the log is
+    ``None``.  A slot with a new offer plays :func:`_grants` with the bids
+    granted before it as pin counts: only the phases that serve an offer,
+    each of which pins its served bids to its optimization."""
     granted: dict[int, tuple[OptId, Slot]] = {}
     tally: dict[OptId, int] = {}  # bids granted each optimization so far
     tallies = [tally]  # tallies[t]: the tally through slot t, never mutated
@@ -177,11 +240,10 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     for t in range(1, game.z + 1):
         offers = [o for o in game.offers[t] if o[1] not in granted]
         if offers:
-            named = {j for _, i in offers for j in interest[i]}
-            phases = _phases_scaled(costs, offers, interest, {j: tally[j] for j in named & tally.keys()})
+            phases = _grants(costs, offers, interest, tally)
             if phases:
                 tally = tally.copy()
-                for opt, served, _ in phases:
+                for opt, served in phases:
                     tally[opt] = tally.get(opt, 0) + len(served)
                     for i in served:
                         granted[i] = (opt, t)

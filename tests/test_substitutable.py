@@ -15,7 +15,7 @@ from optshare.scaled import ScaledGame
 from optshare.scenarios import generate
 from optshare.shapley import add_off
 from optshare.core import AdditiveOfflineBid
-from optshare.substitutable import _phases_scaled, grant, subst_off, subst_on
+from optshare.substitutable import _grants, _phases_scaled, grant, subst_off, subst_on
 from optshare.verification import rand_subst_online
 
 from oracles import reference_grant
@@ -260,3 +260,43 @@ def test_pins_on_optimizations_no_offer_names_never_move_a_grant(data):
     assert sorted(opt for opt, served, _ in phases if opt in extra and not served) == sorted(extra)
     grants = [(opt, served) for opt, served, _ in phases if opt not in extra]
     assert grants == [(opt, served) for opt, served, _ in _phases_scaled(costs, offers, interest, pins)]
+
+
+@given(st.data())
+@settings(max_examples=600, deadline=None)
+def test_grants_are_the_serving_phases_of_the_full_loop(data):
+    n = data.draw(st.integers(1, 6))
+    costs = {j: data.draw(st.integers(1, 12)) for j in range(1, n + 1)}  # small, so shares tie
+    values = data.draw(st.lists(st.integers(0, 12), max_size=7))
+    offers = sorted(((v, i) for i, v in enumerate(values)), reverse=True)
+    interest = [frozenset(data.draw(st.sets(st.integers(1, n), min_size=1))) for _ in values]
+    # pins on named and unnamed optimizations, pinned-only ones included
+    pins = {j: data.draw(st.integers(1, 4)) for j in data.draw(st.sets(st.integers(1, n)))}
+    want = [(opt, served) for opt, served, _ in _phases_scaled(costs, offers, interest, pins) if served]
+    assert _grants(costs, offers, interest, pins) == want
+
+
+def test_a_single_offer_goes_to_the_lowest_id_among_equal_shares():
+    costs = {1: 10, 2: 20, 3: 10}
+    interest = [frozenset({1, 2, 3})]
+    # shares 10/2, 20/4 and 10/2: all equal, and 1 is the lowest id
+    assert _grants(costs, [(10, 0)], interest, {1: 1, 2: 3, 3: 1}) == [(1, [0])]
+    assert _grants(costs, [(10, 0)], [frozenset({2, 3})], {2: 3, 3: 1}) == [(2, [0])]
+
+
+def test_a_pinned_only_optimization_with_a_lower_share_takes_no_offer():
+    costs = {1: 2, 2: 12, 3: 30}
+    pins = {1: 5, 2: 1, 3: 2}
+    # 1 (share 2/5, not named) and 3 (6 * 3 < 30) keep only their pins; 2 serves at 12/2
+    offers, interest = [(6, 0)], [frozenset({2, 3})]
+    assert [opt for opt, _, _ in _phases_scaled(costs, offers, interest, pins)] == [1, 2, 3]
+    assert _grants(costs, offers, interest, pins) == [(2, [0])]
+    assert _grants(costs, [(5, 0)], interest, pins) == []
+
+
+def test_a_single_offer_exactly_at_its_share_is_served():
+    costs = {1: 12, 2: 7}
+    # 4 * (2 + 1) == 12: served; 7 would need a value of 7
+    assert _grants(costs, [(4, 0)], [frozenset({1, 2})], {1: 2}) == [(1, [0])]
+    assert _grants(costs, [(3, 0)], [frozenset({1, 2})], {1: 2}) == []
+    assert _grants(costs, [(7, 0)], [frozenset({2})], {}) == [(2, [0])]
