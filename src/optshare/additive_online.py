@@ -1,18 +1,19 @@
 """Online mechanism for one additive optimization over a slot horizon.
 
 Each slot re-runs the equal-share mechanism on *residual* bids (declared
-value from the current slot onward).  Users already serviced are pinned with
-infinite bids, so the cumulative serviced set never shrinks and the share
-only falls as newcomers join.  A user pays exactly once, when her bid
-expires, at the share computed in that slot; users who left stay pinned and
-keep lowering later arrivals' shares.
+value from the current slot onward).  Users already serviced are pinned:
+they count toward every later share whatever their bids, so the cumulative
+serviced set never shrinks and the share only falls as newcomers join.  A
+user pays exactly once, when her bid expires, at the share computed in that
+slot; users who left stay pinned and keep lowering later arrivals' shares.
 
 The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
 session (:func:`step_session`, which plays the bids still in play with its
 serviced users pinned) build their traces from its settlement, and
 :func:`serve_points` settles every cost point of a game with as few runs of
-it as the points' distinct outcomes need.
+it as the points' distinct outcomes need.  On one slot it is the offline
+equal-share mechanism (:mod:`optshare.shapley`).
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, served_and_paid, totals
-from .shapley import _fixed_point
+from .scaled import ScaledGame, ScaledSettlement, _fixed_point, served_and_paid, totals
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; the session rescales through ``ScaledGame`` like ``add_on``.
-from .shapley import common_scale  # noqa: F401
+from .scaled import common_scale  # noqa: F401
 
 
 @dataclass(frozen=True)

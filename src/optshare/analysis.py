@@ -33,17 +33,15 @@ from .core import (
     Outcome,
     PaymentLedger,
     Slot,
-    SlotHorizon,
     SubstOfflineGame,
     SubstOnlineGame,
     SubstitutableOfflineBid,
-    SubstitutableOnlineBid,
     UserId,
 )
 from .money import ZERO, Money
 from .regret import RegretTrace, regret_run
-from .scaled import ScaledGame
-from .shapley import _fixed_point, add_off, common_scale
+from .scaled import ScaledGame, _fixed_point, common_scale
+from .shapley import add_off
 from .substitutable import SubstOffResult, SubstOnlineTrace, grant, subst_off, subst_on
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
@@ -107,11 +105,7 @@ def settle(result) -> Settlement:
         return Settlement(result.schedule.served, result.payments, result.implemented)
     if isinstance(result, RegretTrace):
         return Settlement(result.serviced.served, result.payments, frozenset(result.implement_slot))
-    if isinstance(result, SubstOffResult):
-        phases = result.phases
-        payments = {u: p.share for p in phases for u in p.serviced}
-        return Settlement({(p.opt, 1): p.serviced for p in phases}, payments, result.outcome.implemented)
-    outcome, ledger = result
+    outcome, ledger = (result.outcome, result.payments) if isinstance(result, SubstOffResult) else result
     served = {(j, 1): frozenset(u for u, o in outcome.grants if o == j) for j in outcome.implemented}
     return Settlement(served, {u: ledger.total_for(u) for u, _ in ledger.entries}, outcome.implemented)
 
@@ -309,22 +303,18 @@ class _Lab:
     ``k = 0`` makes no offer and is a cell of its own."""
 
     def __init__(self, mechanism: str, game, others, true_bid):
-        profile = [*others, true_bid]
-        if mechanism == "add_on":
-            scaled = ScaledGame(OnlineAdditiveGame(game.optimization, game.horizon, profile))
-        elif mechanism == "subst_off":
-            profile = [SubstitutableOnlineBid(b.user, b.substitutes, 1, 1, (b.value,)) for b in profile]
-            scaled = ScaledGame(SubstOnlineGame(game.catalog, SlotHorizon(1), profile))
-        else:
-            scaled = ScaledGame(SubstOnlineGame(game.catalog, game.horizon, profile))
-        self.kernel = serve if scaled.additive else grant
-        self.n, self.own = len(others), scaled.interest[-1]
+        scaled = ScaledGame(replace(game, bids=(*others, true_bid)))
+        self.kernel = serve if mechanism == "add_on" else grant
+        self.n = n = len(others)
+        self.own = scaled.interest[n]
         self.costs = {j: 10 * c for j, c in scaled.costs[0].items()}
         # the others' offers per slot, highest first, and their negations to bisect
-        self.offers = [[(10 * v, i) for v, i in slot if i != self.n] for slot in scaled.offers]
+        self.offers = [[(10 * v, i) for v, i in slot if i != n] for slot in scaled.offers]
         self.negated = [[-v for v, _ in slot] for slot in self.offers]
         # the deviator's true value through each slot, at a tenth of the scale
-        self.prefix = list(accumulate(int(profile[-1].value_at(t) * scaled.scale) for t in range(scaled.z + 1)))
+        start, suffix = scaled.starts[n], scaled.suffix[n]
+        row = [v - w for v, w in zip(suffix, suffix[1:])]
+        self.prefix = list(accumulate([0] * start + row + [0] * (scaled.z - scaled.ends[n])))
         # what a kernel reads of a ScaledGame; each run merges her row in
         self.merged = SimpleNamespace(z=scaled.z, offers=None, interest=list(scaled.interest), ends=list(scaled.ends))
         self.scale = 10 * scaled.scale

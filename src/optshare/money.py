@@ -25,7 +25,7 @@ Bid = Money | float  # a finite Fraction or INFINITE_BID
 
 
 def is_infinite(value) -> bool:
-    return value == INFINITE_BID
+    return isinstance(value, float) and value == INFINITE_BID  # no Fraction equals it, and comparing one is slow
 
 
 # Bounds on money text, checked before any number is built (an exponent adds digits the text does not show).

@@ -43,8 +43,7 @@ from .core import (
     UserId,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, served_and_paid, totals
-from .shapley import _fixed_point, common_scale
+from .scaled import ScaledGame, ScaledSettlement, _fixed_point, common_scale, served_and_paid, totals
 
 
 def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tuple[Money, Money]:

@@ -1,4 +1,4 @@
-"""Online games rescaled to integers once, and what a kernel settles on one.
+"""Games rescaled to integers once, and what a kernel settles on one.
 
 A :class:`ScaledGame` multiplies every per-slot value and every catalog cost
 by one common scale, so the mechanism kernels (``additive_online``,
@@ -18,10 +18,13 @@ mechanism functions build one per call from a game, and the strategy lab
 one per deviator of its truthful profile, with the single factor 1, which
 makes the scale the least common denominator of the game's own costs and
 values; the lab runs every misreport on its offers, with the deviator's row
-merged in.
+merged in.  An offline game is the one-slot online game it degenerates to
+(z = 1), so the offline mechanisms run on the same kernels.
 
 Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
-folds into the harness's sums and :func:`served_and_paid` into a trace.
+folds into the harness's sums, :func:`served_and_paid` into an online trace
+and :func:`outcome_and_ledger` into an offline result.  Every kernel's
+equal share is one closed form, :func:`_fixed_point`.
 
 Construction from a game checks, once per game, what the game's
 constructor leaves to it: one bid per user (per optimization for additive
@@ -34,10 +37,46 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
-from .core import GameError, OptId, ServiceSchedule, Slot, SubstOnlineGame, UserId
+from .core import (
+    AdditiveOfflineGame,
+    GameError,
+    OptId,
+    Outcome,
+    PaymentLedger,
+    ServiceSchedule,
+    Slot,
+    SubstOfflineGame,
+    SubstOnlineGame,
+    UserId,
+)
 from .money import ZERO, Money
+
+
+def _fixed_point(cost_scaled: int, descending: Sequence[tuple[int, object]], n_pinned: int) -> int:
+    """Fixed-point eviction over integer-scaled bids, in closed form.
+
+    ``descending`` holds (bid, key) pairs, highest bid first; the result is
+    how many of its leading pairs stay serviced.  Eviction (split the cost
+    over everyone left, drop each bid below the share, repeat) keeps exactly
+    the longest prefix of m bids whose smallest one covers
+    ``cost / (n_pinned + m)``: a bid that covers a share keeps covering it as
+    the set shrinks, so no member of such a prefix is ever dropped, and the
+    survivors form such a prefix.  ``bid >= cost/k`` is evaluated as
+    ``bid * k >= cost``; with a positive cost a zero bid never survives.
+    Pinned users always stay and only add to the head count.
+    """
+    kept = 0
+    for m, (bid, _) in enumerate(descending, 1):
+        if bid * (n_pinned + m) >= cost_scaled:
+            kept = m
+    return kept
+
+
+def common_scale(values: Iterable[Money]) -> int:
+    """Least common denominator; 1 for an empty collection."""
+    return math.lcm(*[v.denominator for v in values])
 
 
 class Factors:
@@ -61,6 +100,9 @@ class Factors:
         return scale, [n * (scale // common) for n in self.nums]
 
 
+ONE = Factors((1,))  # the single factor 1: a game at its own costs
+
+
 def cost_rows(base: Mapping[OptId, int], units: Sequence[int]) -> list[dict[OptId, int]]:
     """Per cost point, each optimization's scaled cost: its ``base``
     numerator times the point's unit."""
@@ -68,47 +110,59 @@ def cost_rows(base: Mapping[OptId, int], units: Sequence[int]) -> list[dict[OptI
 
 
 class ScaledGame:
-    """Bids and costs of one online game as integers over ``scale``.
+    """Bids and costs of one game as integers over ``scale``.
 
     ``game`` is an :class:`OnlineAdditiveGame`, an
     :class:`AdditiveOnlineMultiGame` or a :class:`SubstOnlineGame`, whose
-    constructors have checked bid windows and optimization ids.  Bids are
-    numbered in game order: ``users[i]``, ``starts[i]`` and ``ends[i]`` are
-    bid ``i``'s user and window, ``suffix[i][k]`` its scaled value from slot
-    ``starts[i] + k`` on, with a trailing 0, and ``interest[i]`` the
-    optimizations it values.  ``costs[p][j]`` is optimization ``j``'s scaled
-    cost at cost point ``p``, a fixed integer per optimization times
-    ``units[p]``, so the points rank by ``units`` as by their factors.
-    ``factors`` are Money values or a :class:`Factors` built from them.
-    :meth:`from_rows` builds one from integer rows with no game.
-    ``values`` and ``by_opt``, which only the regret baseline reads, are
-    built on first use.
+    constructors have checked bid windows and optimization ids, or an
+    :class:`AdditiveOfflineGame` or a :class:`SubstOfflineGame`, played as
+    the one-slot online game it degenerates to: an additive bid gives one
+    bid per optimization it values, a substitutable bid one bid, each in
+    slot 1.  Bids are numbered in game order: ``users[i]``, ``starts[i]``
+    and ``ends[i]`` are bid ``i``'s user and window, ``suffix[i][k]`` its
+    scaled value from slot ``starts[i] + k`` on, with a trailing 0, and
+    ``interest[i]`` the optimizations it values.  ``costs[p][j]`` is
+    optimization ``j``'s scaled cost at cost point ``p``, a fixed integer
+    per optimization times ``units[p]``, so the points rank by ``units`` as
+    by their factors.  ``factors`` are Money values or a :class:`Factors`
+    built from them.  :meth:`from_rows` builds one from integer rows with no
+    game.  ``values`` and ``by_opt``, which only the regret baseline reads,
+    are built on first use.
     """
 
-    def __init__(self, game, factors: Sequence[Money] | Factors = (1,)):
+    def __init__(self, game, factors: Sequence[Money] | Factors = ONE):
         factors = factors if isinstance(factors, Factors) else Factors(factors)
         catalog = game.catalog
-        additive = not isinstance(game, SubstOnlineGame)
+        additive = not isinstance(game, (SubstOnlineGame, SubstOfflineGame))
+        z = 1
+        # (user, interest, start, end, per-slot values) of each bid
+        if isinstance(game, AdditiveOfflineGame):
+            bids = [(b.user, (j,), 1, 1, (v,)) for b in game.bids for j, v in b.values.items() if v]
+        elif isinstance(game, SubstOfflineGame):
+            bids = [(b.user, b.substitutes, 1, 1, (b.value,)) for b in game.bids]
+        else:
+            z = game.horizon.z
+            bids = [(b.user, (b.opt,) if additive else b.substitutes, b.start, b.end, b.per_slot) for b in game.bids]
         # Costs need cost_lcm, factors factors.lcm and values the lcm of their
         # denominators; every product cost * factor * scale is then an integer.
         cost_lcm = math.lcm(*[o.cost.denominator for o in catalog])
-        scale, units = factors.scale(cost_lcm, math.lcm(*[v.denominator for b in game.bids for v in b.per_slot]))
+        scale, units = factors.scale(cost_lcm, math.lcm(*[v.denominator for *_, row in bids for v in row]))
         base = {o.id: o.cost.numerator * (cost_lcm // o.cost.denominator) for o in catalog}
         users, starts, ends, interest, rows = [], [], [], [], []
         seen = set()
-        for b in game.bids:
-            key = (b.user, b.opt) if additive else b.user
+        for user, opts, start, end, row in bids:
+            key = (user, opts) if additive else user
             if key in seen:
                 if additive:
-                    raise GameError(f"duplicate bid for user {b.user}, optimization {b.opt}")
+                    raise GameError(f"duplicate bid for user {user}, optimization {opts[0]}")
                 raise GameError("one bid per user per game")
             seen.add(key)
-            users.append(b.user)
-            starts.append(b.start)
-            ends.append(b.end)
-            interest.append((b.opt,) if additive else b.substitutes)
-            rows.append([v.numerator * (scale // v.denominator) for v in b.per_slot])
-        self._assemble(additive, game.horizon.z, scale, units, cost_rows(base, units), users, starts, ends, interest, rows)
+            users.append(user)
+            starts.append(start)
+            ends.append(end)
+            interest.append(opts)
+            rows.append([v.numerator * (scale // v.denominator) for v in row])
+        self._assemble(additive, z, scale, units, cost_rows(base, units), users, starts, ends, interest, rows)
 
     @classmethod
     def from_rows(cls, additive: bool, z: int, scale: int, units, costs, users, starts, ends, interest, rows) -> "ScaledGame":
@@ -218,3 +272,16 @@ def served_and_paid(
             paid = payments[user]  # a user with several bids pays for each
             payments[user] = paid + charges[num, den] if paid else charges[num, den]
     return ServiceSchedule({key: frozenset(members) for key, members in served.items()}), payments
+
+
+def outcome_and_ledger(game: ScaledGame, run: ScaledSettlement) -> tuple[Outcome, PaymentLedger]:
+    """The offline result of ``run`` on a one-slot game: each served bid's
+    user granted its optimization and charged its entry's charge."""
+    users, scale = game.users, game.scale
+    entries: dict[tuple[UserId, OptId], Money] = {}
+    charges: dict[tuple[int, int], Money] = {}  # one Fraction per distinct charge
+    for i, (j, _, _, num, den) in run[0].items():
+        if (num, den) not in charges:
+            charges[num, den] = Fraction(num, den * scale)
+        entries[users[i], j] = charges[num, den]
+    return Outcome(frozenset(run[1]), frozenset(entries)), PaymentLedger(entries)

@@ -8,28 +8,27 @@ the lowest optimization id (the tie is recorded in the phase log so strategy
 studies can explore the randomized variant).
 
 Online: the offline mechanism re-runs each slot on residual values.  The
-first time a user is granted an optimization she is pinned to it (infinite
-bid there, zero elsewhere), so she can never switch and stays in the pool,
-even after leaving, to keep later users' shares honest.
+first time a user is granted an optimization she is pinned to it (counted
+there, nowhere else), so she can never switch and stays in the pool, even
+after leaving, to keep later users' shares honest.
 
-Both run one integer phase loop, which counts pinned users per
-optimization: :func:`_phases_scaled` in full for the offline mechanism and
-the online trace's slot phases, and :func:`_grants`, only its phases that
-serve an offer, for the online kernel :func:`grant` over a
-:class:`~optshare.scaled.ScaledGame`; a slot with a single new offer is
-settled in closed form.  :func:`subst_on` builds its trace from the
-kernel's settlement and every slot's full phases.
+Both run one integer phase loop over a :class:`~optshare.scaled.ScaledGame`,
+which counts pinned users per optimization: :func:`_phases_scaled` in full
+for the offline mechanism, on the one-slot game's offers with no pins, and
+for the online trace's slot phases, and :func:`_grants`, only its phases
+that serve an offer, for the online kernel :func:`grant`; a slot with a
+single new offer is settled in closed form.  :func:`subst_off` and
+:func:`subst_on` build their results from a settlement, like the other
+mechanisms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    GameError,
     OptId,
     Optimization,
     Outcome,
@@ -44,10 +43,11 @@ from .core import (
     UserId,
 )
 from .money import Money
-from .scaled import ScaledGame, ScaledSettlement, served_and_paid
-from .shapley import _fixed_point, common_scale
+from .scaled import ScaledGame, ScaledSettlement, _fixed_point, outcome_and_ledger, served_and_paid
 
-K = TypeVar("K")  # bidder key: a user id, or a bid index inside a kernel
+# Bound here only for perfbench/spans.py, whose traced run wraps this name on
+# this module; both mechanisms rescale through ``ScaledGame``.
+from .scaled import common_scale  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class SubstOffResult:
 
 def _phases_scaled(
     costs_scaled: Mapping[OptId, int],
-    offers: Sequence[tuple[int, K]],
-    interest: Mapping[K, frozenset[OptId]] | Sequence[frozenset[OptId]],
+    offers: Sequence[tuple[int, int]],
+    interest: Sequence[frozenset[OptId]],
     pins: Mapping[OptId, int],
-) -> list[tuple[OptId, list[K], tuple[OptId, ...]]]:
+) -> list[tuple[OptId, list[int], tuple[OptId, ...]]]:
     """Phase loop over integer-scaled bids; returns (opt, served offers,
     ties) per phase in selection order.
 
@@ -80,13 +80,13 @@ def _phases_scaled(
     nothing else, and ``j``'s phase serves all of them, so a phase lists
     only the offers it serves.  Shares are compared by integer
     cross-multiplication (cost_j * |S_k| vs cost_k * |S_j|)."""
-    bidders_by_opt: dict[OptId, list[tuple[int, K]]] = {}
+    bidders_by_opt: dict[OptId, list[tuple[int, int]]] = {}
     for offer in offers:
         for j in interest[offer[1]]:
             bidders_by_opt.setdefault(j, []).append(offer)
     # only optimizations someone bids on or is pinned to can ever be picked
     remaining = sorted(pins.keys() | bidders_by_opt.keys())
-    served: set[K] = set()
+    served: set[int] = set()
 
     phases = []
     while remaining:
@@ -119,31 +119,19 @@ def _phases_scaled(
 def subst_off(
     catalog: Iterable[Optimization], bids: Iterable[SubstitutableOfflineBid]
 ) -> SubstOffResult:
-    """Offline mechanism for substitutable optimizations."""
-    game = SubstOfflineGame(tuple(catalog), tuple(bids))
-    users = [b.user for b in game.bids]
-    if len(users) != len(set(users)):
-        raise GameError("one bid per user per game")
-    costs = {o.id: o.cost for o in game.catalog}
-    scale = common_scale([*costs.values(), *(b.value for b in game.bids)])
-    costs_s = {j: c.numerator * (scale // c.denominator) for j, c in costs.items()}
-    offers = sorted(
-        ((b.value.numerator * (scale // b.value.denominator), b.user) for b in game.bids),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    interest = {b.user: b.substitutes for b in game.bids}
-    raw = _phases_scaled(costs_s, offers, interest, {})
-    return _phases_to_result(
-        [Phase(opt, frozenset(serviced), costs[opt] / len(serviced), ties) for opt, serviced, ties in raw]
-    )
-
-
-def _phases_to_result(phases: list[Phase]) -> SubstOffResult:
-    implemented = frozenset(p.opt for p in phases)
-    grants = frozenset((u, p.opt) for p in phases for u in p.serviced)
-    entries = {(u, p.opt): p.share for p in phases for u in p.serviced}
-    return SubstOffResult(Outcome(implemented, grants), PaymentLedger(entries), tuple(phases))
+    """Offline mechanism for substitutable optimizations: every phase of the
+    one-slot game, each of whose served bids pays its optimization's cost
+    over the phase's size."""
+    game = ScaledGame(SubstOfflineGame(tuple(catalog), tuple(bids)))
+    users, costs, scale = game.users, game.costs[0], game.scale
+    raw = _phases_scaled(costs, game.offers[1], game.interest, {})
+    entries = {i: (opt, 1, 1, costs[opt], len(served)) for opt, served, _ in raw for i in served}
+    outcome, ledger = outcome_and_ledger(game, (entries, [opt for opt, _, _ in raw], None))
+    phases = [
+        Phase(opt, frozenset(users[i] for i in served), Fraction(costs[opt], len(served) * scale), ties)
+        for opt, served, ties in raw
+    ]
+    return SubstOffResult(outcome, ledger, tuple(phases))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +153,10 @@ class SubstOnlineTrace:
 
 def _grants(
     costs_scaled: Mapping[OptId, int],
-    offers: Sequence[tuple[int, K]],
-    interest: Mapping[K, frozenset[OptId]] | Sequence[frozenset[OptId]],
+    offers: Sequence[tuple[int, int]],
+    interest: Sequence[frozenset[OptId]],
     pins: Mapping[OptId, int],
-) -> list[tuple[OptId, list[K]]]:
+) -> list[tuple[OptId, list[int]]]:
     """The phases of :func:`_phases_scaled` that serve an offer, as (opt,
     served offers), in selection order; arguments as there.
 
@@ -192,7 +180,7 @@ def _grants(
             ):
                 best = (cost, count, j)
         return [] if best is None else [(best[2], [i])]
-    bidders_by_opt: dict[OptId, list[tuple[int, K]]] = {}
+    bidders_by_opt: dict[OptId, list[tuple[int, int]]] = {}
     for offer in offers:
         for j in interest[offer[1]]:
             bidders_by_opt.setdefault(j, []).append(offer)

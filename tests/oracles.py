@@ -5,8 +5,9 @@ all-subsets enumeration, online traces from a literal slot-by-slot replay,
 and posted prices from exhaustive candidate evaluation plus a fine grid.
 The reference deviation search runs every misreport as a bid through the
 public mechanisms of the registry and scores it with ``settle`` and
-``realized``, the path the integer strategy lab replaces.  The reference
-online kernels keep the slot loops the integer kernels shortcut: every
+``realized``, the path the integer strategy lab replaces; it settles each
+additive offline column by subset enumeration.  The reference online
+kernels keep the slot loops the integer kernels shortcut: every
 pinned bid in every phase loop of ``grant``, and every open optimization
 checked and logged in every slot of ``trigger``.  The scenario oracles
 draw every number with its own scalar numpy call and build each game in
@@ -47,7 +48,7 @@ from optshare.scenarios import (
     _start_slot,
     _trial_rng,
 )
-from optshare.shapley import _fixed_point, shapley
+from optshare.scaled import _fixed_point
 
 ZERO = Fraction(0)
 
@@ -191,8 +192,8 @@ def _reference_column(mechanism, others, deviator, true_value, opt, declared):
         if column and sum(column.values(), ZERO) >= opt.cost and deviator in column:
             return true_value - declared
         return ZERO
-    result = shapley(opt.cost, column)
-    return true_value - result.share if deviator in result.serviced else ZERO
+    serviced, share, _ = equal_share_payments(opt.cost, column)
+    return true_value - share if deviator in serviced else ZERO
 
 
 def reference_misreports(game, bid):

@@ -64,7 +64,7 @@ def test_infinite_bids_pin_users():
     assert r.serviced == {1, 2}
 
 
-@given(st.dictionaries(st.integers(0, 10), money, max_size=8), cost_st)
+@given(st.dictionaries(st.integers(0, 10), money | st.just(INFINITE_BID), max_size=8), cost_st)
 @settings(max_examples=300)
 def test_matches_subset_enumeration_oracle(bids, cost):
     serviced, share, payments = equal_share_payments(cost, bids)
