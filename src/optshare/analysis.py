@@ -2,8 +2,9 @@
 
 Utilities are always computed against *true* values, even when the bids fed
 to a mechanism were deviations; payments are whatever the mechanism charged.
-The strategy lab searches bid/timing/set misreports on a finite grid, each
-one on an integer kernel (fractions are built only for the report), and
+The strategy lab searches bid/timing/set misreports on a finite grid, one
+scale per cell of scales that settle alike, each on an integer kernel
+(fractions are built only for the report), and
 identity splits through the registry, with the deliberately gameable
 pay-your-bid mechanism as a positive control.
 """
@@ -241,8 +242,12 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     Offline mechanisms compare each grid bid against truth on the full game.
     Online mechanisms are evaluated in the worst-case continuation: for every
     placement slot, only bids already arrived by then are present and no
-    future bids arrive.  The kernel runs once per cell of grid scales that
-    the deviator's offers cannot tell apart (see :class:`_Lab`).
+    future bids arrive.  Each declaration (window, substitute set) is
+    evaluated at one grid scale per cell of scales that the deviator's
+    offers cannot tell apart, the smallest the grid allows in it, in
+    ascending order (:meth:`_Lab.firsts`): a larger scale in the same cell
+    settles alike, and under the strict ``>`` a tie never replaces the
+    best, so the report is the one every grid point gives.
     """
     if mechanism in ("add_off", "shapley", "naive_pay_bid"):
         return _search_additive_offline(mechanism, game, deviator)
@@ -262,10 +267,11 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     utility, scale = lab.utility, lab.scale
     truthful = best = utility(window, own, 10)
     best_at = None
-    for misreport in _misreports(game, true_bid):
-        u = utility(*misreport)
-        if u[0] * best[1] > best[0] * u[1]:
-            best, best_at = u, misreport
+    for window, subset, ks in _declarations(game, true_bid):
+        for k in lab.firsts(window, subset, ks):
+            u = utility(window, subset, k)
+            if u[0] * best[1] > best[0] * u[1]:
+                best, best_at = u, (window, subset, k)
     best_note = None if best_at is None else _note(isinstance(true_bid, OnlineBid), *best_at)
     truthful_u, best_u = (Fraction(n, c * scale) for n, c in (truthful, best))
     return DeviationReport(mechanism, deviator, truthful_u, best_u, best_note, best_u > truthful_u)
@@ -300,7 +306,11 @@ class _Lab:
     that cover the final share, so her rank among equal offers does not
     matter.  The run, and her realized value, are therefore the same for
     every ``k`` between two breakpoints ``ceil(cost_j / (c * r_t))``;
-    ``k = 0`` makes no offer and is a cell of its own."""
+    ``k = 0`` makes no offer and is a cell of its own.  The search therefore
+    evaluates only the smallest allowed scale of each cell (:meth:`firsts`,
+    from the declaration's :meth:`breaks`, computed once), and
+    :meth:`utility` keeps one result per cell, which the truthful scale
+    shares with the search."""
 
     def __init__(self, mechanism: str, game, others, true_bid):
         scaled = ScaledGame(replace(game, bids=(*others, true_bid)))
@@ -329,11 +339,9 @@ class _Lab:
             u = self.settled[key] = self.run(window, subset, k)
         return u
 
-    def cell(self, window, subset, k) -> int:
-        """The cell of scale ``k``: -1 for 0, else how many breakpoints of
-        the declaration are at most ``k``."""
-        if not k:
-            return -1
+    def breaks(self, window, subset) -> list[int]:
+        """The declaration's breakpoints, distinct and ascending, computed
+        once per declaration."""
         breaks = self.breakpoints.get((window, subset))
         if breaks is None:
             s, e = window
@@ -341,7 +349,24 @@ class _Lab:
             costs = [self.costs[j] for j in subset or self.own]
             breaks = sorted({-(-cost // (c * r)) for cost in costs for r in rows for c in range(1, self.n + 2)})
             self.breakpoints[window, subset] = breaks
-        return bisect_right(breaks, k)
+        return breaks
+
+    def cell(self, window, subset, k) -> int:
+        """The cell of scale ``k``: -1 for 0, else how many breakpoints of
+        the declaration are at most ``k``."""
+        return bisect_right(self.breaks(window, subset), k) if k else -1
+
+    def firsts(self, window, subset, ks: range) -> list[int]:
+        """The smallest scale of ``ks`` in each cell, ascending: 0 if ``ks``
+        holds it, its least positive scale, and each breakpoint of the
+        declaration above that one and within ``ks``."""
+        firsts = [0] if 0 in ks else []
+        positive = range(max(ks.start, 1), ks.stop)
+        if positive:
+            breaks = self.breaks(window, subset)
+            lo, hi = bisect_right(breaks, positive[0]), bisect_right(breaks, positive[-1])
+            firsts += [positive[0], *breaks[lo:hi]]
+        return firsts
 
     def run(self, window, subset, k) -> tuple[int, int]:
         """Her utility at scale ``k``, from one run of the kernel."""
@@ -405,32 +430,33 @@ def _subset_options(catalog, true_set: frozenset[OptId]) -> list[frozenset[OptId
     return [frozenset(c) for r in range(1, len(pool) + 1) for c in itertools.combinations(pool, r)]
 
 
-def _misreports(game, bid):
-    """Every grid misreport of a substitutable or online ``bid`` as (window,
-    substitute set, k), declaring its true values times
-    ``GRID_SCALES[k]`` over the window: window by window, then substitute
-    set by set, then scale by scale.  An online bid may declare any window
-    that opens at its arrival or later (the set is None for an additive
-    one); an offline one declares the window (1, 1).  A declaration with no
-    positive value withdraws a substitutable bid: offline that is tried once
-    (k = 0 with the true set), online not at all."""
+def _declarations(game, bid):
+    """Every grid declaration of a substitutable or online ``bid`` as
+    (window, substitute set, ks): its true values times ``GRID_SCALES[k]``
+    over the window for each k of the range ``ks``, window by window, then
+    substitute set by set.  An online bid may declare any window that opens
+    at its arrival or later (the set is None for an additive one); an
+    offline one declares the window (1, 1).  A declaration with no positive
+    value withdraws a substitutable bid: offline that is tried once (k = 0
+    with the true set), online not at all."""
     online = isinstance(bid, OnlineBid)
     windows = [(1, 1)]
     if online:
         windows = [(s, e) for s in range(bid.start, game.horizon.z + 1) for e in range(s, game.horizon.z + 1)]
     subsets = [None] if isinstance(bid, AdditiveOnlineBid) else _subset_options(game.catalog, bid.substitutes)
+    every, positive = range(len(GRID_SCALES)), range(1, len(GRID_SCALES))
     for s, e in windows:
-        positive = not online or any(bid.value_at(t) for t in range(s, e + 1))
+        valued = not online or any(bid.value_at(t) for t in range(s, e + 1))
         for subset in subsets:
-            withdraws = not online and subset == bid.substitutes
-            for k in range(len(GRID_SCALES)):
-                if subset is None or (k and positive) or withdraws:
-                    yield (s, e), subset, k
+            if subset is None or (not online and subset == bid.substitutes):
+                yield (s, e), subset, every
+            elif valued:
+                yield (s, e), subset, positive
 
 
 def _note(online: bool, window, subset, k: int) -> str:
     """How a report names the misreport (window, subset, k) of
-    :func:`_misreports`."""
+    :func:`_declarations`."""
     note = "" if subset is None else f"set {sorted(subset)} "
     if online:
         note += f"window [{window[0]},{window[1]}] "

@@ -14,7 +14,7 @@ from .core import GameError
 from .gamefiles import load_game, money_str
 from .harness import ConfigError, default_workers, load_config, run_experiment
 from .money import ZERO
-from .verification import SUITES, run_suite
+from .verification import MAX_GAMES, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -61,8 +61,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.games is not None and args.games < 1:
-        print(f"config error: --games: must be >= 1 (got {args.games})", file=sys.stderr)
+    if args.games is not None and not 1 <= args.games <= MAX_GAMES:
+        print(f"config error: --games: must be from 1 to {MAX_GAMES} (got {args.games})", file=sys.stderr)
         return EXIT_CONFIG
     try:
         violations = run_suite(args.suite, seed=args.seed, games=args.games, mechanism=args.mechanism)

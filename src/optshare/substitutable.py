@@ -15,17 +15,20 @@ after leaving, to keep later users' shares honest.
 Both run one integer phase loop over a :class:`~optshare.scaled.ScaledGame`,
 which counts pinned users per optimization: :func:`_phases_scaled` in full
 for the offline mechanism, on the one-slot game's offers with no pins, and
-for the online trace's slot phases, and :func:`_grants`, only its phases
-that serve an offer, for the online kernel :func:`grant`; a slot with a
-single new offer is settled in closed form.  :func:`subst_off` and
-:func:`subst_on` build their results from a settlement, like the other
-mechanisms.
+:func:`_grants`, only its phases that serve an offer, for the online kernel
+:func:`grant`; a slot with a single new offer is settled in closed form.
+:func:`subst_off` and :func:`subst_on` build their results from a
+settlement, like the other mechanisms.  The online trace's log of every
+slot's full phases (:attr:`SubstOnlineTrace.slot_phases`) reruns
+:func:`_phases_scaled` per slot, so it is built from the settlement and its
+game only when read; no suite or kernel reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -140,15 +143,47 @@ def subst_off(
 
 @dataclass(frozen=True)
 class SubstOnlineTrace:
+    """What :func:`subst_on` settled.  ``slot_phases`` holds every slot's
+    phases of the offline mechanism over all pins and the offers not granted
+    before it; no kernel needs them, so they are built on first read from
+    the settlement and its game.  Equality compares them too; the repr
+    leaves them out."""
+
     schedule: ServiceSchedule
     payments: dict[UserId, Money]
     granted: dict[UserId, OptId]  # final pinning of each serviced user
     grant_slot: dict[UserId, Slot]
     implemented: frozenset[OptId]
-    slot_phases: dict[Slot, tuple[Phase, ...]]
+    _scaled: ScaledGame = field(compare=False, repr=False)
+    _entries: dict = field(compare=False, repr=False)
 
     def outcome(self) -> Outcome:
         return Outcome(self.implemented, frozenset(self.granted.items()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("schedule", "payments", "granted", "grant_slot", "implemented", "slot_phases")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
+    @cached_property
+    def slot_phases(self) -> dict[Slot, tuple[Phase, ...]]:
+        scaled, entries = self._scaled, self._entries
+        users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
+        pinned: dict[OptId, list[int]] = {}  # bids granted before slot t, by optimization
+        slot_phases: dict[Slot, tuple[Phase, ...]] = {}
+        for t in range(1, scaled.z + 1):
+            # every slot's phases, over all pins and the offers not granted before t
+            offers = [o for o in scaled.offers[t] if entries.get(o[1], (0, t))[1] >= t]
+            phases = []
+            for opt, served, ties in _phases_scaled(costs, offers, scaled.interest, {j: len(b) for j, b in pinned.items()}):
+                members = [users[i] for i in [*pinned.get(opt, ()), *served]]
+                phases.append(Phase(opt, frozenset(members), Fraction(costs[opt], len(members) * scale), ties))
+            slot_phases[t] = tuple(phases)
+            for i, (j, first, *_) in entries.items():
+                if first == t:
+                    pinned.setdefault(j, []).append(i)
+        return slot_phases
 
 
 def _grants(
@@ -250,24 +285,10 @@ def subst_on(
     bids: Iterable[SubstitutableOnlineBid],
 ) -> SubstOnlineTrace:
     """Online mechanism for substitutable optimizations."""
-    game = SubstOnlineGame(tuple(catalog), horizon, tuple(bids))
-    scaled = ScaledGame(game)
+    scaled = ScaledGame(SubstOnlineGame(tuple(catalog), horizon, tuple(bids)))
     run = grant(scaled, scaled.costs[0])
     entries, implemented, _ = run
-    users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
-    pinned: dict[OptId, list[int]] = {}  # bids granted before slot t, by optimization
-    slot_phases: dict[Slot, tuple[Phase, ...]] = {}
-    for t in horizon.slots():
-        # every slot's phases, over all pins and the offers not granted before t
-        offers = [o for o in scaled.offers[t] if entries.get(o[1], (0, t))[1] >= t]
-        phases = []
-        for opt, served, ties in _phases_scaled(costs, offers, scaled.interest, {j: len(b) for j, b in pinned.items()}):
-            members = [users[i] for i in [*pinned.get(opt, ()), *served]]
-            phases.append(Phase(opt, frozenset(members), Fraction(costs[opt], len(members) * scale), ties))
-        slot_phases[t] = tuple(phases)
-        for i, (j, first, *_) in entries.items():
-            if first == t:
-                pinned.setdefault(j, []).append(i)
+    users = scaled.users
     schedule, payments = served_and_paid(scaled, run, horizon.z)
     return SubstOnlineTrace(
         schedule,
@@ -275,5 +296,6 @@ def subst_on(
         {users[i]: e[0] for i, e in entries.items()},
         {users[i]: e[1] for i, e in entries.items()},
         frozenset(implemented),
-        slot_phases,
+        scaled,
+        entries,
     )

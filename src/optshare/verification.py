@@ -4,6 +4,11 @@ splits, degenerations, and oracle dominance.
 Each suite returns a list of violations (empty = pass); a violation carries
 the serialized offending game so it can be replayed with the CLI.  The same
 functions back ``optshare verify`` and the acceptance tests.
+
+The random games are drawn in whole cents: values and running totals are
+integers, each value is looked up in one table of shared ``Fraction``s
+(:data:`CENTS`), and each cost is one ``Fraction`` of integer cents.
+``tests/oracles.py`` keeps the ``Fraction`` generators as the reference.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ DEFAULT_GAMES = {
     "degeneration": 1_000,  # per degeneration pair
     "oracle_dominance": 1_000,
 }
+MAX_GAMES = 100_000  # ten times the largest default
 
 
 @dataclass
@@ -72,6 +78,8 @@ def run_suite(name: str, seed: int = 0, games: int | None = None, mechanism: str
         raise ValueError(f"mechanism: only the truthfulness suite takes one, not {name} (got {mechanism!r})")
     if games is not None and games < 1:
         raise ValueError(f"games: must be >= 1 (got {games})")
+    if games is not None and games > MAX_GAMES:
+        raise ValueError(f"games: must be <= {MAX_GAMES} (got {games})")
     runner = globals()[f"suite_{name}"]
     if name == "golden_examples":
         return runner()
@@ -85,64 +93,80 @@ def run_suite(name: str, seed: int = 0, games: int | None = None, mechanism: str
 # Random small games (stdlib PRNG: cheap, seeded, platform-stable)
 
 
+CENTS = tuple(F(k, 100) for k in range(201))  # every amount a generator draws, shared
+
+
 def rand_money(rng, lo=0, hi=200):
-    return F(rng.randint(lo, hi), 100)
+    cents = rng.randint(lo, hi)
+    return CENTS[cents] if 0 <= cents <= 200 else F(cents, 100)
 
 
-def _cost_near(rng, total, lo_pct=5, hi_pct=130):
-    cost = total * F(rng.randint(lo_pct, hi_pct), 100)
-    return cost if cost > 0 else F(rng.randint(1, 100), 100)
+def _rand_row(rng, slots: int) -> tuple[tuple[Fraction, ...], int]:
+    """``slots`` drawn per-slot values, and their sum in cents."""
+    cents = [rng.randint(0, 200) for _ in range(slots)]
+    return tuple([CENTS[c] for c in cents]), sum(cents)
+
+
+def _cost_near(rng, total_cents: int, n: int = 1, lo_pct=5, hi_pct=130):
+    """``total_cents / (100 n)`` times a drawn percentage, or drawn cents
+    when that is 0."""
+    pct = rng.randint(lo_pct, hi_pct)
+    return F(total_cents * pct, 10000 * n) if total_cents else CENTS[rng.randint(1, 100)]
 
 
 def rand_additive_offline(rng, max_users=5, max_opts=3, hi_pct=130) -> AdditiveOfflineGame:
     m, n = rng.randint(1, max_users), rng.randint(1, max_opts)
     bids = []
+    columns = [0] * (n + 1)  # cents per optimization
     for u in range(1, m + 1):
-        values = {j: rand_money(rng) for j in range(1, n + 1) if rng.random() < 0.85}
-        bids.append(AdditiveOfflineBid(u, values))
-    catalog = []
-    for j in range(1, n + 1):
-        column = sum((b.value_for(j) for b in bids), ZERO)
-        catalog.append(Optimization(j, _cost_near(rng, column, hi_pct=hi_pct)))
-    return AdditiveOfflineGame(tuple(catalog), tuple(bids))
+        cents = {j: rng.randint(0, 200) for j in range(1, n + 1) if rng.random() < 0.85}
+        for j, c in cents.items():
+            columns[j] += c
+        bids.append(AdditiveOfflineBid(u, {j: CENTS[c] for j, c in cents.items()}))
+    catalog = tuple(Optimization(j, _cost_near(rng, columns[j], hi_pct=hi_pct)) for j in range(1, n + 1))
+    return AdditiveOfflineGame(catalog, tuple(bids))
 
 
 def rand_additive_online(rng, max_users=5, max_slots=4) -> OnlineAdditiveGame:
     m, z = rng.randint(1, max_users), rng.randint(1, max_slots)
     bids = []
+    total = 0
     for u in range(1, m + 1):
         s = rng.randint(1, z)
         e = rng.randint(s, z)
-        bids.append(AdditiveOnlineBid(u, 1, s, e, tuple(rand_money(rng) for _ in range(e - s + 1))))
-    total = sum((b.residual_from(1) for b in bids), ZERO)
+        row, cents = _rand_row(rng, e - s + 1)
+        total += cents
+        bids.append(AdditiveOnlineBid(u, 1, s, e, row))
     return OnlineAdditiveGame(Optimization(1, _cost_near(rng, total)), SlotHorizon(z), tuple(bids))
 
 
 def rand_subst_offline(rng, max_users=5, max_opts=3) -> SubstOfflineGame:
     m, n = rng.randint(1, max_users), rng.randint(1, max_opts)
     bids = []
+    total = 0
     for u in range(1, m + 1):
         k = rng.randint(1, n)
         subs = frozenset(rng.sample(range(1, n + 1), k))
-        bids.append(SubstitutableOfflineBid(u, subs, rand_money(rng, 1)))
-    total = sum((b.value for b in bids), ZERO)
-    catalog = tuple(Optimization(j, _cost_near(rng, total * F(1, max(1, n)))) for j in range(1, n + 1))
+        cents = rng.randint(1, 200)
+        total += cents
+        bids.append(SubstitutableOfflineBid(u, subs, CENTS[cents]))
+    catalog = tuple(Optimization(j, _cost_near(rng, total, n)) for j in range(1, n + 1))
     return SubstOfflineGame(catalog, tuple(bids))
 
 
 def rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4) -> SubstOnlineGame:
     m, n, z = rng.randint(1, max_users), rng.randint(1, max_opts), rng.randint(1, max_slots)
     bids = []
+    total = 0
     for u in range(1, m + 1):
         k = rng.randint(1, n)
         subs = frozenset(rng.sample(range(1, n + 1), k))
         s = rng.randint(1, z)
         e = rng.randint(s, z)
-        bids.append(
-            SubstitutableOnlineBid(u, subs, s, e, tuple(rand_money(rng) for _ in range(e - s + 1)))
-        )
-    total = sum((b.residual_from(1) for b in bids), ZERO)
-    catalog = tuple(Optimization(j, _cost_near(rng, total * F(1, max(1, n)))) for j in range(1, n + 1))
+        row, cents = _rand_row(rng, e - s + 1)
+        total += cents
+        bids.append(SubstitutableOnlineBid(u, subs, s, e, row))
+    catalog = tuple(Optimization(j, _cost_near(rng, total, n)) for j in range(1, n + 1))
     return SubstOnlineGame(catalog, SlotHorizon(z), tuple(bids))
 
 
@@ -400,10 +424,9 @@ def _naive_control(seed: int, games: int) -> list[Violation]:
 
 
 def _rand_naive_game(rng) -> AdditiveOfflineGame:
-    m = rng.randint(2, 4)
-    bids = [AdditiveOfflineBid(u, {1: rand_money(rng, 1)}) for u in range(1, m + 1)]
-    total = sum((b.value_for(1) for b in bids), ZERO)
-    cost = total * F(rng.randint(10, 80), 100)
+    cents = [rng.randint(1, 200) for _ in range(rng.randint(2, 4))]
+    bids = [AdditiveOfflineBid(u, {1: CENTS[c]}) for u, c in enumerate(cents, 1)]
+    cost = F(sum(cents) * rng.randint(10, 80), 10000)
     return AdditiveOfflineGame((Optimization(1, cost),), tuple(bids))
 
 

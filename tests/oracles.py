@@ -13,7 +13,8 @@ checked and logged in every slot of ``trigger``.  The scenario oracles
 draw every number with its own scalar numpy call and build each game in
 ``Fraction``s (``reference_generate``), and re-cost a generated game by
 rebuilding its catalog (``recost``).  The renderers' oracles round in
-``Fraction`` arithmetic.
+``Fraction`` arithmetic.  The suite draw oracles build every drawn value
+and cost as a fresh ``Fraction`` and sum them in ``Fraction`` arithmetic.
 """
 
 import itertools
@@ -30,13 +31,17 @@ from optshare.analysis import (
     settle,
 )
 from optshare.core import (
+    AdditiveOfflineBid,
+    AdditiveOfflineGame,
     AdditiveOnlineBid,
     AdditiveOnlineMultiGame,
     OnlineAdditiveGame,
     OnlineBid,
     Optimization,
     SlotHorizon,
+    SubstitutableOfflineBid,
     SubstitutableOnlineBid,
+    SubstOfflineGame,
     SubstOnlineGame,
 )
 from optshare.regret import _implement
@@ -383,6 +388,83 @@ def recost(game, spec, cost):
         catalog = tuple(Optimization(o.id, cost) for o in game.catalog)
         return AdditiveOnlineMultiGame(catalog, game.horizon, game.bids)
     return OnlineAdditiveGame(Optimization(game.optimization.id, cost), game.horizon, game.bids)
+
+
+# ---------------------------------------------------------------------------
+# Suite draws: the ``verification`` generators in Fraction arithmetic
+
+
+def reference_rand_money(rng, lo=0, hi=200):
+    return Fraction(rng.randint(lo, hi), 100)
+
+
+def _reference_cost_near(rng, total, lo_pct=5, hi_pct=130):
+    cost = total * Fraction(rng.randint(lo_pct, hi_pct), 100)
+    return cost if cost > 0 else Fraction(rng.randint(1, 100), 100)
+
+
+def reference_rand_additive_offline(rng, max_users=5, max_opts=3, hi_pct=130):
+    m, n = rng.randint(1, max_users), rng.randint(1, max_opts)
+    bids = []
+    for u in range(1, m + 1):
+        values = {j: reference_rand_money(rng) for j in range(1, n + 1) if rng.random() < 0.85}
+        bids.append(AdditiveOfflineBid(u, values))
+    catalog = []
+    for j in range(1, n + 1):
+        column = sum((b.value_for(j) for b in bids), ZERO)
+        catalog.append(Optimization(j, _reference_cost_near(rng, column, hi_pct=hi_pct)))
+    return AdditiveOfflineGame(tuple(catalog), tuple(bids))
+
+
+def reference_rand_additive_online(rng, max_users=5, max_slots=4):
+    m, z = rng.randint(1, max_users), rng.randint(1, max_slots)
+    bids = []
+    for u in range(1, m + 1):
+        s = rng.randint(1, z)
+        e = rng.randint(s, z)
+        bids.append(AdditiveOnlineBid(u, 1, s, e, tuple(reference_rand_money(rng) for _ in range(e - s + 1))))
+    total = sum((b.residual_from(1) for b in bids), ZERO)
+    return OnlineAdditiveGame(Optimization(1, _reference_cost_near(rng, total)), SlotHorizon(z), tuple(bids))
+
+
+def reference_rand_subst_offline(rng, max_users=5, max_opts=3):
+    m, n = rng.randint(1, max_users), rng.randint(1, max_opts)
+    bids = []
+    for u in range(1, m + 1):
+        k = rng.randint(1, n)
+        subs = frozenset(rng.sample(range(1, n + 1), k))
+        bids.append(SubstitutableOfflineBid(u, subs, reference_rand_money(rng, 1)))
+    total = sum((b.value for b in bids), ZERO)
+    catalog = tuple(
+        Optimization(j, _reference_cost_near(rng, total * Fraction(1, max(1, n)))) for j in range(1, n + 1)
+    )
+    return SubstOfflineGame(catalog, tuple(bids))
+
+
+def reference_rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4):
+    m, n, z = rng.randint(1, max_users), rng.randint(1, max_opts), rng.randint(1, max_slots)
+    bids = []
+    for u in range(1, m + 1):
+        k = rng.randint(1, n)
+        subs = frozenset(rng.sample(range(1, n + 1), k))
+        s = rng.randint(1, z)
+        e = rng.randint(s, z)
+        bids.append(
+            SubstitutableOnlineBid(u, subs, s, e, tuple(reference_rand_money(rng) for _ in range(e - s + 1)))
+        )
+    total = sum((b.residual_from(1) for b in bids), ZERO)
+    catalog = tuple(
+        Optimization(j, _reference_cost_near(rng, total * Fraction(1, max(1, n)))) for j in range(1, n + 1)
+    )
+    return SubstOnlineGame(catalog, SlotHorizon(z), tuple(bids))
+
+
+def reference_rand_naive_game(rng):
+    m = rng.randint(2, 4)
+    bids = [AdditiveOfflineBid(u, {1: reference_rand_money(rng, 1)}) for u in range(1, m + 1)]
+    total = sum((b.value_for(1) for b in bids), ZERO)
+    cost = total * Fraction(rng.randint(10, 80), 100)
+    return AdditiveOfflineGame((Optimization(1, cost),), tuple(bids))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from optshare.harness import CellStats, ConfigError, config_from_dict, default_w
 from optshare.scenarios import ScenarioSpec, generate
 from optshare.substitutable import subst_on
 from optshare.verification import (
+    DEFAULT_GAMES,
+    MAX_GAMES,
     SUITES,
     rand_additive_offline,
     rand_additive_online,
@@ -230,6 +232,13 @@ def test_verify_unknown_suite():
 def test_run_suite_rejects_an_empty_corpus(suite, games):
     with pytest.raises(ValueError, match="games: must be >= 1"):
         run_suite(suite, games=games)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_run_suite_bounds_the_corpus(suite):
+    assert MAX_GAMES >= max(DEFAULT_GAMES.values())
+    with pytest.raises(ValueError, match=f"games: must be <= {MAX_GAMES}"):
+        run_suite(suite, games=MAX_GAMES + 1)
 
 
 def test_parallel_sweep_matches_sequential():
@@ -469,6 +478,15 @@ def test_cli_verify_rejects_empty_runs(capsys, games):
     captured = capsys.readouterr()
     assert "--games" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("games", [MAX_GAMES + 1, 10**12])
+def test_cli_verify_rejects_runs_past_the_bound(capsys, suite, games):
+    assert main(["verify", "--suite", suite, "--games", str(games)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: --games: must be from 1 to {MAX_GAMES} (got {games})" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optshare.analysis import GRID_SCALES, SUBSET_CATALOG_LIMIT, _Lab, _misreports, deviation_search
+from optshare.analysis import GRID_SCALES, SUBSET_CATALOG_LIMIT, _Lab, _declarations, _note, deviation_search
 from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
@@ -43,7 +43,7 @@ from optshare.verification import (
     rand_subst_online,
 )
 
-from oracles import reference_deviation_search
+from oracles import reference_deviation_search, reference_misreports
 
 F = Fraction
 COARSE = (F(0), F(1, 2), F(1), F(3, 2), F(2))
@@ -202,7 +202,7 @@ def lab_of(mechanism, game, deviator):
     online = isinstance(bid, OnlineBid)
     others = [b for b in game.bids if b.user != deviator and (not online or b.start <= bid.start)]
     truthful = ((bid.start, bid.end) if online else (1, 1), getattr(bid, "substitutes", None))
-    declared = dict.fromkeys([truthful, *((w, s) for w, s, _ in _misreports(game, bid))])
+    declared = dict.fromkeys([truthful, *((w, s) for w, s, _ in _declarations(game, bid))])
     return _Lab(mechanism, game, others, bid), list(declared)
 
 
@@ -273,6 +273,45 @@ def test_one_run_per_cell_on_any_coarse_game(mechanism, data):
     )
     deviator = data.draw(st.sampled_from([b.user for b in game.bids]))
     assert_premise(mechanism, game, [deviator])
+
+
+def test_the_search_evaluates_one_scale_per_cell(monkeypatch):
+    """Per declaration, the search evaluates the smallest of its allowed
+    grid scales in each cell, ascending, and no other scale.  The allowed
+    scales come from the registry-path enumeration of the oracles."""
+    evaluated = []
+    utility = _Lab.utility
+    monkeypatch.setattr(_Lab, "utility", lambda lab, *at: evaluated.append((lab, *at)) or utility(lab, *at))
+    rng = random.Random("one-scale-per-cell")
+    draws = {
+        "add_on": lambda: rand_additive_online(rng, max_users=5, max_slots=4),
+        "subst_off": lambda: rand_subst_offline(rng, max_users=5, max_opts=3),
+        "subst_on": lambda: rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4),
+    }
+    skipped = 0
+    for mechanism, draw in draws.items():
+        for _ in range(6):
+            for game in (lab_game(LAB_KINDS[mechanism], rng.randint, rng.choice, 5, 4, 3), draw()):
+                for bid in game.bids:
+                    evaluated.clear()
+                    deviation_search(mechanism, game, bid.user)
+                    lab, *truthful = evaluated.pop(0)
+                    online = isinstance(bid, OnlineBid)
+                    assert truthful == [(bid.start, bid.end) if online else (1, 1), getattr(bid, "substitutes", None), 10]
+                    allowed = {note for _, note in reference_misreports(game, bid)}
+                    searched = {}
+                    for _, window, subset, k in evaluated:
+                        searched.setdefault((window, subset), []).append(k)
+                    _, declared = lab_of(mechanism, game, bid.user)
+                    for window, subset in declared:
+                        ks = [k for k in range(len(GRID_SCALES)) if _note(online, window, subset, k) in allowed]
+                        firsts = {}  # cell -> its smallest allowed scale
+                        for k in ks:
+                            firsts.setdefault(lab.cell(window, subset, k), k)
+                        assert searched.pop((window, subset), []) == list(firsts.values()), (window, subset)
+                        skipped += len(ks) - len(firsts)
+                    assert not searched
+    assert skipped > 0
 
 
 def test_everyone_sharing_one_optimization_decides_the_grant():

@@ -154,6 +154,25 @@ def test_online_no_switching_keeps_departed_users_counted():
     assert t.schedule.serviced_at(3, 3) == {3}
 
 
+def test_online_slot_phases_are_built_when_read_and_compared():
+    """``subst_on`` leaves its slot phases to the first read; equality and
+    repr depend on neither that read nor the game object behind it, and
+    equality tells apart traces that settle alike but phase differently
+    (here a tie that one catalog has and the other lacks)."""
+    tied = (Optimization(1, F(1)), Optimization(2, F(1)))
+    untied = (Optimization(1, F(1)), Optimization(2, F(5)))
+    bids = (on_bid(1, {1, 2}, 1, 1, 2),)
+    a, b = subst_on(tied, SlotHorizon(1), bids), subst_on(tied, SlotHorizon(1), bids)
+    assert "slot_phases" not in vars(a)
+    before = repr(a)
+    assert a == b  # builds both traces' phases
+    assert "slot_phases" in vars(a) and repr(a) == before == repr(b)
+    assert a.slot_phases[1][0].tied_with == (2,)
+    c = subst_on(untied, SlotHorizon(1), bids)
+    assert (c.payments, c.granted, c.implemented) == (a.payments, a.granted, a.implemented)
+    assert c.slot_phases[1][0].tied_with == () and c != a
+
+
 def test_online_newcomer_cannot_force_a_switch():
     catalog = (Optimization(1, F(60)), Optimization(2, F(100)), Optimization(3, F(50)))
     bids = (
