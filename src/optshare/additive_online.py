@@ -11,8 +11,10 @@ The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
 session (:func:`step_session`, which plays the bids still in play with its
 serviced users pinned) build their traces from its settlement, and
-:func:`serve_points` settles every cost point of a game with as few runs of
-it as the points' distinct outcomes need.  On one slot it is the offline
+:func:`serve_points` settles every cost point of a game with one run of it
+per distinct outcome: each run reports, per optimization, the highest cost
+at which the same bids join in the same slots, and every dearer point up to
+it is filled without a run.  On one slot it is the offline
 equal-share mechanism (:mod:`optshare.shapley`).
 """
 
@@ -58,25 +60,38 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
     its scaled cost there; ``pinned`` users outside the game, serviced before
     it, count toward every share.  A bid joining at slot t is served from t
     to its end and pays ``cost / count[end]``.  The implemented optimizations
-    and the log are one dict: ``count``, the serviced users after each slot
-    (index 0 unused), of each optimization whose count ends positive.  Play
-    stops after slot ``through`` (the horizon if None): no bid joins later.
+    are a dict: ``count``, the serviced users after each slot (index 0
+    unused), of each optimization whose count ends positive.  Play stops
+    after slot ``through`` (the horizon if None): no bid joins later.
+
+    The log holds each optimization's ceiling, if any bid joins it: the
+    highest cost at which the same bids join in the same slots, the least
+    ``v * (k + m)`` over the slots where ``m`` bids join, ``v`` the lowest of
+    their offers and ``k`` the users serviced before the slot.  Up to it
+    every slot's ``m`` bids still cover their share and no more bids do;
+    above it one slot's ``m`` bids no longer do.
     """
     entries = {}
     counts = {}
+    ceilings = {}
     offers, interest, ends, z = game.offers, game.interest, game.ends, game.z
     last = z if through is None else through
     for j, cost in costs.items():
         joined: dict[int, Slot] = {}
         count = [0] * (z + 1)
         k = pinned
+        ceiling = None
         for t in range(1, last + 1):
             if offers[t]:
                 open_bids = [o for o in offers[t] if o[1] not in joined and j in interest[o[1]]]
                 m = _fixed_point(cost, open_bids, k)
-                for _, i in open_bids[:m]:
-                    joined[i] = t
-                k += m
+                if m:
+                    k += m
+                    bound = open_bids[m - 1][0] * k
+                    if ceiling is None or bound < ceiling:
+                        ceiling = bound
+                    for _, i in open_bids[:m]:
+                        joined[i] = t
             count[t] = k
         if last < z:
             count[last + 1 :] = [k] * (z - last)
@@ -84,7 +99,9 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
             entries[i] = (j, t, ends[i], cost, count[ends[i]])
         if k:
             counts[j] = count
-    return entries, counts, counts
+        if joined:
+            ceilings[j] = ceiling
+    return entries, counts, ceilings
 
 
 def serve_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, int]]:
@@ -92,39 +109,26 @@ def serve_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int,
     of ``game``, in point order; ``order`` lists the points by rising cost.
 
     As the cost rises a bid's join slot never moves earlier, and a bid left
-    out stays out (the equal share is cross-monotonic), so each slot's
-    serviced set only shrinks.  Where ``serve``'s per-slot counts agree at
-    the two ends of an interval of the sorted points, every point inside has
-    the same joins: its realized value and charge denominator are the ends',
+    out stays out (the equal share is cross-monotonic), so ``serve``'s
+    ceilings bound exactly the dearer points with the same joins.  The walk
+    up the sorted points runs ``serve`` at the cheapest point not yet
+    settled and fills every following point whose costs are all within
+    their ceilings: its realized value and charge denominator are the run's,
     and its spent cost and charges are its ``units`` entry times the same
-    integers.  Those points are filled without running ``serve``; any other
-    interval is split at its middle point, which ``serve`` settles.
+    integers.  So ``serve`` runs once per distinct outcome.
     """
     costs, units = game.costs, game.units
     out: list = [None] * len(costs)
-
-    def settle(p: int):
-        run = serve(game, costs[p])
-        out[p] = totals(game, run, costs[p])
-        return run[1]
-
-    cheapest = settle(order[0])
-    dearest = settle(order[-1]) if len(order) > 1 else cheapest
-    intervals = [(0, len(order) - 1, cheapest, dearest)]
-    while intervals:
-        a, b, counts_a, counts_b = intervals.pop()
-        if b - a < 2:
+    top = 0  # the dearest unit at which the last run's joins hold
+    for p in order:
+        unit = units[p]
+        if unit <= top:
+            out[p] = (realized, spent * unit, paid * unit, lcm)
             continue
-        if counts_a == counts_b:
-            realized, spent, paid, lcm = out[order[a]]
-            unit = units[order[a]]
-            spent, paid = spent // unit, paid // unit
-            for p in order[a + 1 : b]:
-                out[p] = (realized, spent * units[p], paid * units[p], lcm)
-        else:
-            m = (a + b) // 2
-            counts_m = settle(order[m])
-            intervals += ((a, m, counts_a, counts_m), (m, b, counts_m, counts_b))
+        run = serve(game, costs[p])
+        out[p] = realized, spent, paid, lcm = totals(game, run, costs[p])
+        spent, paid = spent // unit, paid // unit
+        top = min([ceiling // (costs[p][j] // unit) for j, ceiling in run[2].items()], default=units[order[-1]])
     return out
 
 
@@ -132,7 +136,7 @@ def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrac
     """The trace of ``serve``'s settlement of a one-optimization game played
     through slot ``through``."""
     ((opt, cost),) = game.costs[0].items()
-    count = run[2].get(opt, ())[: through + 1]
+    count = run[1].get(opt, ())[: through + 1]
     shares = {k: Fraction(cost, k * game.scale) for k in set(count) if k}
     return OnlineTrace(*served_and_paid(game, run, through), {t: shares[k] for t, k in enumerate(count) if k})
 
@@ -168,8 +172,7 @@ class SessionState:
         count = [bisect_right(slots, t) for t in range(game.z + 1)]  # serviced users after each slot
         cost, ends = game.costs[0][opt], game.ends
         entries = {i: (opt, joined[u], ends[i], cost, count[ends[i]]) for i, u in enumerate(game.users) if u in joined}
-        counts = {opt: count} if joined else {}
-        return _trace(game, (entries, counts, counts), self.next_slot - 1)
+        return _trace(game, (entries, {opt: count} if joined else {}, None), self.next_slot - 1)
 
 
 def new_session(optimization: Optimization, horizon: SlotHorizon) -> SessionState:

@@ -6,12 +6,13 @@ of a ``scaled.ScaledGame`` (``scenarios.ScaledTrials``), on one scale for
 the sweep, with one integer cost per cost point, and each requested
 mechanism settles every point of it in one ``run_mechanism`` call.  On
 additive games the points share work: as the cost rises no join slot and
-no regret trigger slot moves earlier, so ``add_on`` runs ``serve`` only
-where the sorted points' outcomes differ and the regret baseline finds its
-trigger slots by bisection.  Substitutable games are not monotone in the
-cost and run their kernel at every point.  Utility and balance are folded
-from the kernels' settlements (``scaled.totals``) as integers over one
-denominator and added to integer cells, and each CSV cell is rendered from
+no regret trigger slot moves earlier, so ``add_on`` runs ``serve`` once per
+distinct outcome, walking up the sorted points and filling every dearer
+point within the run's ceilings, and the regret baseline finds its trigger
+slots and posted prices by bisection.  Substitutable games are not monotone
+in the cost and run their kernel at every point.  Utility and balance are
+folded from the kernels' settlements (``scaled.totals``) as integers over
+one denominator and added to integer cells, and each CSV cell is rendered from
 those integer sums (``CellStats.columns``), so no ``Fraction`` is made
 between the config and the CSV text.  Sums are exact, so neither the scale,
 scheduling nor arrival order can change a single output byte.  Trials run
@@ -190,7 +191,8 @@ def _each_point(kernel, game: ScaledGame, order) -> list[tuple[int, int, int, in
 # What settles every cost point of a game at once, by (mechanism, whether the
 # game is additive): each takes the game and its points by rising cost and
 # returns one ``scaled.totals`` tuple per point, in point order.  Additive
-# games share work across the points; substitutable ones are not monotone
+# games share work across the points (``serve`` runs once per distinct
+# outcome, ``trigger_points`` bisects); substitutable ones are not monotone
 # in the cost and run their kernel at each point.
 SETTLERS = {
     ("add_on", True): serve_points,
@@ -207,11 +209,11 @@ def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[tuple[in
     by rising cost; the sweep sorts them once, and they are sorted here if
     it is not given.
 
-    ``add_on`` runs ``serve`` only at the ends of intervals of the sorted
-    points and fills the points between equal ends without it; the regret
-    baseline on additive games finds each point's trigger slots by
-    bisection (see ``additive_online.serve_points`` and
-    ``regret.trigger_points``).
+    ``add_on`` runs ``serve`` at the cheapest point not yet settled and
+    fills every dearer point within that run's ceilings without it, once per
+    distinct outcome; the regret baseline on additive games finds each
+    point's trigger slots and posted prices by bisection (see
+    ``additive_online.serve_points`` and ``regret.trigger_points``).
     """
     settle = SETTLERS.get((mechanism, game.additive))
     if settle is None:

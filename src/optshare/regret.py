@@ -12,10 +12,13 @@ the truth.
 
 The baseline itself is one integer kernel, :func:`trigger`, over a
 :class:`~optshare.scaled.ScaledGame`; :func:`regret_run` builds the full
-trace from its settlement.  On additive games the regret before each slot
-does not depend on the cost, so an optimization's trigger slot is a
-bisection of that prefix, and :func:`trigger_points` settles every cost
-point of a game from one prefix per optimization.
+trace from its settlement.  Every posted price is a bisection of a price
+curve (:func:`_price_curve`), the buyer counts whose revenue no larger
+count reaches.  On additive games the regret before each slot does not
+depend on the cost, so an optimization's trigger slot is a bisection of
+that prefix, and :func:`trigger_points` settles every cost point of a game
+from one prefix per optimization and one price curve per optimization and
+trigger slot.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import (
@@ -43,7 +45,7 @@ from .core import (
     UserId,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, _fixed_point, common_scale, served_and_paid, totals
+from .scaled import ScaledGame, ScaledSettlement, common_scale, served_and_paid, totals
 
 
 def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tuple[Money, Money]:
@@ -55,40 +57,48 @@ def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tupl
     if any(r < 0 for r in future_residuals):
         raise GameError("residuals must be >= 0")
     scale = common_scale([cost, *future_residuals])
-    num, den, loss, _ = _posted_price(
-        cost.numerator * (scale // cost.denominator),
-        _descending(r.numerator * (scale // r.denominator) for r in future_residuals if r > 0),
-    )
+    residuals = sorted((r.numerator * (scale // r.denominator) for r in future_residuals if r > 0), reverse=True)
+    num, den, loss, _ = _posted_price(cost.numerator * (scale // cost.denominator), _price_curve(residuals))
     return Fraction(num, den * scale), Fraction(loss, scale)
 
 
-def _descending(residuals: Iterable[int]) -> list[tuple[int, None]]:
-    """``residuals`` as the (residual, key) pairs of :func:`_posted_price`."""
-    return sorted(((r, None) for r in residuals), key=itemgetter(0), reverse=True)
+def _price_curve(descending: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The price curve of positive residuals, highest first: ``(revenues,
+    buyers)``, listing from the lowest residual up each count m whose
+    revenue ``r_m * m`` beats that of every larger count, where ``r_m`` is
+    the m-th residual.  The revenues rise along the curve."""
+    revenues: list[int] = []
+    buyers: list[int] = []
+    for m in range(len(descending), 0, -1):
+        revenue = descending[m - 1] * m
+        if not revenues or revenue > revenues[-1]:
+            revenues.append(revenue)
+            buyers.append(m)
+    return revenues, buyers
 
 
-def _posted_price(cost: int, descending: Sequence[tuple[int, object]]) -> tuple[int, int, int, int]:
-    """Integer form of :func:`optimal_posted_price` on positive residuals,
-    given as (residual, key) pairs, highest first: (price numerator, price
-    denominator, loss, buyers), all on the residuals' scale; the buyers are
-    the leading residuals, each at least the price.
+def _posted_price(cost: int, curve: tuple[list[int], list[int]]) -> tuple[int, int, int, int]:
+    """Integer form of :func:`optimal_posted_price` on a
+    :func:`_price_curve`: (price numerator, price denominator, loss,
+    buyers), all on the residuals' scale; the buyers are the leading
+    residuals, each at least the price.
 
-    Prices with k buyers are (r_{k+1}, r_k], so cost recovery is possible
-    iff k * r_k >= cost for some k, and the smallest recovering price is
-    cost/k for the largest such k, which is the equal-share fixed point with
-    nobody pinned.  If no price recovers the cost, revenue p * buyers is
-    maximized at some residual value; the smallest maximizer wins the tie,
-    and it is the last of its equal residuals, which all buy.
+    Prices with m buyers are (r_{m+1}, r_m], so cost recovery is possible
+    iff r_m * m >= cost for some m, and the smallest recovering price is
+    cost/m for the largest such m, which is the equal-share fixed point with
+    nobody pinned.  That m beats every larger count, so it is the first
+    curve entry whose revenue covers the cost: a bisection.  If no price
+    recovers the cost, the revenue r_m * m is maximized by the curve's last
+    entry, the largest count, so the smallest price, among equal revenues.
     """
-    recovering = _fixed_point(cost, descending, 0)
-    if recovering:
-        return cost, recovering, 0, recovering
-    best_price, best_revenue, buyers = 0, 0, 0
-    for k, (r, _) in enumerate(descending, start=1):
-        revenue = r * k
-        if revenue > best_revenue or (revenue == best_revenue and r < best_price):
-            best_price, best_revenue, buyers = r, revenue, k
-    return best_price, 1, cost - best_revenue, buyers
+    revenues, buyers = curve
+    k = bisect_left(revenues, cost)
+    if k < len(revenues):
+        return cost, buyers[k], 0, buyers[k]
+    if not revenues:
+        return 0, 1, cost, 0
+    revenue, m = revenues[-1], buyers[-1]
+    return revenue // m, 1, cost - revenue, m
 
 
 @dataclass(frozen=True)
@@ -180,7 +190,7 @@ def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict, pr
     free in ``t`` and the buyers pay one posted price, which go into
     ``entries`` (whose bids are closed to ``j``), ``price`` and ``loss``."""
     riders, future, _, descending = _riders(game, j, t, entries)
-    num, den, loss[j], _ = _posted_price(cost, descending)
+    num, den, loss[j], _ = _posted_price(cost, _price_curve(descending))
     price[j] = (num, den)
     for i in riders:
         entries[i] = (j, t, t, 0, 1)
@@ -194,10 +204,10 @@ def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:
     of an additive ``game``, in point order, without building a settlement.
 
     The regret before each slot does not depend on the cost, so it is summed
-    once, and each point's trigger slots are bisections of it.  The riders
-    and future residuals of an (optimization, trigger slot) are gathered
-    once, with the prefix sums of the residuals, highest first; per point
-    only the posted price and its buyer count remain, and the buyers'
+    once, and each point's trigger slots are bisections of it.  The riders,
+    price curve and prefix sums of the future residuals, highest first, of
+    an (optimization, trigger slot) are built once; per point the posted
+    price and its buyer count are a bisection of the curve, and the buyers'
     realized value is a prefix sum.
     """
     opt_ids = sorted(game.costs[0])
@@ -215,9 +225,9 @@ def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:
             plan = plans.get((j, t))
             if plan is None:
                 _, _, ride, descending = _riders(game, j, t, ())
-                plan = plans[j, t] = (ride, descending, list(accumulate((r for r, _ in descending), initial=0)))
-            ride, descending, tops = plan
-            num, den, _, buyers = _posted_price(cost, descending)
+                plan = plans[j, t] = (ride, _price_curve(descending), list(accumulate(descending, initial=0)))
+            ride, curve, tops = plan
+            num, den, _, buyers = _posted_price(cost, curve)
             realized += ride + tops[buyers]
             spent += cost
             if buyers:
@@ -247,8 +257,8 @@ def _riders(game: ScaledGame, j: OptId, t: Slot, closed: Collection[int]):
     ``closed``: ``(riders, future, ride, descending)``.  ``riders`` are the
     bids active in ``t``, in bid order, and ``ride`` their value in ``t``;
     ``future`` holds ``(bid, residual, first served slot)`` of every bid
-    with value after ``t``, in bid order, and ``descending`` those residuals
-    as :func:`_posted_price` reads them."""
+    with value after ``t``, in bid order, and ``descending`` those residuals,
+    highest first."""
     starts, ends, suffix = game.starts, game.ends, game.suffix
     riders, future, ride = [], [], 0
     for i in game.by_opt[j]:
@@ -264,7 +274,7 @@ def _riders(game: ScaledGame, j: OptId, t: Slot, closed: Collection[int]):
             r = suffix[i][0]
         if r:
             future.append((i, r, first))
-    return riders, future, ride, _descending(r for _, r, _ in future)
+    return riders, future, ride, sorted([r for _, r, _ in future], reverse=True)
 
 
 def regret_run(

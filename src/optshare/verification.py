@@ -82,6 +82,8 @@ def run_suite(name: str, seed: int = 0, games: int | None = None, mechanism: str
         raise ValueError(f"games: must be <= {MAX_GAMES} (got {games})")
     runner = globals()[f"suite_{name}"]
     if name == "golden_examples":
+        if games is not None:
+            raise ValueError(f"games: the golden_examples suite checks its fixed examples and takes no count (got {games})")
         return runner()
     games = DEFAULT_GAMES[name] if games is None else games
     if name == "truthfulness":

@@ -191,6 +191,15 @@ def test_cli_verify_rejects_mechanism_outside_truthfulness(capsys, suite):
     assert captured.out == ""
 
 
+def test_cli_verify_rejects_a_count_for_golden_examples(capsys):
+    assert main(["verify", "--suite", "golden_examples", "--games", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: games:" in captured.err
+    assert captured.out == ""
+    with pytest.raises(ValueError, match="games: the golden_examples suite"):
+        run_suite("golden_examples", games=1)
+
+
 def test_shipped_configs_and_games_parse():
     scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
     configs = sorted(os.listdir(os.path.join(scripts, "configs")))

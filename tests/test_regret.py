@@ -12,7 +12,7 @@ from optshare.core import (
     SlotHorizon,
     SubstitutableOnlineBid,
 )
-from optshare.regret import optimal_posted_price, regret_run, trigger
+from optshare.regret import _posted_price, _price_curve, optimal_posted_price, regret_run, trigger
 from optshare.scaled import ScaledGame
 from optshare.scenarios import FAMILIES, generate
 from optshare.verification import rand_additive_online, rand_subst_online
@@ -39,6 +39,25 @@ def test_posted_price_no_buyers():
 
 def test_posted_price_unrecoverable_minimizes_loss():
     assert optimal_posted_price(F(100), [F(30)] * 3) == (F(30), F(10))
+
+
+def test_posted_price_takes_the_lowest_price_among_equal_revenues():
+    # 6, 3 and 2 all bring in 6: the curve keeps only 3 buyers at 2
+    curve = _price_curve([6, 3, 2])
+    assert curve == ([6], [3])
+    assert _posted_price(7, curve) == (2, 1, 1, 3)  # price 2, loss 1, 3 buyers
+    assert _posted_price(6, curve) == (6, 3, 0, 3)  # the cost is the entry: 6/3 recovers it
+
+
+def test_posted_price_at_and_between_curve_entries():
+    # revenues 9, 10, 6 for 1, 2, 3 buyers: the curve is 3 buyers (6), then 2 (10)
+    curve = _price_curve([9, 5, 2])
+    assert curve == ([6, 10], [3, 2])
+    assert _posted_price(6, curve) == (6, 3, 0, 3)
+    assert _posted_price(7, curve) == (7, 2, 0, 2)
+    assert _posted_price(10, curve) == (10, 2, 0, 2)
+    assert _posted_price(11, curve) == (5, 1, 1, 2)
+    assert _posted_price(3, _price_curve([])) == (0, 1, 3, 0)
 
 
 def test_posted_price_rejects_negative_residuals():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optshare import additive_online
-from optshare.additive_online import add_on, serve
+from optshare.additive_online import add_on, serve, serve_points
 from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
@@ -33,7 +33,7 @@ from optshare.core import (
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
 from optshare.regret import regret_run, trigger
-from optshare.scaled import Factors, ScaledGame
+from optshare.scaled import Factors, ScaledGame, totals
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
@@ -181,27 +181,81 @@ def test_kernels_match_public_mechanisms_on_arbitrary_rationals(seed, factors):
             assert kernel(mechanism, scaled) == [reference(mechanism, recosted(game, f)) for f in factors]
 
 
-def test_serve_runs_only_at_the_ends_when_their_joins_agree(monkeypatch):
-    calls = []
+def counted_serve_points(scaled):
+    """``serve_points`` over every point of ``scaled``, and the costs of each
+    ``serve`` run it made, in run order."""
+    runs = []
 
     def counting_serve(game, costs, *args):
-        calls.append(costs)
+        runs.append(costs)
         return serve(game, costs, *args)
 
-    monkeypatch.setattr(additive_online, "serve", counting_serve)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(additive_online, "serve", counting_serve)
+        settled = serve_points(scaled, sorted(range(len(scaled.units)), key=scaled.units.__getitem__))
+    return settled, runs
+
+
+def test_serve_runs_once_for_points_with_one_outcome():
     bids = (AdditiveOnlineBid(1, 1, 1, 2, (F(30), F(1))), AdditiveOnlineBid(2, 1, 2, 3, (F(20), F(5))))
     game = OnlineAdditiveGame(Optimization(1, F(1)), SlotHorizon(3), bids)
     factors = [F(k, 5) for k in range(25, 0, -1)]  # dearest first: the sweep sorts them
     scaled = ScaledGame(game, factors)
-    settled = kernel("add_on", scaled)
-    assert calls == [scaled.costs[-1], scaled.costs[0]]  # cheapest, then dearest
-    assert settled == [reference("add_on", recosted(game, f)) for f in factors]
-    calls.clear()
-    # both bids join at a cost of 1 and neither at 60: the middle point is run too
+    # both bids join at every point: bid 1 in slot 1 and bid 2 in slot 2, up
+    # to a ceiling of min(31 * 1, 25 * 2) = 31
+    assert serve(scaled, scaled.costs[-1])[2] == {1: 31 * scaled.scale}
+    assert counted_serve_points(scaled)[1] == [scaled.costs[-1]]  # the cheapest point only
+    assert kernel("add_on", scaled) == [reference("add_on", recosted(game, f)) for f in factors]
+    # 40 is past the ceiling, and nothing joins from there on: 60 is filled
     factors = [F(60), F(1), F(40)]
-    settled = kernel("add_on", ScaledGame(game, factors))
-    assert len(calls) == 3
-    assert settled == [reference("add_on", recosted(game, f)) for f in factors]
+    scaled = ScaledGame(game, factors)
+    assert counted_serve_points(scaled)[1] == [scaled.costs[1], scaled.costs[2]]
+    assert kernel("add_on", scaled) == [reference("add_on", recosted(game, f)) for f in factors]
+
+
+def outcome(run):
+    """The per-slot counts of a ``serve`` run, which tell its joins apart."""
+    return tuple(sorted((j, tuple(count)) for j, count in run[1].items()))
+
+
+clustered_factors = st.lists(st.integers(1, 60).map(lambda k: F(k, 20)) | positive_money, min_size=1, max_size=25)
+
+
+@given(seed=st.integers(0, 2**32), factors=clustered_factors)
+@settings(max_examples=300, deadline=None)
+def test_serve_runs_once_per_distinct_outcome(seed, factors):
+    rng = random.Random(seed)
+    for game in (rand_additive_online(rng, max_users=7, max_slots=6), rand_additive_multi(rng)):
+        scaled = ScaledGame(game, factors)
+        settled, runs = counted_serve_points(scaled)
+        assert settled == [totals(scaled, serve(scaled, costs), costs) for costs in scaled.costs]
+        assert len(runs) == len({outcome(serve(scaled, costs)) for costs in scaled.costs})
+
+
+@given(seed=st.integers(0, 2**32), pinned=st.integers(0, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_serve_ceiling_is_the_dearest_cost_with_the_same_joins(seed, pinned, data):
+    rng = random.Random(seed)
+    for game in (rand_additive_online(rng, max_users=7, max_slots=6), rand_additive_multi(rng)):
+        scaled = ScaledGame(game)
+        costs = scaled.costs[0]
+        ceilings = serve(scaled, costs, pinned)[2]
+
+        def joins(j, cost):
+            return {i: first for i, (_, first, *_) in serve(scaled, {**costs, j: cost}, pinned)[0].items()}
+
+        for j, cost in costs.items():
+            at_cost = joins(j, cost)
+            if j not in ceilings:  # no bid joins j, nor at any dearer cost
+                assert all(opt != j for opt, *_ in serve(scaled, costs, pinned)[0].values())
+                assert joins(j, cost + 1) == joins(j, 2 * cost) == at_cost
+                continue
+            ceiling = ceilings[j]
+            assert ceiling >= cost
+            if ceiling > cost:
+                for dearer in {cost + 1, data.draw(st.integers(cost + 1, ceiling)), ceiling}:
+                    assert joins(j, dearer) == at_cost
+            assert joins(j, ceiling + 1) != at_cost
 
 
 def joins_and_triggers(scaled, point, pinned=0):
