@@ -6,13 +6,10 @@ from .analysis import (
     MECHANISMS,
     Metrics,
     ProbeReport,
-    Settlement,
     deviation_search,
     efficient_outcome,
     multi_identity_probe,
-    naive_pay_your_bid,
     score,
-    settle,
 )
 from .core import (
     AdditiveOfflineBid,
@@ -31,8 +28,6 @@ from .core import (
     SubstitutableOfflineBid,
     SubstitutableOnlineBid,
     validate_revision,
-    value_of_outcome,
-    cost_of_outcome,
 )
 from .money import INFINITE_BID, Money, parse_money, render_decimal, render_exact
 from .regret import RegretTrace, optimal_posted_price, regret_run

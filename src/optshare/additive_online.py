@@ -21,7 +21,7 @@ equal-share mechanism (:mod:`optshare.shapley`).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +53,8 @@ class OnlineTrace:
     schedule: ServiceSchedule
     payments: dict[UserId, Money]
     share_history: dict[Slot, Money]  # slot -> cost/|cumulative| once non-empty
+    _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
+    _run: ScaledSettlement = field(repr=False, compare=False)
 
 
 def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through: Slot | None = None) -> ScaledSettlement:
@@ -134,11 +136,11 @@ def serve_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int,
 
 def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:
     """The trace of ``serve``'s settlement of a one-optimization game played
-    through slot ``through``."""
+    through slot ``through``, where every bid's service ends."""
     ((opt, cost),) = game.costs[0].items()
     count = run[1].get(opt, ())[: through + 1]
     shares = {k: Fraction(cost, k * game.scale) for k in set(count) if k}
-    return OnlineTrace(*served_and_paid(game, run, through), {t: shares[k] for t, k in enumerate(count) if k})
+    return OnlineTrace(*served_and_paid(game, run), {t: shares[k] for t, k in enumerate(count) if k}, game, run)
 
 
 def add_on(game: OnlineAdditiveGame) -> OnlineTrace:
@@ -165,14 +167,19 @@ class SessionState:
 
     def trace(self) -> OnlineTrace:
         """The declared bids played through the last fed slot, each serviced
-        one served from its join slot."""
-        opt, joined = self.optimization.id, self.joined
+        one served from its join slot: through its end if that has been
+        fed, when it pays, else through the last fed slot, charged 0."""
+        opt, joined, through = self.optimization.id, self.joined, self.next_slot - 1
         game = ScaledGame(OnlineAdditiveGame(self.optimization, self.horizon, tuple(self.declared.values())))
         slots = sorted(joined.values())
         count = [bisect_right(slots, t) for t in range(game.z + 1)]  # serviced users after each slot
         cost, ends = game.costs[0][opt], game.ends
-        entries = {i: (opt, joined[u], ends[i], cost, count[ends[i]]) for i, u in enumerate(game.users) if u in joined}
-        return _trace(game, (entries, {opt: count} if joined else {}, None), self.next_slot - 1)
+        entries = {
+            i: (opt, joined[u], ends[i], cost, count[ends[i]]) if ends[i] <= through else (opt, joined[u], through, 0, 1)
+            for i, u in enumerate(game.users)
+            if u in joined
+        }
+        return _trace(game, (entries, {opt: count} if joined else {}, None), through)
 
 
 def new_session(optimization: Optimization, horizon: SlotHorizon) -> SessionState:

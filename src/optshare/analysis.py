@@ -1,27 +1,29 @@
-"""Settlements, the mechanism registry and scoring; the efficiency oracle; the strategy lab.
+"""The mechanism registry and scoring; the efficiency oracle; the strategy lab.
 
-Utilities are always computed against *true* values, even when the bids fed
-to a mechanism were deviations; payments are whatever the mechanism charged.
-The strategy lab searches bid/timing/set misreports on a finite grid, one
-scale per cell of scales that settle alike, each on an integer kernel
-(fractions are built only for the report), and
-identity splits through the registry, with the deliberately gameable
-pay-your-bid mechanism as a positive control.
+Every public result keeps the ``ScaledGame`` and integer settlement it was
+built from, and :func:`score` is one fold of them
+(:func:`~optshare.scaled.fold`): utilities are computed against *true*
+values, even when the bids fed to a mechanism were deviations, and payments
+are whatever the mechanism charged.  The strategy lab searches
+bid/timing/set misreports on a finite grid, one scale per cell of scales
+that settle alike, and identity splits at a grid of levels, each a run of
+an integer kernel on the others' offers with the new rows merged in, folded
+the same way (fractions are built only for the report).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .additive_online import OnlineTrace, add_on, serve
+from .additive_online import add_on, serve
 from .core import (
-    AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
     AdditiveOnlineMultiGame,
@@ -32,18 +34,16 @@ from .core import (
     OptId,
     Optimization,
     Outcome,
-    PaymentLedger,
-    Slot,
     SubstOfflineGame,
     SubstOnlineGame,
     SubstitutableOfflineBid,
     UserId,
 )
 from .money import ZERO, Money
-from .regret import RegretTrace, regret_run
-from .scaled import ScaledGame, _fixed_point, common_scale
+from .regret import regret_run
+from .scaled import ScaledGame, ScaledSettlement, _fixed_point, common_scale, fold
 from .shapley import add_off
-from .substitutable import SubstOffResult, SubstOnlineTrace, grant, subst_off, subst_on
+from .substitutable import grant, subst_off, subst_on
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; the strategy lab runs the equal share on ``_fixed_point``.
@@ -60,75 +60,7 @@ class Metrics:
 
 
 # ---------------------------------------------------------------------------
-# Pay-your-bid mechanism: the motivating broken design, kept as a positive
-# control for the deviation search (underbidding must be caught as profitable).
-
-
-def naive_pay_your_bid(
-    catalog: Iterable[Optimization], bids: Iterable[AdditiveOfflineBid]
-) -> tuple[Outcome, PaymentLedger]:
-    game = AdditiveOfflineGame(tuple(catalog), tuple(bids))
-    implemented, grants, entries = set(), set(), {}
-    for opt in game.catalog:
-        column = {b.user: b.value_for(opt.id) for b in game.bids if b.value_for(opt.id) > 0}
-        if column and sum(column.values(), ZERO) >= opt.cost:
-            implemented.add(opt.id)
-            for user, bid in column.items():
-                grants.add((user, opt.id))
-                entries[(user, opt.id)] = bid
-    return Outcome(frozenset(implemented), frozenset(grants)), PaymentLedger(entries)
-
-
-# ---------------------------------------------------------------------------
-# Settlements, the mechanism registry, and scoring
-
-
-class Settlement(NamedTuple):
-    """What one mechanism run settled, whatever its result type: the users
-    served each optimization in each slot (offline results use slot 1, the
-    paper's one-slot degeneration), each user's total payment, and the
-    implemented optimizations."""
-
-    served: Mapping[tuple[OptId, Slot], frozenset[UserId]]
-    payments: Mapping[UserId, Money]  # users absent from the map pay 0
-    implemented: frozenset[OptId]
-
-
-def settle(result) -> Settlement:
-    """The settlement of any mechanism's result: an offline ``(Outcome,
-    PaymentLedger)`` pair, a :class:`SubstOffResult`, or an online trace
-    (:class:`OnlineTrace`, :class:`SubstOnlineTrace`, :class:`RegretTrace`).
-    Online traces lend their own dicts, which are read, never written."""
-    if isinstance(result, OnlineTrace):
-        served = result.schedule.served
-        return Settlement(served, result.payments, frozenset([j for j, _ in served]))
-    if isinstance(result, SubstOnlineTrace):
-        return Settlement(result.schedule.served, result.payments, result.implemented)
-    if isinstance(result, RegretTrace):
-        return Settlement(result.serviced.served, result.payments, frozenset(result.implement_slot))
-    outcome, ledger = (result.outcome, result.payments) if isinstance(result, SubstOffResult) else result
-    served = {(j, 1): frozenset(u for u, o in outcome.grants if o == j) for j in outcome.implemented}
-    return Settlement(served, {u: ledger.total_for(u) for u, _ in ledger.entries}, outcome.implemented)
-
-
-def realized(bid, ids: AbstractSet[UserId], settlement: Settlement) -> Money:
-    """True value ``bid`` realizes when served to any identity in ``ids``:
-    in each slot of its window, additive bids realize their value per
-    optimization, substitutable ones once for any served substitute."""
-    served = settlement.served
-    if isinstance(bid, OnlineBid):
-        wanted = (bid.opt,) if isinstance(bid, AdditiveOnlineBid) else bid.substitutes
-        value = ZERO
-        for t, v in enumerate(bid.per_slot, bid.start):
-            for j in wanted:
-                if not ids.isdisjoint(served.get((j, t), ())):
-                    value += v
-                    break
-        return value
-    if isinstance(bid, AdditiveOfflineBid):
-        return sum((v for j, v in bid.values.items() if not ids.isdisjoint(served.get((j, 1), ()))), ZERO)
-    hit = any(not ids.isdisjoint(served.get((j, 1), ())) for j in bid.substitutes)
-    return bid.value if hit else ZERO
+# The mechanism registry, and scoring
 
 
 # Every mechanism by name: (the game kinds it runs on, runner(game, bids)),
@@ -153,25 +85,41 @@ MECHANISMS = {
 TRUTHFUL_MECHANISMS = ("add_off", "add_on", "subst_off", "subst_on")
 
 
-def score(game, result, truth: Mapping[UserId, object] | None = None) -> Metrics:
-    """Score any mechanism's result on ``game``.
+def settled(result) -> tuple[ScaledGame, ScaledSettlement]:
+    """The ``ScaledGame`` and settlement a mechanism's result was built from;
+    an offline ``(Outcome, PaymentLedger)`` pair keeps them on its ledger."""
+    keeper = result[1] if isinstance(result, tuple) else result
+    if keeper._run is None:
+        raise TypeError("a payment ledger built by hand keeps no settlement to score")
+    return keeper._scaled, keeper._run
 
-    Every bid realizes its true value from what the run served its user;
-    ``truth`` replaces the game's bids user by user."""
-    settlement = settle(result)
-    bids = game.bids if truth is None else truth.values()
-    per_user: dict[UserId, Money] = {}
-    for bid in bids:
-        per_user[bid.user] = per_user.get(bid.user, ZERO) + realized(bid, {bid.user}, settlement)
-    unknown = set().union(*settlement.served.values()) - per_user.keys()
+
+def score(game, result, truth: Mapping[UserId, object] | None = None) -> Metrics:
+    """Score any mechanism's result on ``game``, whose bids it was run on.
+
+    One fold of the result's settlement: every bid realizes its true value
+    in each slot of its window where the run served its user an
+    optimization it names; ``truth`` replaces the game's bids user by user,
+    and a served user it lacks is an error."""
+    scaled, run = settled(result)
+    if truth is None:
+        bids, rows = game.bids, scaled
+    else:
+        bids = tuple(truth.values())
+        rows = ScaledGame(replace(game, bids=bids))
+    realized, paid, den = fold(run, scaled.users, rows)
+    users = dict.fromkeys([b.user for b in bids])
+    unknown = paid.keys() - users.keys()
     if unknown:
         raise GameError(f"schedule references unknown users {sorted(unknown)}")
-    total_value = sum(per_user.values(), ZERO)
-    for user in per_user:
-        per_user[user] -= settlement.payments.get(user, ZERO)
-    total_cost = sum((o.cost for o in game.catalog if o.id in settlement.implemented), ZERO)
-    paid = sum(settlement.payments.values(), ZERO)
-    return Metrics(total_value, total_cost, total_value - total_cost, paid - total_cost, per_user)
+    charged = den * scaled.scale  # the payments' denominator
+    common = math.lcm(rows.scale, charged)
+    to_value, to_paid = common // rows.scale, common // charged
+    per_user = {u: Fraction(realized.get(u, 0) * to_value - paid.get(u, 0) * to_paid, common) for u in users}
+    spent = sum(scaled.costs[0][j] for j in run[1])
+    total_value, total_cost = Fraction(sum(realized.values()), rows.scale), Fraction(spent, scaled.scale)
+    balance = Fraction(sum(paid.values()) - spent * den, charged)
+    return Metrics(total_value, total_cost, total_value - total_cost, balance, per_user)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +199,7 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     """
     if mechanism in ("add_off", "shapley", "naive_pay_bid"):
         return _search_additive_offline(mechanism, game, deviator)
-    _lab_runner(mechanism)  # unknown and non-truthful mechanisms raise
+    _check_truthful(mechanism)
     true_bid = {b.user: b for b in game.bids}[deviator]
     others = [b for b in game.bids if b.user != deviator]
     window, own = (1, 1), getattr(true_bid, "substitutes", None)  # None: additive
@@ -263,7 +211,7 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
         # future, which the worst-case truthfulness notion denies her.)
         others = [b for b in others if b.start <= true_bid.start]
         window = (true_bid.start, true_bid.end)
-    lab = _Lab(mechanism, game, others, true_bid)
+    lab = _Lab(game, others, true_bid)
     utility, scale = lab.utility, lab.scale
     truthful = best = utility(window, own, 10)
     best_at = None
@@ -277,57 +225,86 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     return DeviationReport(mechanism, deviator, truthful_u, best_u, best_note, best_u > truthful_u)
 
 
-def _lab_runner(mechanism: str):
-    """Registry runner of a truthful mechanism (``shapley`` names
-    ``add_off``), the strategy lab's subjects."""
-    name = "add_off" if mechanism == "shapley" else mechanism
-    if name not in TRUTHFUL_MECHANISMS:
+def _check_truthful(mechanism: str) -> None:
+    """Raise unless ``mechanism`` is a truthful mechanism of the registry or
+    ``shapley`` (which names ``add_off``): the strategy lab's subjects."""
+    if ("add_off" if mechanism == "shapley" else mechanism) not in TRUTHFUL_MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    return MECHANISMS[name][1]
 
 
-class _Lab:
-    """The deviator's strategy lab (``subst_off`` runs as the one-slot
-    ``subst_on`` it degenerates to) and its scale: :meth:`utility` is her
+class _Offers:
+    """The others' per-slot offers of a truthful profile, at ``factor``
+    times its scale, and one kernel run of them with new offers merged in
+    (:meth:`settle`): ``serve`` for an additive game, else ``grant``
+    (``subst_off`` as the one-slot ``subst_on`` it degenerates to).  The
+    profile, the others' bids then the true bid, is checked and rescaled
+    once, as a run of it would be, into ``scaled``, whose rows from ``n`` on
+    are the true bid's.  A kernel reads an offer only in the equal-share
+    fixed point, which keeps all equal offers or none, so a new offer's rank
+    among equal ones does not matter."""
+
+    def __init__(self, game, others, true_bid, factor: int):
+        self.scaled = scaled = ScaledGame(replace(game, bids=(*others, true_bid)))
+        self.n = n = len(scaled.users) - scaled.users.count(true_bid.user)
+        self.kernel = serve if scaled.additive else grant
+        self.costs = {j: factor * c for j, c in scaled.costs[0].items()}
+        # the others' offers per slot, highest first, and their negations to bisect
+        self.offers = [[(factor * v, i) for v, i in slot if i < n] for slot in scaled.offers]
+        self.negated = [[-v for v, _ in slot] for slot in self.offers]
+        # what a kernel reads of a ScaledGame; each run merges new offers in
+        self.merged = SimpleNamespace(z=scaled.z, offers=None, interest=list(scaled.interest), ends=list(scaled.ends))
+        self.scale = factor * scaled.scale
+
+    def settle(self, rows) -> ScaledSettlement:
+        """One kernel run with new rows merged into the others' offers: for
+        each ``(k, bid, row)``, the bid offers ``k * v`` in each slot ``t``
+        of the row's ``(t, v)`` pairs, the first new offer of a slot after
+        the others' equal ones, any further one sorted in."""
+        offers, negated = self.offers, self.negated
+        self.merged.offers = merged = offers[:]
+        for k, i, row in rows:
+            for t, v in row:
+                v *= k
+                slot = merged[t]
+                if slot is offers[t]:
+                    p = bisect_right(negated[t], -v)
+                    merged[t] = [*slot[:p], (v, i), *slot[p:]]
+                else:
+                    merged[t] = sorted([*slot, (v, i)], reverse=True)
+        return self.kernel(self.merged, self.costs)
+
+
+class _Lab(_Offers):
+    """The deviator's strategy lab and its scale: :meth:`utility` is her
     true utility, ``n / (c * scale)`` as ``(n, c)``, declaring ``subset``
     (None: her one optimization) over ``window`` at her true values times
-    ``k/10``.  The truthful profile is checked and rescaled once, as a run
-    of it would be; at ten times its scale each declaration is k times an
-    integer row, merged into the others' per-slot offers, and the
-    mechanism's kernel settles it (:meth:`run`).  Served ``j`` from slot
-    ``t``, she realizes her true value from ``t`` to her declared end if
-    ``j`` is a true substitute, and pays her entry's charge.
+    ``k/10``.  At ten times the truthful profile's scale each declaration
+    is k times an integer row, merged into the others' per-slot offers,
+    and the mechanism's kernel settles it (:meth:`run`).  Served ``j`` from
+    slot ``t``, she realizes her true value from ``t`` to her declared end
+    if ``j`` is a true substitute, and pays her entry's charge.
 
     The kernel runs once per :meth:`cell` of scales.  For ``k >= 1`` her
     offer in slot ``t`` is ``k * r_t`` (``r_t`` her true value from ``t`` to
     her declared end), and a kernel reads it only in the equal-share fixed
     point, as ``k * r_t * c >= cost_j`` for ``j`` she declares and a head
-    count ``c`` of at most every bidder; the bids kept are exactly those
-    that cover the final share, so her rank among equal offers does not
-    matter.  The run, and her realized value, are therefore the same for
-    every ``k`` between two breakpoints ``ceil(cost_j / (c * r_t))``;
-    ``k = 0`` makes no offer and is a cell of its own.  The search therefore
-    evaluates only the smallest allowed scale of each cell (:meth:`firsts`,
-    from the declaration's :meth:`breaks`, computed once), and
-    :meth:`utility` keeps one result per cell, which the truthful scale
-    shares with the search."""
+    count ``c`` of at most every bidder.  The run, and her realized value,
+    are therefore the same for every ``k`` between two breakpoints
+    ``ceil(cost_j / (c * r_t))``; ``k = 0`` makes no offer and is a cell of
+    its own.  The search therefore evaluates only the smallest allowed
+    scale of each cell (:meth:`firsts`, from the declaration's
+    :meth:`breaks`, computed once), and :meth:`utility` keeps one result per
+    cell, which the truthful scale shares with the search."""
 
-    def __init__(self, mechanism: str, game, others, true_bid):
-        scaled = ScaledGame(replace(game, bids=(*others, true_bid)))
-        self.kernel = serve if mechanism == "add_on" else grant
-        self.n = n = len(others)
+    def __init__(self, game, others, true_bid):
+        super().__init__(game, others, true_bid, 10)
+        scaled, n = self.scaled, self.n
         self.own = scaled.interest[n]
-        self.costs = {j: 10 * c for j, c in scaled.costs[0].items()}
-        # the others' offers per slot, highest first, and their negations to bisect
-        self.offers = [[(10 * v, i) for v, i in slot if i != n] for slot in scaled.offers]
-        self.negated = [[-v for v, _ in slot] for slot in self.offers]
         # the deviator's true value through each slot, at a tenth of the scale
         start, suffix = scaled.starts[n], scaled.suffix[n]
         row = [v - w for v, w in zip(suffix, suffix[1:])]
         self.prefix = list(accumulate([0] * start + row + [0] * (scaled.z - scaled.ends[n])))
-        # what a kernel reads of a ScaledGame; each run merges her row in
-        self.merged = SimpleNamespace(z=scaled.z, offers=None, interest=list(scaled.interest), ends=list(scaled.ends))
-        self.scale = 10 * scaled.scale
+        self.rows: dict = {}  # window -> its row
         self.breakpoints: dict = {}  # (window, subset) -> sorted breakpoints
         self.settled: dict = {}  # (window, subset, cell) -> utility
 
@@ -344,8 +321,7 @@ class _Lab:
         once per declaration."""
         breaks = self.breakpoints.get((window, subset))
         if breaks is None:
-            s, e = window
-            rows = {self.prefix[e] - self.prefix[t - 1] for t in range(s, e + 1)} - {0}
+            rows = {r for _, r in self.row(window)}
             costs = [self.costs[j] for j in subset or self.own]
             breaks = sorted({-(-cost // (c * r)) for cost in costs for r in rows for c in range(1, self.n + 2)})
             self.breakpoints[window, subset] = breaks
@@ -368,18 +344,20 @@ class _Lab:
             firsts += [positive[0], *breaks[lo:hi]]
         return firsts
 
+    def row(self, window) -> list[tuple[int, int]]:
+        """Her row over ``window``, computed once per window: ``(t, r_t)``
+        for each slot ``t`` of it with ``r_t`` positive."""
+        row = self.rows.get(window)
+        if row is None:
+            (s, e), prefix = window, self.prefix
+            row = self.rows[window] = [(t, prefix[e] - prefix[t - 1]) for t in range(s, e + 1) if prefix[e] > prefix[t - 1]]
+        return row
+
     def run(self, window, subset, k) -> tuple[int, int]:
         """Her utility at scale ``k``, from one run of the kernel."""
-        s, e = window
-        offers, prefix, n, lab = self.offers, self.prefix, self.n, self.merged
-        lab.offers = merged = offers[:]
-        for t in range(s, e + 1):
-            v = k * (prefix[e] - prefix[t - 1])
-            if v:
-                p = bisect_right(self.negated[t], -v)  # after the equal offers
-                merged[t] = [*offers[t][:p], (v, n), *offers[t][p:]]
+        e, prefix, n, lab = window[1], self.prefix, self.n, self.merged
         lab.interest[n], lab.ends[n] = subset or self.own, e
-        entry = self.kernel(lab, self.costs)[0].get(n)
+        entry = self.settle([(k, n, self.row(window))] if k else ())[0].get(n)
         if entry is None:
             return 0, 1
         j, t, _, num, den = entry
@@ -514,32 +492,44 @@ def multi_identity_probe(
     are tracked so harm is observable; for the additive mechanisms a split
     that benefits the splitter must never harm anyone else, while the
     substitutable mechanisms are probed in demonstrate-only mode.
-    """
-    run = _lab_runner(mechanism)
+
+    At the levels' least common denominator times the truthful profile's
+    scale (:class:`_Offers`) each identity's rows are an integer times the
+    splitter's true rows.  Each split, and the truthful run (one identity
+    at level 1), is one kernel run with those rows merged into the others'
+    offers, folded against the true rows (:func:`~optshare.scaled.fold`)."""
+    _check_truthful(mechanism)
     true_bid = {b.user: b for b in game.bids}[splitter]
     others = [b for b in game.bids if b.user != splitter]
-    fresh = [max(b.user for b in game.bids) + 1 + k for k in range(identities)]
+    fresh = [max(b.user for b in game.bids) + 1 + k for k in range(max(identities, 1))]
+    unit = math.lcm(*[Fraction(level).denominator for level in split_levels])
+    lab = _Offers(game, others, true_bid, unit)
+    scaled, n = lab.scaled, lab.n
+    m = len(scaled.users) - n  # the true rows; identity c's copy of true row q is bid n + c * m + q
+    lab.merged.interest = [*scaled.interest[:n], *scaled.interest[n:] * len(fresh)]
+    lab.merged.ends = [*scaled.ends[:n], *scaled.ends[n:] * len(fresh)]
+    users = [*scaled.users[:n], *(u for u in fresh for _ in range(m))]
+    owner = dict.fromkeys(fresh, splitter)
+    true_rows = [[] for _ in range(m)]  # the true rows' offers, (t, v)
+    for t, slot in enumerate(scaled.offers):
+        for v, i in slot:
+            if i >= n:
+                true_rows[i - n].append((t, v))
 
-    def utilities(bids, ids):
-        settlement = settle(run(game, others + bids))
-        paid = settlement.payments
-        mine = realized(true_bid, ids, settlement) - sum((paid.get(i, ZERO) for i in ids), ZERO)
-        return mine, {b.user: realized(b, {b.user}, settlement) - paid.get(b.user, ZERO) for b in others}
+    def utilities(ks):  # identity c's rows are ks[c] times the true ones
+        new = [(k, n + c * m + q, row) for c, k in enumerate(ks) if k > 0 for q, row in enumerate(true_rows)]
+        realized, paid, den = fold(lab.settle(new), users, scaled, owner)
+        charged = den * lab.scale
 
-    base_mine, base_others = utilities([true_bid], {splitter})
+        def utility(user):
+            return Fraction(realized.get(user, 0) * den * unit - paid.get(user, 0), charged)
+
+        return utility(splitter), {b.user: utility(b.user) for b in others}
+
+    base_mine, base_others = utilities([unit])
     splits = []
-    for levels in itertools.product(split_levels, repeat=identities):
-        split = [(i, lv) for i, lv in zip(fresh, levels) if lv > 0]
-        mine, others_util = utilities([_scaled_bid(true_bid, i, lv) for i, lv in split], {i for i, _ in split})
-        deltas = {u: others_util[u] - base_others[u] for u in base_others}
-        splits.append(SplitOutcome(levels, mine, deltas))
+    multiples = itertools.product([int(level * unit) for level in split_levels], repeat=identities)
+    for levels, ks in zip(itertools.product(split_levels, repeat=identities), multiples):
+        mine_u, others_u = utilities(ks)
+        splits.append(SplitOutcome(levels, mine_u, {u: others_u[u] - base_others[u] for u in base_others}))
     return ProbeReport(mechanism, splitter, identities, base_mine, base_others, tuple(splits))
-
-
-def _scaled_bid(bid, user: UserId, level: Fraction):
-    """``bid`` declared by identity ``user`` with every value times ``level``."""
-    if isinstance(bid, AdditiveOfflineBid):
-        return replace(bid, user=user, values={j: v * level for j, v in bid.values.items()})
-    if isinstance(bid, SubstitutableOfflineBid):
-        return replace(bid, user=user, value=bid.value * level)
-    return replace(bid, user=user, per_slot=tuple(v * level for v in bid.per_slot))

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
-from .analysis import MECHANISMS, score, settle
+from .analysis import MECHANISMS, score, settled
 from .core import GameError
 from .gamefiles import load_game, money_str
 from .harness import ConfigError, default_workers, load_config, run_experiment
-from .money import ZERO
+from .scaled import fold
 from .verification import MAX_GAMES, SUITES, run_suite
 
 EXIT_OK = 0
@@ -102,8 +103,9 @@ def _replay(mechanism: str, game):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ConfigError(f"{mechanism} replays {names} games, not {type(game).__name__}")
     result = run(game, game.bids)
-    paid = settle(result).payments
-    return score(game, result), {b.user: paid.get(b.user, ZERO) for b in game.bids}
+    scaled, settlement = settled(result)
+    _, paid, den = fold(settlement, scaled.users, scaled)
+    return score(game, result), {b.user: Fraction(paid.get(b.user, 0), den * scaled.scale) for b in game.bids}
 
 
 def main(argv=None) -> int:

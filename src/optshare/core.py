@@ -1,13 +1,13 @@
 """Shared domain types: optimizations, bids, outcomes, payments, schedules.
 
 Every type is an immutable value after construction and is safe to share
-across concurrent tasks.  Monetary fields are exact rationals (see
-:mod:`optshare.money`).
+across concurrent tasks; the mappings inside one are :class:`FrozenDict`
+copies.  Monetary fields are exact rationals (see :mod:`optshare.money`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .money import Money, ZERO
 
@@ -30,6 +30,21 @@ class SlotOrderError(GameError):
 
 class EnumerationGuard(GameError):
     """Instance too large for the brute-force oracle."""
+
+
+class FrozenDict(dict):
+    """A dict that cannot be changed after construction; every mutating
+    method raises ``TypeError``.  Repr, equality and pickling are a dict's."""
+
+    __slots__ = ()
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _frozen
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,7 @@ class AdditiveOfflineBid:
     values: dict[OptId, Money]
 
     def __post_init__(self):
+        object.__setattr__(self, "values", FrozenDict(self.values))
         if any(v < 0 for v in self.values.values()):
             raise GameError(f"user {self.user}: bid values must be >= 0")
 
@@ -88,14 +104,6 @@ class OnlineBid:
         if self.start <= t <= self.end:
             return self.per_slot[t - self.start]
         return ZERO
-
-    def residual_from(self, t: Slot) -> Money:
-        """Declared value remaining from slot t on (0 once the window is past)."""
-        if t <= self.start:
-            return sum(self.per_slot, ZERO)
-        if t > self.end:
-            return ZERO
-        return sum(self.per_slot[t - self.start :], ZERO)
 
 
 @dataclass(frozen=True)
@@ -160,8 +168,11 @@ class PaymentLedger:
     """Per (user, optimization) cost shares; all entries non-negative."""
 
     entries: dict[tuple[UserId, OptId], Money]
+    _scaled: object = field(default=None, repr=False, compare=False)  # a mechanism's: what it was built from
+    _run: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", FrozenDict(self.entries))
         if any(v < 0 for v in self.entries.values()):
             raise GameError("payments must be >= 0")
 
@@ -171,15 +182,15 @@ class PaymentLedger:
     def total_for_opt(self, opt: OptId) -> Money:
         return sum((v for (_, o), v in self.entries.items() if o == opt), ZERO)
 
-    def grand_total(self) -> Money:
-        return sum(self.entries.values(), ZERO)
-
 
 @dataclass(frozen=True)
 class ServiceSchedule:
     """Users serviced per (optimization, slot); cumulative sets derived."""
 
     served: dict[tuple[OptId, Slot], frozenset[UserId]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "served", FrozenDict(self.served))
 
     def serviced_at(self, opt: OptId, t: Slot) -> frozenset[UserId]:
         return self.served.get((opt, t), frozenset())
@@ -190,9 +201,6 @@ class ServiceSchedule:
             if o == opt and tau <= t:
                 out |= users
         return frozenset(out)
-
-    def opts(self) -> frozenset[OptId]:
-        return frozenset(o for o, _ in self.served)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +267,6 @@ class AdditiveOnlineMultiGame:
             if bid.end > self.horizon.z:
                 raise GameError(f"user {bid.user}: bid window ends past the horizon")
 
-    def per_opt_games(self) -> list[OnlineAdditiveGame]:
-        return [
-            OnlineAdditiveGame(opt, self.horizon, tuple(b for b in self.bids if b.opt == opt.id))
-            for opt in self.catalog
-        ]
-
 
 @dataclass(frozen=True)
 class SubstOfflineGame:
@@ -307,20 +309,6 @@ def _check_unique_catalog(catalog: tuple[Optimization, ...]):
 
 # ---------------------------------------------------------------------------
 # Core operations
-
-
-def value_of_outcome(bid: AdditiveOfflineBid, outcome: Outcome) -> Money:
-    """Total declared value one user derives from her grants (additive)."""
-    return sum((bid.value_for(opt) for user, opt in outcome.grants if user == bid.user), ZERO)
-
-
-def cost_of_outcome(catalog, outcome: Outcome) -> Money:
-    """Summed cost of the implemented optimizations."""
-    costs = {o.id: o.cost for o in catalog}
-    missing = outcome.implemented - costs.keys()
-    if missing:
-        raise CatalogMismatch(f"outcome implements unknown optimizations {sorted(missing)}")
-    return sum((costs[j] for j in outcome.implemented), ZERO)
 
 
 @dataclass(frozen=True)

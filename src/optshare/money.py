@@ -52,23 +52,9 @@ def render_exact(value: Money) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_exact(text: str) -> Money:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 def render_decimal(value: Money, digits: int = 9) -> str:
     """Render with a fixed number of fractional digits, round-half-even."""
     return render_ratio(value.numerator, value.denominator, digits)
-
-
-def render_decimal_sqrt(value: Money, digits: int = 9) -> str:
-    """Render sqrt(value) to fixed precision (used for standard deviations).
-
-    The square root of a rational is generally irrational; this computes the
-    correctly rounded (half-even) decimal without going through floats.
-    """
-    return render_ratio_sqrt(value.numerator, value.denominator, digits)
 
 
 def render_ratio(num: int, den: int, digits: int = 9) -> str:
@@ -83,8 +69,10 @@ def render_ratio(num: int, den: int, digits: int = 9) -> str:
 
 
 def render_ratio_sqrt(num: int, den: int, digits: int = 9) -> str:
-    """:func:`render_decimal_sqrt` of ``num / den``, for integers with
-    ``den > 0``.  With ``N = num * 10**(2 * digits)``, ``y = isqrt(N // den)``
+    """``sqrt(num / den)`` rendered like :func:`render_ratio` (used for
+    standard deviations), for integers with ``den > 0``.  The square root of
+    a rational is generally irrational; this computes the correctly rounded
+    (half-even) decimal without going through floats.  With ``N = num * 10**(2 * digits)``, ``y = isqrt(N // den)``
     is the floor of ``sqrt(N / den)``; it rounds up when ``N / den`` lies
     above ``(y + 1/2)**2``, that is ``(2y + 1)**2 * den < 4N``, and on
     equality to even."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -112,11 +112,12 @@ class RegretTrace:
     realized_value: Money
     total_cost: Money
     _series_scaled: dict[tuple[OptId, Slot], int]
-    _scale: int
+    _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
+    _run: ScaledSettlement = field(repr=False, compare=False)
 
     @cached_property
     def regret_series(self) -> dict[tuple[OptId, Slot], Money]:
-        return {k: Fraction(v, self._scale) for k, v in self._series_scaled.items()}
+        return {k: Fraction(v, self._scaled.scale) for k, v in self._series_scaled.items()}
 
     @property
     def total_utility(self) -> Money:
@@ -289,7 +290,8 @@ def regret_run(
     catalog = tuple(catalog)
     bids = tuple(values)
     if not bids:
-        return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, 1)
+        empty = ScaledGame(AdditiveOnlineMultiGame(catalog, horizon, ()))
+        return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, empty, ({}, {}, None))
     additive = isinstance(bids[0], AdditiveOnlineBid)
     if any(isinstance(b, AdditiveOnlineBid) != additive for b in bids):
         raise GameError("cannot mix additive and substitutable bids")
@@ -305,7 +307,7 @@ def regret_run(
                 level[j] = series[j, t] = changes.get((j, t), level[j])
     scale = scaled.scale
     realized, spent, paid, lcm = totals(scaled, run, scaled.costs[0])
-    schedule, payments = served_and_paid(scaled, run, horizon.z)
+    schedule, payments = served_and_paid(scaled, run)
     return RegretTrace(
         implement_slot,
         {j: Fraction(num, den * scale) for j, (num, den) in price.items()},
@@ -316,5 +318,6 @@ def regret_run(
         Fraction(realized, scale),
         Fraction(spent, scale),
         series,
-        scale,
+        scaled,
+        run,
     )

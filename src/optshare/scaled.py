@@ -15,16 +15,18 @@ point: every family's catalog costs are proportional to ``spec.cost``, so
 that factor costs the generated catalog at ``cost``.  Both constructors
 share one assembly step (suffix sums, offers and their sort).  The public
 mechanism functions build one per call from a game, and the strategy lab
-one per deviator of its truthful profile, with the single factor 1, which
-makes the scale the least common denominator of the game's own costs and
-values; the lab runs every misreport on its offers, with the deviator's row
-merged in.  An offline game is the one-slot online game it degenerates to
-(z = 1), so the offline mechanisms run on the same kernels.
+one per deviator (or splitter) of its truthful profile, with the single
+factor 1, which makes the scale the least common denominator of the game's
+own costs and values; the lab runs every misreport or identity split on its
+offers, with the new rows merged in.  An offline game is the one-slot
+online game it degenerates to (z = 1), so the offline mechanisms run on the
+same kernels.
 
 Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
 folds into the harness's sums, :func:`served_and_paid` into an online trace
-and :func:`outcome_and_ledger` into an offline result.  Every kernel's
-equal share is one closed form, :func:`_fixed_point`.
+and :func:`outcome_and_ledger` into an offline result; each result keeps it
+and its game, and :func:`fold` scores it per user.  Every kernel's equal
+share is one closed form, :func:`_fixed_point`.
 
 Construction from a game checks, once per game, what the game's
 constructor leaves to it: one bid per user (per optimization for additive
@@ -252,31 +254,61 @@ def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) 
     return realized, spent, paid, lcm
 
 
-def served_and_paid(
-    game: ScaledGame, run: ScaledSettlement, through: Slot
-) -> tuple[ServiceSchedule, dict[UserId, Money]]:
-    """The schedule and payments of ``run`` played through slot ``through``:
-    the users served each optimization in each slot up to it, and each user's
-    charges, in bid order, of the bids whose last served slot it reaches."""
+def fold(
+    run: ScaledSettlement, users: Sequence[UserId], rows: ScaledGame, owner: Mapping[UserId, UserId] | None = None
+) -> tuple[dict[UserId, int], dict[UserId, int], int]:
+    """``(realized, paid, den)`` of ``run``, whose bid ``i`` is ``users[i]``'s
+    (or its ``owner``'s, for a user declaring through several identities):
+    per served user, the value that its bids in ``rows`` realize, on the
+    scale of ``rows``, and its charges, ``paid[user]`` over ``den`` times the
+    run's scale.  A bid of ``rows`` realizes its value in each slot of its
+    window in which the run served its user an optimization the bid names,
+    once however many of the user's bids were served there; ``rows`` are
+    the run's own game or the same users' true values, on any scale."""
+    settled: dict[UserId, list[tuple[Slot, Slot, OptId, int, int]]] = {}
+    for i, (j, first, last, num, den) in run[0].items():
+        user = owner.get(users[i], users[i]) if owner else users[i]
+        settled.setdefault(user, []).append((first, last, j, num, den))
+    lcm = math.lcm(*{entry[4] for entries in settled.values() for entry in entries})
+    paid = {user: sum(num * (lcm // den) for *_, num, den in entries) for user, entries in settled.items()}
+    realized: dict[UserId, int] = {}
+    for user, opts, start, suffix in zip(rows.users, rows.interest, rows.starts, rows.suffix):
+        entries = settled.get(user)
+        if entries is None:
+            continue
+        value, end, t = 0, start + len(suffix) - 2, start  # t: the first slot not yet counted
+        for first, last, j, _, _ in sorted(entries):
+            if j in opts:
+                a, b = max(first, t), min(last, end)
+                if a <= b:
+                    value += suffix[a - start] - suffix[b + 1 - start]
+                    t = b + 1
+        realized[user] = realized.get(user, 0) + value
+    return realized, paid, lcm
+
+
+def served_and_paid(game: ScaledGame, run: ScaledSettlement) -> tuple[ServiceSchedule, dict[UserId, Money]]:
+    """The schedule and payments of ``run``: the users served each
+    optimization in each slot, and each user's charges, in bid order."""
     users, scale = game.users, game.scale
     served: dict[tuple[OptId, Slot], list[UserId]] = {}
     payments = dict.fromkeys(users, ZERO)
     charges: dict[tuple[int, int], Money] = {}  # one Fraction per distinct charge
     for i, (j, first, last, num, den) in run[0].items():
         user = users[i]
-        for t in range(first, min(last, through) + 1):
+        for t in range(first, last + 1):
             served.setdefault((j, t), []).append(user)
-        if last <= through:
-            if (num, den) not in charges:
-                charges[num, den] = Fraction(num, den * scale)
-            paid = payments[user]  # a user with several bids pays for each
-            payments[user] = paid + charges[num, den] if paid else charges[num, den]
+        if (num, den) not in charges:
+            charges[num, den] = Fraction(num, den * scale)
+        paid = payments[user]  # a user with several bids pays for each
+        payments[user] = paid + charges[num, den] if paid else charges[num, den]
     return ServiceSchedule({key: frozenset(members) for key, members in served.items()}), payments
 
 
 def outcome_and_ledger(game: ScaledGame, run: ScaledSettlement) -> tuple[Outcome, PaymentLedger]:
     """The offline result of ``run`` on a one-slot game: each served bid's
-    user granted its optimization and charged its entry's charge."""
+    user granted its optimization and charged its entry's charge.  The
+    ledger keeps ``game`` and ``run``."""
     users, scale = game.users, game.scale
     entries: dict[tuple[UserId, OptId], Money] = {}
     charges: dict[tuple[int, int], Money] = {}  # one Fraction per distinct charge
@@ -284,4 +316,4 @@ def outcome_and_ledger(game: ScaledGame, run: ScaledSettlement) -> tuple[Outcome
         if (num, den) not in charges:
             charges[num, den] = Fraction(num, den * scale)
         entries[users[i], j] = charges[num, den]
-    return Outcome(frozenset(run[1]), frozenset(entries)), PaymentLedger(entries)
+    return Outcome(frozenset(run[1]), frozenset(entries)), PaymentLedger(entries, game, run)

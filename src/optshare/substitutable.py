@@ -66,6 +66,8 @@ class SubstOffResult:
     outcome: Outcome
     payments: PaymentLedger
     phases: tuple[Phase, ...]
+    _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
+    _run: ScaledSettlement = field(repr=False, compare=False)
 
 
 def _phases_scaled(
@@ -129,12 +131,13 @@ def subst_off(
     users, costs, scale = game.users, game.costs[0], game.scale
     raw = _phases_scaled(costs, game.offers[1], game.interest, {})
     entries = {i: (opt, 1, 1, costs[opt], len(served)) for opt, served, _ in raw for i in served}
-    outcome, ledger = outcome_and_ledger(game, (entries, [opt for opt, _, _ in raw], None))
+    run = (entries, [opt for opt, _, _ in raw], None)
+    outcome, ledger = outcome_and_ledger(game, run)
     phases = [
         Phase(opt, frozenset(users[i] for i in served), Fraction(costs[opt], len(served) * scale), ties)
         for opt, served, ties in raw
     ]
-    return SubstOffResult(outcome, ledger, tuple(phases))
+    return SubstOffResult(outcome, ledger, tuple(phases), game, run)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +149,8 @@ class SubstOnlineTrace:
     """What :func:`subst_on` settled.  ``slot_phases`` holds every slot's
     phases of the offline mechanism over all pins and the offers not granted
     before it; no kernel needs them, so they are built on first read from
-    the settlement and its game.  Equality compares them too; the repr
-    leaves them out."""
+    the settlement and its game, which the trace keeps.  Equality compares
+    them too; the repr leaves them out."""
 
     schedule: ServiceSchedule
     payments: dict[UserId, Money]
@@ -155,7 +158,7 @@ class SubstOnlineTrace:
     grant_slot: dict[UserId, Slot]
     implemented: frozenset[OptId]
     _scaled: ScaledGame = field(compare=False, repr=False)
-    _entries: dict = field(compare=False, repr=False)
+    _run: ScaledSettlement = field(compare=False, repr=False)
 
     def outcome(self) -> Outcome:
         return Outcome(self.implemented, frozenset(self.granted.items()))
@@ -168,7 +171,7 @@ class SubstOnlineTrace:
 
     @cached_property
     def slot_phases(self) -> dict[Slot, tuple[Phase, ...]]:
-        scaled, entries = self._scaled, self._entries
+        scaled, entries = self._scaled, self._run[0]
         users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
         pinned: dict[OptId, list[int]] = {}  # bids granted before slot t, by optimization
         slot_phases: dict[Slot, tuple[Phase, ...]] = {}
@@ -289,7 +292,7 @@ def subst_on(
     run = grant(scaled, scaled.costs[0])
     entries, implemented, _ = run
     users = scaled.users
-    schedule, payments = served_and_paid(scaled, run, horizon.z)
+    schedule, payments = served_and_paid(scaled, run)
     return SubstOnlineTrace(
         schedule,
         payments,
@@ -297,5 +300,5 @@ def subst_on(
         {users[i]: e[1] for i, e in entries.items()},
         frozenset(implemented),
         scaled,
-        entries,
+        run,
     )

@@ -176,6 +176,17 @@ def rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4) -> SubstOnlineG
 # Golden traces
 
 
+# A substitutable identity split that harms a rival (utility 4.5 -> 2).
+SUBST_SPLIT_GAME = SubstOfflineGame(
+    (Optimization(1, F(6)), Optimization(2, F(5))),
+    (
+        SubstitutableOfflineBid(1, frozenset({1}), F(5)),
+        SubstitutableOfflineBid(2, frozenset({1, 2}), F("2.51")),
+        SubstitutableOfflineBid(3, frozenset({2}), F(7)),
+    ),
+)
+
+
 def suite_golden_examples() -> list[Violation]:
     out: list[Violation] = []
 
@@ -272,14 +283,7 @@ def suite_golden_examples() -> list[Violation]:
     )
 
     # Substitutable identity split can harm a rival: utility 4.5 -> 2.
-    game62 = SubstOfflineGame(
-        (Optimization(1, F(6)), Optimization(2, F(5))),
-        (
-            SubstitutableOfflineBid(1, frozenset({1}), F(5)),
-            SubstitutableOfflineBid(2, frozenset({1, 2}), F("2.51")),
-            SubstitutableOfflineBid(3, frozenset({2}), F(7)),
-        ),
-    )
+    game62 = SUBST_SPLIT_GAME
     base = score(game62, subst_off(game62.catalog, game62.bids))
     check(
         base.per_user_utility == {1: ZERO, 2: F("0.01"), 3: F("4.5")},
@@ -449,48 +453,22 @@ def suite_multi_identity(seed: int, games: int) -> list[Violation]:
     out: list[Violation] = []
     rng = random.Random(seed)
     levels = (ZERO, F(1, 2), F(1), F(3, 2), F(2))
-    for _ in range(games):
-        game = rand_additive_offline(rng, max_users=4, max_opts=2)
-        splitter = rng.choice(game.bids).user
-        probe = multi_identity_probe("add_off", game, splitter, 2, levels)
-        for s in probe.beneficial_harmful:
-            out.append(
-                Violation(
-                    "multi_identity",
-                    f"add_off: split {s.levels} of user {splitter} gains and harms {s.harmed}",
-                    game_json(game),
-                )
-            )
-    for _ in range(games):
-        game = rand_additive_online(rng, max_users=4, max_slots=3)
-        splitter = rng.choice(game.bids).user
-        probe = multi_identity_probe("add_on", game, splitter, 2, levels)
-        for s in probe.beneficial_harmful:
-            out.append(
-                Violation(
-                    "multi_identity",
-                    f"add_on: split {s.levels} of user {splitter} gains and harms {s.harmed}",
-                    game_json(game),
-                )
-            )
-    # Demonstration (not a pass property): a substitutable split that harms.
-    game62 = SubstOfflineGame(
-        (Optimization(1, F(6)), Optimization(2, F(5))),
-        (
-            SubstitutableOfflineBid(1, frozenset({1}), F(5)),
-            SubstitutableOfflineBid(2, frozenset({1, 2}), F("2.51")),
-            SubstitutableOfflineBid(3, frozenset({2}), F(7)),
-        ),
+    draws = (
+        ("add_off", lambda: rand_additive_offline(rng, max_users=4, max_opts=2)),
+        ("add_on", lambda: rand_additive_online(rng, max_users=4, max_slots=3)),
     )
-    probe = multi_identity_probe("subst_off", game62, 1, 2, (F(1, 2),))
+    for mechanism, draw in draws:
+        for _ in range(games):
+            game = draw()
+            splitter = rng.choice(game.bids).user
+            for s in multi_identity_probe(mechanism, game, splitter, 2, levels).beneficial_harmful:
+                message = f"{mechanism}: split {s.levels} of user {splitter} gains and harms {s.harmed}"
+                out.append(Violation("multi_identity", message, game_json(game)))
+    # Demonstration (not a pass property): a substitutable split that harms.
+    probe = multi_identity_probe("subst_off", SUBST_SPLIT_GAME, 1, 2, (F(1, 2),))
     if probe.splits[0].other_deltas.get(3, ZERO) >= 0:
-        out.append(
-            Violation(
-                "multi_identity",
-                "substitutable demonstration failed: expected rival harm was not reproduced",
-                game_json(game62),
-            )
-        )
+        message = "substitutable demonstration failed: expected rival harm was not reproduced"
+        out.append(Violation("multi_identity", message, game_json(SUBST_SPLIT_GAME)))
     return out
 
 

@@ -3,9 +3,13 @@
 These deliberately avoid the library's internals: serviced sets come from
 all-subsets enumeration, online traces from a literal slot-by-slot replay,
 and posted prices from exhaustive candidate evaluation plus a fine grid.
-The reference deviation search runs every misreport as a bid through the
-public mechanisms of the registry and scores it with ``settle`` and
-``realized``, the path the integer strategy lab replaces; it settles each
+The reference scorer (``reference_score``) reads a result's public fields
+through ``settle``, which dispatches on the four result shapes, and walks
+each bid slot by slot in ``Fraction``s (``realized``): the path that the
+kernel settlement's integer fold replaces.  The reference deviation search
+and identity-split probe run every misreport or split as bids through the
+public mechanisms of the registry and score them the same way, the path
+the integer strategy lab replaces; the deviation search settles each
 additive offline column by subset enumeration.  The reference online
 kernels keep the slot loops the integer kernels shortcut: every
 pinned bid in every phase loop of ``grant``, and every open optimization
@@ -15,26 +19,38 @@ draw every number with its own scalar numpy call and build each game in
 rebuilding its catalog (``recost``).  The renderers' oracles round in
 ``Fraction`` arithmetic.  The suite draw oracles build every drawn value
 and cost as a fresh ``Fraction`` and sum them in ``Fraction`` arithmetic.
+
+Helpers that only tests read live here too: the pay-your-bid control
+mechanism (``naive_pay_your_bid``, whose result ``score`` folds like any
+other), and readers of the library's types and money text that no command
+uses.
 """
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
+from optshare.additive_online import OnlineTrace
 from optshare.analysis import (
+    DEFAULT_SPLIT_LEVELS,
     GRID_SCALES,
     MECHANISMS,
     TRUTHFUL_MECHANISMS,
     DeviationReport,
+    Metrics,
+    ProbeReport,
+    SplitOutcome,
     _subset_options,
-    realized,
-    settle,
 )
 from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
     AdditiveOnlineMultiGame,
+    CatalogMismatch,
+    GameError,
     OnlineAdditiveGame,
     OnlineBid,
     Optimization,
@@ -44,6 +60,10 @@ from optshare.core import (
     SubstOfflineGame,
     SubstOnlineGame,
 )
+from optshare.money import render_ratio_sqrt
+from optshare.regret import RegretTrace
+from optshare.scaled import ScaledGame, outcome_and_ledger
+from optshare.substitutable import SubstOffResult, SubstOnlineTrace
 from optshare.regret import _implement
 from optshare.scenarios import (
     GRID,
@@ -141,6 +161,180 @@ def efficient_enumeration_additive(costs, values):
                 total += sum((user_values.get(j, ZERO) for j in chosen), ZERO)
             best = max(best, total)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Scoring and the identity-split probe on the registry path
+
+
+class Settlement(NamedTuple):
+    """What one mechanism run settled, whatever its result type: the users
+    served each optimization in each slot (offline results use slot 1, the
+    paper's one-slot degeneration), each user's total payment, and the
+    implemented optimizations."""
+
+    served: dict
+    payments: dict  # users absent from the map pay 0
+    implemented: frozenset
+
+
+def settle(result) -> Settlement:
+    """The settlement of any mechanism's result, read from its public
+    fields: an offline ``(Outcome, PaymentLedger)`` pair, a
+    :class:`SubstOffResult`, or an online trace."""
+    if isinstance(result, OnlineTrace):
+        served = result.schedule.served
+        return Settlement(served, result.payments, frozenset([j for j, _ in served]))
+    if isinstance(result, SubstOnlineTrace):
+        return Settlement(result.schedule.served, result.payments, result.implemented)
+    if isinstance(result, RegretTrace):
+        return Settlement(result.serviced.served, result.payments, frozenset(result.implement_slot))
+    outcome, ledger = (result.outcome, result.payments) if isinstance(result, SubstOffResult) else result
+    served = {(j, 1): frozenset(u for u, o in outcome.grants if o == j) for j in outcome.implemented}
+    return Settlement(served, {u: ledger.total_for(u) for u, _ in ledger.entries}, outcome.implemented)
+
+
+def realized(bid, ids, settlement):
+    """True value ``bid`` realizes when served to any identity in ``ids``:
+    in each slot of its window, additive bids realize their value per
+    optimization, substitutable ones once for any served substitute."""
+    served = settlement.served
+    if isinstance(bid, OnlineBid):
+        wanted = (bid.opt,) if isinstance(bid, AdditiveOnlineBid) else bid.substitutes
+        value = ZERO
+        for t, v in enumerate(bid.per_slot, bid.start):
+            for j in wanted:
+                if not ids.isdisjoint(served.get((j, t), ())):
+                    value += v
+                    break
+        return value
+    if isinstance(bid, AdditiveOfflineBid):
+        return sum((v for j, v in bid.values.items() if not ids.isdisjoint(served.get((j, 1), ()))), ZERO)
+    hit = any(not ids.isdisjoint(served.get((j, 1), ())) for j in bid.substitutes)
+    return bid.value if hit else ZERO
+
+
+def reference_score(game, result, truth=None):
+    """``analysis.score`` through ``settle`` and ``realized``."""
+    settlement = settle(result)
+    bids = game.bids if truth is None else truth.values()
+    per_user = {}
+    for bid in bids:
+        per_user[bid.user] = per_user.get(bid.user, ZERO) + realized(bid, {bid.user}, settlement)
+    unknown = set().union(*settlement.served.values()) - per_user.keys()
+    if unknown:
+        raise GameError(f"schedule references unknown users {sorted(unknown)}")
+    total_value = sum(per_user.values(), ZERO)
+    for user in per_user:
+        per_user[user] -= settlement.payments.get(user, ZERO)
+    total_cost = sum((o.cost for o in game.catalog if o.id in settlement.implemented), ZERO)
+    paid = sum(settlement.payments.values(), ZERO)
+    return Metrics(total_value, total_cost, total_value - total_cost, paid - total_cost, per_user)
+
+
+def reference_multi_identity_probe(mechanism, game, splitter, identities=2, split_levels=DEFAULT_SPLIT_LEVELS):
+    """``analysis.multi_identity_probe`` on the registry path: per split, a
+    bid per identity, a run, a settlement and realized sums."""
+    name = "add_off" if mechanism == "shapley" else mechanism
+    if name not in TRUTHFUL_MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    run = MECHANISMS[name][1]
+    true_bid = {b.user: b for b in game.bids}[splitter]
+    others = [b for b in game.bids if b.user != splitter]
+    fresh = [max(b.user for b in game.bids) + 1 + k for k in range(identities)]
+
+    def utilities(bids, ids):
+        settlement = settle(run(game, others + bids))
+        paid = settlement.payments
+        mine = realized(true_bid, ids, settlement) - sum((paid.get(i, ZERO) for i in ids), ZERO)
+        return mine, {b.user: realized(b, {b.user}, settlement) - paid.get(b.user, ZERO) for b in others}
+
+    base_mine, base_others = utilities([true_bid], {splitter})
+    splits = []
+    for levels in itertools.product(split_levels, repeat=identities):
+        split = [(i, lv) for i, lv in zip(fresh, levels) if lv > 0]
+        mine, others_util = utilities([_scaled_bid(true_bid, i, lv) for i, lv in split], {i for i, _ in split})
+        deltas = {u: others_util[u] - base_others[u] for u in base_others}
+        splits.append(SplitOutcome(levels, mine, deltas))
+    return ProbeReport(mechanism, splitter, identities, base_mine, base_others, tuple(splits))
+
+
+def _scaled_bid(bid, user, level):
+    """``bid`` declared by identity ``user`` with every value times ``level``."""
+    if isinstance(bid, AdditiveOfflineBid):
+        return replace(bid, user=user, values={j: v * level for j, v in bid.values.items()})
+    if isinstance(bid, SubstitutableOfflineBid):
+        return replace(bid, user=user, value=bid.value * level)
+    return replace(bid, user=user, per_slot=tuple(v * level for v in bid.per_slot))
+
+
+def naive_pay_your_bid(catalog, bids):
+    """The pay-your-bid mechanism, the motivating broken design, kept as a
+    positive control for the deviation search (underbidding must be caught
+    as profitable): an optimization is implemented iff its positive bids
+    cover its cost, and each of them pays its bid.  Built as a one-slot
+    settlement (each served bid charged its own scaled value), so ``score``
+    folds it like any mechanism's result."""
+    game = ScaledGame(AdditiveOfflineGame(tuple(catalog), tuple(bids)))
+    entries, implemented = {}, []
+    for j, cost in game.costs[0].items():
+        column = game.by_opt[j]
+        if column and sum(game.suffix[i][0] for i in column) >= cost:
+            implemented.append(j)
+            for i in column:
+                entries[i] = (j, 1, 1, game.suffix[i][0], 1)
+    return outcome_and_ledger(game, (entries, implemented, None))
+
+
+# ---------------------------------------------------------------------------
+# Readers that only tests use
+
+
+def value_of_outcome(bid, outcome):
+    """Total declared value one user derives from her grants (additive)."""
+    return sum((bid.value_for(opt) for user, opt in outcome.grants if user == bid.user), ZERO)
+
+
+def cost_of_outcome(catalog, outcome):
+    """Summed cost of the implemented optimizations."""
+    costs = {o.id: o.cost for o in catalog}
+    missing = outcome.implemented - costs.keys()
+    if missing:
+        raise CatalogMismatch(f"outcome implements unknown optimizations {sorted(missing)}")
+    return sum((costs[j] for j in outcome.implemented), ZERO)
+
+
+def residual_from(bid, t):
+    """Declared value of an online bid remaining from slot t on (0 once the
+    window is past)."""
+    return sum(bid.per_slot[max(t - bid.start, 0) :], ZERO) if t <= bid.end else ZERO
+
+
+def grand_total(ledger):
+    """Every payment of a ledger."""
+    return sum(ledger.entries.values(), ZERO)
+
+
+def schedule_opts(schedule):
+    """The optimizations a schedule serves in some slot."""
+    return frozenset(o for o, _ in schedule.served)
+
+
+def per_opt_games(game):
+    """A multi-optimization additive online game as one single-optimization
+    game per optimization, as the online mechanism plays it."""
+    return [OnlineAdditiveGame(opt, game.horizon, tuple(b for b in game.bids if b.opt == opt.id)) for opt in game.catalog]
+
+
+def parse_exact(text):
+    """The inverse of ``money.render_exact``."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
+
+
+def render_decimal_sqrt(value, digits=9):
+    """``money.render_ratio_sqrt`` of a Fraction."""
+    return render_ratio_sqrt(value.numerator, value.denominator, digits)
 
 
 def reference_deviation_search(mechanism, game, deviator):
@@ -423,7 +617,7 @@ def reference_rand_additive_online(rng, max_users=5, max_slots=4):
         s = rng.randint(1, z)
         e = rng.randint(s, z)
         bids.append(AdditiveOnlineBid(u, 1, s, e, tuple(reference_rand_money(rng) for _ in range(e - s + 1))))
-    total = sum((b.residual_from(1) for b in bids), ZERO)
+    total = sum((residual_from(b, 1) for b in bids), ZERO)
     return OnlineAdditiveGame(Optimization(1, _reference_cost_near(rng, total)), SlotHorizon(z), tuple(bids))
 
 
@@ -452,7 +646,7 @@ def reference_rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4):
         bids.append(
             SubstitutableOnlineBid(u, subs, s, e, tuple(reference_rand_money(rng) for _ in range(e - s + 1)))
         )
-    total = sum((b.residual_from(1) for b in bids), ZERO)
+    total = sum((residual_from(b, 1) for b in bids), ZERO)
     catalog = tuple(
         Optimization(j, _reference_cost_near(rng, total * Fraction(1, max(1, n)))) for j in range(1, n + 1)
     )

@@ -8,7 +8,6 @@ from optshare.analysis import (
     deviation_search,
     efficient_outcome,
     multi_identity_probe,
-    naive_pay_your_bid,
     score,
 )
 from optshare.core import (
@@ -27,7 +26,7 @@ from optshare.regret import regret_run
 from optshare.shapley import add_off
 from optshare.verification import run_suite
 
-from oracles import efficient_enumeration_additive
+from oracles import efficient_enumeration_additive, grand_total, naive_pay_your_bid
 
 F = Fraction
 
@@ -254,7 +253,7 @@ def test_score_dispatch_matches_internal_totals():
     game = AdditiveOfflineGame(catalog, bids)
     outcome, ledger = add_off(catalog, bids)
     m = score(game, (outcome, ledger))
-    assert m.cloud_balance == ledger.grand_total() - m.total_cost
+    assert m.cloud_balance == grand_total(ledger) - m.total_cost
     g2 = OnlineAdditiveGame(Optimization(1, F(100)), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 2, (F(60), F(60))),))
     trace = regret_run((g2.optimization,), g2.horizon, g2.bids)
     m2 = score(g2, trace)

@@ -15,10 +15,10 @@ from optshare.core import (
     SlotHorizon,
     SubstitutableOfflineBid,
     SubstitutableOnlineBid,
-    cost_of_outcome,
     validate_revision,
-    value_of_outcome,
 )
+
+from oracles import cost_of_outcome, grand_total, residual_from, schedule_opts, value_of_outcome
 
 F = Fraction
 
@@ -93,15 +93,15 @@ def test_bid_validation():
 
 def test_online_bid_residuals():
     bid = AdditiveOnlineBid(1, 1, 2, 4, (F(10), F(20), F(30)))
-    assert bid.residual_from(1) == F(60)
-    assert bid.residual_from(2) == F(60)
-    assert bid.residual_from(3) == F(50)
-    assert bid.residual_from(4) == F(30)
-    assert bid.residual_from(5) == 0
+    assert residual_from(bid, 1) == F(60)
+    assert residual_from(bid, 2) == F(60)
+    assert residual_from(bid, 3) == F(50)
+    assert residual_from(bid, 4) == F(30)
+    assert residual_from(bid, 5) == 0
     assert bid.value_at(1) == 0 and bid.value_at(3) == F(20)
     subst = SubstitutableOnlineBid(1, [1, 2], 2, 4, [F(10), F(20), F(30)])
     assert subst.per_slot == bid.per_slot and subst.substitutes == frozenset({1, 2})
-    assert [subst.residual_from(t) for t in range(1, 6)] == [bid.residual_from(t) for t in range(1, 6)]
+    assert [residual_from(subst, t) for t in range(1, 6)] == [residual_from(bid, t) for t in range(1, 6)]
     assert [subst.value_at(t) for t in range(1, 6)] == [bid.value_at(t) for t in range(1, 6)]
 
 
@@ -130,7 +130,7 @@ def test_payment_ledger_totals():
     ledger = PaymentLedger({(1, 1): F(30), (1, 3): F(5), (2, 1): F(30)})
     assert ledger.total_for(1) == F(35)
     assert ledger.total_for_opt(1) == F(60)
-    assert ledger.grand_total() == F(65)
+    assert grand_total(ledger) == F(65)
 
 
 def test_schedule_cumulative_identity():
@@ -140,4 +140,4 @@ def test_schedule_cumulative_identity():
     assert schedule.cumulative_at(1, 1) == {1}
     assert schedule.cumulative_at(1, 2) == {1, 2, 3}
     assert schedule.cumulative_at(2, 1) == frozenset()
-    assert schedule.opts() == {1, 2}
+    assert schedule_opts(schedule) == {1, 2}

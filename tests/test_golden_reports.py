@@ -18,7 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from optshare.additive_online import add_on
-from optshare.analysis import deviation_search, multi_identity_probe, naive_pay_your_bid, score
+from optshare.analysis import deviation_search, multi_identity_probe, score
 from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOnlineBid,
@@ -38,6 +38,8 @@ from optshare.verification import (
     rand_subst_offline,
     rand_subst_online,
 )
+
+from oracles import naive_pay_your_bid
 
 F = Fraction
 GAMES_PER_KIND = 12

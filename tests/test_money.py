@@ -12,14 +12,12 @@ from optshare.money import (
     MAX_MONEY_EXPONENT,
     parse_money,
     render_decimal,
-    render_decimal_sqrt,
     render_exact,
     render_ratio,
     render_ratio_sqrt,
-    parse_exact,
 )
 
-from oracles import reference_render_decimal, reference_render_decimal_sqrt
+from oracles import parse_exact, reference_render_decimal, reference_render_decimal_sqrt, render_decimal_sqrt
 
 F = Fraction
 

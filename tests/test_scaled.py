@@ -37,7 +37,7 @@ from optshare.scaled import Factors, ScaledGame, totals
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
-from oracles import recost
+from oracles import per_opt_games, recost
 from test_traces import _rand_multi as rand_additive_multi
 
 F = Fraction
@@ -51,7 +51,7 @@ def reference(mechanism, game):
         metrics = score(game, trace)
         return metrics.total_utility, metrics.cloud_balance, bool(trace.implement_slot)
     if mechanism == "add_on":
-        games = [game] if isinstance(game, OnlineAdditiveGame) else game.per_opt_games()
+        games = [game] if isinstance(game, OnlineAdditiveGame) else per_opt_games(game)
         metrics = [score(g, add_on(g)) for g in games]
         return (
             sum((m.total_utility for m in metrics), F(0)),

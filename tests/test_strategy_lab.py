@@ -43,7 +43,7 @@ from optshare.verification import (
     rand_subst_online,
 )
 
-from oracles import reference_deviation_search, reference_misreports
+from oracles import reference_deviation_search, reference_misreports, residual_from
 
 F = Fraction
 COARSE = (F(0), F(1, 2), F(1), F(3, 2), F(2))
@@ -110,7 +110,7 @@ def ties(game, deviator) -> bool:
     elif isinstance(bid, SubstitutableOfflineBid):
         pairs = [(bid.value, b.value) for b in others]
     else:
-        pairs = [(bid.residual_from(t), b.residual_from(t)) for t in range(bid.start, bid.end + 1) for b in others]
+        pairs = [(residual_from(bid, t), residual_from(b, t)) for t in range(bid.start, bid.end + 1) for b in others]
     return any(mine > 0 and mine * k == theirs for mine, theirs in pairs for k in GRID_SCALES)
 
 
@@ -203,7 +203,7 @@ def lab_of(mechanism, game, deviator):
     others = [b for b in game.bids if b.user != deviator and (not online or b.start <= bid.start)]
     truthful = ((bid.start, bid.end) if online else (1, 1), getattr(bid, "substitutes", None))
     declared = dict.fromkeys([truthful, *((w, s) for w, s, _ in _declarations(game, bid))])
-    return _Lab(mechanism, game, others, bid), list(declared)
+    return _Lab(game, others, bid), list(declared)
 
 
 def assert_one_run_per_cell(lab, window, subset) -> set[str]:

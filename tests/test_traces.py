@@ -32,6 +32,8 @@ from optshare.scenarios import FAMILIES, SKEWS, ScenarioSpec, generate
 from optshare.substitutable import subst_on
 from optshare.verification import rand_additive_online, rand_money, rand_subst_online
 
+from oracles import per_opt_games
+
 F = Fraction
 GAMES_PER_KIND = 300
 SPECS_PER_FAMILY = 40
@@ -141,7 +143,7 @@ def trace_lines():
     for _ in range(GAMES_PER_KIND):
         game = _rand_multi(rng)
         lines += regret_lines(game)
-        for single in game.per_opt_games():
+        for single in per_opt_games(game):
             lines += add_on_lines(single)
     for family in FAMILIES:
         for _ in range(SPECS_PER_FAMILY):
@@ -152,7 +154,7 @@ def trace_lines():
                 if isinstance(game, OnlineAdditiveGame):
                     lines += add_on_lines(game)
                 elif isinstance(game, AdditiveOnlineMultiGame):
-                    for single in game.per_opt_games():
+                    for single in per_opt_games(game):
                         lines += add_on_lines(single)
                 else:
                     lines += subst_on_lines(game)
