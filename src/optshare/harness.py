@@ -16,9 +16,9 @@ one denominator and added to integer cells, and each CSV cell is rendered from
 those integer sums (``CellStats.columns``), so no ``Fraction`` is made
 between the config and the CSV text.  Sums are exact, so neither the scale,
 scheduling nor arrival order can change a single output byte.  Trials run
-serially or in one process pool per sweep, whose workers fold chunks of
-trials into partial cells that the parent merges.  Files are written to a
-temp path and atomically renamed.
+serially, or split into contiguous slices, one helper process per slice,
+each folding its slice into partial cells that the parent merges.  Files
+are written to a temp path and atomically renamed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
 
 from .additive_online import serve_points
 from .analysis import MECHANISMS
@@ -60,13 +59,6 @@ FAMILY_MECHANISMS = {
 
 # Every cost point runs every trial; the shipped configs use 25 points.
 MAX_COST_POINTS = 1000
-
-# Trials in one pool job, which the worker folds into partial cells.  On a
-# 256-trial, 25-point sweep with two workers on a 2-vCPU VM, 16 to 64 were
-# about a fifth faster than 4 and twice as fast as 1 (each job returns a
-# full set of cells); 16 still leaves 625 jobs to balance a shipped
-# 10000-trial sweep.
-TRIALS_PER_TASK = 16
 
 CSV_HEADER = (
     "mechanism,cost,trials,mean_total_utility,sd_total_utility,"
@@ -317,7 +309,7 @@ class CellStats:
 
 def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, details: bool, trials):
     """Run ``trials`` and fold them into fresh cells; returns the cells and,
-    if ``details``, the detail records per cost point as (trial, record).
+    if ``details``, the detail records per cost point in trial order.
     Each trial's game is drawn into integer rows once; cost point p costs
     the catalog at ``cost_points[p]`` as factor p, ``cost_points[p] /
     spec.cost``, since every family's catalog costs are proportional to
@@ -343,7 +335,7 @@ def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, 
                         "cloud_balance": render_exact(Fraction(balance, den)),
                         "implemented": bool(implemented),
                     }
-                    records[point].append((trial, record))
+                    records[point].append(record)
     return cells, records
 
 
@@ -360,6 +352,49 @@ def default_workers() -> int:
     return workers
 
 
+def _workers(workers) -> int:
+    """``workers``, or ``default_workers()`` if it is None; anything but an
+    integer >= 1 is a ``ConfigError``."""
+    if workers is None:
+        return default_workers()
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers: expected an integer >= 1, got {workers!r}")
+    return workers
+
+
+class HelperTraceback(Exception):
+    """The text of a traceback in a sweep helper; the parent raises the
+    helper's exception from it."""
+
+
+def _fold_slice(fold, trials, sender):
+    """A helper process's body: fold one slice of trials and send back the
+    cells and records, or the exception the fold raised, which carries its
+    traceback as text (a traceback object does not pickle)."""
+    try:
+        result = fold(trials)
+    except Exception as exc:
+        import traceback  # imported here: only a failing helper needs it
+
+        exc.helper_traceback = traceback.format_exc()
+        result = exc
+    sender.send(result)
+    sender.close()
+
+
+def _start_helper(fold, trials):
+    """Start a helper process that folds ``trials``; returns it and the
+    receiving end of its one-way pipe.  The parent's copy of the sending end
+    is closed, so ``recv`` raises ``EOFError`` if the helper dies unsent."""
+    import multiprocessing as mp  # imported here: most runs start no helper
+
+    receiver, sender = mp.Pipe(duplex=False)
+    helper = mp.Process(target=_fold_slice, args=(fold, trials, sender))
+    helper.start()
+    sender.close()
+    return helper, receiver
+
+
 def sweep(
     spec: ScenarioSpec,
     mechanisms,
@@ -372,16 +407,17 @@ def sweep(
 
     Trial-major: each trial's game is drawn into integer rows once and every
     mechanism's kernel runs on it at every cost point.  With more than one
-    worker, one process pool of at most
-    ``min(workers, os.cpu_count(), trials)`` processes serves the whole
-    sweep; a job is a chunk of ``TRIALS_PER_TASK`` trials, which the worker
-    folds into partial cells (and detail records, if asked for) for the
-    parent to merge.  Serial runs fold every trial through the same
-    function.  Exact sums do not depend on arrival order.  Detail records are
-    handed to ``detail_sink`` in (cost, trial, mechanism) order.
+    worker, the trials are split into ``min(workers, os.cpu_count(),
+    trials)`` contiguous slices and one helper process folds each slice into
+    partial cells (and detail records, if asked for), which the parent
+    receives in slice order and merges; the parent folds no trial itself.
+    Serial runs fold every trial through the same function.  Exact sums do
+    not depend on how the trials are split.  Detail records are handed to
+    ``detail_sink`` in (cost, trial, mechanism) order.  No helper outlives
+    the call, whether it returns or raises.
     """
     trials = trials if trials is not None else spec.trials
-    workers = workers if workers is not None else default_workers()
+    workers = _workers(workers)
     mechanisms, cost_points = tuple(mechanisms), tuple(cost_points)
     factors = Factors([cost / spec.cost for cost in cost_points])
     fold = partial(_fold_trials, spec, mechanisms, cost_points, factors, detail_sink is not None)
@@ -389,20 +425,41 @@ def sweep(
     if processes <= 1:
         cells, details = fold(range(trials))
     else:
-        import multiprocessing as mp  # imported here: most runs never start a pool
-
         cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
         details = [[] for _ in cost_points] if detail_sink is not None else None
-        chunks = [range(lo, min(lo + TRIALS_PER_TASK, trials)) for lo in range(0, trials, TRIALS_PER_TASK)]
-        with mp.Pool(processes) as pool:
-            for part, records in pool.imap_unordered(fold, chunks):
-                for key, cell in part.items():
+        bounds = [trials * k // processes for k in range(processes + 1)]
+        slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        helpers = []
+        try:
+            for part in slices:
+                helpers.append(_start_helper(fold, part))
+            # Receive before join: a helper blocks on a full pipe until its
+            # result is read.
+            for part, (helper, receiver) in zip(slices, helpers):
+                try:
+                    result = receiver.recv()
+                except EOFError:
+                    helper.join()
+                    raise RuntimeError(
+                        f"sweep: the helper for trials {part.start}..{part.stop - 1} exited with "
+                        f"code {helper.exitcode} before sending its cells"
+                    ) from None
+                if isinstance(result, Exception):
+                    raise result from HelperTraceback(result.helper_traceback)
+                part_cells, records = result
+                for key, cell in part_cells.items():
                     cells[key].merge(cell)
                 for point, point_records in enumerate(records or ()):
                     details[point].extend(point_records)
+                helper.join()
+        finally:
+            for helper, receiver in helpers:
+                if helper.is_alive():
+                    helper.terminate()
+                helper.join()
+                receiver.close()
     for records in details or ():
-        records.sort(key=itemgetter(0))  # stable: a trial's mechanisms keep their order
-        for _, record in records:
+        for record in records:
             detail_sink(record)
     return cells
 
@@ -424,6 +481,7 @@ def atomic_write(path, text: str):
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int | None = None) -> list[str]:
     """Execute a config; returns the written file paths (CSV first)."""
+    workers = _workers(workers)
     os.makedirs(out_dir, exist_ok=True)
     details: list[dict] = []
     sink = details.append if config.details else None

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -358,31 +359,44 @@ def test_cell_stats_merge_equals_adding_in_any_order():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace multiprocessing.Pool by a pool that starts nothing, runs its
-    jobs in this process and records its size; os.cpu_count() reads 4."""
-    sizes = []
+def helper_slices(monkeypatch):
+    """Replace the helper start by one that starts nothing, folds its slice
+    in this process and records it: one list of slices per sweep that
+    starts helpers.  os.cpu_count() reads 4."""
+    sweeps = []
 
-    class InlinePool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class Exited:
+        exitcode = 0
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
+        def is_alive(self):
             return False
 
-        def imap_unordered(self, func, iterable, chunksize=1):
-            return map(func, iterable)
+        def join(self):
+            pass
 
-    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    class Received:
+        def __init__(self, result):
+            self.result = result
+
+        def recv(self):
+            return self.result
+
+        def close(self):
+            pass
+
+    def start_inline(fold, trials):
+        if trials.start == 0:  # every sweep's first slice starts at trial 0
+            sweeps.append([])
+        sweeps[-1].append(trials)
+        return Exited(), Received(fold(trials))
+
+    monkeypatch.setattr(harness, "_start_helper", start_inline)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    return sizes
+    return sweeps
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_generates_each_trial_once_in_at_most_one_pool(monkeypatch, pool_sizes, workers):
+def test_sweep_generates_each_trial_once_across_helpers(monkeypatch, helper_slices, workers):
     calls = []
     real_draw = scenarios.draw
 
@@ -394,11 +408,11 @@ def test_sweep_generates_each_trial_once_in_at_most_one_pool(monkeypatch, pool_s
     spec = ScenarioSpec(family="selectivity", users=4, slots=4, opt_count=4, cost=F("0.3"), seed=2, trials=9)
     cells = sweep(spec, ("subst_on", "regret"), (F("0.1"), F("0.3"), F("0.9")), workers=workers)
     assert sorted(calls) == list(range(9))
-    assert len(pool_sizes) == (0 if workers == 1 else 1)
+    assert helper_slices == ([] if workers == 1 else [[range(0, 4), range(4, 9)]])
     assert all(cell.n == 9 for cell in cells.values())
 
 
-def test_pool_size_is_capped(monkeypatch, pool_sizes):
+def test_helper_count_is_capped(monkeypatch, helper_slices):
     def run(trials, workers):
         spec = ScenarioSpec(family="collab_size", users=3, slots=4, cost=F("0.3"), seed=1, trials=trials)
         sweep(spec, ("add_on",), (F("0.3"),), workers=workers)
@@ -406,8 +420,71 @@ def test_pool_size_is_capped(monkeypatch, pool_sizes):
     monkeypatch.setenv("OPTSHARE_WORKERS", "100000")
     run(trials=3, workers=default_workers())  # capped by trials
     run(trials=40, workers=100000)  # capped by os.cpu_count(), patched to 4
-    run(trials=1, workers=100000)  # one process: no pool at all
-    assert pool_sizes == [3, 4]
+    run(trials=1, workers=100000)  # one process: no helper at all
+    assert [len(slices) for slices in helper_slices] == [3, 4]
+    assert helper_slices[1] == [range(0, 10), range(10, 20), range(20, 30), range(30, 40)]
+
+
+SUBST_SPEC = ScenarioSpec(family="selectivity", users=4, slots=4, opt_count=4, cost=F("0.3"), seed=2, trials=37)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_uneven_slices_match_one_worker(monkeypatch, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def run(workers):
+        records = []
+        cells = sweep(SUBST_SPEC, ("subst_on", "regret"), (F("0.1"), F("0.3"), F("0.9")),
+                      workers=workers, detail_sink=records.append)
+        return {key: cell.columns() for key, cell in cells.items()}, records
+
+    assert run(workers) == run(1)  # 37 trials: slices of 12-13 at 3 workers, 9-10 at 4
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_error_is_raised_and_no_helper_is_left(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # A mechanism tuple that bypasses ExperimentConfig: run_mechanism raises
+    # in each helper.
+    with pytest.raises(ConfigError, match="add_on cannot run on substitutable games") as raised:
+        sweep(SUBST_SPEC, ("add_on",), (F("0.3"),), trials=8, workers=2)
+    assert multiprocessing.active_children() == []
+    assert isinstance(raised.value.__cause__, harness.HelperTraceback)
+    assert 'in run_mechanism\n    raise ConfigError(' in str(raised.value.__cause__)  # the helper's frames
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched draw reaches the helpers only when they fork"
+)
+def test_a_helper_that_exits_unsent_is_named_with_its_exit_code(monkeypatch):
+    real_draw = scenarios.draw
+
+    def dying_draw(spec, trial):
+        if trial == 1:
+            os._exit(3)
+        if trial == 5:  # the other helper is still busy when the sweep raises
+            time.sleep(60)
+        return real_draw(spec, trial)
+
+    monkeypatch.setattr(scenarios, "draw", dying_draw)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"helper for trials 0\.\.3 exited with code 3"):
+        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=8, workers=2)
+    assert time.perf_counter() - started < 30  # the busy helper was terminated, not waited for
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -2, True, False, 2.0, "2"])
+def test_sweep_and_run_experiment_reject_bad_workers(tmp_path, workers):
+    message = f"workers: expected an integer >= 1, got {workers!r}"
+    with pytest.raises(ConfigError) as raised:
+        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=4, workers=workers)
+    assert str(raised.value) == message
+    with pytest.raises(ConfigError) as raised:
+        run_experiment(config_from_dict(config_dict()), tmp_path / "out", workers=workers)
+    assert str(raised.value) == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_env_respected(tmp_path, monkeypatch):
