@@ -124,7 +124,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         start, stop, step = (_range_bound(raw_sweep, key) for key in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError("cost_sweep.step: must be positive")
-        points = (stop - start) // step + 1 if start <= stop else 0
+        if start > stop:
+            raise ConfigError(f"cost_sweep: start {start} exceeds stop {stop}")
+        points = (stop - start) // step + 1
         if points > MAX_COST_POINTS:
             raise ConfigError(f"cost_sweep: range expands to {points} points (at most {MAX_COST_POINTS})")
         sweep = [start + i * step for i in range(points)]

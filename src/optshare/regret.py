@@ -10,15 +10,17 @@ minimize the provider's loss (so the baseline is evaluated at its best).
 The baseline trusts bids to be true values; the simulator always feeds it
 the truth.
 
-The baseline itself is one integer kernel, :func:`trigger`, over a
-:class:`~optshare.scaled.ScaledGame`; :func:`regret_run` builds the full
-trace from its settlement.  Every posted price is a bisection of a price
-curve (:func:`_price_curve`), the buyer counts whose revenue no larger
-count reaches.  On additive games the regret before each slot does not
-depend on the cost, so an optimization's trigger slot is a bisection of
-that prefix, and :func:`trigger_points` settles every cost point of a game
-from one prefix per optimization and one price curve per optimization and
-trigger slot.
+The baseline itself is one integer kernel, :func:`trigger`, a slot loop
+over a :class:`~optshare.scaled.ScaledGame` of either bid kind;
+:func:`regret_run` builds the full trace from its settlement.  Every posted
+price is a bisection of a price curve (:func:`_price_curve`), the buyer
+counts whose revenue no larger count reaches.  The additive sweep does not
+build settlements: on additive games the regret before each slot does not
+depend on the cost, so :func:`trigger_points` finds each cost point's
+trigger slots by bisection of one prefix per optimization
+(:func:`_regret_before`) and settles every cost point of a game from one
+price curve per optimization and trigger slot; the tests cross-check it
+against :func:`trigger`.
 """
 
 from __future__ import annotations
@@ -125,23 +127,24 @@ class RegretTrace:
 
 
 def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
-    """Run the baseline at scaled costs ``costs``.
+    """Run the baseline at scaled costs ``costs``, slot by slot.
 
-    Additive bids contribute to every optimization they name, independently,
-    so each optimization's trigger slot is the first slot its regret before
-    the slot covers its cost: a bisection of :func:`_regret_before`.
-    Substitutable bids contribute their value to every optimization in the
-    substitute set until the user is first serviced by one of them, at which
-    point she stops benefiting from (and stops accruing regret for) the rest;
-    those games are played slot by slot.  Bids active in the trigger slot
-    ride free in it (charged 0/1); buyers are served from the trigger slot if
-    they ride, else from their start, through their end, at the posted price
-    ``price[j]``, a (numerator, denominator) pair.  The implemented
-    optimizations map to their trigger slots, and the log is ``(price, loss,
-    series)``: the price, its shortfall on j's cost, and j's regret before
-    slot t at ``(j, t)``, on the game's scale, for the slots through its
-    trigger where it differs from the regret before t - 1 (0 before slot 1);
-    :func:`regret_run` expands it to every slot.
+    A bid contributes its value to every optimization it names until it is
+    first serviced by one of them, at which point it stops benefiting from
+    (and stops accruing regret for) the rest.  An additive bid names one
+    optimization, so closing it to the others changes nothing: each
+    optimization triggers in the first slot its regret before the slot
+    covers its cost, which :func:`trigger_points` finds by bisection.
+
+    Bids active in the trigger slot ride free in it (charged 0/1); buyers
+    are served from the trigger slot if they ride, else from their start,
+    through their end, at the posted price ``price[j]``, a (numerator,
+    denominator) pair.  The implemented optimizations map to their trigger
+    slots, and the log is ``(price, loss, series)``: the price, its
+    shortfall on j's cost, and j's regret before slot t at ``(j, t)``, on
+    the game's scale, for the slots through its trigger where it differs
+    from the regret before t - 1 (0 before slot 1); :func:`regret_run`
+    expands it to every slot.
 
     Regret rises only in slots with values, and costs are positive, so an
     optimization can trigger only in the slot right after its regret rose;
@@ -150,17 +153,7 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     opt_ids = sorted(costs)
     price: dict[OptId, tuple[int, int]] = {}
     loss: dict[OptId, int] = {}
-    entries: dict[int, tuple[OptId, Slot, Slot, int, int]] = {}  # a substitutable bid in here is closed to the rest
-    if game.additive:
-        before = _regret_before(game, opt_ids)
-        slots = {j: bisect_left(before[j], costs[j]) for j in opt_ids}
-        implement_slot = {j: t for t, j in sorted((t, j) for j, t in slots.items() if t <= game.z)}
-        for j, t in implement_slot.items():
-            _implement(game, j, t, costs[j], entries, price, loss)
-        rows = {j: before[j][: min(slots[j], game.z) + 1] for j in opt_ids}
-        series = {(j, t): row[t] for j, row in rows.items() for t in range(1, len(row)) if row[t] != row[t - 1]}
-        return entries, implement_slot, (price, loss, series)
-
+    entries: dict[int, tuple[OptId, Slot, Slot, int, int]] = {}  # a bid in here is closed to the rest
     interest, values = game.interest, game.values
     regret = dict.fromkeys(opt_ids, 0)
     series = {}

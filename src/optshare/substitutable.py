@@ -8,20 +8,17 @@ the lowest optimization id (the tie is recorded in the phase log so strategy
 studies can explore the randomized variant).
 
 Online: the offline mechanism re-runs each slot on residual values.  The
-first time a user is granted an optimization she is pinned to it (counted
-there, nowhere else), so she can never switch and stays in the pool, even
-after leaving, to keep later users' shares honest.
+first time a user is granted an optimization, the user is pinned to it
+(counted there, nowhere else): a pinned user can never switch and stays in
+the pool, even after leaving, to keep later users' shares honest.
 
-Both run one integer phase loop over a :class:`~optshare.scaled.ScaledGame`,
-which counts pinned users per optimization: :func:`_phases_scaled` in full
-for the offline mechanism, on the one-slot game's offers with no pins, and
-:func:`_grants`, only its phases that serve an offer, for the online kernel
-:func:`grant`; a slot with a single new offer is settled in closed form.
-:func:`subst_off` and :func:`subst_on` build their results from a
-settlement, like the other mechanisms.  The online trace's log of every
-slot's full phases (:attr:`SubstOnlineTrace.slot_phases`) reruns
-:func:`_phases_scaled` per slot, so it is built from the settlement and its
-game only when read; no suite or kernel reads it.
+Both settle through one integer kernel, :func:`grant`, over a
+:class:`~optshare.scaled.ScaledGame` (the offline mechanism over the one-slot
+game); pins are counts per optimization, and a slot plays
+only the phases that serve an offer (:func:`_grants`).  The full phase log
+(:attr:`SubstOffResult.phases`, :attr:`SubstOnlineTrace.slot_phases`)
+reruns the phase loop :func:`_phases_scaled` per slot, so it is built from
+the settlement and its game only when read; no suite or kernel reads it.
 """
 
 from __future__ import annotations
@@ -63,11 +60,22 @@ class Phase:
 
 @dataclass(frozen=True)
 class SubstOffResult:
+    """What :func:`subst_off` settled; ``phases``, the one slot's phase log,
+    is built as :attr:`SubstOnlineTrace.slot_phases` is."""
+
     outcome: Outcome
     payments: PaymentLedger
-    phases: tuple[Phase, ...]
     _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
     _run: ScaledSettlement = field(repr=False, compare=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.outcome, self.payments, self.phases) == (other.outcome, other.payments, other.phases)
+
+    @cached_property
+    def phases(self) -> tuple[Phase, ...]:
+        return _phase_log(self._scaled, self._run[0])[1]
 
 
 def _phases_scaled(
@@ -121,23 +129,33 @@ def _phases_scaled(
     return phases
 
 
-def subst_off(
-    catalog: Iterable[Optimization], bids: Iterable[SubstitutableOfflineBid]
-) -> SubstOffResult:
-    """Offline mechanism for substitutable optimizations: every phase of the
-    one-slot game, each of whose served bids pays its optimization's cost
-    over the phase's size."""
+def subst_off(catalog: Iterable[Optimization], bids: Iterable[SubstitutableOfflineBid]) -> SubstOffResult:
+    """Offline mechanism for substitutable optimizations: :func:`grant` on
+    the one-slot game, each of whose served bids pays its optimization's cost
+    over the number of bids it serves."""
     game = ScaledGame(SubstOfflineGame(tuple(catalog), tuple(bids)))
-    users, costs, scale = game.users, game.costs[0], game.scale
-    raw = _phases_scaled(costs, game.offers[1], game.interest, {})
-    entries = {i: (opt, 1, 1, costs[opt], len(served)) for opt, served, _ in raw for i in served}
-    run = (entries, [opt for opt, _, _ in raw], None)
-    outcome, ledger = outcome_and_ledger(game, run)
-    phases = [
-        Phase(opt, frozenset(users[i] for i in served), Fraction(costs[opt], len(served) * scale), ties)
-        for opt, served, ties in raw
-    ]
-    return SubstOffResult(outcome, ledger, tuple(phases), game, run)
+    run = grant(game, game.costs[0])
+    return SubstOffResult(*outcome_and_ledger(game, run), game, run)
+
+
+def _phase_log(scaled: ScaledGame, entries: Mapping[int, tuple]) -> dict[Slot, tuple[Phase, ...]]:
+    """Every slot's phases of the offline mechanism, over all pins and the
+    offers not granted before it, for the settlement ``entries`` of
+    :func:`grant` on ``scaled``."""
+    users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
+    pinned: dict[OptId, list[int]] = {}  # bids granted before slot t, by optimization
+    slot_phases: dict[Slot, tuple[Phase, ...]] = {}
+    for t in range(1, scaled.z + 1):
+        offers = [o for o in scaled.offers[t] if entries.get(o[1], (0, t))[1] >= t]
+        phases = []
+        for opt, served, ties in _phases_scaled(costs, offers, scaled.interest, {j: len(b) for j, b in pinned.items()}):
+            members = [users[i] for i in [*pinned.get(opt, ()), *served]]
+            phases.append(Phase(opt, frozenset(members), Fraction(costs[opt], len(members) * scale), ties))
+        slot_phases[t] = tuple(phases)
+        for i, (j, first, *_) in entries.items():
+            if first == t:
+                pinned.setdefault(j, []).append(i)
+    return slot_phases
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +189,7 @@ class SubstOnlineTrace:
 
     @cached_property
     def slot_phases(self) -> dict[Slot, tuple[Phase, ...]]:
-        scaled, entries = self._scaled, self._run[0]
-        users, costs, scale = scaled.users, scaled.costs[0], scaled.scale
-        pinned: dict[OptId, list[int]] = {}  # bids granted before slot t, by optimization
-        slot_phases: dict[Slot, tuple[Phase, ...]] = {}
-        for t in range(1, scaled.z + 1):
-            # every slot's phases, over all pins and the offers not granted before t
-            offers = [o for o in scaled.offers[t] if entries.get(o[1], (0, t))[1] >= t]
-            phases = []
-            for opt, served, ties in _phases_scaled(costs, offers, scaled.interest, {j: len(b) for j, b in pinned.items()}):
-                members = [users[i] for i in [*pinned.get(opt, ()), *served]]
-                phases.append(Phase(opt, frozenset(members), Fraction(costs[opt], len(members) * scale), ties))
-            slot_phases[t] = tuple(phases)
-            for i, (j, first, *_) in entries.items():
-                if first == t:
-                    pinned.setdefault(j, []).append(i)
-        return slot_phases
+        return _phase_log(self._scaled, self._run[0])
 
 
 def _grants(

@@ -536,6 +536,7 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"mechanisms": ["add_on", "regret", "add_on"]}, "mechanisms[2]"),
         ({"cost_sweep": ["0.5", "0.5"]}, "cost_sweep[1]"),
         ({"cost_sweep": ["0.5", "0.2", "1/2"]}, "cost_sweep[2]"),
+        ({"cost_sweep": {"start": "0.3", "stop": "0.1", "step": "0.1"}}, "cost_sweep: start 3/10 exceeds stop 1/10"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):

@@ -69,6 +69,8 @@ def integer_subst_offline_games(draw):
 @given(integer_subst_offline_games())
 @settings(max_examples=300)
 def test_subst_off_phases_are_the_reference_phase_loop(game):
+    """The outcome and ledger ``grant`` settles, and the phase log the full
+    phase loop builds from them, against the reference phase loop."""
     costs, bids = game
     catalog = tuple(Optimization(j, F(c)) for j, c in costs.items())
     res = subst_off(catalog, [SubstitutableOfflineBid(u, subs, F(v)) for u, (subs, v) in bids.items()])

@@ -2,8 +2,10 @@
 
 Each shipped game is replayed with every mechanism that can replay it, and
 the stdout and exit code are compared with the ones recorded before the
-scorer folded the kernels' integer settlements: per user its payment, then
-the run's total value, total cost, total utility and cloud balance.
+scorer folded the kernels' integer settlements (``two_views``, whose users
+bid on two optimizations each, before the regret kernel settled additive
+games in its slot loop): per user its payment, then the run's total value,
+total cost, total utility and cloud balance.
 """
 
 import contextlib
@@ -76,6 +78,15 @@ RECORDED = {
         "total cost 100",
         "total utility -16",
         "cloud balance -84",
+    ],
+    ("two_views", "regret"): [
+        "user 1 pays 0",
+        "user 2 pays 32.5",
+        "user 3 pays 32.5",
+        "total value 130",
+        "total cost 65",
+        "total utility 65",
+        "cloud balance 0",
     ],
 }
 

@@ -80,6 +80,25 @@ def test_tie_breaks_to_lowest_id_and_is_recorded():
     assert r.phases[0].tied_with == (7,)
 
 
+def test_offline_phases_are_built_when_read_and_compared():
+    """``subst_off`` leaves its phase log to the first read; equality and
+    repr depend on neither that read nor the game object behind it, and
+    equality tells apart results that settle alike but phase differently
+    (here a tie that one catalog has and the other lacks)."""
+    tied = (Optimization(3, F(10)), Optimization(7, F(10)))
+    untied = (Optimization(3, F(10)), Optimization(7, F(50)))
+    bids = (off_bid(1, {3, 7}, 20),)
+    a, b = subst_off(tied, bids), subst_off(tied, bids)
+    assert "phases" not in vars(a)
+    before = repr(a)
+    assert a == b  # builds both results' phases
+    assert "phases" in vars(a) and repr(a) == before == repr(b)
+    assert a.phases[0].tied_with == (7,)
+    c = subst_off(untied, bids)
+    assert (c.outcome, c.payments) == (a.outcome, a.payments)
+    assert c.phases[0].tied_with == () and c != a
+
+
 def test_unknown_optimization_rejected():
     with pytest.raises(GameError):
         subst_off(CATALOG_3[:1], (off_bid(1, {9}, 5),))
