@@ -41,7 +41,7 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, _fixed_point, served_and_paid, totals
+from .scaled import ScaledGame, ScaledSettlement, _fixed_point, served_and_paid, settle_points
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; the session rescales through ``ScaledGame`` like ``add_on``.
@@ -112,26 +112,11 @@ def serve_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int,
 
     As the cost rises a bid's join slot never moves earlier, and a bid left
     out stays out (the equal share is cross-monotonic), so ``serve``'s
-    ceilings bound exactly the dearer points with the same joins.  The walk
-    up the sorted points runs ``serve`` at the cheapest point not yet
-    settled and fills every following point whose costs are all within
-    their ceilings: its realized value and charge denominator are the run's,
-    and its spent cost and charges are its ``units`` entry times the same
-    integers.  So ``serve`` runs once per distinct outcome.
+    ceilings bound exactly the dearer points with the same joins, and
+    :func:`~optshare.scaled.settle_points` runs ``serve`` once per distinct
+    outcome.
     """
-    costs, units = game.costs, game.units
-    out: list = [None] * len(costs)
-    top = 0  # the dearest unit at which the last run's joins hold
-    for p in order:
-        unit = units[p]
-        if unit <= top:
-            out[p] = (realized, spent * unit, paid * unit, lcm)
-            continue
-        run = serve(game, costs[p])
-        out[p] = realized, spent, paid, lcm = totals(game, run, costs[p])
-        spent, paid = spent // unit, paid // unit
-        top = min([ceiling // (costs[p][j] // unit) for j, ceiling in run[2].items()], default=units[order[-1]])
-    return out
+    return settle_points(serve, game, order)
 
 
 def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:

@@ -4,16 +4,17 @@ Carlo scenarios and emit deterministic CSV summaries.
 Sweeps run trial-major: each trial's draws go straight into the integer rows
 of a ``scaled.ScaledGame`` (``scenarios.ScaledTrials``), on one scale for
 the sweep, with one integer cost per cost point, and each requested
-mechanism settles every point of it in one ``run_mechanism`` call.  On
-additive games the points share work: as the cost rises no join slot and
-no regret trigger slot moves earlier, so ``add_on`` runs ``serve`` once per
-distinct outcome, walking up the sorted points and filling every dearer
-point within the run's ceilings, and the regret baseline finds its trigger
-slots and posted prices by bisection.  Substitutable games are not monotone
-in the cost and run their kernel at every point.  Utility and balance are
+mechanism settles every point of it in one ``run_mechanism`` call.  The
+points share work.  Every cost of a point is its unit times a base cost, so
+no share comparison depends on the point, and each kernel reports the
+ceilings up to which its run holds: ``serve``, ``grant`` and the
+substitutable ``trigger`` run once per distinct outcome, walking up the
+sorted points and filling every dearer point within the run's ceilings
+(``scaled.settle_points``).  On additive games the regret baseline finds
+its trigger slots and posted prices by bisection.  Utility and balance are
 folded from the kernels' settlements (``scaled.totals``) as integers over
-one denominator and added to integer cells, and each CSV cell is rendered from
-those integer sums (``CellStats.columns``), so no ``Fraction`` is made
+one denominator and added to integer cells, and each CSV cell is rendered
+from those integer sums (``CellStats.columns``), so no ``Fraction`` is made
 between the config and the CSV text.  Sums are exact, so neither the scale,
 scheduling nor arrival order can change a single output byte.  Trials run
 serially, or split into contiguous slices, one helper process per slice,
@@ -33,8 +34,8 @@ from functools import partial
 from .additive_online import serve_points
 from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
-from .regret import trigger, trigger_points
-from .scaled import Factors, ScaledGame, totals
+from .regret import trigger_points, trigger_with_ceilings
+from .scaled import Factors, ScaledGame, settle_points
 from .scenarios import ScaledTrials, ScenarioError, ScenarioSpec
 from .substitutable import grant
 
@@ -119,8 +120,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
     sweep = []
-    raw_sweep = data.get("cost_sweep", [])
-    if isinstance(raw_sweep, dict):
+    raw_sweep = data.get("cost_sweep")
+    if "cost_sweep" not in data:  # an empty list is no sweep, and ExperimentConfig rejects it
+        sweep = [scenario.cost]
+    elif isinstance(raw_sweep, dict):
         start, stop, step = (_range_bound(raw_sweep, key) for key in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError("cost_sweep.step: must be positive")
@@ -138,8 +141,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 sweep.append(parse_money(c))
             except ValueError as exc:
                 raise ConfigError(f"cost_sweep[{i}]: {exc}") from exc
-    if not sweep:
-        sweep = [scenario.cost]
     mechanisms = data.get("mechanisms", [])
     if not isinstance(mechanisms, list) or not all(isinstance(m, str) for m in mechanisms):
         raise ConfigError(f"mechanisms: expected a list of strings, got {mechanisms!r}")
@@ -177,22 +178,17 @@ def load_config(path) -> ExperimentConfig:
 # Running
 
 
-def _each_point(kernel, game: ScaledGame, order) -> list[tuple[int, int, int, int]]:
-    """``scaled.totals`` of ``kernel`` run at every cost point of ``game``."""
-    return [totals(game, kernel(game, costs), costs) for costs in game.costs]
-
-
 # What settles every cost point of a game at once, by (mechanism, whether the
 # game is additive): each takes the game and its points by rising cost and
-# returns one ``scaled.totals`` tuple per point, in point order.  Additive
-# games share work across the points (``serve`` runs once per distinct
-# outcome, ``trigger_points`` bisects); substitutable ones are not monotone
-# in the cost and run their kernel at each point.
+# returns one ``scaled.totals`` tuple per point, in point order.  The points
+# share work: ``settle_points`` runs a kernel once per distinct outcome,
+# filling the dearer points within its ceilings, and ``trigger_points``
+# settles additive games by bisection.
 SETTLERS = {
     ("add_on", True): serve_points,
-    ("subst_on", False): partial(_each_point, grant),
+    ("subst_on", False): partial(settle_points, grant),
     ("regret", True): lambda game, order: trigger_points(game),
-    ("regret", False): partial(_each_point, trigger),
+    ("regret", False): partial(settle_points, trigger_with_ceilings, fixed_charges=True),
 }
 
 
@@ -203,11 +199,12 @@ def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[tuple[in
     by rising cost; the sweep sorts them once, and they are sorted here if
     it is not given.
 
-    ``add_on`` runs ``serve`` at the cheapest point not yet settled and
-    fills every dearer point within that run's ceilings without it, once per
-    distinct outcome; the regret baseline on additive games finds each
+    ``add_on`` and ``subst_on`` run ``serve`` or ``grant`` at the cheapest
+    point not yet settled and fill every dearer point within that run's
+    ceilings without it, once per distinct outcome, as the regret baseline
+    runs ``trigger`` on substitutable games; on additive games it finds each
     point's trigger slots and posted prices by bisection (see
-    ``additive_online.serve_points`` and ``regret.trigger_points``).
+    ``scaled.settle_points`` and ``regret.trigger_points``).
     """
     settle = SETTLERS.get((mechanism, game.additive))
     if settle is None:

@@ -14,13 +14,15 @@ The baseline itself is one integer kernel, :func:`trigger`, a slot loop
 over a :class:`~optshare.scaled.ScaledGame` of either bid kind;
 :func:`regret_run` builds the full trace from its settlement.  Every posted
 price is a bisection of a price curve (:func:`_price_curve`), the buyer
-counts whose revenue no larger count reaches.  The additive sweep does not
-build settlements: on additive games the regret before each slot does not
-depend on the cost, so :func:`trigger_points` finds each cost point's
-trigger slots by bisection of one prefix per optimization
-(:func:`_regret_before`) and settles every cost point of a game from one
-price curve per optimization and trigger slot; the tests cross-check it
-against :func:`trigger`.
+counts whose revenue no larger count reaches.  On substitutable games the
+sweep walks its cost points by :func:`trigger`'s ceilings
+(:func:`trigger_with_ceilings`, :func:`~optshare.scaled.settle_points`), one
+run per distinct outcome.  The additive sweep does not build settlements:
+on additive games the regret before each slot does not depend on the cost,
+so :func:`trigger_points` finds each cost point's trigger slots by
+bisection of one prefix per optimization (:func:`_regret_before`) and
+settles every cost point of a game from one price curve per optimization
+and trigger slot; the tests cross-check it against :func:`trigger`.
 """
 
 from __future__ import annotations
@@ -126,7 +128,9 @@ class RegretTrace:
         return self.realized_value - self.total_cost
 
 
-def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
+def trigger(
+    game: ScaledGame, costs: Mapping[OptId, int], ceilings: dict[OptId, int] | None = None
+) -> ScaledSettlement:
     """Run the baseline at scaled costs ``costs``, slot by slot.
 
     A bid contributes its value to every optimization it names until it is
@@ -149,6 +153,14 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     Regret rises only in slots with values, and costs are positive, so an
     optimization can trigger only in the slot right after its regret rose;
     the slot loop checks just those, in ascending id.
+
+    ``ceilings``, if given, receives each implemented optimization's
+    ceiling: its regret in its trigger slot, or the revenue of its buyers if
+    that is less and its price recovers the cost.  Up to the ceilings, with
+    every other cost scaled alike, the same checks fire in the same slots,
+    since one that did not fire stays short of a dearer cost, and the same
+    buyers pay each price: one that recovers the cost is still the cost over
+    their number, one that does not is still a revenue over it.
     """
     opt_ids = sorted(costs)
     price: dict[OptId, tuple[int, int]] = {}
@@ -165,7 +177,9 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
             series[(j, t)] = regret[j]
             if regret[j] >= costs[j]:
                 implement_slot[j] = t
-                _implement(game, j, t, costs[j], entries, price, loss)
+                revenue = _implement(game, j, t, costs[j], entries, price, loss)
+                if ceilings is not None:
+                    ceilings[j] = regret[j] if revenue is None else min(regret[j], revenue)
         if len(implement_slot) == len(opt_ids):
             break  # nothing left to accrue regret for
         # accumulate regret for still-unimplemented optimizations
@@ -179,10 +193,19 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     return entries, implement_slot, (price, loss, series)
 
 
-def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict, price: dict, loss: dict) -> None:
+def trigger_with_ceilings(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
+    """:func:`trigger`'s settlement with its ceilings as the log, the form
+    :func:`~optshare.scaled.settle_points` walks."""
+    ceilings: dict[OptId, int] = {}
+    entries, implement_slot, _ = trigger(game, costs, ceilings)
+    return entries, implement_slot, ceilings
+
+
+def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict, price: dict, loss: dict) -> int | None:
     """Implement ``j`` in slot ``t`` at scaled cost ``cost``: its riders ride
     free in ``t`` and the buyers pay one posted price, which go into
-    ``entries`` (whose bids are closed to ``j``), ``price`` and ``loss``."""
+    ``entries`` (whose bids are closed to ``j``), ``price`` and ``loss``.
+    Returns the buyers' revenue if the price recovers the cost, else None."""
     riders, future, _, descending = _riders(game, j, t, entries)
     num, den, loss[j], _ = _posted_price(cost, _price_curve(descending))
     price[j] = (num, den)
@@ -191,6 +214,7 @@ def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict, pr
     for i, r, first in future:
         if r * den >= num:
             entries[i] = (j, first, game.ends[i], num, den)
+    return None if loss[j] else descending[den - 1] * den
 
 
 def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:

@@ -25,8 +25,9 @@ same kernels.
 Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
 folds into the harness's sums, :func:`served_and_paid` into an online trace
 and :func:`outcome_and_ledger` into an offline result; each result keeps it
-and its game, and :func:`fold` scores it per user.  Every kernel's equal
-share is one closed form, :func:`_fixed_point`.
+and its game, and :func:`fold` scores it per user.  A sweep settles its cost
+points through :func:`settle_points`, one kernel run per distinct outcome.
+Every kernel's equal share is one closed form, :func:`_fixed_point`.
 
 Construction from a game checks, once per game, what the game's
 constructor leaves to it: one bid per user (per optimization for additive
@@ -252,6 +253,49 @@ def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) 
     for den, num in charges.items():
         paid += num * (lcm // den)
     return realized, spent, paid, lcm
+
+
+def settle_points(
+    kernel, game: ScaledGame, order: Sequence[int], fixed_charges: bool = False
+) -> list[tuple[int, int, int, int]]:
+    """:func:`totals` of ``kernel`` at every cost point of ``game``, in point
+    order; ``order`` lists the points by rising cost.
+
+    ``kernel(game, costs)`` returns a settlement whose log holds its
+    ceilings: per optimization it implements, the highest cost up to which,
+    with every other cost scaled alike, the run serves the same bids the same
+    optimizations in the same slots, charged over the same denominators.
+    Every cost at point ``p`` is ``units[p]`` times a base cost, so the run
+    at a unit holds at every dearer unit up to the least ``ceiling // base
+    cost``.  The walk up the sorted points runs the kernel at the cheapest
+    point not yet settled and fills every following point up to that unit
+    without it: its realized value and denominator are the run's, and its
+    spent cost and charges are its unit times the same integers.  So the
+    kernel runs once per distinct outcome.
+
+    That holds for a charge that is its optimization's cost over a count,
+    the only charge of ``serve`` and ``grant``.  With ``fixed_charges`` a
+    run's other charges (``trigger``'s riders and its posted prices that do
+    not recover the cost) are summed apart, and a filled point keeps them
+    as they are.
+    """
+    costs, units = game.costs, game.units
+    out: list = [None] * len(costs)
+    top = 0  # the dearest unit at which the last run holds
+    for p in order:
+        unit = units[p]
+        if unit <= top:
+            out[p] = (realized, spent * unit, paid * unit + fixed, lcm)
+            continue
+        cost = costs[p]
+        run = kernel(game, cost)
+        out[p] = realized, spent, paid, lcm = totals(game, run, cost)
+        fixed = 0
+        if fixed_charges:
+            fixed = sum([num * (lcm // den) for j, _, _, num, den in run[0].values() if num != cost[j]])
+        spent, paid = spent // unit, (paid - fixed) // unit
+        top = min([ceiling // (cost[j] // unit) for j, ceiling in run[2].items()], default=units[order[-1]])
+    return out
 
 
 def fold(

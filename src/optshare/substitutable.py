@@ -14,8 +14,11 @@ the pool, even after leaving, to keep later users' shares honest.
 
 Both settle through one integer kernel, :func:`grant`, over a
 :class:`~optshare.scaled.ScaledGame` (the offline mechanism over the one-slot
-game); pins are counts per optimization, and a slot plays
-only the phases that serve an offer (:func:`_grants`).  The full phase log
+game); pins are counts per optimization, and a slot plays only the phases
+that serve an offer (:func:`_grants`).  Each run reports per optimization
+the highest cost up to which, every cost scaled alike, it grants the same
+bids in the same slots, so a sweep runs it once per distinct outcome
+(:func:`~optshare.scaled.settle_points`).  The full phase log
 (:attr:`SubstOffResult.phases`, :attr:`SubstOnlineTrace.slot_phases`)
 reruns the phase loop :func:`_phases_scaled` per slot, so it is built from
 the settlement and its game only when read; no suite or kernel reads it.
@@ -197,6 +200,7 @@ def _grants(
     offers: Sequence[tuple[int, int]],
     interest: Sequence[frozenset[OptId]],
     pins: Mapping[OptId, int],
+    ceilings: dict[OptId, int] | None = None,
 ) -> list[tuple[OptId, list[int]]]:
     """The phases of :func:`_phases_scaled` that serve an offer, as (opt,
     served offers), in selection order; arguments as there.
@@ -210,7 +214,14 @@ def _grants(
     this loop plays only those: no ties, no pinned-only phases.  It stops as
     soon as every offer is served.  A single offer (v, i) goes in closed form
     to the lowest (cost_j / (pins_j + 1), j) over the j in ``interest[i]``
-    with v * (pins_j + 1) >= cost_j, if any."""
+    with v * (pins_j + 1) >= cost_j, if any.
+
+    Each phase lowers its optimization's entry in ``ceilings``, if given, to
+    ``v * count``, ``v`` the lowest offer it serves and ``count`` the pins
+    and offers it counts: the highest cost at which it keeps those offers.
+    """
+    if ceilings is None:
+        ceilings = {}
     if len(offers) == 1:
         v, i = offers[0]
         best = None
@@ -220,7 +231,12 @@ def _grants(
                 best is None or cost * best[1] < best[0] * count or (cost * best[1] == best[0] * count and j < best[2])
             ):
                 best = (cost, count, j)
-        return [] if best is None else [(best[2], [i])]
+        if best is None:
+            return []
+        bound = v * best[1]
+        if bound < ceilings.get(best[2], bound + 1):
+            ceilings[best[2]] = bound
+        return [(best[2], [i])]
     bidders_by_opt: dict[OptId, list[tuple[int, int]]] = {}
     for offer in offers:
         for j in interest[offer[1]]:
@@ -242,7 +258,11 @@ def _grants(
         if best is None:
             return phases
         opt, kept = best[2], best[3]
-        new = [key for _, key in bidders_by_opt[opt][:kept]]
+        bidders = bidders_by_opt[opt]
+        bound = bidders[kept - 1][0] * best[1]
+        if bound < ceilings.get(opt, bound + 1):
+            ceilings[opt] = bound
+        new = [key for _, key in bidders[:kept]]
         phases.append((opt, new))
         unserved -= kept
         if not unserved:
@@ -258,18 +278,29 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     """The online substitutable mechanism at scaled costs ``costs``.  A bid
     granted j in slot t is served j from t to the end of its window and pays
     ``costs[j]`` over the number of bids granted j by its last slot.  The
-    implemented optimizations are those granted to anyone; the log is
-    ``None``.  A slot with a new offer plays :func:`_grants` with the bids
-    granted before it as pin counts: only the phases that serve an offer,
-    each of which pins its served bids to its optimization."""
+    implemented optimizations are those granted to anyone.  A slot with a
+    new offer plays :func:`_grants` with the bids granted before it as pin
+    counts: only the phases that serve an offer, each of which pins its
+    served bids to its optimization.
+
+    The log holds each granted optimization's ceiling, the least ``v *
+    count`` over the phases that grant it (see :func:`_grants`).  With every
+    cost scaled by one factor no share comparison changes, so up to the
+    ceilings each such phase picks the same optimization and keeps the same
+    offers: a candidate it passes over keeps no more offers at a dearer
+    cost, so no smaller a share, and one that keeps none would keep none
+    later in the slot too.  Every grant, tally and denominator is then the same, and
+    every charge is its optimization's cost.
+    """
     granted: dict[int, tuple[OptId, Slot]] = {}
     tally: dict[OptId, int] = {}  # bids granted each optimization so far
     tallies = [tally]  # tallies[t]: the tally through slot t, never mutated
+    ceilings: dict[OptId, int] = {}
     interest = game.interest
     for t in range(1, game.z + 1):
         offers = [o for o in game.offers[t] if o[1] not in granted]
         if offers:
-            phases = _grants(costs, offers, interest, tally)
+            phases = _grants(costs, offers, interest, tally, ceilings)
             if phases:
                 tally = tally.copy()
                 for opt, served in phases:
@@ -282,7 +313,7 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     for i, (j, t) in granted.items():
         end = ends[i]
         entries[i] = (j, t, end, costs[j], tallies[end][j])
-    return entries, tally, None
+    return entries, tally, ceilings
 
 
 def subst_on(

@@ -13,7 +13,9 @@ the integer strategy lab replaces; the deviation search settles each
 additive offline column by subset enumeration.  The reference online
 kernels keep the slot loops the integer kernels shortcut: every
 pinned bid in every phase loop of ``grant``, and every open optimization
-checked and logged in every slot of ``trigger``.  The scenario oracles
+checked and logged in every slot of ``trigger``.  ``each_point`` settles a
+sweep's cost points with one kernel run per point, the path the harness's
+ceiling walk (``scaled.settle_points``) replaces.  The scenario oracles
 draw every number with its own scalar numpy call and build each game in
 ``Fraction``s (``reference_generate``), and re-cost a generated game by
 rebuilding its catalog (``recost``).  The renderers' oracles round in
@@ -62,7 +64,7 @@ from optshare.core import (
 )
 from optshare.money import render_ratio_sqrt
 from optshare.regret import RegretTrace
-from optshare.scaled import ScaledGame, outcome_and_ledger
+from optshare.scaled import ScaledGame, outcome_and_ledger, totals
 from optshare.substitutable import SubstOffResult, SubstOnlineTrace
 from optshare.regret import _implement
 from optshare.scenarios import (
@@ -509,6 +511,12 @@ def reference_trigger(game, costs):
                     if j not in implement_slot:
                         regret[j] += v
     return entries, implement_slot, (price, loss, series)
+
+
+def each_point(kernel, game):
+    """``scaled.totals`` of ``kernel`` run at every cost point of ``game``,
+    in point order."""
+    return [totals(game, kernel(game, costs), costs) for costs in game.costs]
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,14 @@ def test_cost_sweep_range_form():
     assert cfg.cost_sweep == (F("0.1"), F("0.2"), F("0.3"))
 
 
+def test_only_a_config_without_cost_sweep_runs_the_scenario_cost():
+    data = config_dict()
+    del data["cost_sweep"]
+    assert config_from_dict(data).cost_sweep == (F("0.3"),)
+    with pytest.raises(ConfigError, match="cost_sweep: at least one cost point required"):
+        config_from_dict(config_dict(cost_sweep=[]))
+
+
 def test_run_experiment_deterministic(tmp_path):
     cfg = config_from_dict(config_dict())
     out1 = run_experiment(cfg, tmp_path / "a")
@@ -537,6 +545,7 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"cost_sweep": ["0.5", "0.5"]}, "cost_sweep[1]"),
         ({"cost_sweep": ["0.5", "0.2", "1/2"]}, "cost_sweep[2]"),
         ({"cost_sweep": {"start": "0.3", "stop": "0.1", "step": "0.1"}}, "cost_sweep: start 3/10 exceeds stop 1/10"),
+        ({"cost_sweep": []}, "cost_sweep: at least one cost point required"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):

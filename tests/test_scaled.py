@@ -8,7 +8,10 @@ the public mechanism and scores its trace with ``analysis.score``.
 
 On additive games the harness shares work across the points, which rests
 on one premise, checked here first: as the cost rises, no bid's ``serve``
-join slot and no optimization's ``trigger`` slot moves earlier.
+join slot and no optimization's ``trigger`` slot moves earlier.  On
+substitutable games it walks the points by ``grant``'s and ``trigger``'s
+ceilings; the tests here check that each point the walk fills settles as a
+fresh run there, and as the per-point reference (``oracles.each_point``).
 """
 
 import random
@@ -32,13 +35,13 @@ from optshare.core import (
     SubstitutableOnlineBid,
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
-from optshare.regret import regret_run, trigger
-from optshare.scaled import Factors, ScaledGame, totals
+from optshare.regret import regret_run, trigger, trigger_with_ceilings
+from optshare.scaled import Factors, ScaledGame, settle_points, totals
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
-from optshare.substitutable import subst_on
+from optshare.substitutable import grant, subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
-from oracles import per_opt_games, recost
-from test_traces import _rand_multi as rand_additive_multi
+from oracles import each_point, per_opt_games, recost
+from test_traces import _rand_multi as rand_additive_multi, _rand_tied_subst
 
 F = Fraction
 
@@ -230,6 +233,121 @@ def test_serve_runs_once_per_distinct_outcome(seed, factors):
         settled, runs = counted_serve_points(scaled)
         assert settled == [totals(scaled, serve(scaled, costs), costs) for costs in scaled.costs]
         assert len(runs) == len({outcome(serve(scaled, costs)) for costs in scaled.costs})
+
+
+def walked(kernel, scaled):
+    """``settle_points`` of ``kernel`` over every point of ``scaled``, and per
+    point the point whose run settled it: itself if the kernel ran there."""
+    ran = []
+
+    def recording(game, costs):
+        ran.append(next(p for p, c in enumerate(game.costs) if c is costs))
+        return kernel(game, costs)
+
+    order = sorted(range(len(scaled.units)), key=scaled.units.__getitem__)
+    settled = settle_points(recording, scaled, order, fixed_charges=kernel is trigger_with_ceilings)
+    filler = {}
+    for p in order:
+        if ran and ran[0] == p:
+            last = ran.pop(0)
+        filler[p] = last
+    return settled, filler
+
+
+def runs(filler):
+    """The points where the kernel ran."""
+    return sorted(set(filler.values()))
+
+
+def test_grant_runs_once_for_points_with_one_outcome():
+    bids = (
+        SubstitutableOnlineBid(1, frozenset({1, 2}), 1, 1, (F(10),)),
+        SubstitutableOnlineBid(2, frozenset({1, 2}), 1, 1, (F(6),)),
+        SubstitutableOnlineBid(3, frozenset({2}), 2, 2, (F(9),)),
+    )
+    game = SubstOnlineGame((Optimization(1, F(1)), Optimization(2, F(2))), SlotHorizon(2), bids)
+    factors = [F(k) for k in (20, 13, 12, 7, 6, 4, 3, 1)]  # dearest first: the sweep sorts them
+    scaled = ScaledGame(game, factors)
+    # Slot 1 grants 1 to both bids while 6 * 2 covers its cost, up to 12.  2
+    # keeps both only up to a factor of 6, but its share is never the lower,
+    # so it sets no ceiling.  Slot 2 grants 2 to bid 3 while 9 covers its
+    # cost 2 * factor, up to 4.
+    assert grant(scaled, scaled.costs[-1])[2] == {1: 12 * scaled.scale, 2: 9 * scaled.scale}
+    # one run through 4, one past slot 2's ceiling through 12, and one past
+    # slot 1's, where nothing is granted at any dearer point
+    assert runs(walked(grant, scaled)[1]) == [factors.index(F(13)), factors.index(F(6)), factors.index(F(1))]
+    assert kernel("subst_on", scaled) == [reference("subst_on", recosted(game, f)) for f in factors]
+
+
+def test_trigger_runs_once_for_points_where_its_price_does_not_recover_the_cost():
+    bids = (
+        SubstitutableOnlineBid(1, frozenset({1}), 1, 1, (F(10),)),
+        SubstitutableOnlineBid(2, frozenset({1}), 3, 3, (F(2),)),
+    )
+    game = SubstOnlineGame((Optimization(1, F(1)),), SlotHorizon(3), bids)
+    factors = [F(k) for k in (11, 10, 8, 5, 3, 2, 1)]
+    scaled = ScaledGame(game, factors)
+    # 1 triggers in slot 2 up to a cost of 10, its regret there.  Bid 2, the
+    # only buyer, pays the cost up to 2, its revenue; dearer, the price stays
+    # 2 and no longer recovers the cost, and the settlement holds up to 10.
+    assert trigger_with_ceilings(scaled, scaled.costs[-1])[2] == {1: 2 * scaled.scale}
+    at_3 = trigger(scaled, scaled.costs[factors.index(F(3))])
+    assert at_3[2][:2] == ({1: (2 * scaled.scale, 1)}, {1: scaled.scale})  # price 2, loss 1
+    ran = [factors.index(F(11)), factors.index(F(3)), factors.index(F(1))]
+    assert runs(walked(trigger_with_ceilings, scaled)[1]) == ran
+    assert kernel("regret", scaled) == [reference("regret", recosted(game, f)) for f in factors]
+
+
+def subst_online_games(rng, data):
+    """A random, a tied and a ``selectivity`` substitutable online game."""
+    selectivity = generate(data.draw(specs("selectivity")), data.draw(st.integers(0, 3)))
+    return rand_subst_online(rng, max_users=7, max_opts=4, max_slots=6), _rand_tied_subst(rng), selectivity
+
+
+@given(seed=st.integers(0, 2**32), data=st.data(), factors=clustered_factors)
+@settings(max_examples=200, deadline=None)
+def test_substitutable_walk_settles_every_point_as_a_run_there(seed, data, factors):
+    for game in subst_online_games(random.Random(seed), data):
+        scaled = ScaledGame(game, factors)
+        for mechanism, run in (("subst_on", grant), ("regret", trigger)):
+            want = [((r - s) * lcm, p - s * lcm, scaled.scale * lcm, s > 0) for r, s, p, lcm in each_point(run, scaled)]
+            assert run_mechanism(mechanism, scaled) == want
+
+
+def assert_same_up_to_charges(run, fresh, costs, dearer):
+    """``fresh``, at ``dearer``, serves the bids ``run`` serves at ``costs``
+    the same optimizations in the same slots, charged over the same
+    denominators: a charge that is its optimization's cost in ``run`` is
+    its cost in ``fresh``, and any other charge is the same."""
+    assert fresh[1] == run[1]
+    assert fresh[0].keys() == run[0].keys()
+    for i, (j, first, last, num, den) in run[0].items():
+        assert fresh[0][i] == (j, first, last, dearer[j] if num == costs[j] else num, den)
+
+
+@given(seed=st.integers(0, 2**32), data=st.data(), factors=clustered_factors)
+@settings(max_examples=200, deadline=None)
+def test_a_point_the_walk_fills_settles_as_its_run_up_to_the_charges(seed, data, factors):
+    for game in subst_online_games(random.Random(seed), data):
+        scaled = ScaledGame(game, factors)
+        costs, units = scaled.costs, scaled.units
+        for run, walk in ((grant, grant), (trigger, trigger_with_ceilings)):
+            _, filler = walked(walk, scaled)
+            for p in runs(filler):
+                at_p = run(scaled, costs[p])
+                base = {j: c // units[p] for j, c in costs[p].items()}
+                ceilings = walk(scaled, costs[p])[2]
+                points = [costs[q] for q, by in filler.items() if by == p and q != p]
+                if ceilings:  # and the dearest costs within the ceilings
+                    top = min(c // base[j] for j, c in ceilings.items())
+                    points.append({j: b * top for j, b in base.items()})
+                for dearer in points:
+                    fresh = run(scaled, dearer)
+                    assert_same_up_to_charges(at_p, fresh, costs[p], dearer)
+                    if run is trigger:  # a price that does not recover the cost stays as it is
+                        for j, short in at_p[2][1].items():
+                            if short:
+                                assert fresh[2][0][j] == at_p[2][0][j]
 
 
 @given(seed=st.integers(0, 2**32), pinned=st.integers(0, 3), data=st.data())
