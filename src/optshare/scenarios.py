@@ -16,6 +16,10 @@ scalar.  Two consumers share it: :func:`generate` builds the ``Fraction``
 game, and :class:`ScaledTrials` builds a sweep's
 :class:`~optshare.scaled.ScaledGame` of the same game straight from the
 integers, on one scale for the whole sweep, with no ``Fraction``.
+
+numpy is imported by :func:`load_numpy` at the first draw of a process, not
+with this module: nothing else in the package needs it, so ``verify`` and
+``replay`` never load it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import (
     AdditiveOnlineBid,
@@ -39,6 +41,9 @@ from .core import (
 )
 from .money import Money, parse_money
 from .scaled import Factors, ScaledGame, cost_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GRID = 10**6
 
@@ -139,8 +144,19 @@ class ScenarioSpec:
             raise ScenarioError(f"scenario: {exc}") from exc
 
 
+@lru_cache(maxsize=None)
+def load_numpy():
+    """numpy with ``numpy.random`` loaded, imported at the first call in a
+    process and bound for the rest of it.  A parallel sweep calls it before
+    starting its helpers, so forked helpers start with it loaded."""
+    import numpy.random  # binds numpy, with its random submodule loaded
+
+    return numpy
+
+
 def _trial_rng(spec: ScenarioSpec, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((spec.seed, trial))))
+    npr = load_numpy().random
+    return npr.Generator(npr.PCG64(npr.SeedSequence((spec.seed, trial))))
 
 
 class Draws(NamedTuple):
@@ -168,7 +184,8 @@ def draw(spec: ScenarioSpec, trial: int) -> Draws:
 
 @lru_cache(maxsize=32)
 def _pair_bounds(users: int, z: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.tile((1, 0), users), np.tile((z, GRID), users)
+    tile = load_numpy().tile
+    return tile((1, 0), users), tile((z, GRID), users)
 
 
 def _uniform_pairs(rng, users: int, z: int) -> tuple[list[int], list[int]]:

@@ -2,12 +2,17 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 
 import pytest
 
+import optshare
 from optshare.cli import main
 from optshare.core import AdditiveOnlineBid, OnlineAdditiveGame, Optimization, SlotHorizon
 from optshare.gamefiles import dump_game, game_from_dict, game_to_dict, load_game, money_str
@@ -266,6 +271,65 @@ def test_parallel_sweep_matches_sequential():
     par = sweep(spec, ("add_on", "regret"), points, trials=30, workers=2)
     assert par == seq  # every CellStats field: n, sums, sums of squares, implemented
     assert all(cell.n == 30 for cell in seq.values())
+
+
+def run_fresh(code: str) -> list:
+    """Run ``code`` in a fresh interpreter that imports optshare from the
+    tree under test (this one has numpy loaded already); returns the JSON
+    its last stdout line prints."""
+    src = str(pathlib.Path(optshare.__file__).resolve().parents[1])
+    games = str(pathlib.Path(__file__).resolve().parents[1] / "scripts" / "games")
+    prelude = f"import json, sys\nsys.path.insert(0, {src!r})\nGAMES = {games!r}\n"
+    done = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_verify_and_replay_never_import_numpy_and_a_draw_does():
+    loaded = run_fresh("""
+        import optshare, optshare.cli
+        from optshare import scenarios
+        codes = [optshare.cli.main(["verify", "--suite", "golden_examples"]),
+                 optshare.cli.main(["replay", "--game", GAMES + "/two_views.json", "--mechanism", "regret"])]
+        before = "numpy" in sys.modules
+        scenarios.draw(scenarios.ScenarioSpec(family="collab_size", trials=1), 0)
+        print(json.dumps([codes, before, "numpy" in sys.modules]))
+    """)
+    assert loaded == [[0, 0], False, True]
+
+
+def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
+    """In-process tests run with numpy loaded; a fresh parent that has drawn
+    nothing must still import numpy.random before its first helper, or
+    every helper imports it again on every sweep."""
+    seen, parallel, serial = run_fresh("""
+        import os
+        from fractions import Fraction
+        from optshare import harness
+        from optshare.scenarios import ScenarioSpec
+
+        seen = ["numpy" in sys.modules]
+        real_start = harness._start_helper
+
+        def recording_start(fold, trials):
+            seen.append("numpy.random" in sys.modules)
+            return real_start(fold, trials)
+
+        harness._start_helper = recording_start
+        os.cpu_count = lambda: 2
+        spec = ScenarioSpec(family="collab_size", users=4, slots=6, cost=Fraction("0.3"), seed=5, trials=30)
+        points = (Fraction("0.2"), Fraction("0.4"))
+
+        def columns(workers):
+            cells = harness.sweep(spec, ("add_on", "regret"), points, workers=workers)
+            return sorted([m, str(cost), *cell.columns()] for (m, cost), cell in cells.items())
+
+        parallel = columns(2)  # first: no draw in this process has loaded numpy yet
+        print(json.dumps([seen, parallel, columns(1)]))
+    """)
+    assert seen == [False, True, True]  # numpy absent at the start, numpy.random loaded at each helper start
+    assert parallel == serial
 
 
 # sha256 of (CSV, details JSONL) for small details configs, recorded on the
