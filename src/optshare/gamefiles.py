@@ -3,11 +3,20 @@
 Money is written as an exact decimal string when the value terminates
 (denominator of the form 2^a * 5^b) and as "numerator/denominator" otherwise;
 both forms parse back exactly.
+
+A loaded game is bounded by what it costs to play and print, not only by
+its text: at most :data:`MAX_BIDS` bids, and a common scale (the lcm of its
+cost and value denominators) of at most :data:`MAX_SCALE_DIGITS` digits.
+Every exact amount ``replay`` prints is over a divisor of that scale times
+the lcm of some sharer counts, each at most the bid count (under 440 more
+digits), so it stays far inside Python's 4300-digit limit on printing an
+integer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .core import (
     AdditiveOfflineBid,
@@ -27,6 +36,9 @@ from .money import Money, parse_money
 from .scenarios import MAX_SIZES
 
 SCHEMA = 1
+
+MAX_BIDS = 1_000
+MAX_SCALE_DIGITS = 1_000
 
 KINDS = ("additive_offline", "additive_online", "substitutable_offline", "substitutable_online")
 
@@ -111,7 +123,45 @@ def game_from_dict(data: dict):
     slots = _int(data.get("slots", 1), "slots")
     if slots > MAX_SIZES["slots"]:
         raise GameError(f"slots: must be <= {MAX_SIZES['slots']} (got {slots})")
-    bids = [(_object(b, f"bids[{i}]"), f"bids[{i}]") for i, b in enumerate(_field(data, "bids", "", _list))]
+    raw_bids = _field(data, "bids", "", _list)
+    if len(raw_bids) > MAX_BIDS:
+        raise GameError(f"bids: must hold at most {MAX_BIDS} bids (got {len(raw_bids)})")
+    bids = [(_object(b, f"bids[{i}]"), f"bids[{i}]") for i, b in enumerate(raw_bids)]
+    game = _build(kind, catalog, slots, bids)
+    _check_scale(game)
+    return game
+
+
+def _check_scale(game):
+    """Raise a :class:`GameError` naming the first money field at which the
+    lcm of the game's cost and value denominators passes
+    :data:`MAX_SCALE_DIGITS` digits."""
+    bound, scale = 10**MAX_SCALE_DIGITS, 1
+    for path, value in _money_fields(game):
+        scale = math.lcm(scale, value.denominator)
+        if scale >= bound:
+            raise GameError(
+                f"{path}: the game's common scale (the lcm of its cost and value denominators) "
+                f"passes {MAX_SCALE_DIGITS} digits"
+            )
+
+
+def _money_fields(game):
+    """``(path, amount)`` of every money field of ``game``, in file order."""
+    for i, o in enumerate(game.catalog):
+        yield f"catalog[{i}].cost", o.cost
+    for i, b in enumerate(game.bids):
+        if isinstance(b, AdditiveOfflineBid):
+            yield from ((f"bids[{i}].values.{j}", v) for j, v in b.values.items())
+        elif isinstance(b, SubstitutableOfflineBid):
+            yield f"bids[{i}].value", b.value
+        else:
+            yield from ((f"bids[{i}].per_slot[{k}]", v) for k, v in enumerate(b.per_slot))
+
+
+def _build(kind: str, catalog: tuple, slots: int, bids: list):
+    """The game of ``kind`` from its parsed catalog and slot count and its
+    bids as ``(object, path)``."""
     if kind == "additive_offline":
         return AdditiveOfflineGame(
             catalog,

@@ -36,7 +36,7 @@ from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
 from .regret import trigger_points, trigger_with_ceilings
 from .scaled import Factors, ScaledGame, settle_points
-from .scenarios import ScaledTrials, ScenarioError, ScenarioSpec, load_numpy
+from .scenarios import ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
 from .substitutable import grant
 
 # Bound here only for perfbench/spans.py, whose traced run wraps each of
@@ -410,8 +410,8 @@ def sweep(
     trials)`` contiguous slices and one helper process folds each slice into
     partial cells (and detail records, if asked for), which the parent
     receives in slice order and merges; the parent folds no trial itself.
-    It imports ``numpy.random`` before starting them, so no forked helper
-    spends its slice's time importing it.
+    If the spec draws through numpy, it imports ``numpy.random`` before
+    starting them, so no forked helper spends its slice's time importing it.
     Serial runs fold every trial through the same function.  Exact sums do
     not depend on how the trials are split.  Detail records are handed to
     ``detail_sink`` in (cost, trial, mechanism) order.  No helper outlives
@@ -431,7 +431,8 @@ def sweep(
         bounds = [trials * k // processes for k in range(processes + 1)]
         slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         helpers = []
-        load_numpy()  # the helpers fork with numpy.random loaded, not each importing it
+        if draws_with_numpy(spec):
+            load_numpy()  # the helpers fork with numpy.random loaded, not each importing it
         try:
             for part in slices:
                 helpers.append(_start_helper(fold, part))

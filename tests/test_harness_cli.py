@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -14,8 +15,8 @@ import pytest
 
 import optshare
 from optshare.cli import main
-from optshare.core import AdditiveOnlineBid, OnlineAdditiveGame, Optimization, SlotHorizon
-from optshare.gamefiles import dump_game, game_from_dict, game_to_dict, load_game, money_str
+from optshare.core import AdditiveOnlineBid, GameError, OnlineAdditiveGame, Optimization, SlotHorizon
+from optshare.gamefiles import MAX_BIDS, MAX_SCALE_DIGITS, dump_game, game_from_dict, game_to_dict, load_game, money_str
 from optshare import harness, scenarios
 from optshare.experiments import trend_configs
 from optshare.harness import CellStats, ConfigError, config_from_dict, default_workers, run_experiment, sweep
@@ -329,6 +330,48 @@ def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
         print(json.dumps([seen, parallel, columns(1)]))
     """)
     assert seen == [False, True, True]  # numpy absent at the start, numpy.random loaded at each helper start
+    assert parallel == serial
+
+
+def test_parallel_uniform_selectivity_sweep_never_imports_numpy():
+    """Uniform selectivity reads the PCG64 stream in Python: neither the
+    parent of a parallel sweep nor any of its helpers imports numpy."""
+    helpers, parent, parallel, serial = run_fresh("""
+        import os, shutil, tempfile
+        from fractions import Fraction
+        from optshare import harness
+        from optshare.scenarios import ScenarioSpec
+
+        log = tempfile.mkdtemp()
+        real_fold = harness._fold_trials
+
+        def recording_fold(*args):  # runs in each helper: the sweep binds it at its call
+            result = real_fold(*args)
+            with open(os.path.join(log, str(os.getpid())), "w") as fh:
+                fh.write(json.dumps("numpy" in sys.modules))
+            return result
+
+        harness._fold_trials = recording_fold
+        os.cpu_count = lambda: 2
+        spec = ScenarioSpec(family="selectivity", users=6, slots=12, opt_count=4, cost=Fraction(3, 50), seed=404, trials=30)
+        points = (Fraction("0.06"), Fraction("0.9"))
+
+        def columns(workers):
+            cells = harness.sweep(spec, ("subst_on", "regret"), points, workers=workers)
+            return sorted([m, str(cost), *cell.columns()] for (m, cost), cell in cells.items())
+
+        parallel = columns(2)
+        harness._fold_trials = real_fold
+        helpers = [json.load(open(os.path.join(log, name))) for name in sorted(os.listdir(log))]
+        shutil.rmtree(log)
+        serial = columns(1)
+        parent = "numpy" in sys.modules
+        skewed = ScenarioSpec(family="arrival_skew", skew="early", trials=2)
+        harness.sweep(skewed, ("add_on",), (Fraction(1),), workers=1)
+        print(json.dumps([helpers, [parent, "numpy" in sys.modules], parallel, serial]))
+    """)
+    assert helpers == [False, False]  # two helpers ran, neither with numpy loaded
+    assert parent == [False, True]  # nor the parent, until it swept a family that draws through numpy
     assert parallel == serial
 
 
@@ -681,6 +724,55 @@ def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
 )
 def test_cli_replay_rejects_money_beyond_the_bound(tmp_path, capsys, break_it, field):
     test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field)
+
+
+def one_slot_game(cost: str, values) -> dict:
+    """An additive_online game file: one optimization at ``cost`` and one
+    one-slot bid per value, in slots 1, 2, ... 20, 1, ..."""
+    bids = [{"user": i + 1, "opt": 1, "start": i % 20 + 1, "end": i % 20 + 1, "per_slot": [v]} for i, v in enumerate(values)]
+    return {"schema": 1, "kind": "additive_online", "slots": min(len(bids), 20), "catalog": [{"id": 1, "cost": cost}], "bids": bids}
+
+
+def first_primes(n: int) -> list[int]:
+    primes, k = [], 2
+    while len(primes) < n:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+@pytest.mark.parametrize("mechanism", ["add_on", "regret"])
+@pytest.mark.parametrize(
+    "game, field",
+    [
+        # 60 values over pairwise coprime 91-digit denominators: their total
+        # value's denominator had over 4300 digits, and printing it raised
+        (one_slot_game("1e-100", [f"1/{10**90 + 2 * i + 1}" for i in range(60)]), "bids[10].per_slot[0]"),
+        (one_slot_game("1e-100", [f"1/{p}" for p in first_primes(1600)]), "bids"),
+    ],
+)
+def test_cli_replay_rejects_a_game_past_its_size_bounds(tmp_path, capsys, game, field, mechanism):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    assert main(["replay", "--game", str(path), "--mechanism", mechanism]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err
+    assert captured.out == ""
+
+
+def test_a_game_at_the_size_bounds_loads():
+    assert len(game_from_dict(one_slot_game("1", ["1"] * MAX_BIDS)).bids) == MAX_BIDS
+    # coprime denominators, each short enough for a money field, whose lcm
+    # has MAX_SCALE_DIGITS digits and is at least half of 10**MAX_SCALE_DIGITS
+    half = 5 * 10 ** (MAX_SCALE_DIGITS - 1)
+    two, three = 2**1100, 3**690
+    rest = next(r for r in itertools.count(-(-half // (two * three))) if r % 6 in (1, 5))
+    assert half <= two * three * rest < 10**MAX_SCALE_DIGITS
+    values = [f"1/{three}", f"1/{rest}"]
+    assert len(game_from_dict(one_slot_game(f"1/{two}", values)).bids) == 2
+    with pytest.raises(GameError, match=r"bids\[2\]\.per_slot\[0\]: the game's common scale"):
+        game_from_dict(one_slot_game(f"1/{two}", values + [f"1/{2 * two}"]))
 
 
 PINNED_SUBSTITUTES = os.path.join(os.path.dirname(__file__), "..", "scripts", "games", "pinned_substitutes.json")

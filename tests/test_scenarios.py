@@ -2,10 +2,25 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from optshare.core import AdditiveOnlineMultiGame, OnlineAdditiveGame, SubstOnlineGame
-from optshare.scenarios import FAMILIES, GRID, MAX_SIZES, SKEWS, ScenarioError, ScenarioSpec, generate
+from optshare.scenarios import (
+    FAMILIES,
+    GRID,
+    MAX_SIZES,
+    SKEWS,
+    ScenarioError,
+    ScenarioSpec,
+    _bounded,
+    _draw_selectivity,
+    _pcg64_uint32s,
+    _trial_rng,
+    draw,
+    draws_with_numpy,
+    generate,
+    load_numpy,
+)
 
 from oracles import recost, reference_generate
 
@@ -69,6 +84,73 @@ def test_draws_consume_the_stream_as_one_scalar_call_per_number(family, skew, da
     s = replace(data.draw(specs(family)), skew=skew, users=users, trials=25)
     for trial in range(s.trials):
         assert generate(s, trial) == reference_generate(s, trial)
+
+
+@given(
+    opt_count=st.one_of(st.integers(1, MAX_SIZES["opt_count"]), st.sampled_from([1, 2, MAX_SIZES["opt_count"]])),
+    substitutes=st.sampled_from(["one", "all", "any"]),
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    users=st.sampled_from([1, 3, 6]),
+    slots=st.sampled_from([1, 2, 12]),
+    data=st.data(),
+)
+@example(opt_count=MAX_SIZES["opt_count"], substitutes="all", seed=2**64 - 1, users=3, slots=1, data=None)
+@example(opt_count=MAX_SIZES["opt_count"], substitutes="one", seed=2**32, users=6, slots=12, data=None)
+@example(opt_count=4, substitutes="all", seed=2**32 - 1, users=6, slots=2, data=None)
+@settings(max_examples=40, deadline=None)
+def test_uniform_selectivity_reads_numpys_stream_at_the_bounds(opt_count, substitutes, seed, users, slots, data):
+    """The Python stream gives numpy's draws: catalogs up to the size bound,
+    substitute sets of one and of every optimization (whose first Floyd draw
+    has range 0 and consumes nothing), and seeds of one and two entropy words."""
+    k = {"one": 1, "all": opt_count}.get(substitutes) or data.draw(st.integers(1, opt_count))
+    s = spec(family="selectivity", opt_count=opt_count, substitutes_per_user=k, seed=seed, users=users, slots=slots)
+    assert not draws_with_numpy(s)
+    for trial in (0, 1, s.trials - 1):
+        assert draw(s, trial) == _draw_selectivity(s, _trial_rng(s, trial))
+        assert generate(s, trial) == reference_generate(s, trial)
+
+
+def words_read(seed, trial):
+    """The stream's ``next_uint32`` and the list of the words it has read."""
+    stream, read = _pcg64_uint32s(seed, trial), []
+
+    def next_uint32():
+        read.append(next(stream))
+        return read[-1]
+
+    return next_uint32, read
+
+
+# 2**31 - 1: a power-of-two range, whose rejection threshold is 0 and every
+# even word's low product equals it; 2**31: about half the draws reject;
+# 3 * 2**30: a quarter; 2**32 - 2: the widest range Lemire's draw takes.
+@pytest.mark.parametrize("r", [2**31 - 1, 2**31, 3 * 2**30, 2**32 - 2])
+@pytest.mark.parametrize("seed, trial", [(404, 0), (2**64 - 1, 7)])
+def test_bounded_draw_rejects_as_numpy_does(r, seed, trial):
+    npr = load_numpy().random
+    rng = npr.Generator(npr.PCG64(npr.SeedSequence((seed, trial))))
+    next_uint32, read = words_read(seed, trial)
+    draws = 3000
+    ours = [_bounded(next_uint32, r) for _ in range(draws)]
+    assert ours == [int(rng.integers(0, r, endpoint=True)) for _ in range(draws)]
+    assert next_uint32() == int(rng.integers(0, 2**32 - 1, endpoint=True))  # the streams stay in step
+    if r in (2**31, 3 * 2**30):
+        assert len(read) > draws * 1.1  # the rejection loop ran
+    assert 0 <= min(ours) and max(ours) <= r
+
+
+@pytest.mark.parametrize("r", [2**32 - 1, 2**32, 2**64, -1])
+def test_bounded_draw_refuses_a_range_it_cannot_draw(r):
+    next_uint32, read = words_read(0, 0)
+    with pytest.raises(ValueError, match="bounded draw: range"):
+        _bounded(next_uint32, r)
+    assert read == []
+
+
+def test_bounded_draw_of_one_value_reads_nothing():
+    next_uint32, read = words_read(0, 0)
+    assert [_bounded(next_uint32, 0) for _ in range(3)] == [0, 0, 0]
+    assert read == []
 
 
 def test_collab_size_supports():
