@@ -265,7 +265,11 @@ def dump_game(game, path):
 
 def load_game(path):
     with open(path, encoding="utf-8") as fh:
-        return game_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # as in harness.load_config
+            raise GameError(f"game: invalid JSON ({exc})") from exc
+    return game_from_dict(data)
 
 
 def game_json(game) -> str:

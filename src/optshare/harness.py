@@ -169,7 +169,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer past 4300 digits, deep nesting
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     return config_from_dict(data)
 

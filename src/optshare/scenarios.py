@@ -17,27 +17,28 @@ straight from the integers, on one scale for the whole sweep, with no
 The stream is read in one of two ways, and :func:`draws_with_numpy` says
 which:
 
-- Uniform-skew selectivity reads it in Python (:func:`_pcg64_uint32s` and
-  :func:`_bounded`): numpy's ``SeedSequence`` hash, PCG64's XSL-RR output
-  (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically
-  Good Algorithms for Random Number Generation", 2014) and Lemire's bounded
-  32-bit draw (Lemire, "Fast Random Integer Generation in an Interval",
-  2019), which give the integers numpy's ``integers`` and ``choice`` calls
-  return.  At perfbench's sizes (6 users, 4 or 12 optimizations, 3
-  substitutes each) a trial is drawn in about 100 µs here against 175 µs
-  through numpy's scalar calls (Python 3.11, numpy 2.4).  Each number costs
-  about 1 µs here, so numpy's array calls are faster where a trial draws
-  thousands: a catalog of 1000 optimizations, or substitute sets of hundreds.
-- Every other family stays on numpy's ``Generator``.  The skewed arrivals
-  draw ``exponential``, whose ziggurat tables numpy does not expose.  The
-  families that alternate two uniform ranges draw them in one broadcast
-  ``rng.integers`` call, which consumes the stream as the scalar calls in
-  the same order do; at 24 users (collab_large) a Python version of those
-  pairs took about 74 µs per trial against numpy's 40 µs.
+- Every spec whose numbers are all uniform integers reads it in Python, in
+  one :func:`_uniform_draws` loop over the trial's ranges: numpy's
+  ``SeedSequence`` hash, PCG64's XSL-RR output (O'Neill, "PCG: A Family of
+  Simple Fast Space-Efficient Statistically Good Algorithms for Random
+  Number Generation", 2014) and Lemire's bounded 32-bit draw (Lemire,
+  "Fast Random Integer Generation in an Interval", 2019), which give the
+  integers numpy's ``integers`` and ``choice`` calls return.  That is every
+  family at uniform skew, and duration_spread and usecase_shape at any
+  skew, as they do not read it.  At perfbench's sizes a trial costs about
+  what numpy's calls do (best per-trial µs, Python 3.11, numpy 2.4, a
+  2-vCPU VM): 18 against 21 at 6 users, 34 against 23 at 24 users
+  (collab_large), 48 against 49 and 53 against 56 for selectivity at 4
+  and 12 optimizations.  Each number costs about 0.5 µs, so numpy's array
+  calls are faster where a trial draws thousands: a catalog of 1000
+  optimizations, or substitute sets of hundreds.
+- An early or late arrival, on a family that reads the skew, draws
+  ``exponential`` through numpy's ``Generator``: numpy does not expose its
+  ziggurat tables.
 
 numpy is imported by :func:`load_numpy` at the first numpy draw of a
 process, not with this module: nothing else in the package needs it, so
-``verify``, ``replay`` and a uniform selectivity sweep never load it.
+``verify``, ``replay`` and a sweep of uniform arrivals never load it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import (
     AdditiveOnlineBid,
@@ -217,11 +218,16 @@ def _entropy_words(n: int) -> list[int]:
     return words
 
 
-def _pcg64_uint32s(seed: int, trial: int) -> Iterator[int]:
-    """The ``next_uint32`` draws of numpy's ``PCG64(SeedSequence((seed,
-    trial)))``: PCG64's XSL-RR output, the low half of each 64-bit word and
-    then its high half.  ``seed < 2**64`` and ``trial < 2**32``, so the
-    entropy is 2 or 3 words and fits SeedSequence's 4-word pool."""
+def _uniform_draws(seed: int, trial: int, ranges: Sequence[int]) -> list[int]:
+    """Per ``r`` of ``ranges``, in turn, the integer on 0..r that numpy's
+    ``integers(0, r, endpoint=True)`` draws from ``Generator(PCG64(
+    SeedSequence((seed, trial))))``.  The stream's 32-bit words are the low
+    half of each PCG64 XSL-RR output and then its high half; each range
+    takes Lemire's multiply, rejecting the low words below ``2**32 % (r +
+    1)``.  ``r == 0`` reads nothing; a negative ``r`` is refused, and so is
+    ``r >= 2**32 - 1``, which numpy draws by another method.  ``seed <
+    2**64`` and ``trial < 2**32``, so the entropy is 2 or 3 words and fits
+    SeedSequence's 4-word pool."""
     entropy = _entropy_words(seed) + _entropy_words(trial) + [0, 0]  # zero-filled to the pool
     pool = []  # SeedSequence's mix_entropy: hash the words into the pool, then mix
     for word, (x, m) in zip(entropy, _FILL_KEYS):
@@ -240,32 +246,28 @@ def _pcg64_uint32s(seed: int, trial: int) -> Iterator[int]:
     initstate = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
     inc = (s[5] << 97 | s[4] << 65 | s[7] << 33 | s[6] << 1 | 1) & _M128
     state = ((inc + initstate) * _PCG_MULT + inc) & _M128  # PCG's seeding: a step, the add, a step
-    while True:
-        state = (state * _PCG_MULT + inc) & _M128
-        rot = state >> 122
-        word = (state >> 64 ^ state) & _M64
-        word = (word >> rot | word << (64 - rot)) & _M64
-        yield word & _M32
-        yield word >> 32
-
-
-def _bounded(next_uint32: Callable[[], int], r: int) -> int:
-    """An integer uniform on 0..r from ``next_uint32``, as numpy's
-    ``integers(0, r, endpoint=True)`` draws it: Lemire's multiply, rejecting
-    the low words below ``2**32 % (r + 1)``.  ``r == 0`` consumes nothing;
-    a negative ``r`` is refused, and so is ``r >= 2**32 - 1``, which numpy
-    draws by another method."""
-    if not 0 < r < _M32:
-        if r == 0:
-            return 0
-        raise ValueError(f"bounded draw: range {r} outside 0..{_M32 - 1}")
-    excl = r + 1
-    m = next_uint32() * excl
-    if m & _M32 < excl:  # the threshold is below excl, so most draws skip it
-        threshold = (_M32 - r) % excl
-        while m & _M32 < threshold:
-            m = next_uint32() * excl
-    return m >> 32
+    draws, high = [], -1  # high: the last word's high half while it is unread
+    for r in ranges:
+        if not 0 < r < _M32:
+            if r:
+                raise ValueError(f"bounded draw: range {r} outside 0..{_M32 - 1}")
+            draws.append(0)
+            continue
+        excl = r + 1
+        while True:
+            if high < 0:
+                state = (state * _PCG_MULT + inc) & _M128
+                rot = state >> 122
+                word = (state >> 64 ^ state) & _M64
+                word = (word >> rot | word << (64 - rot)) & _M64
+                m, high = (word & _M32) * excl, word >> 32
+            else:
+                m, high = high * excl, -1
+            # the threshold is below excl, so most draws skip computing it
+            if m & _M32 >= excl or m & _M32 >= (_M32 - r) % excl:
+                break
+        draws.append(m >> 32)
+    return draws
 
 
 class Draws(NamedTuple):
@@ -285,31 +287,59 @@ class Draws(NamedTuple):
 
 
 def draws_with_numpy(spec: ScenarioSpec) -> bool:
-    """Whether ``spec``'s trials are drawn through numpy's ``Generator``:
-    every family but uniform-skew selectivity, which reads the same stream
-    in Python."""
-    return spec.family != "selectivity" or spec.skew != "uniform"
+    """Whether ``spec``'s trials are drawn through numpy's ``Generator``: an
+    early or late arrival, on a family whose slots read the skew, needs
+    numpy's ``exponential``.  Every other spec reads the same stream in
+    Python (:func:`_uniform_draws`)."""
+    return spec.skew != "uniform" and spec.family not in ("duration_spread", "usecase_shape")
 
 
 def draw(spec: ScenarioSpec, trial: int) -> Draws:
     """The draws of one trial of a scenario."""
     if not (0 <= trial < spec.trials):
         raise ScenarioError(f"trial {trial} outside 0..{spec.trials - 1}")
-    if not draws_with_numpy(spec):
-        return _draw_uniform_selectivity(spec, _pcg64_uint32s(spec.seed, trial).__next__)
-    return _DRAWS.get(spec.family, _draw_single_opt)(spec, _trial_rng(spec, trial))
+    if draws_with_numpy(spec):
+        numpy_draw = _draw_selectivity if spec.family == "selectivity" else _draw_single_opt
+        return numpy_draw(spec, _trial_rng(spec, trial))
+    return _draw_uniform(spec, trial)
+
+
+def _draw_uniform(spec: ScenarioSpec, trial: int) -> Draws:
+    """The draws of a trial whose every number is uniform, by one
+    :func:`_uniform_draws` call over the ranges numpy's calls draw, in their
+    order: per user a window (usecase_shape), or a slot on 1..z and a value
+    on the grid; selectivity draws its catalog first, and after each user's
+    value ``choice(opt_count, substitutes_per_user, replace=False)``.  numpy
+    makes that choice by Floyd's algorithm (a draw on 0..j for j = n - k to
+    n - 1, taking j itself on a repeat) and then shuffles it (a draw on 0..i
+    for i = k - 1 down to 1); the set is the same in any order, so the
+    shuffle's draws are read and not applied."""
+    n, k, z = spec.opt_count, spec.substitutes_per_user, spec.slots
+    if spec.family == "usecase_shape":
+        windows = _windows(z)
+        picked = [windows[w] for w in _uniform_draws(spec.seed, trial, [len(windows) - 1] * spec.users)]
+        return Draws([s for s, _ in picked], [e for _, e in picked])
+    if spec.family == "selectivity":
+        user = [z - 1, GRID, *range(n - k, n), *range(k - 1, 0, -1)]
+        out = _uniform_draws(spec.seed, trial, [GRID - 1] * n + user * spec.users)
+        slots, values, picks = [], [], []
+        for i in range(n, len(out), len(user)):
+            slots.append(1 + out[i])
+            values.append(out[i + 1] or 1)
+            chosen = set()
+            for j, p in zip(range(n - k, n), out[i + 2 : i + 2 + k]):
+                chosen.add(j if p in chosen else p)
+            picks.append(frozenset(p + 1 for p in chosen))
+        return Draws(slots, slots, values, [1 + c for c in out[:n]], picks)
+    out = _uniform_draws(spec.seed, trial, [z - 1, GRID] * spec.users)
+    starts = [1 + s for s in out[0::2]]
+    ends = [min(s + spec.duration - 1, z) for s in starts] if spec.family == "duration_spread" else starts
+    return Draws(starts, ends, out[1::2])
 
 
 @lru_cache(maxsize=32)
-def _pair_bounds(users: int, z: int) -> tuple[np.ndarray, np.ndarray]:
-    tile = load_numpy().tile
-    return tile((1, 0), users), tile((z, GRID), users)
-
-
-def _uniform_pairs(rng, users: int, z: int) -> tuple[list[int], list[int]]:
-    """Per user, a slot uniform on 1..z, then a value uniform on the grid."""
-    out = rng.integers(*_pair_bounds(users, z), endpoint=True).tolist()
-    return out[0::2], out[1::2]
+def _windows(z: int) -> tuple[tuple[int, int], ...]:
+    return tuple((s, e) for s in range(1, z + 1) for e in range(s, z + 1))
 
 
 def _start_slot(rng, z: int, skew: str) -> int:
@@ -321,50 +351,20 @@ def _start_slot(rng, z: int, skew: str) -> int:
 
 
 def _draw_single_opt(spec: ScenarioSpec, rng) -> Draws:
-    """collab_size, overlap_slots and arrival_skew: per user one slot and
-    its value, for one optimization."""
-    if spec.skew == "uniform":
-        slots, values = _uniform_pairs(rng, spec.users, spec.slots)
-    else:
-        slots, values = [], []
-        for _ in range(spec.users):
-            slots.append(_start_slot(rng, spec.slots, spec.skew))
-            values.append(int(rng.integers(0, GRID, endpoint=True)))
+    """collab_size, overlap_slots and arrival_skew through numpy's calls:
+    per user one slot and its value, for one optimization.  This and
+    :func:`_draw_selectivity` draw at any skew; :func:`draw` sends them the
+    specs :func:`draws_with_numpy` names."""
+    slots, values = [], []
+    for _ in range(spec.users):
+        slots.append(_start_slot(rng, spec.slots, spec.skew))
+        values.append(int(rng.integers(0, GRID, endpoint=True)))
     return Draws(slots, slots, values)
 
 
-def _draw_duration_spread(spec: ScenarioSpec, rng) -> Draws:
-    starts, totals = _uniform_pairs(rng, spec.users, spec.slots)
-    return Draws(starts, [min(s + spec.duration - 1, spec.slots) for s in starts], totals)
-
-
-def _draw_uniform_selectivity(spec: ScenarioSpec, next_uint32) -> Draws:
-    """:func:`_draw_selectivity` at uniform skew, from the stream's 32-bit
-    words in numpy's order: the catalog, then per user the slot, the value
-    and ``choice(opt_count, substitutes_per_user, replace=False)``.  numpy
-    makes that choice by Floyd's algorithm (a draw on 0..j for j = n - k to
-    n - 1, taking j itself on a repeat) and then shuffles it (a draw on 0..i
-    for i = k - 1 down to 1); the set is the same in any order, so the
-    shuffle's draws are consumed and not applied."""
-    n, k, z = spec.opt_count, spec.substitutes_per_user, spec.slots
-    catalog = [1 + _bounded(next_uint32, GRID - 1) for _ in range(n)]
-    slots, values, picks = [], [], []
-    for _ in range(spec.users):
-        slots.append(1 + _bounded(next_uint32, z - 1))
-        values.append(_bounded(next_uint32, GRID) or 1)
-        chosen = set()
-        for j in range(n - k, n):
-            p = _bounded(next_uint32, j)
-            chosen.add(j if p in chosen else p)
-        for i in range(k - 1, 0, -1):
-            _bounded(next_uint32, i)
-        picks.append(frozenset(p + 1 for p in chosen))
-    return Draws(slots, slots, values, catalog, picks)
-
-
 def _draw_selectivity(spec: ScenarioSpec, rng) -> Draws:
-    """Selectivity at a skewed arrival, whose slots need numpy's
-    ``exponential``."""
+    """Selectivity through numpy's calls, in the order of
+    :func:`_draw_uniform`."""
     catalog = rng.integers(1, GRID, size=spec.opt_count, endpoint=True).tolist()
     slots, values, picks = [], [], []
     for _ in range(spec.users):
@@ -373,24 +373,6 @@ def _draw_selectivity(spec: ScenarioSpec, rng) -> Draws:
         chosen = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False).tolist()
         picks.append(frozenset(p + 1 for p in chosen))
     return Draws(slots, slots, values, catalog, picks)
-
-
-@lru_cache(maxsize=32)
-def _windows(z: int) -> tuple[tuple[int, int], ...]:
-    return tuple((s, e) for s in range(1, z + 1) for e in range(s, z + 1))
-
-
-def _draw_usecase_shape(spec: ScenarioSpec, rng) -> Draws:
-    windows = _windows(spec.slots)
-    picked = [windows[w] for w in rng.integers(0, len(windows), size=spec.users).tolist()]
-    return Draws([s for s, _ in picked], [e for _, e in picked])
-
-
-_DRAWS = {  # every other family draws as _draw_single_opt
-    "duration_spread": _draw_duration_spread,
-    "selectivity": _draw_selectivity,
-    "usecase_shape": _draw_usecase_shape,
-}
 
 
 # Per-execution savings for the headline view, one entry per user, and the

@@ -294,7 +294,7 @@ def test_verify_and_replay_never_import_numpy_and_a_draw_does():
         codes = [optshare.cli.main(["verify", "--suite", "golden_examples"]),
                  optshare.cli.main(["replay", "--game", GAMES + "/two_views.json", "--mechanism", "regret"])]
         before = "numpy" in sys.modules
-        scenarios.draw(scenarios.ScenarioSpec(family="collab_size", trials=1), 0)
+        scenarios.draw(scenarios.ScenarioSpec(family="arrival_skew", skew="early", trials=1), 0)
         print(json.dumps([codes, before, "numpy" in sys.modules]))
     """)
     assert loaded == [[0, 0], False, True]
@@ -319,7 +319,7 @@ def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
 
         harness._start_helper = recording_start
         os.cpu_count = lambda: 2
-        spec = ScenarioSpec(family="collab_size", users=4, slots=6, cost=Fraction("0.3"), seed=5, trials=30)
+        spec = ScenarioSpec(family="arrival_skew", skew="early", users=4, slots=6, cost=Fraction("0.3"), seed=5, trials=30)
         points = (Fraction("0.2"), Fraction("0.4"))
 
         def columns(workers):
@@ -333,10 +333,12 @@ def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
     assert parallel == serial
 
 
-def test_parallel_uniform_selectivity_sweep_never_imports_numpy():
-    """Uniform selectivity reads the PCG64 stream in Python: neither the
-    parent of a parallel sweep nor any of its helpers imports numpy."""
-    helpers, parent, parallel, serial = run_fresh("""
+@pytest.mark.parametrize("family", scenarios.FAMILIES)
+def test_parallel_uniform_sweep_never_imports_numpy(family):
+    """Every family at uniform skew reads the PCG64 stream in Python:
+    neither the parent of a parallel sweep nor any of its helpers imports
+    numpy."""
+    helpers, parent, parallel, serial = run_fresh(f"FAMILY = {family!r}\n" + textwrap.dedent("""
         import os, shutil, tempfile
         from fractions import Fraction
         from optshare import harness
@@ -353,11 +355,12 @@ def test_parallel_uniform_selectivity_sweep_never_imports_numpy():
 
         harness._fold_trials = recording_fold
         os.cpu_count = lambda: 2
-        spec = ScenarioSpec(family="selectivity", users=6, slots=12, opt_count=4, cost=Fraction(3, 50), seed=404, trials=30)
+        spec = ScenarioSpec(family=FAMILY, users=6, slots=12, opt_count=4, duration=3, cost=Fraction(3, 50), seed=404, trials=30)
         points = (Fraction("0.06"), Fraction("0.9"))
+        mechanisms = ("subst_on" if FAMILY == "selectivity" else "add_on", "regret")
 
         def columns(workers):
-            cells = harness.sweep(spec, ("subst_on", "regret"), points, workers=workers)
+            cells = harness.sweep(spec, mechanisms, points, workers=workers)
             return sorted([m, str(cost), *cell.columns()] for (m, cost), cell in cells.items())
 
         parallel = columns(2)
@@ -369,7 +372,7 @@ def test_parallel_uniform_selectivity_sweep_never_imports_numpy():
         skewed = ScenarioSpec(family="arrival_skew", skew="early", trials=2)
         harness.sweep(skewed, ("add_on",), (Fraction(1),), workers=1)
         print(json.dumps([helpers, [parent, "numpy" in sys.modules], parallel, serial]))
-    """)
+    """))
     assert helpers == [False, False]  # two helpers ran, neither with numpy loaded
     assert parent == [False, True]  # nor the parent, until it swept a family that draws through numpy
     assert parallel == serial
@@ -673,6 +676,33 @@ def test_cli_run_rejects_unreadable_config(tmp_path, capsys, name, content):
         path.write_bytes(content)
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+# JSON that the decoder itself refuses past the syntax: an integer of more
+# than 4300 digits, and arrays nested deeper than the recursion limit.
+HUGE_SEED = json.dumps(config_dict()).replace('"seed": 11', '"seed": ' + "9" * 5001)
+HUGE_SLOTS = json.dumps({"schema": 1, "kind": "additive_online", "slots": 0}).replace('"slots": 0', '"slots": ' + "9" * 5001)
+DEEP_ARRAYS = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("text", [HUGE_SEED, DEEP_ARRAYS], ids=["huge_seed", "deep_arrays"])
+def test_cli_run_rejects_json_the_decoder_refuses(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: config: invalid JSON" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [HUGE_SLOTS, DEEP_ARRAYS], ids=["huge_slots", "deep_arrays"])
+def test_cli_replay_rejects_json_the_decoder_refuses(tmp_path, capsys, text):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    assert main(["replay", "--game", str(path), "--mechanism", "add_on"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: game: invalid JSON" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("games", ["0", "-5"])

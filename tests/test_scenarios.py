@@ -12,10 +12,9 @@ from optshare.scenarios import (
     SKEWS,
     ScenarioError,
     ScenarioSpec,
-    _bounded,
     _draw_selectivity,
-    _pcg64_uint32s,
     _trial_rng,
+    _uniform_draws,
     draw,
     draws_with_numpy,
     generate,
@@ -110,15 +109,9 @@ def test_uniform_selectivity_reads_numpys_stream_at_the_bounds(opt_count, substi
         assert generate(s, trial) == reference_generate(s, trial)
 
 
-def words_read(seed, trial):
-    """The stream's ``next_uint32`` and the list of the words it has read."""
-    stream, read = _pcg64_uint32s(seed, trial), []
-
-    def next_uint32():
-        read.append(next(stream))
-        return read[-1]
-
-    return next_uint32, read
+def numpy_rng(seed, trial):
+    npr = load_numpy().random
+    return npr.Generator(npr.PCG64(npr.SeedSequence((seed, trial))))
 
 
 # 2**31 - 1: a power-of-two range, whose rejection threshold is 0 and every
@@ -127,30 +120,70 @@ def words_read(seed, trial):
 @pytest.mark.parametrize("r", [2**31 - 1, 2**31, 3 * 2**30, 2**32 - 2])
 @pytest.mark.parametrize("seed, trial", [(404, 0), (2**64 - 1, 7)])
 def test_bounded_draw_rejects_as_numpy_does(r, seed, trial):
-    npr = load_numpy().random
-    rng = npr.Generator(npr.PCG64(npr.SeedSequence((seed, trial))))
-    next_uint32, read = words_read(seed, trial)
+    rng = numpy_rng(seed, trial)
     draws = 3000
-    ours = [_bounded(next_uint32, r) for _ in range(draws)]
-    assert ours == [int(rng.integers(0, r, endpoint=True)) for _ in range(draws)]
-    assert next_uint32() == int(rng.integers(0, 2**32 - 1, endpoint=True))  # the streams stay in step
+    ours = _uniform_draws(seed, trial, [r] * draws + [GRID] * 5)
+    assert ours[:draws] == [int(rng.integers(0, r, endpoint=True)) for _ in range(draws)]
+    assert ours[draws:] == [int(rng.integers(0, GRID, endpoint=True)) for _ in range(5)]  # the streams stay in step
+    # The words Lemire's draw rejected on the way, read off PCG64's raw
+    # 64-bit outputs, low half first.
+    excl, threshold = r + 1, (2**32 - r - 1) % (r + 1)
+    words = numpy_rng(seed, trial).bit_generator.random_raw(3 * draws)
+    halves = (int(w) >> shift & 0xFFFFFFFF for w in words for shift in (0, 32))
+    accepted = rejected = 0
+    while accepted < draws:
+        if next(halves) * excl & 0xFFFFFFFF < threshold:
+            rejected += 1
+        else:
+            accepted += 1
     if r in (2**31, 3 * 2**30):
-        assert len(read) > draws * 1.1  # the rejection loop ran
-    assert 0 <= min(ours) and max(ours) <= r
+        assert rejected > draws * 0.1  # the rejection loop ran
+    assert 0 <= min(ours[:draws]) and max(ours[:draws]) <= r
 
 
 @pytest.mark.parametrize("r", [2**32 - 1, 2**32, 2**64, -1])
 def test_bounded_draw_refuses_a_range_it_cannot_draw(r):
-    next_uint32, read = words_read(0, 0)
-    with pytest.raises(ValueError, match="bounded draw: range"):
-        _bounded(next_uint32, r)
-    assert read == []
+    for ranges in ([r], [GRID, r, GRID]):
+        with pytest.raises(ValueError, match="bounded draw: range"):
+            _uniform_draws(0, 0, ranges)
 
 
 def test_bounded_draw_of_one_value_reads_nothing():
-    next_uint32, read = words_read(0, 0)
-    assert [_bounded(next_uint32, 0) for _ in range(3)] == [0, 0, 0]
-    assert read == []
+    rng = numpy_rng(0, 0)
+    assert _uniform_draws(0, 0, [0, 0, 0, GRID, 0]) == [0, 0, 0, int(rng.integers(0, GRID, endpoint=True)), 0]
+
+
+one_range = st.one_of(st.integers(0, 2**32 - 2), st.sampled_from([0, 1, 11, GRID, 2**31, 2**32 - 2]))
+
+
+@given(
+    ranges=st.lists(one_range, max_size=60),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+    trial=st.integers(0, 2**32 - 1),
+)
+@example(ranges=[0, 2**32 - 2, 0, 1], seed=0, trial=0)
+@settings(max_examples=200, deadline=None)
+def test_uniform_draws_are_numpys_scalar_draws(ranges, seed, trial):
+    """At seeds of one entropy word and of two, every range in turn is
+    numpy's scalar ``integers(0, r, endpoint=True)``."""
+    rng = numpy_rng(seed, trial)
+    assert _uniform_draws(seed, trial, ranges) == [int(rng.integers(0, r, endpoint=True)) for r in ranges]
+
+
+# The (family, skew) pairs drawn through numpy: an early or late arrival on
+# a family whose slots read the skew.  The other 10 pairs draw in Python.
+NUMPY_PAIRS = {(family, skew) for family in ("collab_size", "overlap_slots", "arrival_skew", "selectivity")
+               for skew in ("early", "late")}
+
+
+@pytest.mark.parametrize("skew", SKEWS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_draws_with_numpy_only_for_a_skew_its_family_reads(family, skew):
+    s = spec(family=family, skew=skew, opt_count=4, trials=3)
+    assert draws_with_numpy(s) is ((family, skew) in NUMPY_PAIRS)
+    skewed = [draw(s, t) for t in range(3)]
+    uniform = [draw(replace(s, skew="uniform"), t) for t in range(3)]
+    assert (skewed != uniform) is draws_with_numpy(s)  # only the numpy pairs read the skew
 
 
 def test_collab_size_supports():
