@@ -16,10 +16,11 @@ folded from the kernels' settlements (``scaled.totals``) as integers over
 one denominator and added to integer cells, and each CSV cell is rendered
 from those integer sums (``CellStats.columns``), so no ``Fraction`` is made
 between the config and the CSV text.  Sums are exact, so neither the scale,
-scheduling nor arrival order can change a single output byte.  Trials run
-serially, or split into contiguous slices, one helper process per slice,
-each folding its slice into partial cells that the parent merges.  Files
-are written to a temp path and atomically renamed.
+scheduling nor arrival order can change a single output byte.  Trials are
+split into contiguous slices, one per process: the parent folds the first
+slice itself and one helper process folds each other slice into partial
+cells that the parent merges, so a serial sweep is the one-slice case of
+the same code.  Files are written to a temp path and atomically renamed.
 """
 
 from __future__ import annotations
@@ -361,6 +362,16 @@ def _workers(workers) -> int:
     return workers
 
 
+def _trials(trials, spec: ScenarioSpec) -> int:
+    """``trials``, or ``spec.trials`` if it is None; anything but an integer
+    from 1 to ``spec.trials`` is a ``ConfigError``."""
+    if trials is None:
+        return spec.trials
+    if isinstance(trials, bool) or not isinstance(trials, int) or not 1 <= trials <= spec.trials:
+        raise ConfigError(f"trials: expected an integer from 1 to {spec.trials}, got {trials!r}")
+    return trials
+
+
 class HelperTraceback(Exception):
     """The text of a traceback in a sweep helper; the parent raises the
     helper's exception from it."""
@@ -405,62 +416,61 @@ def sweep(
     """Run trials x cost points x mechanisms; exact aggregation per cell.
 
     Trial-major: each trial's game is drawn into integer rows once and every
-    mechanism's kernel runs on it at every cost point.  With more than one
-    worker, the trials are split into ``min(workers, os.cpu_count(),
-    trials)`` contiguous slices and one helper process folds each slice into
-    partial cells (and detail records, if asked for), which the parent
-    receives in slice order and merges; the parent folds no trial itself.
-    If the spec draws through numpy, it imports ``numpy.random`` before
-    starting them, so no forked helper spends its slice's time importing it.
-    Serial runs fold every trial through the same function.  Exact sums do
-    not depend on how the trials are split.  Detail records are handed to
-    ``detail_sink`` in (cost, trial, mechanism) order.  No helper outlives
-    the call, whether it returns or raises.
+    mechanism's kernel runs on it at every cost point.  ``trials`` (default
+    ``spec.trials``) runs the first that many of the spec's trials.  The
+    trials are split into ``min(workers, os.cpu_count(), trials)``
+    contiguous slices.  One helper process is started for each slice after
+    the first, and the parent folds the first slice itself while they run;
+    then it receives each helper's partial cells (and detail records, if
+    asked for) in slice order and merges them into its own.  With one slice
+    no helper is started, so a serial sweep runs the same code.  If the
+    spec draws through numpy, ``numpy.random`` is imported before any helper
+    starts, so no forked helper spends its slice's time importing it.  Exact
+    sums do not depend on how the trials are split.  Detail records are
+    handed to ``detail_sink`` in (cost, trial, mechanism) order.  No helper
+    outlives the call, whether it returns or raises, in a helper or in the
+    parent.
     """
-    trials = trials if trials is not None else spec.trials
+    trials = _trials(trials, spec)
     workers = _workers(workers)
     mechanisms, cost_points = tuple(mechanisms), tuple(cost_points)
     factors = Factors([cost / spec.cost for cost in cost_points])
     fold = partial(_fold_trials, spec, mechanisms, cost_points, factors, detail_sink is not None)
     processes = min(workers, os.cpu_count() or 1, trials)
-    if processes <= 1:
-        cells, details = fold(range(trials))
-    else:
-        cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
-        details = [[] for _ in cost_points] if detail_sink is not None else None
-        bounds = [trials * k // processes for k in range(processes + 1)]
-        slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        helpers = []
-        if draws_with_numpy(spec):
-            load_numpy()  # the helpers fork with numpy.random loaded, not each importing it
-        try:
-            for part in slices:
-                helpers.append(_start_helper(fold, part))
-            # Receive before join: a helper blocks on a full pipe until its
-            # result is read.
-            for part, (helper, receiver) in zip(slices, helpers):
-                try:
-                    result = receiver.recv()
-                except EOFError:
-                    helper.join()
-                    raise RuntimeError(
-                        f"sweep: the helper for trials {part.start}..{part.stop - 1} exited with "
-                        f"code {helper.exitcode} before sending its cells"
-                    ) from None
-                if isinstance(result, Exception):
-                    raise result from HelperTraceback(result.helper_traceback)
-                part_cells, records = result
-                for key, cell in part_cells.items():
-                    cells[key].merge(cell)
-                for point, point_records in enumerate(records or ()):
-                    details[point].extend(point_records)
+    bounds = [trials * k // processes for k in range(processes + 1)]
+    first, *rest = (range(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    if draws_with_numpy(spec):
+        load_numpy()  # helpers fork with numpy.random loaded, not each importing it
+    helpers = []
+    try:
+        for part in rest:
+            helpers.append(_start_helper(fold, part))
+        cells, details = fold(first)
+        # Receive before join: a helper blocks on a full pipe until its
+        # result is read.
+        for part, (helper, receiver) in zip(rest, helpers):
+            try:
+                result = receiver.recv()
+            except EOFError:
                 helper.join()
-        finally:
-            for helper, receiver in helpers:
-                if helper.is_alive():
-                    helper.terminate()
-                helper.join()
-                receiver.close()
+                raise RuntimeError(
+                    f"sweep: the helper for trials {part.start}..{part.stop - 1} exited with "
+                    f"code {helper.exitcode} before sending its cells"
+                ) from None
+            if isinstance(result, Exception):
+                raise result from HelperTraceback(result.helper_traceback)
+            part_cells, records = result
+            for key, cell in part_cells.items():
+                cells[key].merge(cell)
+            for point, point_records in enumerate(records or ()):
+                details[point].extend(point_records)
+            helper.join()
+    finally:
+        for helper, receiver in helpers:
+            if helper.is_alive():
+                helper.terminate()
+            helper.join()
+            receiver.close()
     for records in details or ():
         for record in records:
             detail_sink(record)

@@ -10,14 +10,20 @@ property violation) and never an exception; and a run writes nothing
 outside its ``--out`` directory.
 Configs are cut to one trial and two cost points before they are mutated,
 so that a run that is accepted stays small.
+
+Valid games near the loader's bounds are replayed too: up to the most bids
+and slots a game file may hold, over long pairwise coprime denominators
+whose lcm lands on either side of the bound on a game's common scale.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import tempfile
 from unittest import mock
 
@@ -25,7 +31,9 @@ from hypothesis import given, settings, strategies as st
 
 from optshare.analysis import MECHANISMS
 from optshare.cli import main
-from optshare.gamefiles import load_game
+from optshare.core import GameError
+from optshare.gamefiles import KINDS, MAX_BIDS, load_game
+from optshare.scenarios import MAX_SIZES
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 GAMES = sorted(SCRIPTS.glob("games/*.json"))
@@ -117,3 +125,81 @@ def test_replay_of_a_mutated_game_exits_0_or_2(path, data):
 def test_run_of_a_mutated_config_exits_0_or_2(path, data):
     doc = mutated(data, small(json.loads(path.read_text())))
     assert run_cli(doc, ["run", "--config", "{file}", "--out", "{dir}"]) in (0, 2)
+
+
+# Denominators k * COPRIME_BASE * 10**digits + 1 for k = 1..60 are pairwise
+# coprime: a common divisor of two of them divides their difference of k,
+# and every prime up to 60 divides COPRIME_BASE.  At the most digits drawn
+# below, a value over one of them still fits a money field's 400 characters.
+COPRIME_BASE = math.factorial(60)
+
+
+def extreme_game(kind, bids, slots, opts, coprime, digits, long_share, seed) -> dict:
+    """A valid game file of ``kind``: ``bids`` bids (each its own user) on
+    ``opts`` optimizations over ``slots`` slots (one if offline), drawn from
+    ``seed``.  A share ``long_share`` of its money fields lies over one of
+    ``coprime`` long pairwise coprime denominators; 2% are ``1e-100`` or
+    ``1e100``; the rest are whole.  Online windows hold at most 10^4
+    per-slot values between them, so a window spans every slot only when
+    bids are few."""
+    rng = random.Random(seed)
+
+    def money(positive: bool) -> str:
+        r = rng.random()
+        if r < long_share and coprime:
+            return f"{rng.randint(1, 10**6)}/{rng.randint(1, coprime) * COPRIME_BASE * 10**digits + 1}"
+        if r < long_share + 0.02:
+            return rng.choice(("1e-100", "1e100"))
+        return str(rng.randint(1 if positive else 0, 200))
+
+    online = kind.endswith("online")
+    slots = slots if online else 1
+    window = max(1, min(slots, 10_000 // bids))
+    game = {"schema": 1, "kind": kind, "slots": slots, "bids": [],
+            "catalog": [{"id": j, "cost": money(True)} for j in range(1, opts + 1)]}
+    for user in range(1, bids + 1):
+        bid = {"user": user}
+        if online:
+            length = rng.randint(1, window)
+            start = rng.randint(1, slots - length + 1)
+            bid.update(start=start, end=start + length - 1, per_slot=[money(False) for _ in range(length)])
+        if kind == "additive_offline":
+            bid["values"] = {str(j): money(False) for j in rng.sample(range(1, opts + 1), rng.randint(1, opts))}
+        elif kind == "additive_online":
+            bid["opt"] = rng.randint(1, opts)
+        else:
+            bid["substitutes"] = rng.sample(range(1, opts + 1), rng.randint(1, min(opts, 3)))
+            if kind == "substitutable_offline":
+                bid["value"] = money(True)
+        game["bids"].append(bid)
+    return game
+
+
+def at_or_under(bound: int):
+    return st.one_of(st.just(bound), st.integers(1, bound))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    at_or_under(MAX_BIDS),
+    at_or_under(MAX_SIZES["slots"]),
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.integers(0, 300),
+    st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_replay_of_an_extreme_valid_game_exits_0_or_2(kind, bids, slots, opts, coprime, digits, long_share, seed):
+    game = extreme_game(kind, bids, slots, opts, coprime, digits, long_share, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(game, fh)
+        try:
+            mechanisms = replaying(path)
+        except GameError as exc:  # its common scale passes the bound: every replay refuses it
+            assert "the game's common scale" in str(exc)
+            mechanisms = []
+    for mechanism in mechanisms or MECHANISMS:
+        assert run_cli(game, ["replay", "--game", "{file}", "--mechanism", mechanism]) == (0 if mechanisms else 2)

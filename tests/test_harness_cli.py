@@ -311,14 +311,18 @@ def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
         from optshare.scenarios import ScenarioSpec
 
         seen = ["numpy" in sys.modules]
-        real_start = harness._start_helper
+        real_start, real_fold = harness._start_helper, harness._fold_trials
 
         def recording_start(fold, trials):
-            seen.append("numpy.random" in sys.modules)
+            seen.append(["helper", "numpy.random" in sys.modules])
             return real_start(fold, trials)
 
-        harness._start_helper = recording_start
-        os.cpu_count = lambda: 2
+        def recording_fold(*args):  # a forked helper records into its own copy of seen
+            seen.append(["parent", "numpy.random" in sys.modules])
+            return real_fold(*args)
+
+        harness._start_helper, harness._fold_trials = recording_start, recording_fold
+        os.cpu_count = lambda: 3
         spec = ScenarioSpec(family="arrival_skew", skew="early", users=4, slots=6, cost=Fraction("0.3"), seed=5, trials=30)
         points = (Fraction("0.2"), Fraction("0.4"))
 
@@ -326,10 +330,13 @@ def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
             cells = harness.sweep(spec, ("add_on", "regret"), points, workers=workers)
             return sorted([m, str(cost), *cell.columns()] for (m, cost), cell in cells.items())
 
-        parallel = columns(2)  # first: no draw in this process has loaded numpy yet
+        parallel = columns(3)  # first: no draw in this process has loaded numpy yet
         print(json.dumps([seen, parallel, columns(1)]))
     """)
-    assert seen == [False, True, True]  # numpy absent at the start, numpy.random loaded at each helper start
+    # numpy absent at the start; numpy.random loaded at each helper's start
+    # and at the parent's fold of its own slice, in the parallel sweep and
+    # then the serial one
+    assert seen == [False, ["helper", True], ["helper", True], ["parent", True], ["parent", True]]
     assert parallel == serial
 
 
@@ -338,7 +345,7 @@ def test_parallel_uniform_sweep_never_imports_numpy(family):
     """Every family at uniform skew reads the PCG64 stream in Python:
     neither the parent of a parallel sweep nor any of its helpers imports
     numpy."""
-    helpers, parent, parallel, serial = run_fresh(f"FAMILY = {family!r}\n" + textwrap.dedent("""
+    folds, parent, parallel, serial = run_fresh(f"FAMILY = {family!r}\n" + textwrap.dedent("""
         import os, shutil, tempfile
         from fractions import Fraction
         from optshare import harness
@@ -346,15 +353,16 @@ def test_parallel_uniform_sweep_never_imports_numpy(family):
 
         log = tempfile.mkdtemp()
         real_fold = harness._fold_trials
+        PARENT = os.getpid()
 
-        def recording_fold(*args):  # runs in each helper: the sweep binds it at its call
+        def recording_fold(*args):  # runs in the parent and in each helper: the sweep binds it at its call
             result = real_fold(*args)
             with open(os.path.join(log, str(os.getpid())), "w") as fh:
-                fh.write(json.dumps("numpy" in sys.modules))
+                fh.write(json.dumps([os.getpid() == PARENT, "numpy" in sys.modules]))
             return result
 
         harness._fold_trials = recording_fold
-        os.cpu_count = lambda: 2
+        os.cpu_count = lambda: 3
         spec = ScenarioSpec(family=FAMILY, users=6, slots=12, opt_count=4, duration=3, cost=Fraction(3, 50), seed=404, trials=30)
         points = (Fraction("0.06"), Fraction("0.9"))
         mechanisms = ("subst_on" if FAMILY == "selectivity" else "add_on", "regret")
@@ -363,17 +371,18 @@ def test_parallel_uniform_sweep_never_imports_numpy(family):
             cells = harness.sweep(spec, mechanisms, points, workers=workers)
             return sorted([m, str(cost), *cell.columns()] for (m, cost), cell in cells.items())
 
-        parallel = columns(2)
+        parallel = columns(3)
         harness._fold_trials = real_fold
-        helpers = [json.load(open(os.path.join(log, name))) for name in sorted(os.listdir(log))]
+        folds = sorted(json.load(open(os.path.join(log, name))) for name in os.listdir(log))
         shutil.rmtree(log)
         serial = columns(1)
         parent = "numpy" in sys.modules
         skewed = ScenarioSpec(family="arrival_skew", skew="early", trials=2)
         harness.sweep(skewed, ("add_on",), (Fraction(1),), workers=1)
-        print(json.dumps([helpers, [parent, "numpy" in sys.modules], parallel, serial]))
+        print(json.dumps([folds, [parent, "numpy" in sys.modules], parallel, serial]))
     """))
-    assert helpers == [False, False]  # two helpers ran, neither with numpy loaded
+    # two helpers and the parent each folded a slice, none with numpy loaded
+    assert folds == [[False, False], [False, False], [True, False]]
     assert parent == [False, True]  # nor the parent, until it swept a family that draws through numpy
     assert parallel == serial
 
@@ -477,11 +486,13 @@ def test_cell_stats_merge_equals_adding_in_any_order():
 
 
 @pytest.fixture
-def helper_slices(monkeypatch):
-    """Replace the helper start by one that starts nothing, folds its slice
-    in this process and records it: one list of slices per sweep that
-    starts helpers.  os.cpu_count() reads 4."""
-    sweeps = []
+def sweep_slices(monkeypatch):
+    """Record how each sweep splits its trials: the slice the parent folds,
+    then each helper's slice, in slice order.  A helper start is replaced
+    by one that starts nothing and folds its slice in this process.
+    os.cpu_count() reads 4."""
+    sweeps, helpers = [], []
+    real_fold = harness._fold_trials
 
     class Exited:
         exitcode = 0
@@ -503,18 +514,22 @@ def helper_slices(monkeypatch):
             pass
 
     def start_inline(fold, trials):
-        if trials.start == 0:  # every sweep's first slice starts at trial 0
-            sweeps.append([])
-        sweeps[-1].append(trials)
-        return Exited(), Received(fold(trials))
+        helpers.append(trials)
+        return Exited(), Received(real_fold(*fold.args, trials))
+
+    def parent_fold(*args):  # the parent folds its slice after starting every helper
+        sweeps.append([args[-1], *helpers])
+        helpers.clear()
+        return real_fold(*args)
 
     monkeypatch.setattr(harness, "_start_helper", start_inline)
+    monkeypatch.setattr(harness, "_fold_trials", parent_fold)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return sweeps
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_generates_each_trial_once_across_helpers(monkeypatch, helper_slices, workers):
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_sweep_generates_each_trial_once_across_helpers(monkeypatch, sweep_slices, workers):
     calls = []
     real_draw = scenarios.draw
 
@@ -526,11 +541,17 @@ def test_sweep_generates_each_trial_once_across_helpers(monkeypatch, helper_slic
     spec = ScenarioSpec(family="selectivity", users=4, slots=4, opt_count=4, cost=F("0.3"), seed=2, trials=9)
     cells = sweep(spec, ("subst_on", "regret"), (F("0.1"), F("0.3"), F("0.9")), workers=workers)
     assert sorted(calls) == list(range(9))
-    assert helper_slices == ([] if workers == 1 else [[range(0, 4), range(4, 9)]])
+    partitions = {
+        1: [range(0, 9)],  # the parent folds every trial and starts no helper
+        2: [range(0, 4), range(4, 9)],
+        3: [range(0, 3), range(3, 6), range(6, 9)],
+        4: [range(0, 2), range(2, 4), range(4, 6), range(6, 9)],
+    }
+    assert sweep_slices == [partitions[workers]]
     assert all(cell.n == 9 for cell in cells.values())
 
 
-def test_helper_count_is_capped(monkeypatch, helper_slices):
+def test_helper_count_is_capped(monkeypatch, sweep_slices):
     def run(trials, workers):
         spec = ScenarioSpec(family="collab_size", users=3, slots=4, cost=F("0.3"), seed=1, trials=trials)
         sweep(spec, ("add_on",), (F("0.3"),), workers=workers)
@@ -539,11 +560,19 @@ def test_helper_count_is_capped(monkeypatch, helper_slices):
     run(trials=3, workers=default_workers())  # capped by trials
     run(trials=40, workers=100000)  # capped by os.cpu_count(), patched to 4
     run(trials=1, workers=100000)  # one process: no helper at all
-    assert [len(slices) for slices in helper_slices] == [3, 4]
-    assert helper_slices[1] == [range(0, 10), range(10, 20), range(20, 30), range(30, 40)]
+    assert [len(slices) - 1 for slices in sweep_slices] == [2, 3, 0]  # helpers: one fewer than slices
+    assert sweep_slices == [
+        [range(0, 1), range(1, 2), range(2, 3)],
+        [range(0, 10), range(10, 20), range(20, 30), range(30, 40)],
+        [range(0, 1)],
+    ]
 
 
 SUBST_SPEC = ScenarioSpec(family="selectivity", users=4, slots=4, opt_count=4, cost=F("0.3"), seed=2, trials=37)
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched function reaches the helpers only when they fork"
+)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -560,36 +589,76 @@ def test_uneven_slices_match_one_worker(monkeypatch, workers):
     assert multiprocessing.active_children() == []
 
 
+@needs_fork
 def test_a_helper_error_is_raised_and_no_helper_is_left(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    # A mechanism tuple that bypasses ExperimentConfig: run_mechanism raises
-    # in each helper.
+    real_run, parent = harness.run_mechanism, os.getpid()
+
+    def helper_runs_add_on(mechanism, game, order=None):
+        # add_on cannot run on the substitutable games SUBST_SPEC draws
+        return real_run(mechanism if os.getpid() == parent else "add_on", game, order)
+
+    monkeypatch.setattr(harness, "run_mechanism", helper_runs_add_on)
     with pytest.raises(ConfigError, match="add_on cannot run on substitutable games") as raised:
-        sweep(SUBST_SPEC, ("add_on",), (F("0.3"),), trials=8, workers=2)
+        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=8, workers=2)
     assert multiprocessing.active_children() == []
     assert isinstance(raised.value.__cause__, harness.HelperTraceback)
     assert 'in run_mechanism\n    raise ConfigError(' in str(raised.value.__cause__)  # the helper's frames
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="the patched draw reaches the helpers only when they fork"
-)
+class ParentSliceError(Exception):
+    pass
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ParentSliceError, KeyboardInterrupt])
+def test_an_error_in_the_parents_slice_is_raised_and_no_helper_is_left(monkeypatch, error):
+    real_draw, parent = scenarios.draw, os.getpid()
+
+    def draw(spec, trial):
+        if os.getpid() != parent:
+            time.sleep(60)  # every helper is still busy when the parent's slice fails
+        elif trial == 1:
+            raise error("the parent's slice failed")
+        return real_draw(spec, trial)
+
+    monkeypatch.setattr(scenarios, "draw", draw)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    started = time.perf_counter()
+    with pytest.raises(error, match="the parent's slice failed") as raised:
+        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=9, workers=3)
+    assert time.perf_counter() - started < 30  # the busy helpers were terminated, not waited for
+    assert raised.value.__cause__ is None  # raised in the parent: no HelperTraceback
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
 def test_a_helper_that_exits_unsent_is_named_with_its_exit_code(monkeypatch):
     real_draw = scenarios.draw
 
     def dying_draw(spec, trial):
-        if trial == 1:
+        if trial == 4:  # the first helper's slice is trials 3..5
             os._exit(3)
-        if trial == 5:  # the other helper is still busy when the sweep raises
+        if trial == 7:  # the second helper is still busy when the sweep raises
             time.sleep(60)
         return real_draw(spec, trial)
 
     monkeypatch.setattr(scenarios, "draw", dying_draw)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     started = time.perf_counter()
-    with pytest.raises(RuntimeError, match=r"helper for trials 0\.\.3 exited with code 3"):
-        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=8, workers=2)
+    with pytest.raises(RuntimeError, match=r"helper for trials 3\.\.5 exited with code 3"):
+        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=9, workers=3)
     assert time.perf_counter() - started < 30  # the busy helper was terminated, not waited for
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials", [0, -3, SUBST_SPEC.trials + 1, True, 2.0])
+def test_sweep_rejects_bad_trials(monkeypatch, trials, workers):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(ConfigError) as raised:
+        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=trials, workers=workers)
+    assert str(raised.value) == f"trials: expected an integer from 1 to {SUBST_SPEC.trials}, got {trials!r}"
     assert multiprocessing.active_children() == []
 
 
