@@ -10,12 +10,12 @@ slot; users who left stay pinned and keep lowering later arrivals' shares.
 The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
 session (:func:`step_session`, which plays the bids still in play with its
-serviced users pinned) build their traces from its settlement, and
-:func:`serve_points` settles every cost point of a game with one run of it
-per distinct outcome: each run reports, per optimization, the highest cost
-at which the same bids join in the same slots, and every dearer point up to
-it is filled without a run.  On one slot it is the offline
-equal-share mechanism (:mod:`optshare.shapley`).
+serviced users pinned) build their traces from its settlement.  Its log is
+its ceilings, as for every kernel: per optimization, the highest cost at
+which the same bids join in the same slots, so a sweep
+(:func:`~optshare.scaled.settle_points`) runs it once per distinct outcome
+and fills every dearer point up to a ceiling without a run.  On one slot it
+is the offline equal-share mechanism (:mod:`optshare.shapley`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .core import (
     AdditiveOnlineBid,
@@ -41,7 +41,7 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, _fixed_point, served_and_paid, settle_points
+from .scaled import ScaledGame, ScaledSettlement, _fixed_point, served_and_paid
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; the session rescales through ``ScaledGame`` like ``add_on``.
@@ -71,7 +71,11 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
     ``v * (k + m)`` over the slots where ``m`` bids join, ``v`` the lowest of
     their offers and ``k`` the users serviced before the slot.  Up to it
     every slot's ``m`` bids still cover their share and no more bids do;
-    above it one slot's ``m`` bids no longer do.
+    above it one slot's ``m`` bids no longer do.  As the cost rises a bid's
+    join slot never moves earlier, and a bid left out stays out (the equal
+    share is cross-monotonic), so the ceilings bound exactly the dearer
+    costs with the same joins, and :func:`~optshare.scaled.settle_points`
+    runs ``serve`` once per distinct outcome.
     """
     entries = {}
     counts = {}
@@ -104,19 +108,6 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
         if joined:
             ceilings[j] = ceiling
     return entries, counts, ceilings
-
-
-def serve_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, int]]:
-    """:func:`~optshare.scaled.totals` of :func:`serve` at every cost point
-    of ``game``, in point order; ``order`` lists the points by rising cost.
-
-    As the cost rises a bid's join slot never moves earlier, and a bid left
-    out stays out (the equal share is cross-monotonic), so ``serve``'s
-    ceilings bound exactly the dearer points with the same joins, and
-    :func:`~optshare.scaled.settle_points` runs ``serve`` once per distinct
-    outcome.
-    """
-    return settle_points(serve, game, order)
 
 
 def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:
@@ -164,7 +155,7 @@ class SessionState:
             for i, u in enumerate(game.users)
             if u in joined
         }
-        return _trace(game, (entries, {opt: count} if joined else {}, None), through)
+        return _trace(game, (entries, {opt: count} if joined else {}, {}), through)
 
 
 def new_session(optimization: Optimization, horizon: SlotHorizon) -> SessionState:

@@ -112,6 +112,9 @@ def game_from_dict(data: dict):
     """Build a game from its JSON form.  Every malformed field raises a
     :class:`GameError` that names it by path (``bids[0].user``)."""
     data = _object(data, "game")
+    schema = data.get("schema")
+    if type(schema) is not int or schema != SCHEMA:  # not True or 1.0, which equal 1
+        raise GameError(f"schema: expected the integer {SCHEMA}, got {schema!r}")
     kind = data.get("kind")
     if kind not in KINDS:
         raise GameError(f"kind: expected one of {KINDS}, got {kind!r}")

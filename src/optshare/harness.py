@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .additive_online import serve_points
+from .additive_online import serve
 from .analysis import MECHANISMS
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
-from .regret import trigger_points, trigger_with_ceilings
+from .regret import trigger, trigger_points
 from .scaled import Factors, ScaledGame, settle_points
 from .scenarios import ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
 from .substitutable import grant
@@ -62,6 +62,10 @@ FAMILY_MECHANISMS = {
 # Every cost point runs every trial; the shipped configs use 25 points.
 MAX_COST_POINTS = 1000
 
+# The longest file written is ``<output>_details.jsonl.tmp.<pid>``, 26 bytes
+# more than ``output`` at a 7-digit pid; most file systems allow 255.
+MAX_OUTPUT_BYTES = 200
+
 CSV_HEADER = (
     "mechanism,cost,trials,mean_total_utility,sd_total_utility,"
     "mean_cloud_balance,sd_cloud_balance,implemented_rate"
@@ -83,6 +87,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.output in (".", "..") or any(c in self.output for c in "/\\\0"):
             raise ConfigError(f"output: expected a plain file name, got {self.output!r}")
+        try:
+            size = len(os.fsencode(self.output))
+        except UnicodeEncodeError:
+            raise ConfigError(f"output: not encodable as a file name: {self.output!r}") from None
+        if size > MAX_OUTPUT_BYTES:
+            raise ConfigError(f"output: at most {MAX_OUTPUT_BYTES} bytes as a file name (got {size})")
         if not self.mechanisms:
             raise ConfigError("mechanisms: at least one required")
         allowed = FAMILY_MECHANISMS[self.scenario.family]
@@ -112,8 +122,9 @@ class ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
-    if data.get("schema") != 1:
-        raise ConfigError("schema: expected 1")
+    schema = data.get("schema")
+    if type(schema) is not int or schema != 1:  # not True or 1.0, which equal 1
+        raise ConfigError(f"schema: expected the integer 1, got {schema!r}")
     if "scenario" not in data:
         raise ConfigError("scenario: missing")
     try:
@@ -186,10 +197,10 @@ def load_config(path) -> ExperimentConfig:
 # filling the dearer points within its ceilings, and ``trigger_points``
 # settles additive games by bisection.
 SETTLERS = {
-    ("add_on", True): serve_points,
+    ("add_on", True): partial(settle_points, serve),
     ("subst_on", False): partial(settle_points, grant),
     ("regret", True): lambda game, order: trigger_points(game),
-    ("regret", False): partial(settle_points, trigger_with_ceilings, fixed_charges=True),
+    ("regret", False): partial(settle_points, trigger),
 }
 
 
@@ -362,16 +373,6 @@ def _workers(workers) -> int:
     return workers
 
 
-def _trials(trials, spec: ScenarioSpec) -> int:
-    """``trials``, or ``spec.trials`` if it is None; anything but an integer
-    from 1 to ``spec.trials`` is a ``ConfigError``."""
-    if trials is None:
-        return spec.trials
-    if isinstance(trials, bool) or not isinstance(trials, int) or not 1 <= trials <= spec.trials:
-        raise ConfigError(f"trials: expected an integer from 1 to {spec.trials}, got {trials!r}")
-    return trials
-
-
 class HelperTraceback(Exception):
     """The text of a traceback in a sweep helper; the parent raises the
     helper's exception from it."""
@@ -409,18 +410,16 @@ def sweep(
     spec: ScenarioSpec,
     mechanisms,
     cost_points,
-    trials: int | None = None,
     workers: int | None = None,
     detail_sink=None,
 ) -> dict[tuple[str, Money], CellStats]:
     """Run trials x cost points x mechanisms; exact aggregation per cell.
 
     Trial-major: each trial's game is drawn into integer rows once and every
-    mechanism's kernel runs on it at every cost point.  ``trials`` (default
-    ``spec.trials``) runs the first that many of the spec's trials.  The
-    trials are split into ``min(workers, os.cpu_count(), trials)``
-    contiguous slices.  One helper process is started for each slice after
-    the first, and the parent folds the first slice itself while they run;
+    mechanism's kernel runs on it at every cost point.  The spec's trials
+    are split into ``min(workers, os.cpu_count(), spec.trials)`` contiguous
+    slices.  One helper process is started for each slice after the first,
+    and the parent folds the first slice itself while they run;
     then it receives each helper's partial cells (and detail records, if
     asked for) in slice order and merges them into its own.  With one slice
     no helper is started, so a serial sweep runs the same code.  If the
@@ -431,7 +430,7 @@ def sweep(
     outlives the call, whether it returns or raises, in a helper or in the
     parent.
     """
-    trials = _trials(trials, spec)
+    trials = spec.trials
     workers = _workers(workers)
     mechanisms, cost_points = tuple(mechanisms), tuple(cost_points)
     factors = Factors([cost / spec.cost for cost in cost_points])
@@ -502,7 +501,6 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int | None = None
         config.scenario,
         config.mechanisms,
         config.cost_sweep,
-        trials=config.scenario.trials,
         workers=workers,
         detail_sink=sink,
     )

@@ -11,18 +11,20 @@ The baseline trusts bids to be true values; the simulator always feeds it
 the truth.
 
 The baseline itself is one integer kernel, :func:`trigger`, a slot loop
-over a :class:`~optshare.scaled.ScaledGame` of either bid kind;
-:func:`regret_run` builds the full trace from its settlement.  Every posted
-price is a bisection of a price curve (:func:`_price_curve`), the buyer
-counts whose revenue no larger count reaches.  On substitutable games the
-sweep walks its cost points by :func:`trigger`'s ceilings
-(:func:`trigger_with_ceilings`, :func:`~optshare.scaled.settle_points`), one
-run per distinct outcome.  The additive sweep does not build settlements:
-on additive games the regret before each slot does not depend on the cost,
-so :func:`trigger_points` finds each cost point's trigger slots by
-bisection of one prefix per optimization (:func:`_regret_before`) and
-settles every cost point of a game from one price curve per optimization
-and trigger slot; the tests cross-check it against :func:`trigger`.
+over a :class:`~optshare.scaled.ScaledGame` of either bid kind.  Like
+every kernel it returns its served bids, its implemented optimizations and
+its ceilings; :func:`regret_run` reads the posted prices, losses and regret
+series of its trace from that settlement.  Every posted price is a
+bisection of a price curve (:func:`_price_curve`), the buyer counts whose
+revenue no larger count reaches.  On substitutable games the sweep walks
+its cost points by :func:`trigger`'s ceilings
+(:func:`~optshare.scaled.settle_points`), one run per distinct outcome.
+The additive sweep does not build settlements: on additive games the
+regret before each slot does not depend on the cost, so
+:func:`trigger_points` finds each cost point's trigger slots by bisection
+of one prefix per optimization (:func:`_regret_before`) and settles every
+cost point of a game from one price curve per optimization and trigger
+slot; the tests cross-check it against :func:`trigger`.
 """
 
 from __future__ import annotations
@@ -128,9 +130,7 @@ class RegretTrace:
         return self.realized_value - self.total_cost
 
 
-def trigger(
-    game: ScaledGame, costs: Mapping[OptId, int], ceilings: dict[OptId, int] | None = None
-) -> ScaledSettlement:
+def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     """Run the baseline at scaled costs ``costs``, slot by slot.
 
     A bid contributes its value to every optimization it names until it is
@@ -142,44 +142,35 @@ def trigger(
 
     Bids active in the trigger slot ride free in it (charged 0/1); buyers
     are served from the trigger slot if they ride, else from their start,
-    through their end, at the posted price ``price[j]``, a (numerator,
-    denominator) pair.  The implemented optimizations map to their trigger
-    slots, and the log is ``(price, loss, series)``: the price, its
-    shortfall on j's cost, and j's regret before slot t at ``(j, t)``, on
-    the game's scale, for the slots through its trigger where it differs
-    from the regret before t - 1 (0 before slot 1); :func:`regret_run`
-    expands it to every slot.
+    through their end, at one posted price (a numerator over a
+    denominator).  The implemented optimizations map to their trigger slots.
 
     Regret rises only in slots with values, and costs are positive, so an
     optimization can trigger only in the slot right after its regret rose;
     the slot loop checks just those, in ascending id.
 
-    ``ceilings``, if given, receives each implemented optimization's
-    ceiling: its regret in its trigger slot, or the revenue of its buyers if
-    that is less and its price recovers the cost.  Up to the ceilings, with
-    every other cost scaled alike, the same checks fire in the same slots,
-    since one that did not fire stays short of a dearer cost, and the same
-    buyers pay each price: one that recovers the cost is still the cost over
-    their number, one that does not is still a revenue over it.
+    The log holds each implemented optimization's ceiling: its regret in its
+    trigger slot, or the revenue of its buyers if that is less and its price
+    recovers the cost.  Up to the ceilings, with every other cost scaled
+    alike, the same checks fire in the same slots, since one that did not
+    fire stays short of a dearer cost, and the same buyers pay each price:
+    one that recovers the cost is still the cost over their number, one that
+    does not is still a revenue over it.
     """
     opt_ids = sorted(costs)
-    price: dict[OptId, tuple[int, int]] = {}
-    loss: dict[OptId, int] = {}
     entries: dict[int, tuple[OptId, Slot, Slot, int, int]] = {}  # a bid in here is closed to the rest
     interest, values = game.interest, game.values
     regret = dict.fromkeys(opt_ids, 0)
-    series = {}
     implement_slot = {}
+    ceilings = {}
     rose: set[OptId] = set()  # the optimizations whose regret rose in slot t - 1
     for t in range(1, game.z + 1):
         # greedy trigger, lowest optimization id first
         for j in sorted(rose):
-            series[(j, t)] = regret[j]
             if regret[j] >= costs[j]:
                 implement_slot[j] = t
-                revenue = _implement(game, j, t, costs[j], entries, price, loss)
-                if ceilings is not None:
-                    ceilings[j] = regret[j] if revenue is None else min(regret[j], revenue)
+                revenue = _implement(game, j, t, costs[j], entries)
+                ceilings[j] = regret[j] if revenue is None else min(regret[j], revenue)
         if len(implement_slot) == len(opt_ids):
             break  # nothing left to accrue regret for
         # accumulate regret for still-unimplemented optimizations
@@ -190,31 +181,22 @@ def trigger(
                     if j not in implement_slot:
                         regret[j] += v
                         rose.add(j)
-    return entries, implement_slot, (price, loss, series)
-
-
-def trigger_with_ceilings(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
-    """:func:`trigger`'s settlement with its ceilings as the log, the form
-    :func:`~optshare.scaled.settle_points` walks."""
-    ceilings: dict[OptId, int] = {}
-    entries, implement_slot, _ = trigger(game, costs, ceilings)
     return entries, implement_slot, ceilings
 
 
-def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict, price: dict, loss: dict) -> int | None:
+def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict) -> int | None:
     """Implement ``j`` in slot ``t`` at scaled cost ``cost``: its riders ride
     free in ``t`` and the buyers pay one posted price, which go into
-    ``entries`` (whose bids are closed to ``j``), ``price`` and ``loss``.
-    Returns the buyers' revenue if the price recovers the cost, else None."""
+    ``entries`` (whose bids are closed to ``j``).  Returns the buyers'
+    revenue if the price recovers the cost, else None."""
     riders, future, _, descending = _riders(game, j, t, entries)
-    num, den, loss[j], _ = _posted_price(cost, _price_curve(descending))
-    price[j] = (num, den)
+    num, den, loss, _ = _posted_price(cost, _price_curve(descending))
     for i in riders:
         entries[i] = (j, t, t, 0, 1)
     for i, r, first in future:
         if r * den >= num:
             entries[i] = (j, first, game.ends[i], num, den)
-    return None if loss[j] else descending[den - 1] * den
+    return None if loss else descending[den - 1] * den
 
 
 def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:
@@ -300,35 +282,54 @@ def regret_run(
     horizon: SlotHorizon,
     values: Sequence[AdditiveOnlineBid] | Sequence[SubstitutableOnlineBid],
 ) -> RegretTrace:
-    """Run the baseline on truthful per-slot values (see :func:`trigger`).
-    ``regret_series`` holds each optimization's regret before every slot
-    through its trigger, slot by slot in ascending id, expanded from
-    :func:`trigger`'s log of the slots where it changed."""
+    """Run the baseline on truthful per-slot values (see :func:`trigger`)
+    and read its trace from the settlement.  An implemented optimization's
+    posted price is the charge of any of its buyers (0 if it has none), and
+    its loss is its cost less their payments.  ``regret_series`` holds each
+    optimization's regret before every slot through its trigger, slot by
+    slot in ascending id: a bid adds its value in a slot to each
+    optimization it names until the trigger slot of the one that served
+    it."""
     catalog = tuple(catalog)
     bids = tuple(values)
     if not bids:
         empty = ScaledGame(AdditiveOnlineMultiGame(catalog, horizon, ()))
-        return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, empty, ({}, {}, None))
+        return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, empty, ({}, {}, {}))
     additive = isinstance(bids[0], AdditiveOnlineBid)
     if any(isinstance(b, AdditiveOnlineBid) != additive for b in bids):
         raise GameError("cannot mix additive and substitutable bids")
     game = AdditiveOnlineMultiGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
     scaled = ScaledGame(game)
-    run = trigger(scaled, scaled.costs[0])
-    _, implement_slot, (price, loss, changes) = run
-    level = dict.fromkeys(sorted(scaled.costs[0]), 0)
+    costs, scale = scaled.costs[0], scaled.scale
+    run = trigger(scaled, costs)
+    entries, implement_slot, _ = run
+    price, buyers = {}, dict.fromkeys(implement_slot, 0)
+    for j, _, _, num, den in entries.values():
+        if num:
+            price[j] = num, den
+            buyers[j] += 1
+    posted, loss = {}, {}
+    for j in implement_slot:
+        num, den = price.get(j, (0, 1))
+        posted[j] = Fraction(num, den * scale)
+        loss[j] = Fraction(costs[j] - num * buyers[j] // den, scale)
+    closed = {i: implement_slot[e[0]] for i, e in entries.items()}  # the slot a bid stops accruing from
+    level = dict.fromkeys(sorted(costs), 0)
     series = {}  # every open optimization's regret before each slot
     for t in horizon.slots():
         for j in level:
             if implement_slot.get(j, t) >= t:
-                level[j] = series[j, t] = changes.get((j, t), level[j])
-    scale = scaled.scale
-    realized, spent, paid, lcm = totals(scaled, run, scaled.costs[0])
+                series[j, t] = level[j]
+        for i, v in scaled.values[t]:
+            if closed.get(i, t + 1) > t:
+                for j in scaled.interest[i]:
+                    level[j] += v
+    realized, spent, paid, lcm = totals(scaled, run, costs)
     schedule, payments = served_and_paid(scaled, run)
     return RegretTrace(
         implement_slot,
-        {j: Fraction(num, den * scale) for j, (num, den) in price.items()},
-        {j: Fraction(short, scale) for j, short in loss.items()},
+        posted,
+        loss,
         schedule,
         payments,
         Fraction(paid - spent * lcm, lcm * scale),

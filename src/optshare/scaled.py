@@ -22,11 +22,14 @@ offers, with the new rows merged in.  An offline game is the one-slot
 online game it degenerates to (z = 1), so the offline mechanisms run on the
 same kernels.
 
-Every kernel returns one :data:`ScaledSettlement`, which :func:`totals`
-folds into the harness's sums, :func:`served_and_paid` into an online trace
-and :func:`outcome_and_ledger` into an offline result; each result keeps it
-and its game, and :func:`fold` scores it per user.  A sweep settles its cost
-points through :func:`settle_points`, one kernel run per distinct outcome.
+Every kernel (``serve``, ``grant``, ``trigger``) returns one
+:data:`ScaledSettlement`, its served bids, implemented optimizations and
+ceilings, which :func:`totals` folds into the harness's sums,
+:func:`served_and_paid` into an online trace and :func:`outcome_and_ledger`
+into an offline result; each result keeps it and its game, and :func:`fold`
+scores it per user.  A sweep settles its cost points through
+:func:`settle_points`, one kernel run per distinct outcome, walking all
+three kernels alike by their ceilings.
 Every kernel's equal share is one closed form, :func:`_fixed_point`.
 
 Construction from a game checks, once per game, what the game's
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import (
     AdditiveOfflineGame,
@@ -226,12 +229,14 @@ class ScaledGame:
 
 
 # What one kernel run settled on a :class:`ScaledGame`: ``(entries,
-# implemented, log)``.  Served bid ``i`` is served ``opt`` in slots ``first``
-# through ``last`` and charged ``num / (den * scale)``, where ``entries[i]
-# = (opt, first, last, num, den)``; ``implemented`` holds every optimization
-# paid for, served or not, and ``log`` is the kernel's own record.  A plain
-# tuple: a named tuple's constructor costs a Python call per kernel run.
-ScaledSettlement = tuple[dict[int, tuple[OptId, Slot, Slot, int, int]], Collection[OptId], Any]
+# implemented, ceilings)``.  Served bid ``i`` is served ``opt`` in slots
+# ``first`` through ``last`` and charged ``num / (den * scale)``, where
+# ``entries[i] = (opt, first, last, num, den)``; ``implemented`` holds every
+# optimization paid for, served or not, and ``ceilings`` holds the highest
+# cost of each optimization up to which the run holds (see
+# :func:`settle_points`).  A plain tuple: a named tuple's constructor costs a
+# Python call per kernel run.
+ScaledSettlement = tuple[dict[int, tuple[OptId, Slot, Slot, int, int]], Collection[OptId], Mapping[OptId, int]]
 
 
 def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) -> tuple[int, int, int, int]:
@@ -255,29 +260,24 @@ def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) 
     return realized, spent, paid, lcm
 
 
-def settle_points(
-    kernel, game: ScaledGame, order: Sequence[int], fixed_charges: bool = False
-) -> list[tuple[int, int, int, int]]:
+def settle_points(kernel, game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, int]]:
     """:func:`totals` of ``kernel`` at every cost point of ``game``, in point
     order; ``order`` lists the points by rising cost.
 
-    ``kernel(game, costs)`` returns a settlement whose log holds its
-    ceilings: per optimization it implements, the highest cost up to which,
-    with every other cost scaled alike, the run serves the same bids the same
-    optimizations in the same slots, charged over the same denominators.
+    ``kernel(game, costs)`` is ``serve``, ``grant`` or ``trigger``, whose log
+    holds its ceilings: per optimization it implements, the highest cost up
+    to which, with every other cost scaled alike, the run serves the same
+    bids the same optimizations in the same slots, charged over the same
+    denominators, each charge its optimization's cost or a fixed amount.
     Every cost at point ``p`` is ``units[p]`` times a base cost, so the run
     at a unit holds at every dearer unit up to the least ``ceiling // base
     cost``.  The walk up the sorted points runs the kernel at the cheapest
     point not yet settled and fills every following point up to that unit
-    without it: its realized value and denominator are the run's, and its
-    spent cost and charges are its unit times the same integers.  So the
-    kernel runs once per distinct outcome.
-
-    That holds for a charge that is its optimization's cost over a count,
-    the only charge of ``serve`` and ``grant``.  With ``fixed_charges`` a
-    run's other charges (``trigger``'s riders and its posted prices that do
-    not recover the cost) are summed apart, and a filled point keeps them
-    as they are.
+    without it: its realized value, denominator and fixed charges are the
+    run's, and its spent cost and other charges are its unit times the same
+    integers.  So the kernel runs once per distinct outcome.  Only
+    ``trigger`` has fixed charges: its riders' and its posted prices that do
+    not recover the cost.
     """
     costs, units = game.costs, game.units
     out: list = [None] * len(costs)
@@ -290,9 +290,7 @@ def settle_points(
         cost = costs[p]
         run = kernel(game, cost)
         out[p] = realized, spent, paid, lcm = totals(game, run, cost)
-        fixed = 0
-        if fixed_charges:
-            fixed = sum([num * (lcm // den) for j, _, _, num, den in run[0].values() if num != cost[j]])
+        fixed = sum([num * (lcm // den) for j, _, _, num, den in run[0].values() if num != cost[j]])
         spent, paid = spent // unit, (paid - fixed) // unit
         top = min([ceiling // (cost[j] // unit) for j, ceiling in run[2].items()], default=units[order[-1]])
     return out

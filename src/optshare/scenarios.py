@@ -43,7 +43,7 @@ process, not with this module: nothing else in the package needs it, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -123,9 +123,6 @@ class ScenarioSpec:
             raise ScenarioError("scenario.duration: exceeds slots")
         if not (0 <= self.seed < 2**64):
             raise ScenarioError("scenario.seed: must fit in 64 bits")
-
-    def with_cost(self, cost: Money) -> "ScenarioSpec":
-        return replace(self, cost=cost)
 
     def to_dict(self) -> dict:
         return {

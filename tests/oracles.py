@@ -63,10 +63,9 @@ from optshare.core import (
     SubstOnlineGame,
 )
 from optshare.money import render_ratio_sqrt
-from optshare.regret import RegretTrace
+from optshare.regret import RegretTrace, _posted_price, _price_curve, _riders
 from optshare.scaled import ScaledGame, outcome_and_ledger, totals
 from optshare.substitutable import SubstOffResult, SubstOnlineTrace
-from optshare.regret import _implement
 from optshare.scenarios import (
     GRID,
     USECASE_HEADLINE_CENTS,
@@ -492,8 +491,11 @@ def reference_trigger(game, costs):
     """``regret.trigger`` as a dense slot loop on any scaled game: in every
     slot, log every open optimization's regret and check each for its
     trigger, in ascending id.  Bids add their value in a slot to each open
-    optimization they name until they are served.  The log's series holds
-    every (optimization, slot) through the trigger."""
+    optimization they name until they are served.  Returns the settlement's
+    entries and trigger slots, and the trace's ``(price, loss, series)``:
+    each implemented optimization's posted price as a (numerator,
+    denominator) pair and its loss, and every (optimization, slot)'s regret
+    through the trigger, all on the game's scale."""
     opt_ids = sorted(costs)
     regret = dict.fromkeys(opt_ids, 0)
     entries, implement_slot, price, loss, series = {}, {}, {}, {}, {}
@@ -504,7 +506,14 @@ def reference_trigger(game, costs):
         for j in opt_ids:
             if j not in implement_slot and regret[j] >= costs[j]:
                 implement_slot[j] = t
-                _implement(game, j, t, costs[j], entries, price, loss)
+                riders, future, _, descending = _riders(game, j, t, entries)
+                num, den, loss[j], _ = _posted_price(costs[j], _price_curve(descending))
+                price[j] = (num, den)
+                for i in riders:
+                    entries[i] = (j, t, t, 0, 1)
+                for i, r, first in future:
+                    if r * den >= num:
+                        entries[i] = (j, first, game.ends[i], num, den)
         for i, v in game.values[t]:
             if i not in entries:
                 for j in game.interest[i]:
@@ -579,7 +588,7 @@ def reference_generate(spec, trial):
 
 
 def recost(game, spec, cost):
-    """The game ``generate(spec.with_cost(cost), trial)`` builds, made from the
+    """The game ``generate(replace(spec, cost=cost), trial)`` builds, made from the
     one ``generate(spec, trial)`` built.  Cost enters a game only through its
     catalog and draws no random numbers, so only the catalog changes."""
     if spec.family == "selectivity":

@@ -40,7 +40,7 @@ TREND_SECONDS: dict[str, float] = {}
 
 def _cells(config):
     t0 = time.perf_counter()
-    cells = sweep(config.scenario, config.mechanisms, config.cost_sweep, trials=config.scenario.trials)
+    cells = sweep(config.scenario, config.mechanisms, config.cost_sweep)
     TREND_SECONDS[config.output] = time.perf_counter() - t0
     return cells
 

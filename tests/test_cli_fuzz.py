@@ -9,7 +9,9 @@ for every input: 0 for a run, 2 for input the program rejects, never 1 (a
 property violation) and never an exception; and a run writes nothing
 outside its ``--out`` directory.
 Configs are cut to one trial and two cost points before they are mutated,
-so that a run that is accepted stays small.
+so that a run that is accepted stays small.  A config with just one field
+replaced (at up to 20 trials and 5 cost points) must also name that field
+when it is rejected.
 
 Valid games near the loader's bounds are replayed too: up to the most bids
 and slots a game file may hold, over long pairwise coprime denominators
@@ -24,6 +26,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import tempfile
 from unittest import mock
 
@@ -80,21 +83,21 @@ def mutate(data, node):
     return node
 
 
-def run_cli(doc, argv) -> int:
-    """Exit code of ``optshare`` on ``doc`` written to a file, whose path
-    replaces ``{file}`` in ``argv``; ``{dir}`` names a scratch directory
-    beside it, outside which nothing may be written."""
+def run_cli(doc, argv) -> tuple[int, str]:
+    """Exit code and stderr of ``optshare`` on ``doc`` written to a file,
+    whose path replaces ``{file}`` in ``argv``; ``{dir}`` names a scratch
+    directory beside it, outside which nothing may be written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with mock.patch.dict(os.environ, {"OPTSHARE_WORKERS": "1"}):
                 rc = main([a.format(file=path, dir=os.path.join(tmp, "out")) for a in argv])
         assert set(os.listdir(tmp)) <= {"input.json", "out"}
-    assert "Traceback" not in out.getvalue()
-    return rc
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return rc, err.getvalue()
 
 
 def replaying(path) -> list[str]:
@@ -107,9 +110,9 @@ def test_the_unmutated_files_run():
     assert len(GAMES) >= 2 and len(CONFIGS) >= 7
     for path in GAMES:
         for mechanism in replaying(path):
-            assert run_cli(json.loads(path.read_text()), ["replay", "--game", "{file}", "--mechanism", mechanism]) == 0
+            assert run_cli(json.loads(path.read_text()), ["replay", "--game", "{file}", "--mechanism", mechanism])[0] == 0
     for path in CONFIGS:
-        assert run_cli(small(json.loads(path.read_text())), ["run", "--config", "{file}", "--out", "{dir}"]) == 0
+        assert run_cli(small(json.loads(path.read_text())), ["run", "--config", "{file}", "--out", "{dir}"])[0] == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,14 +120,55 @@ def test_the_unmutated_files_run():
 def test_replay_of_a_mutated_game_exits_0_or_2(path, data):
     mechanism = data.draw(st.sampled_from(replaying(path)))
     doc = mutated(data, json.loads(path.read_text()))
-    assert run_cli(doc, ["replay", "--game", "{file}", "--mechanism", mechanism]) in (0, 2)
+    assert run_cli(doc, ["replay", "--game", "{file}", "--mechanism", mechanism])[0] in (0, 2)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(CONFIGS), st.data())
 def test_run_of_a_mutated_config_exits_0_or_2(path, data):
     doc = mutated(data, small(json.loads(path.read_text())))
-    assert run_cli(doc, ["run", "--config", "{file}", "--out", "{dir}"]) in (0, 2)
+    assert run_cli(doc, ["run", "--config", "{file}", "--out", "{dir}"])[0] in (0, 2)
+
+
+# One bad value per example, by kind: another type, a number out of range, a
+# huge number as text, nested JSON.
+BAD_VALUES = (
+    (None, True, 1.5, "abc", [], {}),
+    (0, -1, -(10**20), 10**7, 2**64, 10**400),
+    ("9" * 500, "1e999", "1" + "0" * 400, str(10**30)),
+    ({"a": [1, {"b": []}]}, [[[]]], [{"x": 1}], [1, [2, [3]]]),
+)
+
+
+def fields(config: dict) -> list[tuple[str, object, object]]:
+    """Every field of ``config`` as (path, container, key), the path as an
+    error names it: ``output``, ``scenario.users``, ``cost_sweep[2]``."""
+    out = []
+    for key, value in config.items():
+        out.append((key, config, key))
+        if isinstance(value, dict):
+            out += [(f"{key}.{k}", value, k) for k in value]
+        elif isinstance(value, list):
+            out += [(f"{key}[{i}]", value, i) for i in range(len(value))]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONFIGS), st.data())
+def test_run_of_a_config_with_one_bad_field_exits_0_or_2_naming_it(path, data):
+    """A shipped config at up to 20 trials and 5 cost points, with one field
+    replaced: exit 0, or exit 2 with an error that names the field, a field
+    inside it, or the list holding it."""
+    config = json.loads(path.read_text())
+    config["scenario"]["trials"] = min(config["scenario"]["trials"], 20)
+    config["cost_sweep"] = config["cost_sweep"][:5]
+    field, container, key = data.draw(st.sampled_from(fields(config)))
+    container[key] = copy.deepcopy(data.draw(st.sampled_from(data.draw(st.sampled_from(BAD_VALUES)))))
+    rc, err = run_cli(config, ["run", "--config", "{file}", "--out", "{dir}"])
+    assert rc in (0, 2)
+    if rc == 2:
+        names = [field] + ([field[: field.index("[")]] if "[" in field else [])
+        assert any(re.match(rf"config error: {re.escape(name)}[:.[]", err) for name in names), (field, err)
 
 
 # Denominators k * COPRIME_BASE * 10**digits + 1 for k = 1..60 are pairwise
@@ -202,4 +246,4 @@ def test_replay_of_an_extreme_valid_game_exits_0_or_2(kind, bids, slots, opts, c
             assert "the game's common scale" in str(exc)
             mechanisms = []
     for mechanism in mechanisms or MECHANISMS:
-        assert run_cli(game, ["replay", "--game", "{file}", "--mechanism", mechanism]) == (0 if mechanisms else 2)
+        assert run_cli(game, ["replay", "--game", "{file}", "--mechanism", mechanism])[0] == (0 if mechanisms else 2)

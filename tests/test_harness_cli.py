@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,15 @@ from optshare.core import AdditiveOnlineBid, GameError, OnlineAdditiveGame, Opti
 from optshare.gamefiles import MAX_BIDS, MAX_SCALE_DIGITS, dump_game, game_from_dict, game_to_dict, load_game, money_str
 from optshare import harness, scenarios
 from optshare.experiments import trend_configs
-from optshare.harness import CellStats, ConfigError, config_from_dict, default_workers, run_experiment, sweep
+from optshare.harness import (
+    MAX_OUTPUT_BYTES,
+    CellStats,
+    ConfigError,
+    config_from_dict,
+    default_workers,
+    run_experiment,
+    sweep,
+)
 from optshare.scenarios import ScenarioSpec, generate
 from optshare.substitutable import subst_on
 from optshare.verification import (
@@ -86,6 +95,7 @@ def test_config_validation_errors():
         config_from_dict(config_dict(cost_sweep=["0.1", "zorp"]))
     with pytest.raises(ConfigError, match="trials"):
         config_from_dict(config_dict(scenario={"family": "collab_size", "trials": 0}))
+    assert config_from_dict(config_dict(output="x" * MAX_OUTPUT_BYTES)).output == "x" * MAX_OUTPUT_BYTES
 
 
 @pytest.mark.parametrize("output", ["../escaped", "sub/name", "/abs/name", "..", ".", "a\\b", "a\0b"])
@@ -268,8 +278,8 @@ def test_run_suite_bounds_the_corpus(suite):
 def test_parallel_sweep_matches_sequential():
     spec = ScenarioSpec(family="collab_size", users=4, slots=6, cost=F("0.3"), seed=5, trials=30)
     points = (F("0.2"), F("0.4"))
-    seq = sweep(spec, ("add_on", "regret"), points, trials=30, workers=1)
-    par = sweep(spec, ("add_on", "regret"), points, trials=30, workers=2)
+    seq = sweep(spec, ("add_on", "regret"), points, workers=1)
+    par = sweep(spec, ("add_on", "regret"), points, workers=2)
     assert par == seq  # every CellStats field: n, sums, sums of squares, implemented
     assert all(cell.n == 30 for cell in seq.values())
 
@@ -600,7 +610,7 @@ def test_a_helper_error_is_raised_and_no_helper_is_left(monkeypatch):
 
     monkeypatch.setattr(harness, "run_mechanism", helper_runs_add_on)
     with pytest.raises(ConfigError, match="add_on cannot run on substitutable games") as raised:
-        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=8, workers=2)
+        sweep(replace(SUBST_SPEC, trials=8), ("subst_on",), (F("0.3"),), workers=2)
     assert multiprocessing.active_children() == []
     assert isinstance(raised.value.__cause__, harness.HelperTraceback)
     assert 'in run_mechanism\n    raise ConfigError(' in str(raised.value.__cause__)  # the helper's frames
@@ -626,7 +636,7 @@ def test_an_error_in_the_parents_slice_is_raised_and_no_helper_is_left(monkeypat
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     started = time.perf_counter()
     with pytest.raises(error, match="the parent's slice failed") as raised:
-        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=9, workers=3)
+        sweep(replace(SUBST_SPEC, trials=9), ("subst_on",), (F("0.3"),), workers=3)
     assert time.perf_counter() - started < 30  # the busy helpers were terminated, not waited for
     assert raised.value.__cause__ is None  # raised in the parent: no HelperTraceback
     assert multiprocessing.active_children() == []
@@ -647,18 +657,8 @@ def test_a_helper_that_exits_unsent_is_named_with_its_exit_code(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     started = time.perf_counter()
     with pytest.raises(RuntimeError, match=r"helper for trials 3\.\.5 exited with code 3"):
-        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=9, workers=3)
+        sweep(replace(SUBST_SPEC, trials=9), ("subst_on",), (F("0.3"),), workers=3)
     assert time.perf_counter() - started < 30  # the busy helper was terminated, not waited for
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("trials", [0, -3, SUBST_SPEC.trials + 1, True, 2.0])
-def test_sweep_rejects_bad_trials(monkeypatch, trials, workers):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    with pytest.raises(ConfigError) as raised:
-        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=trials, workers=workers)
-    assert str(raised.value) == f"trials: expected an integer from 1 to {SUBST_SPEC.trials}, got {trials!r}"
     assert multiprocessing.active_children() == []
 
 
@@ -666,7 +666,7 @@ def test_sweep_rejects_bad_trials(monkeypatch, trials, workers):
 def test_sweep_and_run_experiment_reject_bad_workers(tmp_path, workers):
     message = f"workers: expected an integer >= 1, got {workers!r}"
     with pytest.raises(ConfigError) as raised:
-        sweep(SUBST_SPEC, ("subst_on",), (F("0.3"),), trials=4, workers=workers)
+        sweep(replace(SUBST_SPEC, trials=4), ("subst_on",), (F("0.3"),), workers=workers)
     assert str(raised.value) == message
     with pytest.raises(ConfigError) as raised:
         run_experiment(config_from_dict(config_dict()), tmp_path / "out", workers=workers)
@@ -725,14 +725,23 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"cost_sweep": ["0.5", "0.2", "1/2"]}, "cost_sweep[2]"),
         ({"cost_sweep": {"start": "0.3", "stop": "0.1", "step": "0.1"}}, "cost_sweep: start 3/10 exceeds stop 1/10"),
         ({"cost_sweep": []}, "cost_sweep: at least one cost point required"),
+        ({"schema": True}, "schema: expected the integer 1, got True"),
+        ({"schema": 1.0}, "schema: expected the integer 1, got 1.0"),
+        ({"schema": 2}, "schema: expected the integer 1, got 2"),
+        ({"schema": "1"}, "schema: expected the integer 1, got '1'"),
+        ({"schema": None}, "schema: expected the integer 1, got None"),
+        ({"output": "x" * (MAX_OUTPUT_BYTES + 1)}, f"output: at most {MAX_OUTPUT_BYTES} bytes as a file name (got 201)"),
+        ({"output": "\u00e9" * 101}, f"output: at most {MAX_OUTPUT_BYTES} bytes as a file name (got 202)"),
+        ({"output": "\ud800"}, "output: not encodable as a file name: '\\ud800'"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_dict(**change)))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {field}" in err
+    captured = capsys.readouterr()
+    assert f"config error: {field}" in captured.err
+    assert captured.out == ""
     assert not (tmp_path / "exp.csv").exists()
 
 
@@ -800,6 +809,10 @@ def test_cli_verify_rejects_runs_past_the_bound(capsys, suite, games):
         (lambda game: game["catalog"][0].__setitem__("id", "1"), "catalog[0].id"),
         (lambda game: game.__setitem__("bids", {"user": 1}), "bids"),
         (lambda game: game.__setitem__("slots", 1001), "slots"),  # one past the bound
+        (lambda game: game.__setitem__("schema", True), "schema"),
+        (lambda game: game.__setitem__("schema", 1.0), "schema"),
+        (lambda game: game.__setitem__("schema", 2), "schema"),
+        (lambda game: game.pop("schema"), "schema"),
     ],
 )
 def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):

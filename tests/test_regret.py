@@ -214,21 +214,23 @@ def test_additive_regret_invariants(args):
 
 
 def assert_trigger_matches_dense_loop(game, factors):
-    """``trigger`` at every cost point, and ``regret_run``'s series, against
-    the dense slot loop; ``trigger`` logs only the regrets that changed."""
+    """``trigger``'s entries and trigger slots at every cost point, and
+    ``regret_run``'s posted prices, losses and series, against the dense
+    slot loop."""
     scaled = ScaledGame(game, factors)
     for costs in scaled.costs:
-        entries, slots, (price, loss, log) = trigger(scaled, costs)
-        want_entries, want_slots, (want_price, want_loss, dense) = reference_trigger(scaled, costs)
+        entries, slots, _ = trigger(scaled, costs)
+        want_entries, want_slots, _ = reference_trigger(scaled, costs)
         assert list(entries.items()) == list(want_entries.items())
         assert list(slots.items()) == list(want_slots.items())
-        assert (price, loss) == (want_price, want_loss)
-        assert log == {(j, t): v for (j, t), v in dense.items() if v != dense.get((j, t - 1), 0)}
     catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
-    series = regret_run(catalog, game.horizon, game.bids).regret_series
+    trace = regret_run(catalog, game.horizon, game.bids)
     scaled = ScaledGame(game)
-    dense = reference_trigger(scaled, scaled.costs[0])[2][2] if game.bids else {}
-    assert list(series.items()) == [(key, F(v, scaled.scale)) for key, v in dense.items()]
+    price, loss, dense = reference_trigger(scaled, scaled.costs[0])[2] if game.bids else ({}, {}, {})
+    scale = scaled.scale
+    assert list(trace.posted_price.items()) == [(j, F(num, den * scale)) for j, (num, den) in price.items()]
+    assert list(trace.price_loss.items()) == [(j, F(short, scale)) for j, short in loss.items()]
+    assert list(trace.regret_series.items()) == [(key, F(v, scale)) for key, v in dense.items()]
 
 
 @given(seed=st.integers(0, 2**32), factors=cost_points(max_size=3))

@@ -21,8 +21,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optshare import additive_online
-from optshare.additive_online import add_on, serve, serve_points
+from optshare.additive_online import add_on, serve
 from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
@@ -35,7 +34,7 @@ from optshare.core import (
     SubstitutableOnlineBid,
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
-from optshare.regret import regret_run, trigger, trigger_with_ceilings
+from optshare.regret import regret_run, trigger
 from optshare.scaled import Factors, ScaledGame, settle_points, totals
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import grant, subst_on
@@ -185,17 +184,15 @@ def test_kernels_match_public_mechanisms_on_arbitrary_rationals(seed, factors):
 
 
 def counted_serve_points(scaled):
-    """``serve_points`` over every point of ``scaled``, and the costs of each
-    ``serve`` run it made, in run order."""
+    """``settle_points`` of ``serve`` over every point of ``scaled``, and the
+    costs of each ``serve`` run it made, in run order."""
     runs = []
 
-    def counting_serve(game, costs, *args):
+    def counting_serve(game, costs):
         runs.append(costs)
-        return serve(game, costs, *args)
+        return serve(game, costs)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(additive_online, "serve", counting_serve)
-        settled = serve_points(scaled, sorted(range(len(scaled.units)), key=scaled.units.__getitem__))
+    settled = settle_points(counting_serve, scaled, sorted(range(len(scaled.units)), key=scaled.units.__getitem__))
     return settled, runs
 
 
@@ -245,7 +242,7 @@ def walked(kernel, scaled):
         return kernel(game, costs)
 
     order = sorted(range(len(scaled.units)), key=scaled.units.__getitem__)
-    settled = settle_points(recording, scaled, order, fixed_charges=kernel is trigger_with_ceilings)
+    settled = settle_points(recording, scaled, order)
     filler = {}
     for p in order:
         if ran and ran[0] == p:
@@ -290,11 +287,11 @@ def test_trigger_runs_once_for_points_where_its_price_does_not_recover_the_cost(
     # 1 triggers in slot 2 up to a cost of 10, its regret there.  Bid 2, the
     # only buyer, pays the cost up to 2, its revenue; dearer, the price stays
     # 2 and no longer recovers the cost, and the settlement holds up to 10.
-    assert trigger_with_ceilings(scaled, scaled.costs[-1])[2] == {1: 2 * scaled.scale}
+    assert trigger(scaled, scaled.costs[-1])[2] == {1: 2 * scaled.scale}
     at_3 = trigger(scaled, scaled.costs[factors.index(F(3))])
-    assert at_3[2][:2] == ({1: (2 * scaled.scale, 1)}, {1: scaled.scale})  # price 2, loss 1
+    assert at_3[0][1] == (1, 3, 3, 2 * scaled.scale, 1)  # bid 2 pays 2 of the cost 3
     ran = [factors.index(F(11)), factors.index(F(3)), factors.index(F(1))]
-    assert runs(walked(trigger_with_ceilings, scaled)[1]) == ran
+    assert runs(walked(trigger, scaled)[1]) == ran
     assert kernel("regret", scaled) == [reference("regret", recosted(game, f)) for f in factors]
 
 
@@ -331,23 +328,17 @@ def test_a_point_the_walk_fills_settles_as_its_run_up_to_the_charges(seed, data,
     for game in subst_online_games(random.Random(seed), data):
         scaled = ScaledGame(game, factors)
         costs, units = scaled.costs, scaled.units
-        for run, walk in ((grant, grant), (trigger, trigger_with_ceilings)):
-            _, filler = walked(walk, scaled)
+        for run in (grant, trigger):
+            _, filler = walked(run, scaled)
             for p in runs(filler):
                 at_p = run(scaled, costs[p])
                 base = {j: c // units[p] for j, c in costs[p].items()}
-                ceilings = walk(scaled, costs[p])[2]
                 points = [costs[q] for q, by in filler.items() if by == p and q != p]
-                if ceilings:  # and the dearest costs within the ceilings
-                    top = min(c // base[j] for j, c in ceilings.items())
+                if at_p[2]:  # and the dearest costs within the ceilings
+                    top = min(c // base[j] for j, c in at_p[2].items())
                     points.append({j: b * top for j, b in base.items()})
                 for dearer in points:
-                    fresh = run(scaled, dearer)
-                    assert_same_up_to_charges(at_p, fresh, costs[p], dearer)
-                    if run is trigger:  # a price that does not recover the cost stays as it is
-                        for j, short in at_p[2][1].items():
-                            if short:
-                                assert fresh[2][0][j] == at_p[2][0][j]
+                    assert_same_up_to_charges(at_p, run(scaled, dearer), costs[p], dearer)
 
 
 @given(seed=st.integers(0, 2**32), pinned=st.integers(0, 3), data=st.data())

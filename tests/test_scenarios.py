@@ -72,7 +72,7 @@ def specs(draw, family):
 @settings(max_examples=60, deadline=None)
 def test_recost_equals_generating_at_that_cost(family, data, trial, cost):
     s = data.draw(specs(family))
-    assert recost(generate(s, trial), s, cost) == generate(s.with_cost(cost), trial)
+    assert recost(generate(s, trial), s, cost) == generate(replace(s, cost=cost), trial)
 
 
 @pytest.mark.parametrize("skew", SKEWS)
