@@ -15,9 +15,8 @@ from .core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     GameError,
-    OnlineAdditiveGame,
     Optimization,
     Outcome,
     PaymentLedger,

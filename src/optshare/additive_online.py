@@ -1,21 +1,23 @@
-"""Online mechanism for one additive optimization over a slot horizon.
+"""Online mechanism for additive optimizations over a slot horizon.
 
-Each slot re-runs the equal-share mechanism on *residual* bids (declared
-value from the current slot onward).  Users already serviced are pinned:
-they count toward every later share whatever their bids, so the cumulative
-serviced set never shrinks and the share only falls as newcomers join.  A
-user pays exactly once, when her bid expires, at the share computed in that
-slot; users who left stay pinned and keep lowering later arrivals' shares.
+Each optimization is priced on its own.  Each slot re-runs the equal-share
+mechanism on *residual* bids (declared value from the current slot onward).
+Users already serviced are pinned: they count toward every later share
+whatever their bids, so the cumulative serviced set never shrinks and the
+share only falls as newcomers join.  A bid pays exactly once, when it
+expires, at the share computed in that slot; users who left stay pinned and
+keep lowering later arrivals' shares.
 
 The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
-session (:func:`step_session`, which plays the bids still in play with its
-serviced users pinned) build their traces from its settlement.  Its log is
-its ceilings, as for every kernel: per optimization, the highest cost at
-which the same bids join in the same slots, so a sweep
-(:func:`~optshare.scaled.settle_points`) runs it once per distinct outcome
-and fills every dearer point up to a ceiling without a run.  On one slot it
-is the offline equal-share mechanism (:mod:`optshare.shapley`).
+session on one optimization (:func:`step_session`, which plays the bids
+still in play with its serviced users pinned) build their traces from its
+settlement.  Its log is its ceilings, as for every kernel: per
+optimization, the highest cost at which the same bids join in the same
+slots, so a sweep (:func:`~optshare.scaled.settle_points`) runs it once per
+distinct outcome and fills every dearer point up to a ceiling without a
+run.  On one slot it is the offline equal-share mechanism
+(:mod:`optshare.shapley`).
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from typing import Iterable, Mapping
 
 from .core import (
     AdditiveOnlineBid,
-    GameError,
-    OnlineAdditiveGame,
+    AdditiveOnlineGame,
     OptId,
     Optimization,
     RevisionError,
@@ -52,7 +53,7 @@ from .scaled import common_scale  # noqa: F401
 class OnlineTrace:
     schedule: ServiceSchedule
     payments: dict[UserId, Money]
-    share_history: dict[Slot, Money]  # slot -> cost/|cumulative| once non-empty
+    share_history: dict[tuple[OptId, Slot], Money]  # (opt, slot) -> cost/|cumulative| once non-empty
     _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
     _run: ScaledSettlement = field(repr=False, compare=False)
 
@@ -111,16 +112,20 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
 
 
 def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:
-    """The trace of ``serve``'s settlement of a one-optimization game played
-    through slot ``through``, where every bid's service ends."""
-    ((opt, cost),) = game.costs[0].items()
-    count = run[1].get(opt, ())[: through + 1]
-    shares = {k: Fraction(cost, k * game.scale) for k in set(count) if k}
-    return OnlineTrace(*served_and_paid(game, run), {t: shares[k] for t, k in enumerate(count) if k}, game, run)
+    """The trace of ``serve``'s settlement of a game played through slot
+    ``through``, where every bid's service ends: each optimization's share
+    in each slot once some user is serviced, optimization by optimization."""
+    history = {}
+    for opt, count in run[1].items():
+        cost, count = game.costs[0][opt], count[: through + 1]
+        shares = {k: Fraction(cost, k * game.scale) for k in set(count) if k}
+        history.update(((opt, t), shares[k]) for t, k in enumerate(count) if k)
+    return OnlineTrace(*served_and_paid(game, run), history, game, run)
 
 
-def add_on(game: OnlineAdditiveGame) -> OnlineTrace:
-    """Run the online additive mechanism for the whole horizon."""
+def add_on(game: AdditiveOnlineGame) -> OnlineTrace:
+    """Run the online additive mechanism on every optimization of the game
+    for the whole horizon."""
     scaled = ScaledGame(game)
     return _trace(scaled, serve(scaled, scaled.costs[0]), game.horizon.z)
 
@@ -146,7 +151,7 @@ class SessionState:
         one served from its join slot: through its end if that has been
         fed, when it pays, else through the last fed slot, charged 0."""
         opt, joined, through = self.optimization.id, self.joined, self.next_slot - 1
-        game = ScaledGame(OnlineAdditiveGame(self.optimization, self.horizon, tuple(self.declared.values())))
+        game = ScaledGame(AdditiveOnlineGame((self.optimization,), self.horizon, tuple(self.declared.values())))
         slots = sorted(joined.values())
         count = [bisect_right(slots, t) for t in range(game.z + 1)]  # serviced users after each slot
         cost, ends = game.costs[0][opt], game.ends
@@ -183,11 +188,7 @@ def step_session(
         raise SlotOrderError(f"slot {slot} already processed (next is {state.next_slot})")
 
     declared = dict(state.declared)
-    for bid in bids:
-        if bid.opt != state.optimization.id:
-            raise GameError(f"user {bid.user} bids optimization {bid.opt}, session has {state.optimization.id}")
-        if bid.end > state.horizon.z:
-            raise GameError(f"user {bid.user}: bid window ends past the horizon")
+    for bid in AdditiveOnlineGame((state.optimization,), state.horizon, bids).bids:  # checks opt and window
         old = declared.get(bid.user)
         if old is None:
             if bid.start < slot:
@@ -208,7 +209,7 @@ def step_session(
         for u, b in declared.items()
         if u not in joined and b.end >= start
     ]
-    scaled = ScaledGame(OnlineAdditiveGame(opt, state.horizon, open_bids))
+    scaled = ScaledGame(AdditiveOnlineGame((opt,), state.horizon, open_bids))
     new, _, _ = serve(scaled, scaled.costs[0], len(joined), slot)
     joined.update((scaled.users[i], t) for i, (_, t, *_) in new.items())
 

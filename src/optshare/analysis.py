@@ -26,10 +26,9 @@ from .additive_online import add_on, serve
 from .core import (
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     EnumerationGuard,
     GameError,
-    OnlineAdditiveGame,
     OnlineBid,
     OptId,
     Optimization,
@@ -67,22 +66,26 @@ class Metrics:
 # where ``bids`` replace the game's own.
 MECHANISMS = {
     "add_off": ((AdditiveOfflineGame,), lambda game, bids: add_off(game.catalog, bids)),
-    "add_on": (
-        (OnlineAdditiveGame,),
-        lambda game, bids: add_on(OnlineAdditiveGame(game.optimization, game.horizon, tuple(bids))),
-    ),
+    "add_on": ((AdditiveOnlineGame,), lambda game, bids: add_on(replace(game, bids=bids))),
     "subst_off": ((SubstOfflineGame,), lambda game, bids: subst_off(game.catalog, bids)),
     "subst_on": ((SubstOnlineGame,), lambda game, bids: subst_on(game.catalog, game.horizon, bids)),
-    "regret": (
-        (OnlineAdditiveGame, AdditiveOnlineMultiGame, SubstOnlineGame),
-        lambda game, bids: regret_run(game.catalog, game.horizon, bids),
-    ),
+    "regret": ((AdditiveOnlineGame, SubstOnlineGame), lambda game, bids: regret_run(game.catalog, game.horizon, bids)),
 }
 
 
 # The mechanisms the paper proves truthful; the regret baseline is not one (it
 # trusts bids to be true values).
 TRUTHFUL_MECHANISMS = ("add_off", "add_on", "subst_off", "subst_on")
+
+
+def runner(mechanism: str, game):
+    """``mechanism``'s runner from the registry; a ``ValueError`` unless its
+    game kinds hold ``game``'s type."""
+    kinds, run = MECHANISMS[mechanism]
+    if not isinstance(game, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{mechanism} runs on {names} games, not {type(game).__name__}")
+    return run
 
 
 def settled(result) -> tuple[ScaledGame, ScaledSettlement]:
@@ -195,13 +198,14 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     offers cannot tell apart, the smallest the grid allows in it, in
     ascending order (:meth:`_Lab.firsts`): a larger scale in the same cell
     settles alike, and under the strict ``>`` a tie never replaces the
-    best, so the report is the one every grid point gives.
+    best, so the report is the one every grid point gives.  The deviator
+    must hold one bid, and the mechanism must run on the game's type
+    (``shapley`` and the pay-your-bid control ``naive_pay_bid`` as
+    ``add_off``).
     """
-    if mechanism in ("add_off", "shapley", "naive_pay_bid"):
-        return _search_additive_offline(mechanism, game, deviator)
-    _check_truthful(mechanism)
-    true_bid = {b.user: b for b in game.bids}[deviator]
-    others = [b for b in game.bids if b.user != deviator]
+    true_bid, others = _subject(mechanism, game, deviator, (*TRUTHFUL_MECHANISMS, "shapley", "naive_pay_bid"))
+    if isinstance(game, AdditiveOfflineGame):
+        return _search_additive_offline(mechanism, game, true_bid, others)
     window, own = (1, 1), getattr(true_bid, "substitutes", None)  # None: additive
     if isinstance(true_bid, OnlineBid):
         # Worst-case continuation for a bid placed at the deviator's arrival:
@@ -225,11 +229,16 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     return DeviationReport(mechanism, deviator, truthful_u, best_u, best_note, best_u > truthful_u)
 
 
-def _check_truthful(mechanism: str) -> None:
-    """Raise unless ``mechanism`` is a truthful mechanism of the registry or
-    ``shapley`` (which names ``add_off``): the strategy lab's subjects."""
-    if ("add_off" if mechanism == "shapley" else mechanism) not in TRUTHFUL_MECHANISMS:
+def _subject(mechanism: str, game, user: UserId, subjects) -> tuple:
+    """``user``'s one bid and the others' bids, once ``mechanism`` is found
+    among ``subjects`` and able to run on ``game``."""
+    if mechanism not in subjects:
         raise ValueError(f"unknown mechanism {mechanism!r}")
+    runner("add_off" if mechanism in ("shapley", "naive_pay_bid") else mechanism, game)
+    own = [b for b in game.bids if b.user == user]
+    if len(own) != 1:
+        raise GameError(f"user {user} holds {len(own)} bids; the strategy lab plays one")
+    return own[0], [b for b in game.bids if b.user != user]
 
 
 class _Offers:
@@ -364,10 +373,7 @@ class _Lab(_Offers):
         return (10 * (prefix[e] - prefix[t - 1]) if j in self.own else 0) * den - num, den
 
 
-def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator) -> DeviationReport:
-    true_bid = {b.user: b for b in game.bids}[deviator]
-    others = [b for b in game.bids if b.user != deviator]
-
+def _search_additive_offline(mechanism, game: AdditiveOfflineGame, true_bid, others) -> DeviationReport:
     # The per-optimization runs are independent, so the best joint misreport is the best per-column
     # misreport, searched column by column in integers at ten times the column's common denominator.
     truthful = best_total = ZERO
@@ -388,7 +394,7 @@ def _search_additive_offline(mechanism, game: AdditiveOfflineGame, deviator) -> 
         best_total += Fraction(column_best[0], column_best[1] * scale)
         if best_k != 10:
             notes.append(f"opt {opt.id} x{GRID_SCALES[best_k]}")
-    return DeviationReport(mechanism, deviator, truthful, best_total, ", ".join(notes) or None, best_total > truthful)
+    return DeviationReport(mechanism, true_bid.user, truthful, best_total, ", ".join(notes) or None, best_total > truthful)
 
 
 def _column_utility(mechanism, cost: int, rest: list[int], true_value: int, declared: int) -> tuple[int, int]:
@@ -491,16 +497,16 @@ def multi_identity_probe(
     identity is serviced, and pays for all of them.  Other users' utilities
     are tracked so harm is observable; for the additive mechanisms a split
     that benefits the splitter must never harm anyone else, while the
-    substitutable mechanisms are probed in demonstrate-only mode.
+    substitutable mechanisms are probed in demonstrate-only mode.  The
+    splitter must hold one bid, and the mechanism must run on the game's
+    type (``shapley`` as ``add_off``).
 
     At the levels' least common denominator times the truthful profile's
     scale (:class:`_Offers`) each identity's rows are an integer times the
     splitter's true rows.  Each split, and the truthful run (one identity
     at level 1), is one kernel run with those rows merged into the others'
     offers, folded against the true rows (:func:`~optshare.scaled.fold`)."""
-    _check_truthful(mechanism)
-    true_bid = {b.user: b for b in game.bids}[splitter]
-    others = [b for b in game.bids if b.user != splitter]
+    true_bid, others = _subject(mechanism, game, splitter, (*TRUTHFUL_MECHANISMS, "shapley"))
     fresh = [max(b.user for b in game.bids) + 1 + k for k in range(max(identities, 1))]
     unit = math.lcm(*[Fraction(level).denominator for level in split_levels])
     lab = _Offers(game, others, true_bid, unit)

@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .analysis import MECHANISMS, score, settled
+from .analysis import MECHANISMS, runner, score, settled
 from .core import GameError
 from .gamefiles import load_game, money_str
 from .harness import ConfigError, default_workers, load_config, run_experiment
@@ -98,11 +98,7 @@ def cmd_replay(args) -> int:
 
 
 def _replay(mechanism: str, game):
-    kinds, run = MECHANISMS[mechanism]
-    if not isinstance(game, kinds):
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ConfigError(f"{mechanism} replays {names} games, not {type(game).__name__}")
-    result = run(game, game.bids)
+    result = runner(mechanism, game)(game, game.bids)
     scaled, settlement = settled(result)
     _, paid, den = fold(settlement, scaled.users, scaled)
     return score(game, result), {b.user: Fraction(paid.get(b.user, 0), den * scaled.scale) for b in game.bids}

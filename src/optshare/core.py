@@ -226,31 +226,9 @@ class AdditiveOfflineGame:
 
 
 @dataclass(frozen=True)
-class OnlineAdditiveGame:
-    """Single-optimization online game; multi-optimization additive games run
-    one game per optimization."""
-
-    optimization: Optimization
-    horizon: SlotHorizon
-    bids: tuple[AdditiveOnlineBid, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bids", tuple(self.bids))
-        for bid in self.bids:
-            if bid.opt != self.optimization.id:
-                raise CatalogMismatch(f"user {bid.user} bids optimization {bid.opt}, game has {self.optimization.id}")
-            if bid.end > self.horizon.z:
-                raise GameError(f"user {bid.user}: bid window ends past the horizon")
-
-    @property
-    def catalog(self) -> tuple[Optimization, ...]:
-        return (self.optimization,)
-
-
-@dataclass(frozen=True)
-class AdditiveOnlineMultiGame:
-    """Several additive optimizations at once; the online mechanism treats
-    them as independent single-optimization games."""
+class AdditiveOnlineGame:
+    """Additive online bids on the optimizations of ``catalog``; the online
+    mechanism prices each optimization on its own."""
 
     catalog: tuple[Optimization, ...]
     horizon: SlotHorizon

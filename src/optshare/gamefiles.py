@@ -22,9 +22,8 @@ from .core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     GameError,
-    OnlineAdditiveGame,
     Optimization,
     SlotHorizon,
     SubstOfflineGame,
@@ -40,7 +39,14 @@ SCHEMA = 1
 MAX_BIDS = 1_000
 MAX_SCALE_DIGITS = 1_000
 
-KINDS = ("additive_offline", "additive_online", "substitutable_offline", "substitutable_online")
+# Each game file kind: the game type it loads as, and the keys its bids may hold.
+GAME_KINDS = {
+    "additive_offline": (AdditiveOfflineGame, ("user", "values")),
+    "additive_online": (AdditiveOnlineGame, ("user", "opt", "start", "end", "per_slot")),
+    "substitutable_offline": (SubstOfflineGame, ("user", "substitutes", "value")),
+    "substitutable_online": (SubstOnlineGame, ("user", "substitutes", "start", "end", "per_slot")),
+}
+KINDS = tuple(GAME_KINDS)
 
 
 def money_str(value: Money) -> str:
@@ -61,14 +67,9 @@ def money_str(value: Money) -> str:
 
 
 def game_kind(game) -> str:
-    if isinstance(game, AdditiveOfflineGame):
-        return "additive_offline"
-    if isinstance(game, (OnlineAdditiveGame, AdditiveOnlineMultiGame)):
-        return "additive_online"
-    if isinstance(game, SubstOfflineGame):
-        return "substitutable_offline"
-    if isinstance(game, SubstOnlineGame):
-        return "substitutable_online"
+    for kind, (game_type, _) in GAME_KINDS.items():
+        if isinstance(game, game_type):
+            return kind
     raise TypeError(f"unknown game type {type(game).__name__}")
 
 
@@ -110,8 +111,9 @@ def _bid_to_dict(bid) -> dict:
 
 def game_from_dict(data: dict):
     """Build a game from its JSON form.  Every malformed field raises a
-    :class:`GameError` that names it by path (``bids[0].user``)."""
-    data = _object(data, "game")
+    :class:`GameError` that names it by path (``bids[0].user``), as does
+    every key the game, a catalog entry or a bid of its kind may not hold."""
+    data = _object(data, "", ("schema", "kind", "catalog", "slots", "bids"))
     schema = data.get("schema")
     if type(schema) is not int or schema != SCHEMA:  # not True or 1.0, which equal 1
         raise GameError(f"schema: expected the integer {SCHEMA}, got {schema!r}")
@@ -120,7 +122,7 @@ def game_from_dict(data: dict):
         raise GameError(f"kind: expected one of {KINDS}, got {kind!r}")
     catalog = []
     for i, o in enumerate(_field(data, "catalog", "", _list)):
-        o = _object(o, f"catalog[{i}]")
+        o = _object(o, f"catalog[{i}]", ("id", "cost"))
         catalog.append(Optimization(_field(o, "id", f"catalog[{i}]", _int), _field(o, "cost", f"catalog[{i}]", _money)))
     catalog = tuple(catalog)
     slots = _int(data.get("slots", 1), "slots")
@@ -129,7 +131,7 @@ def game_from_dict(data: dict):
     raw_bids = _field(data, "bids", "", _list)
     if len(raw_bids) > MAX_BIDS:
         raise GameError(f"bids: must hold at most {MAX_BIDS} bids (got {len(raw_bids)})")
-    bids = [(_object(b, f"bids[{i}]"), f"bids[{i}]") for i, b in enumerate(raw_bids)]
+    bids = [(_object(b, f"bids[{i}]", GAME_KINDS[kind][1]), f"bids[{i}]") for i, b in enumerate(raw_bids)]
     game = _build(kind, catalog, slots, bids)
     _check_scale(game)
     return game
@@ -171,17 +173,11 @@ def _build(kind: str, catalog: tuple, slots: int, bids: list):
             tuple(AdditiveOfflineBid(_field(b, "user", p, _int), _offline_values(b, p)) for b, p in bids),
         )
     if kind == "additive_online":
-        parsed = tuple(
-            AdditiveOnlineBid(
-                _field(b, "user", p, _int),
-                _int(b.get("opt", catalog[0].id if catalog else 1), f"{p}.opt"),
-                *_window(b, p),
-            )
-            for b, p in bids
+        return AdditiveOnlineGame(
+            catalog,
+            SlotHorizon(slots),
+            tuple(AdditiveOnlineBid(_field(b, "user", p, _int), _opt(b, p, catalog), *_window(b, p)) for b, p in bids),
         )
-        if len(catalog) == 1:
-            return OnlineAdditiveGame(catalog[0], SlotHorizon(slots), parsed)
-        return AdditiveOnlineMultiGame(catalog, SlotHorizon(slots), parsed)
     if kind == "substitutable_offline":
         return SubstOfflineGame(
             catalog,
@@ -210,9 +206,14 @@ def _field(obj: dict, key: str, path: str, parse):
     return parse(obj[key], name)
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, keys=None) -> dict:
+    """``value``, a JSON object holding no key outside ``keys`` (if given);
+    ``path`` names it, "" the game itself."""
     if not isinstance(value, dict):
-        raise GameError(f"{path}: expected a JSON object")
+        raise GameError(f"{path or 'game'}: expected a JSON object")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise GameError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
     return value
 
 
@@ -237,6 +238,14 @@ def _money(value, path: str) -> Money:
 
 def _substitutes(value, path: str) -> frozenset:
     return frozenset(_int(j, f"{path}[{k}]") for k, j in enumerate(_list(value, path)))
+
+
+def _opt(bid: dict, path: str, catalog: tuple) -> int:
+    """An additive online bid's optimization, which it may leave out only
+    when the catalog holds exactly one."""
+    if "opt" in bid or len(catalog) != 1:
+        return _field(bid, "opt", path, _int)
+    return catalog[0].id
 
 
 def _window(bid: dict, path: str) -> tuple:

@@ -34,10 +34,11 @@ from functools import partial
 
 from .additive_online import serve
 from .analysis import MECHANISMS
+from .core import AdditiveOnlineGame, SubstOnlineGame
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
 from .regret import trigger, trigger_points
 from .scaled import Factors, ScaledGame, settle_points
-from .scenarios import ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
+from .scenarios import FAMILIES, ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
 from .substitutable import grant
 
 # Bound here only for perfbench/spans.py, whose traced run wraps each of
@@ -50,13 +51,12 @@ from .regret import regret_run  # noqa: F401
 from .scenarios import generate  # noqa: F401
 from .substitutable import subst_on  # noqa: F401
 
+# The mechanisms that run on each family's games: those whose kinds hold
+# its game type, ``SubstOnlineGame`` for selectivity, else ``AdditiveOnlineGame``.
 FAMILY_MECHANISMS = {
-    "collab_size": {"add_on", "regret"},
-    "overlap_slots": {"add_on", "regret"},
-    "duration_spread": {"add_on", "regret"},
-    "arrival_skew": {"add_on", "regret"},
-    "usecase_shape": {"add_on", "regret"},
-    "selectivity": {"subst_on", "regret"},
+    family: {m for m, (kinds, _) in MECHANISMS.items() if game_type in kinds}
+    for family in FAMILIES
+    for game_type in [SubstOnlineGame if family == "selectivity" else AdditiveOnlineGame]
 }
 
 # Every cost point runs every trial; the shipped configs use 25 points.
@@ -122,6 +122,7 @@ class ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object")
+    _known(data, ("schema", "scenario", "mechanisms", "cost_sweep", "output", "details"))
     schema = data.get("schema")
     if type(schema) is not int or schema != 1:  # not True or 1.0, which equal 1
         raise ConfigError(f"schema: expected the integer 1, got {schema!r}")
@@ -136,6 +137,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "cost_sweep" not in data:  # an empty list is no sweep, and ExperimentConfig rejects it
         sweep = [scenario.cost]
     elif isinstance(raw_sweep, dict):
+        _known(raw_sweep, ("start", "stop", "step"), "cost_sweep.")
         start, stop, step = (_range_bound(raw_sweep, key) for key in ("start", "stop", "step"))
         if step <= 0:
             raise ConfigError("cost_sweep.step: must be positive")
@@ -166,6 +168,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         return ExperimentConfig(scenario, tuple(mechanisms), tuple(sweep), output, details)
     except ScenarioError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _known(obj: dict, keys, prefix: str = ""):
+    """Raise a ``ConfigError`` naming the first key of ``obj`` outside ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}: unknown key")
 
 
 def _range_bound(raw_sweep: dict, key: str) -> Money:

@@ -39,7 +39,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 from .core import (
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     GameError,
     OptId,
     Optimization,
@@ -293,12 +293,12 @@ def regret_run(
     catalog = tuple(catalog)
     bids = tuple(values)
     if not bids:
-        empty = ScaledGame(AdditiveOnlineMultiGame(catalog, horizon, ()))
+        empty = ScaledGame(AdditiveOnlineGame(catalog, horizon, ()))
         return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, empty, ({}, {}, {}))
     additive = isinstance(bids[0], AdditiveOnlineBid)
     if any(isinstance(b, AdditiveOnlineBid) != additive for b in bids):
         raise GameError("cannot mix additive and substitutable bids")
-    game = AdditiveOnlineMultiGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
+    game = AdditiveOnlineGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
     scaled = ScaledGame(game)
     costs, scale = scaled.costs[0], scaled.scale
     run = trigger(scaled, costs)

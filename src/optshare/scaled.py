@@ -118,13 +118,12 @@ def cost_rows(base: Mapping[OptId, int], units: Sequence[int]) -> list[dict[OptI
 class ScaledGame:
     """Bids and costs of one game as integers over ``scale``.
 
-    ``game`` is an :class:`OnlineAdditiveGame`, an
-    :class:`AdditiveOnlineMultiGame` or a :class:`SubstOnlineGame`, whose
-    constructors have checked bid windows and optimization ids, or an
-    :class:`AdditiveOfflineGame` or a :class:`SubstOfflineGame`, played as
-    the one-slot online game it degenerates to: an additive bid gives one
-    bid per optimization it values, a substitutable bid one bid, each in
-    slot 1.  Bids are numbered in game order: ``users[i]``, ``starts[i]``
+    ``game`` is an :class:`AdditiveOnlineGame` or a
+    :class:`SubstOnlineGame`, whose constructors have checked bid windows
+    and optimization ids, or an :class:`AdditiveOfflineGame` or a
+    :class:`SubstOfflineGame`, played as the one-slot online game it
+    degenerates to: an additive bid gives one bid per optimization it
+    values, a substitutable bid one bid, each in slot 1.  Bids are numbered in game order: ``users[i]``, ``starts[i]``
     and ``ends[i]`` are bid ``i``'s user and window, ``suffix[i][k]`` its
     scaled value from slot ``starts[i] + k`` on, with a trailing 0, and
     ``interest[i]`` the optimizations it values.  ``costs[p][j]`` is

@@ -50,8 +50,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import (
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
-    OnlineAdditiveGame,
+    AdditiveOnlineGame,
     OptId,
     Optimization,
     SlotHorizon,
@@ -151,9 +150,9 @@ class ScenarioSpec:
                 data["cost"] = parse_money(data["cost"])
             except ValueError as exc:
                 raise ScenarioError(f"scenario.cost: {exc}") from exc
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ScenarioError(f"scenario: unknown fields {sorted(unknown)}")
+        for key in data:
+            if key not in cls.__dataclass_fields__:
+                raise ScenarioError(f"scenario.{key}: unknown key")
         try:
             return cls(**data)
         except TypeError as exc:
@@ -415,7 +414,7 @@ def generate(spec: ScenarioSpec, trial: int):
             for u, s, e in zip(users, d.starts, d.ends)
             for j, cents in _usecase_bids(spec, u)
         )
-        return AdditiveOnlineMultiGame(catalog, horizon, bids)
+        return AdditiveOnlineGame(catalog, horizon, bids)
     # one additive optimization; duration_spread splits each user's value
     # evenly over a window of its duration, truncated at the horizon
     duration = spec.duration if spec.family == "duration_spread" else 1
@@ -423,7 +422,7 @@ def generate(spec: ScenarioSpec, trial: int):
         AdditiveOnlineBid(u, 1, s, e, (Fraction(v, GRID * duration),) * (e - s + 1))
         for u, s, e, v in zip(users, d.starts, d.ends, d.values)
     )
-    return OnlineAdditiveGame(Optimization(1, spec.cost), horizon, bids)
+    return AdditiveOnlineGame((Optimization(1, spec.cost),), horizon, bids)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    OnlineAdditiveGame,
+    AdditiveOnlineGame,
     Optimization,
     SlotHorizon,
     SubstOfflineGame,
@@ -129,7 +129,7 @@ def rand_additive_offline(rng, max_users=5, max_opts=3, hi_pct=130) -> AdditiveO
     return AdditiveOfflineGame(catalog, tuple(bids))
 
 
-def rand_additive_online(rng, max_users=5, max_slots=4) -> OnlineAdditiveGame:
+def rand_additive_online(rng, max_users=5, max_slots=4) -> AdditiveOnlineGame:
     m, z = rng.randint(1, max_users), rng.randint(1, max_slots)
     bids = []
     total = 0
@@ -139,7 +139,7 @@ def rand_additive_online(rng, max_users=5, max_slots=4) -> OnlineAdditiveGame:
         row, cents = _rand_row(rng, e - s + 1)
         total += cents
         bids.append(AdditiveOnlineBid(u, 1, s, e, row))
-    return OnlineAdditiveGame(Optimization(1, _cost_near(rng, total)), SlotHorizon(z), tuple(bids))
+    return AdditiveOnlineGame((Optimization(1, _cost_near(rng, total)),), SlotHorizon(z), tuple(bids))
 
 
 def rand_subst_offline(rng, max_users=5, max_opts=3) -> SubstOfflineGame:
@@ -196,8 +196,8 @@ def suite_golden_examples() -> list[Violation]:
 
     # Online additive, staggered arrivals: early leaver pays the whole cost,
     # later joiners split the lowered share.
-    game = OnlineAdditiveGame(
-        Optimization(1, F(100)),
+    game = AdditiveOnlineGame(
+        (Optimization(1, F(100)),),
         SlotHorizon(3),
         (
             AdditiveOnlineBid(1, 1, 1, 1, (F(101),)),
@@ -337,16 +337,17 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
     for _ in range(games):
         game = rand_additive_online(rng)
         trace = add_on(game)
-        cs = trace.schedule.cumulative_at(game.optimization.id, game.horizon.z)
+        (opt,) = game.catalog
+        cs = trace.schedule.cumulative_at(opt.id, game.horizon.z)
         paid = sum(trace.payments.values(), ZERO)
         if cs:
-            if paid < game.optimization.cost:
-                out.append(Violation("cost_recovery", f"additive online: recovered {paid} < cost {game.optimization.cost}", game_json(game)))
+            if paid < opt.cost:
+                out.append(Violation("cost_recovery", f"additive online: recovered {paid} < cost {opt.cost}", game_json(game)))
         elif paid != 0:
             out.append(Violation("cost_recovery", f"additive online: charged {paid} with nobody serviced", game_json(game)))
         prev: frozenset = frozenset()
         for t in game.horizon.slots():
-            cur = trace.schedule.cumulative_at(game.optimization.id, t)
+            cur = trace.schedule.cumulative_at(opt.id, t)
             if not prev <= cur:
                 out.append(Violation("cost_recovery", "additive online: cumulative set shrank", game_json(game)))
             prev = cur
@@ -484,10 +485,11 @@ def suite_degeneration(seed: int, games: int) -> list[Violation]:
     for _ in range(games):
         game = rand_additive_online(rng, max_users=5, max_slots=1)
         trace = add_on(game)
-        ref = shapley(game.optimization.cost, {b.user: b.per_slot[0] for b in game.bids})
+        (opt,) = game.catalog
+        ref = shapley(opt.cost, {b.user: b.per_slot[0] for b in game.bids})
         if trace.payments != ref.payments:
             out.append(Violation("degeneration", "one-slot online additive != offline equal share", game_json(game)))
-        if trace.schedule.serviced_at(game.optimization.id, 1) != ref.serviced:
+        if trace.schedule.serviced_at(opt.id, 1) != ref.serviced:
             out.append(Violation("degeneration", "one-slot online additive serviced set mismatch", game_json(game)))
 
     # Singleton substitute sets partitioned by optimization == additive offline.
@@ -519,7 +521,7 @@ def suite_degeneration(seed: int, games: int) -> list[Violation]:
     # Slot-by-slot session feed == whole-game run (bids fed at their start).
     for _ in range(games):
         game = rand_additive_online(rng, max_users=5, max_slots=4)
-        state = new_session(game.optimization, game.horizon)
+        state = new_session(game.catalog[0], game.horizon)
         for t in game.horizon.slots():
             arrivals = [b for b in game.bids if b.start == t]
             _, _, state = step_session(state, t, arrivals)

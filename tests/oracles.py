@@ -50,10 +50,9 @@ from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     CatalogMismatch,
     GameError,
-    OnlineAdditiveGame,
     OnlineBid,
     Optimization,
     SlotHorizon,
@@ -322,9 +321,9 @@ def schedule_opts(schedule):
 
 
 def per_opt_games(game):
-    """A multi-optimization additive online game as one single-optimization
-    game per optimization, as the online mechanism plays it."""
-    return [OnlineAdditiveGame(opt, game.horizon, tuple(b for b in game.bids if b.opt == opt.id)) for opt in game.catalog]
+    """An additive online game as one single-optimization game per
+    optimization of its catalog, each with the bids on it."""
+    return [AdditiveOnlineGame((opt,), game.horizon, tuple(b for b in game.bids if b.opt == opt.id)) for opt in game.catalog]
 
 
 def parse_exact(text):
@@ -574,7 +573,7 @@ def reference_generate(spec, trial):
                     continue
                 per_slot = Fraction(cents * spec.executions_per_slot, 100)
                 bids.append(AdditiveOnlineBid(user, opt.id, start, end, (per_slot,) * (end - start + 1)))
-        return AdditiveOnlineMultiGame(catalog, horizon, tuple(bids))
+        return AdditiveOnlineGame(catalog, horizon, tuple(bids))
     for user in range(1, spec.users + 1):
         if spec.family == "duration_spread":
             start = int(rng.integers(1, z, endpoint=True))
@@ -584,7 +583,7 @@ def reference_generate(spec, trial):
             start = end = _start_slot(rng, z, spec.skew)
             per_slot = grid_value()
         bids.append(AdditiveOnlineBid(user, 1, start, end, (per_slot,) * (end - start + 1)))
-    return OnlineAdditiveGame(Optimization(1, spec.cost), horizon, tuple(bids))
+    return AdditiveOnlineGame((Optimization(1, spec.cost),), horizon, tuple(bids))
 
 
 def recost(game, spec, cost):
@@ -597,8 +596,8 @@ def recost(game, spec, cost):
         return SubstOnlineGame(catalog, game.horizon, game.bids)
     if spec.family == "usecase_shape":
         catalog = tuple(Optimization(o.id, cost) for o in game.catalog)
-        return AdditiveOnlineMultiGame(catalog, game.horizon, game.bids)
-    return OnlineAdditiveGame(Optimization(game.optimization.id, cost), game.horizon, game.bids)
+        return AdditiveOnlineGame(catalog, game.horizon, game.bids)
+    return AdditiveOnlineGame((Optimization(game.catalog[0].id, cost),), game.horizon, game.bids)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +634,7 @@ def reference_rand_additive_online(rng, max_users=5, max_slots=4):
         e = rng.randint(s, z)
         bids.append(AdditiveOnlineBid(u, 1, s, e, tuple(reference_rand_money(rng) for _ in range(e - s + 1))))
     total = sum((residual_from(b, 1) for b in bids), ZERO)
-    return OnlineAdditiveGame(Optimization(1, _reference_cost_near(rng, total)), SlotHorizon(z), tuple(bids))
+    return AdditiveOnlineGame((Optimization(1, _reference_cost_near(rng, total)),), SlotHorizon(z), tuple(bids))
 
 
 def reference_rand_subst_offline(rng, max_users=5, max_opts=3):

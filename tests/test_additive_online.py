@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 from optshare.additive_online import add_on, new_session, step_session
 from optshare.core import (
     AdditiveOnlineBid,
+    AdditiveOnlineGame,
     GameError,
-    OnlineAdditiveGame,
     Optimization,
     RevisionError,
     SlotHorizon,
     SlotOrderError,
 )
+from optshare.scenarios import ScenarioSpec, generate
 from optshare.shapley import shapley
 
-from oracles import replay_online_additive
+from oracles import per_opt_games, replay_online_additive
+from test_traces import _rand_multi
 
 F = Fraction
 
@@ -25,7 +27,7 @@ def bid(user, start, end, *values):
 
 
 def game(cost, z, *bids):
-    return OnlineAdditiveGame(Optimization(1, F(cost)), SlotHorizon(z), bids)
+    return AdditiveOnlineGame((Optimization(1, F(cost)),), SlotHorizon(z), bids)
 
 
 def test_staggered_arrivals_trace():
@@ -37,7 +39,7 @@ def test_staggered_arrivals_trace():
     assert t.schedule.cumulative_at(1, 3) == {1, 2, 3, 4}
     # the early leaver is no longer active but second-slot arrivals are
     assert t.schedule.serviced_at(1, 2) == {2, 3, 4}
-    assert t.share_history[1] == F(100) and t.share_history[2] == F(25)
+    assert t.share_history[1, 1] == F(100) and t.share_history[1, 2] == F(25)
 
 
 def test_two_truthful_users_split_at_first_slot():
@@ -64,6 +66,14 @@ def test_bid_outside_horizon_rejected():
         game(100, 2, bid(1, 1, 3, 5, 5, 5))
 
 
+def test_session_rejects_a_bid_the_game_would():
+    state = new_session(Optimization(1, F(100)), SlotHorizon(2))
+    with pytest.raises(GameError, match="unknown optimization 2"):
+        step_session(state, 1, [AdditiveOnlineBid(1, 2, 1, 1, (F(5),))])
+    with pytest.raises(GameError, match="past the horizon"):
+        step_session(state, 1, [bid(1, 1, 3, 5, 5, 5)])
+
+
 def test_duplicate_user_rejected():
     with pytest.raises(GameError):
         add_on(game(100, 2, bid(1, 1, 1, 5), bid(1, 2, 2, 5)))
@@ -84,7 +94,7 @@ def online_games(draw, max_users=5, max_slots=4):
         vals = tuple(F(draw(values_st), 100) for _ in range(e - s + 1))
         bids.append(AdditiveOnlineBid(u, 1, s, e, vals))
     cost = F(draw(st.integers(1, 500)), 100)
-    return OnlineAdditiveGame(Optimization(1, cost), SlotHorizon(z), tuple(bids))
+    return AdditiveOnlineGame((Optimization(1, cost),), SlotHorizon(z), tuple(bids))
 
 
 @given(online_games())
@@ -92,7 +102,7 @@ def online_games(draw, max_users=5, max_slots=4):
 def test_matches_slot_replay_oracle(g):
     t = add_on(g)
     cs, payments, serviced = replay_online_additive(
-        g.optimization.cost, g.horizon.z, [(b.user, b.start, b.end, b.per_slot) for b in g.bids]
+        g.catalog[0].cost, g.horizon.z, [(b.user, b.start, b.end, b.per_slot) for b in g.bids]
     )
     assert t.payments == payments
     assert t.schedule.cumulative_at(1, g.horizon.z) == cs
@@ -111,8 +121,8 @@ def test_online_invariants(g):
         cur = t.schedule.cumulative_at(1, slot)
         assert prev <= cur  # cumulative set never shrinks
         if cur:
-            share = g.optimization.cost / len(cur)
-            assert t.share_history[slot] == share
+            share = g.catalog[0].cost / len(cur)
+            assert t.share_history[1, slot] == share
             if prev_share is not None:
                 assert share <= prev_share
             prev_share = share
@@ -121,12 +131,12 @@ def test_online_invariants(g):
     ends = {b.user: b.end for b in g.bids}
     for b in g.bids:
         if b.user in final:
-            assert t.payments[b.user] == g.optimization.cost / len(t.schedule.cumulative_at(1, ends[b.user]))
+            assert t.payments[b.user] == g.catalog[0].cost / len(t.schedule.cumulative_at(1, ends[b.user]))
         else:
             assert t.payments[b.user] == 0
     paid = sum(t.payments.values(), F(0))
     if final:
-        assert paid >= g.optimization.cost  # never a loss
+        assert paid >= g.catalog[0].cost  # never a loss
     else:
         assert paid == 0
 
@@ -135,7 +145,7 @@ def test_online_invariants(g):
 @settings(max_examples=150, deadline=None)
 def test_single_slot_equals_offline_run(g):
     t = add_on(g)
-    ref = shapley(g.optimization.cost, {b.user: b.per_slot[0] for b in g.bids})
+    ref = shapley(g.catalog[0].cost, {b.user: b.per_slot[0] for b in g.bids})
     assert t.payments == ref.payments
     assert t.schedule.serviced_at(1, 1) == ref.serviced
 
@@ -143,7 +153,7 @@ def test_single_slot_equals_offline_run(g):
 @given(online_games())
 @settings(max_examples=150, deadline=None)
 def test_session_feed_equals_batch(g):
-    state = new_session(g.optimization, g.horizon)
+    state = new_session(g.catalog[0], g.horizon)
     for slot in g.horizon.slots():
         _, _, state = step_session(state, slot, [b for b in g.bids if b.start == slot])
     t = state.trace()
@@ -190,3 +200,37 @@ def test_session_rejects_revision_after_departure():
     _, _, state = step_session(state, 2)
     with pytest.raises(RevisionError):
         step_session(state, 3, [bid(1, 1, 3, 20, 0, 5)])
+
+
+def assert_add_on_is_its_per_optimization_runs(game):
+    """One ``add_on`` run of a game settles each optimization as a run of
+    the game cut to that optimization and the bids on it would: payments
+    summed per user, served sets, and the optimization's share history."""
+    trace = add_on(game)
+    paid, served = dict.fromkeys(trace.payments, F(0)), {}
+    for single in per_opt_games(game):
+        (opt,) = single.catalog
+        run = add_on(single)
+        for user, amount in run.payments.items():
+            paid[user] += amount
+        served.update(run.schedule.served)
+        assert {key: s for key, s in trace.share_history.items() if key[0] == opt.id} == run.share_history
+    assert trace.payments == paid
+    assert trace.schedule.served == served
+    assert {j for j, _ in trace.share_history} <= {o.id for o in game.catalog}
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_add_on_of_several_optimizations_is_its_per_optimization_runs(rng):
+    assert_add_on_is_its_per_optimization_runs(_rand_multi(rng))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_add_on_of_a_usecase_shape_game_is_its_per_optimization_runs(seed):
+    # at these costs most games implement several optimizations
+    spec = ScenarioSpec(family="usecase_shape", users=5, slots=6, opt_count=4, cost=F(1 + seed, 100), seed=seed, trials=5)
+    for trial in range(spec.trials):
+        game = generate(spec, trial)
+        assert len(game.catalog) == 4
+        assert_add_on_is_its_per_optimization_runs(game)

@@ -14,9 +14,8 @@ from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     EnumerationGuard,
-    OnlineAdditiveGame,
     Optimization,
     SlotHorizon,
     SubstOfflineGame,
@@ -32,8 +31,8 @@ F = Fraction
 
 
 def test_score_staggered_online_trace():
-    g = OnlineAdditiveGame(
-        Optimization(1, F(100)),
+    g = AdditiveOnlineGame(
+        (Optimization(1, F(100)),),
         SlotHorizon(3),
         (
             AdditiveOnlineBid(1, 1, 1, 1, (F(101),)),
@@ -52,13 +51,13 @@ def test_score_staggered_online_trace():
 
 
 def test_score_empty_schedule():
-    g = OnlineAdditiveGame(Optimization(1, F(100)), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 1, (F(1),)),))
+    g = AdditiveOnlineGame((Optimization(1, F(100)),), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 1, (F(1),)),))
     m = score(g, add_on(g))
     assert m.total_value == 0 and m.total_cost == 0 and m.cloud_balance == 0
 
 
 def test_score_uses_true_values_not_bids():
-    g = OnlineAdditiveGame(Optimization(1, F(10)), SlotHorizon(1), (AdditiveOnlineBid(1, 1, 1, 1, (F(20),)),))
+    g = AdditiveOnlineGame((Optimization(1, F(10)),), SlotHorizon(1), (AdditiveOnlineBid(1, 1, 1, 1, (F(20),)),))
     truth = {1: AdditiveOnlineBid(1, 1, 1, 1, (F(4),))}  # overbidder's real value
     m = score(g, add_on(g), truth)
     assert m.per_user_utility[1] == F(4) - F(10)
@@ -164,8 +163,8 @@ def test_deviation_search_zero_value_user_cannot_gain():
 
 
 def test_online_deviation_example_two_users():
-    game = OnlineAdditiveGame(
-        Optimization(1, F(100)),
+    game = AdditiveOnlineGame(
+        (Optimization(1, F(100)),),
         SlotHorizon(2),
         (AdditiveOnlineBid(1, 1, 1, 1, (F(101),)), AdditiveOnlineBid(2, 1, 1, 2, (F(26), F(26)))),
     )
@@ -254,14 +253,14 @@ def test_score_dispatch_matches_internal_totals():
     outcome, ledger = add_off(catalog, bids)
     m = score(game, (outcome, ledger))
     assert m.cloud_balance == grand_total(ledger) - m.total_cost
-    g2 = OnlineAdditiveGame(Optimization(1, F(100)), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 2, (F(60), F(60))),))
-    trace = regret_run((g2.optimization,), g2.horizon, g2.bids)
+    g2 = AdditiveOnlineGame((Optimization(1, F(100)),), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 2, (F(60), F(60))),))
+    trace = regret_run(g2.catalog, g2.horizon, g2.bids)
     m2 = score(g2, trace)
     assert m2.total_value == trace.realized_value
     assert m2.cloud_balance == trace.cloud_balance
     assert m2.total_utility == trace.total_utility
     # one user bidding on two additive optimizations realizes both
-    g3 = AdditiveOnlineMultiGame(
+    g3 = AdditiveOnlineGame(
         (Optimization(1, F(5)), Optimization(2, F(5))),
         SlotHorizon(2),
         (AdditiveOnlineBid(1, 1, 1, 2, (F(6), F(6))), AdditiveOnlineBid(1, 2, 1, 2, (F(6), F(6)))),

@@ -11,7 +11,8 @@ outside its ``--out`` directory.
 Configs are cut to one trial and two cost points before they are mutated,
 so that a run that is accepted stays small.  A config with just one field
 replaced (at up to 20 trials and 5 cost points) must also name that field
-when it is rejected.
+when it is rejected, and one with a key added where no such key belongs
+must be rejected naming the key.
 
 Valid games near the loader's bounds are replayed too: up to the most bids
 and slots a game file may hold, over long pairwise coprime denominators
@@ -169,6 +170,32 @@ def test_run_of_a_config_with_one_bad_field_exits_0_or_2_naming_it(path, data):
     if rc == 2:
         names = [field] + ([field[: field.index("[")]] if "[" in field else [])
         assert any(re.match(rf"config error: {re.escape(name)}[:.[]", err) for name in names), (field, err)
+
+
+# Keys that no config object holds: near misses of real keys, and others.
+UNKNOWN_KEYS = st.one_of(
+    st.sampled_from(("cost_swep", "detials", "mechanism", "outputs", "user", "seeds", "stpe", "Schema", "")),
+    st.text(min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CONFIGS), st.data())
+def test_run_of_a_config_with_an_unknown_key_exits_2_naming_it(path, data):
+    """A shipped config, its cost points as a list or a range, with one key
+    added to the config, its scenario or its cost range: exit 2 with an
+    error that names the key by its path."""
+    config = small(json.loads(path.read_text()))
+    if data.draw(st.booleans()):
+        config["cost_sweep"] = {"start": config["cost_sweep"][0], "stop": config["cost_sweep"][0], "step": "1"}
+    containers = [("", config), ("scenario.", config["scenario"])]
+    if isinstance(config["cost_sweep"], dict):
+        containers.append(("cost_sweep.", config["cost_sweep"]))
+    prefix, container = data.draw(st.sampled_from(containers))
+    key = data.draw(UNKNOWN_KEYS.filter(lambda k: k not in container))  # a shipped config holds every key
+    container[key] = data.draw(st.sampled_from(BAD_VALUES[0] + ("1",)))
+    rc, err = run_cli(config, ["run", "--config", "{file}", "--out", "{dir}"])
+    assert (rc, err) == (2, f"config error: {prefix}{key}: unknown key\n")
 
 
 # Denominators k * COPRIME_BASE * 10**digits + 1 for k = 1..60 are pairwise

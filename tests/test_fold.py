@@ -25,9 +25,9 @@ from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
+    AdditiveOnlineGame,
     FrozenDict,
     GameError,
-    OnlineAdditiveGame,
     Optimization,
     PaymentLedger,
     ServiceSchedule,
@@ -122,7 +122,7 @@ def test_score_folds_session_traces_through_their_last_fed_slot(rng):
     state = new_session(opt, horizon)
     for slot, bids in steps[: rng.randint(1, len(steps))]:
         _, _, state = step_session(state, slot, bids)
-    game = OnlineAdditiveGame(opt, horizon, tuple(state.declared.values()))
+    game = AdditiveOnlineGame((opt,), horizon, tuple(state.declared.values()))
     trace = state.trace()
     assert score(game, trace) == reference_score(game, trace)
     truth = truth_of(rng, game)
@@ -213,7 +213,7 @@ def frozen_fields():
     bid = AdditiveOfflineBid(1, {1: F(12), 2: F(1, 3)})
     game = AdditiveOfflineGame((Optimization(1, F(10)), Optimization(2, F(1))), (bid, AdditiveOfflineBid(2, {1: F(3)})))
     outcome, ledger = add_off(game.catalog, game.bids)
-    online = OnlineAdditiveGame(Optimization(1, F(10)), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 2, (F(6), F(6))),))
+    online = AdditiveOnlineGame((Optimization(1, F(10)),), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 2, (F(6), F(6))),))
     schedule = add_on(online).schedule
     return {
         "AdditiveOfflineBid.values": bid.values,

@@ -22,7 +22,7 @@ from optshare.analysis import deviation_search, multi_identity_probe, score
 from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     Optimization,
     SlotHorizon,
     SubstitutableOfflineBid,
@@ -67,7 +67,7 @@ def _rand_multi(rng):
                 s = rng.randint(1, z)
                 e = rng.randint(s, z)
                 bids.append(AdditiveOnlineBid(u, j, s, e, tuple(rand_money(rng) for _ in range(e - s + 1))))
-    return AdditiveOnlineMultiGame(catalog, SlotHorizon(z), tuple(bids))
+    return AdditiveOnlineGame(catalog, SlotHorizon(z), tuple(bids))
 
 
 def report_lines():
@@ -95,7 +95,7 @@ def report_lines():
         reports(("subst_off",), game, [("subst_off", subst_off(game.catalog, game.bids))])
     for _ in range(GAMES_PER_KIND):
         game = rand_additive_online(rng, max_users=4, max_slots=3)
-        results = [("add_on", add_on(game)), ("regret", regret_run((game.optimization,), game.horizon, game.bids))]
+        results = [("add_on", add_on(game)), ("regret", regret_run(game.catalog, game.horizon, game.bids))]
         reports(("add_on",), game, results)
     for _ in range(GAMES_PER_KIND):
         game = rand_subst_online(rng, max_users=4, max_opts=3, max_slots=3)

@@ -16,7 +16,7 @@ import pytest
 
 import optshare
 from optshare.cli import main
-from optshare.core import AdditiveOnlineBid, GameError, OnlineAdditiveGame, Optimization, SlotHorizon
+from optshare.core import AdditiveOnlineBid, AdditiveOnlineGame, GameError, Optimization, SlotHorizon
 from optshare.gamefiles import MAX_BIDS, MAX_SCALE_DIGITS, dump_game, game_from_dict, game_to_dict, load_game, money_str
 from optshare import harness, scenarios
 from optshare.experiments import trend_configs
@@ -26,6 +26,7 @@ from optshare.harness import (
     ConfigError,
     config_from_dict,
     default_workers,
+    load_config,
     run_experiment,
     sweep,
 )
@@ -65,8 +66,8 @@ def test_money_str_forms():
 
 
 def test_game_file_round_trip(tmp_path):
-    game = OnlineAdditiveGame(
-        Optimization(1, F(100)),
+    game = AdditiveOnlineGame(
+        (Optimization(1, F(100)),),
         SlotHorizon(3),
         (AdditiveOnlineBid(1, 1, 1, 3, (F("0.5"), F(0), F("1.25"))),),
     )
@@ -156,8 +157,8 @@ def test_cli_run_and_replay(tmp_path, capsys):
     assert out[0].endswith("exp.csv")
     assert os.path.exists(out[0])
 
-    game = OnlineAdditiveGame(
-        Optimization(1, F(100)),
+    game = AdditiveOnlineGame(
+        (Optimization(1, F(100)),),
         SlotHorizon(3),
         (
             AdditiveOnlineBid(1, 1, 1, 1, (F(101),)),
@@ -733,6 +734,10 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
         ({"output": "x" * (MAX_OUTPUT_BYTES + 1)}, f"output: at most {MAX_OUTPUT_BYTES} bytes as a file name (got 201)"),
         ({"output": "\u00e9" * 101}, f"output: at most {MAX_OUTPUT_BYTES} bytes as a file name (got 202)"),
         ({"output": "\ud800"}, "output: not encodable as a file name: '\\ud800'"),
+        ({"cost_swep": ["0.1"]}, "cost_swep: unknown key"),
+        ({"detials": True}, "detials: unknown key"),
+        ({"cost_sweep": {"start": "0.1", "stop": "0.3", "step": "0.1", "stpe": "1"}}, "cost_sweep.stpe: unknown key"),
+        ({"scenario": {"family": "collab_size", "user": 4}}, "scenario.user: unknown key"),
     ],
 )
 def test_cli_run_rejects_malformed_config(tmp_path, capsys, change, field):
@@ -813,6 +818,12 @@ def test_cli_verify_rejects_runs_past_the_bound(capsys, suite, games):
         (lambda game: game.__setitem__("schema", 1.0), "schema"),
         (lambda game: game.__setitem__("schema", 2), "schema"),
         (lambda game: game.pop("schema"), "schema"),
+        (lambda game: game.__setitem__("slot", game.pop("slots")), "slot"),
+        (lambda game: game.__setitem__("detials", {}), "detials"),
+        (lambda game: game["catalog"][0].__setitem__("costs", "1"), "catalog[0].costs"),
+        (lambda game: game["bids"][1].__setitem__("op", game["bids"][1].pop("opt")), "bids[1].op"),
+        (lambda game: game["bids"][2].__setitem__("substitutes", [1]), "bids[2].substitutes"),  # not an additive key
+        (lambda game: game["bids"][0].__setitem__("slot", 1), "bids[0].slot"),
     ],
 )
 def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
@@ -836,6 +847,37 @@ def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
 )
 def test_cli_replay_rejects_money_beyond_the_bound(tmp_path, capsys, break_it, field):
     test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field)
+
+
+GAMES_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "games"
+
+
+def replay_output(path, capsys, mechanism="add_on"):
+    rc = main(["replay", "--game", str(path), "--mechanism", mechanism])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_an_additive_online_bid_may_leave_out_opt_only_on_one_optimization(tmp_path, capsys):
+    # staggered_arrivals has one optimization: a bid without opt bids on it
+    game = json.loads((GAMES_DIR / "staggered_arrivals.json").read_text())
+    for bid in game["bids"]:
+        del bid["opt"]
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    assert replay_output(path, capsys) == replay_output(GAMES_DIR / "staggered_arrivals.json", capsys)
+    # two_views has two: a bid without opt is rejected, by name
+    game = json.loads((GAMES_DIR / "two_views.json").read_text())
+    del game["bids"][2]["opt"]
+    path.write_text(json.dumps(game))
+    rc, out, err = replay_output(path, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("config error: bids[2].opt: missing")
+
+
+def test_shipped_configs_are_the_canonical_definitions():
+    shipped = {path.stem: load_config(path) for path in GAMES_DIR.parent.glob("configs/*.json")}
+    assert shipped == trend_configs()
 
 
 def one_slot_game(cost: str, values) -> dict:

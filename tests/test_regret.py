@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from optshare.core import (
     AdditiveOnlineBid,
     GameError,
-    OnlineAdditiveGame,
     Optimization,
     SlotHorizon,
     SubstitutableOnlineBid,
@@ -223,8 +222,7 @@ def assert_trigger_matches_dense_loop(game, factors):
         want_entries, want_slots, _ = reference_trigger(scaled, costs)
         assert list(entries.items()) == list(want_entries.items())
         assert list(slots.items()) == list(want_slots.items())
-    catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
-    trace = regret_run(catalog, game.horizon, game.bids)
+    trace = regret_run(game.catalog, game.horizon, game.bids)
     scaled = ScaledGame(game)
     price, loss, dense = reference_trigger(scaled, scaled.costs[0])[2] if game.bids else ({}, {}, {})
     scale = scaled.scale

@@ -5,7 +5,9 @@ the stdout and exit code are compared with the ones recorded before the
 scorer folded the kernels' integer settlements (``two_views``, whose users
 bid on two optimizations each, before the regret kernel settled additive
 games in its slot loop): per user its payment, then the run's total value,
-total cost, total utility and cloud balance.
+total cost, total utility and cloud balance.  ``two_views`` with ``add_on``
+is recorded as the sums of the replays of its two one-optimization games
+from before ``add_on`` ran on several optimizations at once.
 """
 
 import contextlib
@@ -78,6 +80,15 @@ RECORDED = {
         "total cost 100",
         "total utility -16",
         "cloud balance -84",
+    ],
+    ("two_views", "add_on"): [
+        "user 1 pays 65",
+        "user 2 pays 65/3",
+        "user 3 pays 65/3",
+        "total value 210",
+        "total cost 65",
+        "total utility 145",
+        "cloud balance 130/3",
     ],
     ("two_views", "regret"): [
         "user 1 pays 0",

@@ -25,9 +25,8 @@ from optshare.additive_online import add_on, serve
 from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
+    AdditiveOnlineGame,
     GameError,
-    OnlineAdditiveGame,
     Optimization,
     SlotHorizon,
     SubstOnlineGame,
@@ -48,13 +47,11 @@ F = Fraction
 def reference(mechanism, game):
     """(utility, balance, implemented) through the public trace and scoring."""
     if mechanism == "regret":
-        catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
-        trace = regret_run(catalog, game.horizon, game.bids)
+        trace = regret_run(game.catalog, game.horizon, game.bids)
         metrics = score(game, trace)
         return metrics.total_utility, metrics.cloud_balance, bool(trace.implement_slot)
     if mechanism == "add_on":
-        games = [game] if isinstance(game, OnlineAdditiveGame) else per_opt_games(game)
-        metrics = [score(g, add_on(g)) for g in games]
+        metrics = [score(g, add_on(g)) for g in per_opt_games(game)]
         return (
             sum((m.total_utility for m in metrics), F(0)),
             sum((m.cloud_balance for m in metrics), F(0)),
@@ -162,9 +159,6 @@ def test_direct_rows_settle_as_the_fraction_path(family, skew, data, costs):
 
 
 def recosted(game, factor):
-    if isinstance(game, OnlineAdditiveGame):
-        opt = game.optimization
-        return OnlineAdditiveGame(Optimization(opt.id, opt.cost * factor), game.horizon, game.bids)
     catalog = tuple(Optimization(o.id, o.cost * factor) for o in game.catalog)
     return type(game)(catalog, game.horizon, game.bids)
 
@@ -198,7 +192,7 @@ def counted_serve_points(scaled):
 
 def test_serve_runs_once_for_points_with_one_outcome():
     bids = (AdditiveOnlineBid(1, 1, 1, 2, (F(30), F(1))), AdditiveOnlineBid(2, 1, 2, 3, (F(20), F(5))))
-    game = OnlineAdditiveGame(Optimization(1, F(1)), SlotHorizon(3), bids)
+    game = AdditiveOnlineGame((Optimization(1, F(1)),), SlotHorizon(3), bids)
     factors = [F(k, 5) for k in range(25, 0, -1)]  # dearest first: the sweep sorts them
     scaled = ScaledGame(game, factors)
     # both bids join at every point: bid 1 in slot 1 and bid 2 in slot 2, up
@@ -419,9 +413,9 @@ def test_scaled_game_checks_bids_and_costs():
     opt = Optimization(1, F(1))
     twice = (AdditiveOnlineBid(1, 1, 1, 1, (F(1),)), AdditiveOnlineBid(1, 1, 2, 2, (F(1),)))
     with pytest.raises(GameError, match="duplicate bid for user 1"):
-        ScaledGame(OnlineAdditiveGame(opt, SlotHorizon(2), twice))
+        ScaledGame(AdditiveOnlineGame((opt,), SlotHorizon(2), twice))
     # one user may bid on several additive optimizations
-    multi = AdditiveOnlineMultiGame(
+    multi = AdditiveOnlineGame(
         (opt, Optimization(2, F(1))),
         SlotHorizon(1),
         (AdditiveOnlineBid(1, 1, 1, 1, (F(1),)), AdditiveOnlineBid(1, 2, 1, 1, (F(1),))),

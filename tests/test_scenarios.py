@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from optshare.core import AdditiveOnlineMultiGame, OnlineAdditiveGame, SubstOnlineGame
+from optshare.core import AdditiveOnlineGame, SubstOnlineGame
 from optshare.scenarios import (
     FAMILIES,
     GRID,
@@ -42,7 +42,7 @@ def test_cost_does_not_disturb_the_draws():
     a = generate(spec(cost=F(1, 10)), 5)
     b = generate(spec(cost=F(9, 10)), 5)
     assert a.bids == b.bids
-    assert a.optimization.cost == F(1, 10) and b.optimization.cost == F(9, 10)
+    assert a.catalog[0].cost == F(1, 10) and b.catalog[0].cost == F(9, 10)
 
 
 positive_money = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4))
@@ -190,7 +190,7 @@ def test_collab_size_supports():
     s = spec(users=24)
     for trial in range(50):
         game = generate(s, trial)
-        assert isinstance(game, OnlineAdditiveGame)
+        assert isinstance(game, AdditiveOnlineGame) and len(game.catalog) == 1
         assert len(game.bids) == 24
         for b in game.bids:
             assert b.start == b.end
@@ -251,7 +251,7 @@ def test_selectivity_substitute_sets():
 def test_usecase_shape():
     s = spec(family="usecase_shape", users=6, slots=4, opt_count=5, cost=F("2.31"), executions_per_slot=30)
     game = generate(s, 0)
-    assert isinstance(game, AdditiveOnlineMultiGame)
+    assert isinstance(game, AdditiveOnlineGame)
     assert {o.id for o in game.catalog} == set(range(1, 6))
     by_user = {}
     for b in game.bids:

@@ -67,7 +67,8 @@ def session_lines():
         trace = state.trace()
         lines.append(f"{n} payments {list(trace.payments.items())!r}")
         lines.append(f"{n} served {[(k, sorted(v)) for k, v in sorted(trace.schedule.served.items())]}")
-        lines.append(f"{n} shares {sorted(trace.share_history.items())!r}")
+        shares = sorted((t, share) for (_, t), share in trace.share_history.items())  # by slot, as recorded
+        lines.append(f"{n} shares {shares!r}")
     return lines
 
 

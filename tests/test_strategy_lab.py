@@ -20,12 +20,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optshare.analysis import GRID_SCALES, SUBSET_CATALOG_LIMIT, _Lab, _declarations, _note, deviation_search
+from optshare.analysis import (
+    GRID_SCALES,
+    MECHANISMS as REGISTRY,
+    SUBSET_CATALOG_LIMIT,
+    _Lab,
+    _declarations,
+    _note,
+    deviation_search,
+    multi_identity_probe,
+)
 from optshare.core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
     AdditiveOnlineBid,
-    OnlineAdditiveGame,
+    AdditiveOnlineGame,
+    GameError,
     OnlineBid,
     Optimization,
     SlotHorizon,
@@ -35,6 +45,7 @@ from optshare.core import (
     SubstitutableOnlineBid,
 )
 from optshare.scaled import ScaledGame
+from optshare.scenarios import ScenarioSpec, generate
 from optshare.verification import (
     _rand_naive_game,
     rand_additive_offline,
@@ -77,7 +88,7 @@ def lab_game(kind, randint, choice, users=4, slots=3, opts=5):
     if kind == "additive_offline":
         return AdditiveOfflineGame(catalog, tuple(bids))
     if kind == "additive_online":
-        return OnlineAdditiveGame(catalog[0], SlotHorizon(z), tuple(bids))
+        return AdditiveOnlineGame((catalog[0],), SlotHorizon(z), tuple(bids))
     if kind == "subst_offline":
         return SubstOfflineGame(catalog, tuple(bids))
     return SubstOnlineGame(catalog, SlotHorizon(z), tuple(bids))
@@ -163,7 +174,7 @@ def _duplicate_substitutable_offline():
 
 def _duplicate_earlier_arrival():
     bids = [AdditiveOnlineBid(1, 1, 2, 2, (F(2),)), AdditiveOnlineBid(2, 1, 1, 1, (F(1),))]
-    return OnlineAdditiveGame(Optimization(1, F(3)), SlotHorizon(2), (*bids, AdditiveOnlineBid(2, 1, 1, 2, (F(1), F(3)))))
+    return AdditiveOnlineGame((Optimization(1, F(3)),), SlotHorizon(2), (*bids, AdditiveOnlineBid(2, 1, 1, 2, (F(1), F(3)))))
 
 
 @pytest.mark.parametrize(
@@ -331,3 +342,42 @@ def test_everyone_sharing_one_optimization_decides_the_grant():
     assert lab.cell(window, subset, 4) != lab.cell(window, subset, 5)
     assert [lab.utility(window, subset, k) for k in range(6)] == [(0, 1)] * 5 + [(30, 3)]
     assert_one_run_per_cell(lab, window, subset)
+
+
+def lab_games():
+    """One game of each kind, and a usecase_shape game, whose user 1 bids on
+    several optimizations."""
+    rng = random.Random(5)
+    return {
+        AdditiveOfflineGame: rand_additive_offline(rng),
+        AdditiveOnlineGame: rand_additive_online(rng),
+        SubstOfflineGame: rand_subst_offline(rng),
+        SubstOnlineGame: rand_subst_online(rng),
+        "usecase_shape": generate(ScenarioSpec(family="usecase_shape", users=3, slots=4, opt_count=4, trials=1), 0),
+    }
+
+
+@pytest.mark.parametrize("mechanism", ["add_off", "shapley", "naive_pay_bid", "add_on", "subst_off", "subst_on"])
+@pytest.mark.parametrize("lab", ["search", "probe"])
+def test_the_lab_runs_a_mechanism_only_on_its_game_type(mechanism, lab):
+    """A lab run of a mechanism on a game type its registry kinds do not
+    hold is a ``ValueError``, not a run of the game's own kernel under the
+    mechanism's name; ``shapley`` and ``naive_pay_bid`` run as ``add_off``."""
+    kind = REGISTRY["add_off" if mechanism in ("shapley", "naive_pay_bid") else mechanism][0][0]
+    run = deviation_search if lab == "search" else multi_identity_probe
+    for game_type, game in lab_games().items():
+        if game_type is kind and not (lab == "probe" and mechanism == "naive_pay_bid"):
+            assert run(mechanism, game, game.bids[0].user).mechanism == mechanism
+        else:
+            with pytest.raises(ValueError):
+                run(mechanism, game, game.bids[0].user)
+
+
+@pytest.mark.parametrize("run", [deviation_search, multi_identity_probe])
+def test_the_lab_refuses_a_user_with_several_bids_or_none(run):
+    game = lab_games()["usecase_shape"]
+    assert sum(b.user == 1 for b in game.bids) == 4
+    with pytest.raises(GameError, match="user 1 holds 4 bids"):
+        run("add_on", game, 1)
+    with pytest.raises(GameError, match="user 9 holds 0 bids"):
+        run("add_on", game, 9)

@@ -4,7 +4,9 @@ A seeded corpus of random additive and substitutable online games, random
 multi-optimization additive games and generated games of every scenario
 family runs through ``add_on``, ``subst_on`` and ``regret_run``.  Every
 public field of each trace is recorded: the served sets of the schedule
-(sorted), payments in dict order, ``add_on``'s share history,
+(sorted), payments in dict order, ``add_on``'s share history (each
+additive game is recorded one optimization at a time, its shares keyed by
+slot alone),
 ``subst_on``'s grants, grant slots, implemented set and per-slot phases
 (with their ties), and the regret baseline's trigger slots, posted prices,
 price losses, realized value, cloud balance, total cost and regret series.
@@ -20,8 +22,7 @@ from fractions import Fraction
 from optshare.additive_online import add_on
 from optshare.core import (
     AdditiveOnlineBid,
-    AdditiveOnlineMultiGame,
-    OnlineAdditiveGame,
+    AdditiveOnlineGame,
     Optimization,
     SlotHorizon,
     SubstOnlineGame,
@@ -56,7 +57,7 @@ def _rand_multi(rng):
                 s = rng.randint(1, z)
                 e = rng.randint(s, z)
                 bids.append(AdditiveOnlineBid(u, j, s, e, tuple(rand_money(rng) for _ in range(e - s + 1))))
-    return AdditiveOnlineMultiGame(catalog, SlotHorizon(z), tuple(bids))
+    return AdditiveOnlineGame(catalog, SlotHorizon(z), tuple(bids))
 
 
 def _rand_tied_subst(rng):
@@ -92,11 +93,14 @@ def _rand_spec(rng, family):
 
 
 def add_on_lines(game):
+    """``add_on``'s trace of a one-optimization game, each share keyed by
+    its slot alone, as the digest was recorded."""
     trace = add_on(game)
+    shares = [(t, share) for (_, t), share in trace.share_history.items()]
     return [
         f"add_on served {_served(trace.schedule)}",
         f"add_on payments {list(trace.payments.items())!r}",
-        f"add_on shares {list(trace.share_history.items())!r}",
+        f"add_on shares {shares!r}",
     ]
 
 
@@ -116,8 +120,7 @@ def subst_on_lines(game):
 
 
 def regret_lines(game):
-    catalog = (game.optimization,) if isinstance(game, OnlineAdditiveGame) else game.catalog
-    trace = regret_run(catalog, game.horizon, game.bids)
+    trace = regret_run(game.catalog, game.horizon, game.bids)
     return [
         f"regret triggers {list(trace.implement_slot.items())!r}",
         f"regret prices {list(trace.posted_price.items())!r} losses {list(trace.price_loss.items())!r}",
@@ -151,9 +154,7 @@ def trace_lines():
             for trial in range(spec.trials):
                 game = generate(spec, trial)
                 lines.append(f"{family} {spec.to_dict()} trial {trial}")
-                if isinstance(game, OnlineAdditiveGame):
-                    lines += add_on_lines(game)
-                elif isinstance(game, AdditiveOnlineMultiGame):
+                if isinstance(game, AdditiveOnlineGame):
                     for single in per_opt_games(game):
                         lines += add_on_lines(single)
                 else:
