@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .additive_online import add_on, serve
 from .core import (

@@ -6,16 +6,17 @@ of a ``scaled.ScaledGame`` (``scenarios.ScaledTrials``), on one scale for
 the sweep, with one integer cost per cost point, and each requested
 mechanism settles every point of it in one ``run_mechanism`` call.  The
 points share work.  Every cost of a point is its unit times a base cost, so
-no share comparison depends on the point, and each kernel reports the
-ceilings up to which its run holds: ``serve``, ``grant`` and the
-substitutable ``trigger`` run once per distinct outcome, walking up the
-sorted points and filling every dearer point within the run's ceilings
-(``scaled.settle_points``).  On additive games the regret baseline finds
-its trigger slots and posted prices by bisection.  Utility and balance are
-folded from the kernels' settlements (``scaled.totals``) as integers over
-one denominator and added to integer cells, and each CSV cell is rendered
-from those integer sums (``CellStats.columns``), so no ``Fraction`` is made
-between the config and the CSV text.  Sums are exact, so neither the scale,
+no share comparison depends on the point, and each settlement reports the
+ceilings up to which it holds.  One walk up the sorted points
+(``scaled.settle_points``) settles the cheapest point not yet settled and
+fills every dearer point within the ceilings: ``serve``, ``grant`` and the
+substitutable ``trigger`` run once per distinct outcome, and on additive
+games the regret baseline settles once per distinct (trigger slot, buyer
+count) outcome, finding both by bisection.  The walk hands each point its
+cell row, utility and balance as integers over one denominator, which are
+added to integer cells, and each CSV cell is rendered from those integer
+sums (``CellStats.columns``), so no ``Fraction`` is made between the
+config and the CSV text.  Sums are exact, so neither the scale,
 scheduling nor arrival order can change a single output byte.  Trials are
 split into contiguous slices, one per process: the parent folds the first
 slice itself and one helper process folds each other slice into partial
@@ -37,7 +38,7 @@ from .analysis import MECHANISMS
 from .core import AdditiveOnlineGame, SubstOnlineGame
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
 from .regret import trigger, trigger_points
-from .scaled import Factors, ScaledGame, settle_points
+from .scaled import Factors, ScaledGame, kernel_step, settle_points
 from .scenarios import FAMILIES, ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
 from .substitutable import grant
 
@@ -201,15 +202,15 @@ def load_config(path) -> ExperimentConfig:
 
 # What settles every cost point of a game at once, by (mechanism, whether the
 # game is additive): each takes the game and its points by rising cost and
-# returns one ``scaled.totals`` tuple per point, in point order.  The points
-# share work: ``settle_points`` runs a kernel once per distinct outcome,
-# filling the dearer points within its ceilings, and ``trigger_points``
-# settles additive games by bisection.
+# returns one cell row per point, in point order, from the one ceiling walk
+# ``scaled.settle_points``: a kernel's step runs it once per distinct
+# outcome, and ``trigger_points``' step settles the additive regret once
+# per distinct (trigger slot, buyer count) outcome by bisection.
 SETTLERS = {
-    ("add_on", True): partial(settle_points, serve),
-    ("subst_on", False): partial(settle_points, grant),
-    ("regret", True): lambda game, order: trigger_points(game),
-    ("regret", False): partial(settle_points, trigger),
+    ("add_on", True): partial(settle_points, partial(kernel_step, serve)),
+    ("subst_on", False): partial(settle_points, partial(kernel_step, grant)),
+    ("regret", True): trigger_points,
+    ("regret", False): partial(settle_points, partial(kernel_step, trigger)),
 }
 
 
@@ -220,12 +221,12 @@ def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[tuple[in
     by rising cost; the sweep sorts them once, and they are sorted here if
     it is not given.
 
-    ``add_on`` and ``subst_on`` run ``serve`` or ``grant`` at the cheapest
-    point not yet settled and fill every dearer point within that run's
-    ceilings without it, once per distinct outcome, as the regret baseline
-    runs ``trigger`` on substitutable games; on additive games it finds each
-    point's trigger slots and posted prices by bisection (see
-    ``scaled.settle_points`` and ``regret.trigger_points``).
+    Every mechanism settles the cheapest point not yet settled and fills
+    every dearer point within that settlement's ceilings without it
+    (``scaled.settle_points``): ``add_on``, ``subst_on`` and the regret
+    baseline on substitutable games run ``serve``, ``grant`` or ``trigger``,
+    and on additive games the baseline finds the trigger slots and posted
+    prices by bisection (``regret.trigger_points``).
     """
     settle = SETTLERS.get((mechanism, game.additive))
     if settle is None:
@@ -233,11 +234,7 @@ def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[tuple[in
         raise ConfigError(f"{mechanism} cannot run on {kind} games")
     if order is None:
         order = sorted(range(len(game.units)), key=game.units.__getitem__)
-    scale = game.scale
-    return [
-        ((realized - spent) * lcm, paid - spent * lcm, scale * lcm, spent > 0)
-        for realized, spent, paid, lcm in settle(game, order)
-    ]
+    return settle(game, order)
 
 
 @dataclass

@@ -16,15 +16,15 @@ every kernel it returns its served bids, its implemented optimizations and
 its ceilings; :func:`regret_run` reads the posted prices, losses and regret
 series of its trace from that settlement.  Every posted price is a
 bisection of a price curve (:func:`_price_curve`), the buyer counts whose
-revenue no larger count reaches.  On substitutable games the sweep walks
-its cost points by :func:`trigger`'s ceilings
-(:func:`~optshare.scaled.settle_points`), one run per distinct outcome.
-The additive sweep does not build settlements: on additive games the
-regret before each slot does not depend on the cost, so
-:func:`trigger_points` finds each cost point's trigger slots by bisection
-of one prefix per optimization (:func:`_regret_before`) and settles every
-cost point of a game from one price curve per optimization and trigger
-slot; the tests cross-check it against :func:`trigger`.
+revenue no larger count reaches.  The sweep walks its cost points by the
+baseline's ceilings (:func:`~optshare.scaled.settle_points`).  On
+substitutable games it runs :func:`trigger` once per distinct outcome.  On
+additive games it builds no settlement: the regret before each slot does
+not depend on the cost, so the settle step of :func:`trigger_points` finds
+the trigger slots by bisection of one prefix per optimization
+(:func:`_regret_before`) and the posted prices from one price curve per
+optimization and trigger slot, once per distinct (trigger slot, buyer
+count) outcome; the tests cross-check it against :func:`trigger`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .core import (
     UserId,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, common_scale, served_and_paid, totals
+from .scaled import ScaledGame, ScaledSettlement, common_scale, served_and_paid, settle_points, totals
 
 
 def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tuple[Money, Money]:
@@ -138,7 +138,8 @@ def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     (and stops accruing regret for) the rest.  An additive bid names one
     optimization, so closing it to the others changes nothing: each
     optimization triggers in the first slot its regret before the slot
-    covers its cost, which :func:`trigger_points` finds by bisection.
+    covers its cost, which :func:`trigger_points` finds by bisection, with
+    the same ceilings.
 
     Bids active in the trigger slot ride free in it (charged 0/1); buyers
     are served from the trigger slot if they ride, else from their start,
@@ -199,24 +200,31 @@ def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict) ->
     return None if loss else descending[den - 1] * den
 
 
-def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:
-    """:func:`~optshare.scaled.totals` of :func:`trigger` at every cost point
-    of an additive ``game``, in point order, without building a settlement.
+def trigger_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, bool]]:
+    """The cell rows of :func:`trigger` at every cost point of an additive
+    ``game``, in point order, without building a settlement; ``order``
+    lists the points by rising cost.
 
     The regret before each slot does not depend on the cost, so it is summed
-    once, and each point's trigger slots are bisections of it.  The riders,
+    once, and a point's trigger slots are bisections of it.  The riders,
     price curve and prefix sums of the future residuals, highest first, of
-    an (optimization, trigger slot) are built once; per point the posted
-    price and its buyer count are a bisection of the curve, and the buyers'
-    realized value is a prefix sum.
+    an (optimization, trigger slot) are built once; the posted price and its
+    buyer count are a bisection of the curve, and the buyers' realized value
+    is a prefix sum.  The points are walked by their ceilings
+    (:func:`~optshare.scaled.settle_points`), so this settles once per
+    distinct (trigger slot, buyer count) outcome.  A triggered
+    optimization's ceiling is its regret before its trigger slot, or the
+    revenue at its buyer count if its price recovers the cost and that is
+    less, as for :func:`trigger`; one that never triggers sets none.
     """
     opt_ids = sorted(game.costs[0])
     before = _regret_before(game, opt_ids)
     plans: dict[tuple[OptId, Slot], tuple] = {}
-    out = []
-    for costs in game.costs:
-        realized = spent = 0
-        charges: dict[int, int] = {}  # denominator -> sum of numerators
+
+    def step(game, costs, unit):
+        realized = spent = recovered = fixed = 0
+        dens = set()  # the buyer counts of the prices that recover the cost
+        top = math.inf
         for j in opt_ids:
             cost = costs[j]
             t = bisect_left(before[j], cost)
@@ -227,14 +235,22 @@ def trigger_points(game: ScaledGame) -> list[tuple[int, int, int, int]]:
                 _, _, ride, descending = _riders(game, j, t, ())
                 plan = plans[j, t] = (ride, _price_curve(descending), list(accumulate(descending, initial=0)))
             ride, curve, tops = plan
-            num, den, _, buyers = _posted_price(cost, curve)
+            num, den, loss, buyers = _posted_price(cost, curve)
             realized += ride + tops[buyers]
-            spent += cost
-            if buyers:
-                charges[den] = charges.get(den, 0) + num * buyers
-        lcm = math.lcm(*charges)
-        out.append((realized, spent, sum(num * (lcm // den) for den, num in charges.items()), lcm))
-    return out
+            base = cost // unit
+            spent += base
+            ceiling = before[j][t]
+            if loss:  # a whole-number price, fixed up to the regret ceiling
+                fixed += num * buyers
+            else:  # the buyers pay the cost, cost / den each
+                recovered += base
+                dens.add(den)
+                ceiling = min(ceiling, (tops[den] - tops[den - 1]) * den)
+            top = min(top, ceiling // base)
+        lcm = math.lcm(*dens)
+        return realized, spent, recovered * lcm, fixed * lcm, lcm, top
+
+    return settle_points(step, game, order)
 
 
 def _regret_before(game: ScaledGame, opt_ids: Sequence[OptId]) -> dict[OptId, list[int]]:

@@ -28,8 +28,10 @@ ceilings, which :func:`totals` folds into the harness's sums,
 :func:`served_and_paid` into an online trace and :func:`outcome_and_ledger`
 into an offline result; each result keeps it and its game, and :func:`fold`
 scores it per user.  A sweep settles its cost points through
-:func:`settle_points`, one kernel run per distinct outcome, walking all
-three kernels alike by their ceilings.
+:func:`settle_points`, one walk by ceilings for every settler: it takes one
+settle step per distinct outcome (a kernel run folded by :func:`totals`,
+:func:`kernel_step`, or the additive regret's bisections) and hands each
+point its cell row.
 Every kernel's equal share is one closed form, :func:`_fixed_point`.
 
 Construction from a game checks, once per game, what the game's
@@ -233,7 +235,7 @@ class ScaledGame:
 # ``entries[i] = (opt, first, last, num, den)``; ``implemented`` holds every
 # optimization paid for, served or not, and ``ceilings`` holds the highest
 # cost of each optimization up to which the run holds (see
-# :func:`settle_points`).  A plain tuple: a named tuple's constructor costs a
+# :func:`kernel_step`).  A plain tuple: a named tuple's constructor costs a
 # Python call per kernel run.
 ScaledSettlement = tuple[dict[int, tuple[OptId, Slot, Slot, int, int]], Collection[OptId], Mapping[OptId, int]]
 
@@ -259,39 +261,52 @@ def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) 
     return realized, spent, paid, lcm
 
 
-def settle_points(kernel, game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, int]]:
-    """:func:`totals` of ``kernel`` at every cost point of ``game``, in point
-    order; ``order`` lists the points by rising cost.
+def kernel_step(kernel, game: ScaledGame, costs: Mapping[OptId, int], unit: int) -> tuple[int, int, int, int, int, int]:
+    """The settle step of ``kernel`` (``serve``, ``grant`` or ``trigger``)
+    for :func:`settle_points`: its run at ``costs``, folded by :func:`totals`.
+    The kernel's log holds its ceilings: per optimization it implements, the
+    highest cost up to which, with every other cost scaled alike, the run
+    serves the same bids the same optimizations in the same slots, charged
+    over the same denominators, each charge its optimization's cost or a
+    fixed amount, so it holds up to the least unit ``ceiling // base cost``.
+    Only ``trigger`` has fixed charges: its riders' and its posted prices
+    that do not recover the cost."""
+    run = kernel(game, costs)
+    realized, spent, paid, lcm = totals(game, run, costs)
+    fixed = sum([num * (lcm // den) for j, _, _, num, den in run[0].values() if num != costs[j]])
+    top = min([ceiling // (costs[j] // unit) for j, ceiling in run[2].items()], default=math.inf)
+    return realized, spent // unit, (paid - fixed) // unit, fixed, lcm, top
 
-    ``kernel(game, costs)`` is ``serve``, ``grant`` or ``trigger``, whose log
-    holds its ceilings: per optimization it implements, the highest cost up
-    to which, with every other cost scaled alike, the run serves the same
-    bids the same optimizations in the same slots, charged over the same
-    denominators, each charge its optimization's cost or a fixed amount.
-    Every cost at point ``p`` is ``units[p]`` times a base cost, so the run
-    at a unit holds at every dearer unit up to the least ``ceiling // base
-    cost``.  The walk up the sorted points runs the kernel at the cheapest
-    point not yet settled and fills every following point up to that unit
-    without it: its realized value, denominator and fixed charges are the
-    run's, and its spent cost and other charges are its unit times the same
-    integers.  So the kernel runs once per distinct outcome.  Only
-    ``trigger`` has fixed charges: its riders' and its posted prices that do
-    not recover the cost.
+
+def settle_points(step, game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, bool]]:
+    """Each cost point's row ``(utility, balance, den, implemented)`` of
+    ``game``, in point order: total utility and cloud balance, each over
+    ``den``, and whether anything was implemented; ``order`` lists the
+    points by rising cost.
+
+    ``step(game, costs, unit)`` settles the point at ``costs`` and returns
+    ``(realized, spent, paid, fixed, lcm, top)``: the realized value, the
+    cost spent and the charges that scale with the cost, both per unit, the
+    fixed charges, their common denominator ``lcm`` (charges are over
+    ``lcm`` times the scale) and the dearest unit up to which, with every
+    cost scaled alike, all of it holds (``math.inf`` if every dearer one).
+    Every cost at point ``p`` is ``units[p]`` times a base cost, so the walk
+    up the sorted points settles the cheapest point not yet settled and
+    fills every following point up to ``top`` without a step: its spent
+    cost and scaling charges are its unit times the same integers.  So a
+    step runs once per distinct outcome: :func:`kernel_step` for the
+    kernels, and ``regret.trigger_points``' step for the additive regret.
     """
-    costs, units = game.costs, game.units
-    out: list = [None] * len(costs)
-    top = 0  # the dearest unit at which the last run holds
+    units, scale = game.units, game.scale
+    out: list = [None] * len(units)
+    top = 0  # the dearest unit at which the last step holds
     for p in order:
         unit = units[p]
-        if unit <= top:
-            out[p] = (realized, spent * unit, paid * unit + fixed, lcm)
-            continue
-        cost = costs[p]
-        run = kernel(game, cost)
-        out[p] = realized, spent, paid, lcm = totals(game, run, cost)
-        fixed = sum([num * (lcm // den) for j, _, _, num, den in run[0].values() if num != cost[j]])
-        spent, paid = spent // unit, (paid - fixed) // unit
-        top = min([ceiling // (cost[j] // unit) for j, ceiling in run[2].items()], default=units[order[-1]])
+        if unit > top:
+            realized, spent, paid, fixed, lcm, top = step(game, game.costs[p], unit)
+            # utility and the scaling part of balance, per unit, over den
+            realized, spent, paid, den = realized * lcm, spent * lcm, paid - spent * lcm, scale * lcm
+        out[p] = (realized - spent * unit, paid * unit + fixed, den, spent > 0)
     return out
 
 

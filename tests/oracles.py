@@ -14,8 +14,9 @@ additive offline column by subset enumeration.  The reference online
 kernels keep the slot loops the integer kernels shortcut: every
 pinned bid in every phase loop of ``grant``, and every open optimization
 checked and logged in every slot of ``trigger``.  ``each_point`` settles a
-sweep's cost points with one kernel run per point, the path the harness's
-ceiling walk (``scaled.settle_points``) replaces.  The scenario oracles
+sweep's cost points with one kernel run per point and builds each point's
+cell row from its totals, the path the harness's ceiling walk
+(``scaled.settle_points``) replaces.  The scenario oracles
 draw every number with its own scalar numpy call and build each game in
 ``Fraction``s (``reference_generate``), and re-cost a generated game by
 rebuilding its catalog (``recost``).  The renderers' oracles round in
@@ -522,9 +523,14 @@ def reference_trigger(game, costs):
 
 
 def each_point(kernel, game):
-    """``scaled.totals`` of ``kernel`` run at every cost point of ``game``,
-    in point order."""
-    return [totals(game, kernel(game, costs), costs) for costs in game.costs]
+    """The cell row ``(utility, balance, den, implemented)`` of ``kernel``
+    run at every cost point of ``game``, in point order, built from its
+    ``scaled.totals`` there as ``harness.run_mechanism`` reports it."""
+    rows = []
+    for costs in game.costs:
+        realized, spent, paid, lcm = totals(game, kernel(game, costs), costs)
+        rows.append(((realized - spent) * lcm, paid - spent * lcm, game.scale * lcm, spent > 0))
+    return rows
 
 
 # ---------------------------------------------------------------------------

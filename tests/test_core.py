@@ -1,6 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+import typing
 from fractions import Fraction
 
 import pytest
+
+import optshare
 
 from optshare.core import (
     AdditiveOfflineBid,
@@ -141,3 +147,32 @@ def test_schedule_cumulative_identity():
     assert schedule.cumulative_at(1, 2) == {1, 2, 3}
     assert schedule.cumulative_at(2, 1) == frozenset()
     assert schedule_opts(schedule) == {1, 2}
+
+
+def package_definitions():
+    """Every function and class defined in an ``optshare`` module, with the
+    methods, properties, class and static methods of each class written in
+    it (not those a class factory such as ``NamedTuple`` generates)."""
+    for info in pkgutil.iter_modules(optshare.__path__):
+        module = importlib.import_module(f"optshare.{info.name}")
+        for name, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) or obj.__module__ != module.__name__:
+                continue
+            yield f"{module.__name__}.{name}", obj
+            for key, member in vars(obj).items() if inspect.isclass(obj) else ():
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if inspect.isfunction(member) and member.__code__.co_filename == module.__file__:
+                    yield f"{module.__name__}.{name}.{key}", member
+
+
+def test_every_annotation_in_the_package_resolves():
+    import numpy  # scenarios imports it as ``np`` for type checkers only
+
+    definitions = dict(package_definitions())
+    assert "optshare.analysis.efficient_outcome" in definitions
+    assert "optshare.scaled.ScaledGame.values" in definitions
+    for name, obj in definitions.items():
+        try:
+            typing.get_type_hints(obj, localns={"np": numpy})
+        except NameError as exc:
+            raise AssertionError(f"{name}: {exc}") from None

@@ -6,16 +6,19 @@ kernels.  The reference here never touches that path's arithmetic: at each
 cost point it re-costs the game in Fractions (``oracles.recost``), runs
 the public mechanism and scores its trace with ``analysis.score``.
 
-On additive games the harness shares work across the points, which rests
-on one premise, checked here first: as the cost rises, no bid's ``serve``
-join slot and no optimization's ``trigger`` slot moves earlier.  On
-substitutable games it walks the points by ``grant``'s and ``trigger``'s
-ceilings; the tests here check that each point the walk fills settles as a
-fresh run there, and as the per-point reference (``oracles.each_point``).
+The harness shares work across the points by one walk up their costs
+(``scaled.settle_points``), filling every point within the ceilings of the
+last settlement.  On additive games that rests on one premise, checked here
+too: as the cost rises, no bid's ``serve`` join slot and no optimization's
+``trigger`` slot moves earlier.  The tests here check that each point the
+walk fills settles as a fresh run there, and that every settler, the
+additive regret's bisections too, hands each point the cell row of the
+per-point reference (``oracles.each_point``).
 """
 
 import random
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -33,8 +36,9 @@ from optshare.core import (
     SubstitutableOnlineBid,
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
+from optshare import regret
 from optshare.regret import regret_run, trigger
-from optshare.scaled import Factors, ScaledGame, settle_points, totals
+from optshare.scaled import Factors, ScaledGame, kernel_step, settle_points
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import grant, subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
@@ -177,17 +181,21 @@ def test_kernels_match_public_mechanisms_on_arbitrary_rationals(seed, factors):
             assert kernel(mechanism, scaled) == [reference(mechanism, recosted(game, f)) for f in factors]
 
 
+def by_cost(scaled):
+    """The points of ``scaled`` by rising cost."""
+    return sorted(range(len(scaled.units)), key=scaled.units.__getitem__)
+
+
 def counted_serve_points(scaled):
-    """``settle_points`` of ``serve`` over every point of ``scaled``, and the
-    costs of each ``serve`` run it made, in run order."""
+    """``settle_points`` of ``serve``'s step over every point of ``scaled``,
+    and the costs of each ``serve`` run it made, in run order."""
     runs = []
 
     def counting_serve(game, costs):
         runs.append(costs)
         return serve(game, costs)
 
-    settled = settle_points(counting_serve, scaled, sorted(range(len(scaled.units)), key=scaled.units.__getitem__))
-    return settled, runs
+    return settle_points(partial(kernel_step, counting_serve), scaled, by_cost(scaled)), runs
 
 
 def test_serve_runs_once_for_points_with_one_outcome():
@@ -222,21 +230,22 @@ def test_serve_runs_once_per_distinct_outcome(seed, factors):
     for game in (rand_additive_online(rng, max_users=7, max_slots=6), rand_additive_multi(rng)):
         scaled = ScaledGame(game, factors)
         settled, runs = counted_serve_points(scaled)
-        assert settled == [totals(scaled, serve(scaled, costs), costs) for costs in scaled.costs]
+        assert settled == each_point(serve, scaled)
         assert len(runs) == len({outcome(serve(scaled, costs)) for costs in scaled.costs})
 
 
 def walked(kernel, scaled):
-    """``settle_points`` of ``kernel`` over every point of ``scaled``, and per
-    point the point whose run settled it: itself if the kernel ran there."""
+    """``settle_points`` of ``kernel``'s step over every point of ``scaled``,
+    and per point the point whose run settled it: itself if the kernel ran
+    there."""
     ran = []
 
     def recording(game, costs):
         ran.append(next(p for p, c in enumerate(game.costs) if c is costs))
         return kernel(game, costs)
 
-    order = sorted(range(len(scaled.units)), key=scaled.units.__getitem__)
-    settled = settle_points(recording, scaled, order)
+    order = by_cost(scaled)
+    settled = settle_points(partial(kernel_step, recording), scaled, order)
     filler = {}
     for p in order:
         if ran and ran[0] == p:
@@ -301,8 +310,53 @@ def test_substitutable_walk_settles_every_point_as_a_run_there(seed, data, facto
     for game in subst_online_games(random.Random(seed), data):
         scaled = ScaledGame(game, factors)
         for mechanism, run in (("subst_on", grant), ("regret", trigger)):
-            want = [((r - s) * lcm, p - s * lcm, scaled.scale * lcm, s > 0) for r, s, p, lcm in each_point(run, scaled)]
-            assert run_mechanism(mechanism, scaled) == want
+            assert run_mechanism(mechanism, scaled) == each_point(run, scaled)
+
+
+@given(seed=st.integers(0, 2**32), data=st.data(), factors=clustered_factors)
+@settings(max_examples=200, deadline=None)
+def test_additive_walk_settles_every_point_as_a_run_there(seed, data, factors):
+    rng = random.Random(seed)
+    family = data.draw(st.sampled_from(ADDITIVE_FAMILIES))
+    scenario = generate(data.draw(specs(family)), data.draw(st.integers(0, 3)))
+    for game in (rand_additive_online(rng, max_users=7, max_slots=6), rand_additive_multi(rng), scenario):
+        scaled = ScaledGame(game, factors)
+        for mechanism, run in (("add_on", serve), ("regret", trigger)):
+            assert run_mechanism(mechanism, scaled) == each_point(run, scaled)
+
+
+def test_additive_regret_settles_once_per_trigger_slot_and_buyer_count(monkeypatch):
+    bids = (
+        AdditiveOnlineBid(1, 1, 1, 1, (F(10),)),
+        AdditiveOnlineBid(2, 1, 2, 2, (F(5),)),
+        AdditiveOnlineBid(3, 1, 3, 3, (F(2),)),
+        AdditiveOnlineBid(4, 1, 3, 3, (F(3),)),
+    )
+    game = AdditiveOnlineGame((Optimization(1, F(1)),), SlotHorizon(3), bids)
+    factors = [F(k) for k in (16, 15, 11, 10, 5, 4, 1)]  # dearest first: the sweep sorts them
+    scaled = ScaledGame(game, factors)
+    # Up to a cost of 10, the regret before slot 2, 1 triggers there, bids 3
+    # and 4 buy, and their price recovers the cost up to 4, their revenue
+    # 2 * 2; dearer, it stays 2 each.  Up to 15 it triggers in slot 3 with
+    # no buyer, and dearer never.
+    at = {f: trigger(scaled, scaled.costs[factors.index(f)]) for f in (F(1), F(5), F(11), F(16))}
+    assert [at[f][2] for f in at] == [{1: 4 * scaled.scale}, {1: 10 * scaled.scale}, {1: 15 * scaled.scale}, {}]
+    assert at[F(1)][0][3] == (1, 3, 3, scaled.scale, 2)  # half the cost each
+    assert at[F(5)][0][3] == (1, 3, 3, 2 * scaled.scale, 1)
+    priced = []
+
+    def counting(cost, curve):
+        priced.append(cost)
+        return posted_price(cost, curve)
+
+    posted_price = regret._posted_price
+    monkeypatch.setattr(regret, "_posted_price", counting)
+    settled = run_mechanism("regret", scaled)
+    # settled at 1, 5 (one unit past the revenue) and 11 (past the regret),
+    # and at 16 with nothing triggered; 4, 10 and 15 are filled
+    assert priced == [scaled.costs[factors.index(f)][1] for f in (F(1), F(5), F(11))]
+    assert settled == each_point(trigger, scaled)
+    assert kernel("regret", scaled) == [reference("regret", recosted(game, f)) for f in factors]
 
 
 def assert_same_up_to_charges(run, fresh, costs, dearer):
