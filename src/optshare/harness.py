@@ -12,10 +12,13 @@ ceilings up to which it holds.  One walk up the sorted points
 fills every dearer point within the ceilings: ``serve``, ``grant`` and the
 substitutable ``trigger`` run once per distinct outcome, and on additive
 games the regret baseline settles once per distinct (trigger slot, buyer
-count) outcome, finding both by bisection.  The walk hands each point its
-cell row, utility and balance as integers over one denominator, which are
-added to integer cells, and each CSV cell is rendered from those integer
-sums (``CellStats.columns``), so no ``Fraction`` is made between the
+count) outcome, finding both by bisection.  The walk returns one run per
+settle step, from which utility and balance at each point it covers follow
+by the point's unit, as integers over one denominator.  Each run is added
+once to its mechanism's integer moment sums, kept on a difference array
+over the sorted points (``RunSums``); after a slice's last trial, prefix
+sums give each cell its integer sums, and each CSV cell is rendered from
+them (``CellStats.columns``), so no ``Fraction`` is made between the
 config and the CSV text.  Sums are exact, so neither the scale,
 scheduling nor arrival order can change a single output byte.  Trials are
 split into contiguous slices, one per process: the parent folds the first
@@ -32,13 +35,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 from .additive_online import serve
 from .analysis import MECHANISMS
 from .core import AdditiveOnlineGame, SubstOnlineGame
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
 from .regret import trigger, trigger_points
-from .scaled import Factors, ScaledGame, kernel_step, settle_points
+from .scaled import Factors, ScaledGame, SettleRun, kernel_step, point_rows, settle_points
 from .scenarios import FAMILIES, ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
 from .substitutable import grant
 
@@ -202,10 +206,10 @@ def load_config(path) -> ExperimentConfig:
 
 # What settles every cost point of a game at once, by (mechanism, whether the
 # game is additive): each takes the game and its points by rising cost and
-# returns one cell row per point, in point order, from the one ceiling walk
-# ``scaled.settle_points``: a kernel's step runs it once per distinct
-# outcome, and ``trigger_points``' step settles the additive regret once
-# per distinct (trigger slot, buyer count) outcome by bisection.
+# returns the runs of the one ceiling walk ``scaled.settle_points``, one per
+# settle step: a kernel's step runs it once per distinct outcome, and
+# ``trigger_points``' step settles the additive regret once per distinct
+# (trigger slot, buyer count) outcome by bisection.
 SETTLERS = {
     ("add_on", True): partial(settle_points, partial(kernel_step, serve)),
     ("subst_on", False): partial(settle_points, partial(kernel_step, grant)),
@@ -214,14 +218,16 @@ SETTLERS = {
 }
 
 
-def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[tuple[int, int, int, bool]]:
+def run_mechanism(mechanism: str, game: ScaledGame, order=None) -> list[SettleRun]:
     """Run one mechanism on a scaled game at every one of its cost points;
-    returns per point, in point order, (total utility, cloud balance, their
-    common denominator, implemented anything).  ``order`` lists the points
-    by rising cost; the sweep sorts them once, and they are sorted here if
-    it is not given.
+    returns the runs of its settle steps (``scaled.SettleRun``), each with
+    the first position in ``order`` it covers and the integers that give
+    total utility and cloud balance at every point it covers from the
+    point's unit.  ``order`` lists the points by rising cost; the sweep
+    sorts them once, and they are sorted here if it is not given.
+    ``scaled.point_rows`` expands the runs to one row per point.
 
-    Every mechanism settles the cheapest point not yet settled and fills
+    Every mechanism settles the cheapest point not yet settled and covers
     every dearer point within that settlement's ceilings without it
     (``scaled.settle_points``): ``add_on``, ``subst_on`` and the regret
     baseline on substitutable games run ``serve``, ``grant`` or ``trigger``,
@@ -244,8 +250,9 @@ class CellStats:
     Sums are integers over the common denominator ``den`` (sums of squares
     over ``den**2``).  ``den`` grows to the lcm of every denominator added or
     merged, which does not depend on arrival order, so neither do the sums.
-    :meth:`columns` renders the cell from the sums; the ``Fraction``
-    properties are for callers that compare cells.
+    A sweep builds each cell once from its :class:`RunSums`; :meth:`add`
+    adds one trial's row.  :meth:`columns` renders the cell from the sums;
+    the ``Fraction`` properties are for callers that compare cells.
     """
 
     n: int = 0
@@ -324,6 +331,94 @@ class CellStats:
         return Fraction(self.implemented, self.n)
 
 
+class RunSums:
+    """Exact moment sums of one mechanism's settle runs over the trials of a
+    slice, from which every cell of the mechanism is built once.
+
+    The cost points are taken by rising cost, as the runs' positions are.
+    A run covering the positions from ``first`` up to the next run's start
+    gives, at a point of unit ``u``, utility ``(a - s * u) / den`` and
+    balance ``(p * u + f) / den``.  So a point's sums of utility, balance
+    and their squares over all trials follow from its unit and 11 sums
+    over the runs covering it: of ``a``, ``s``, ``a**2``, ``a * s``,
+    ``s**2``, ``p``, ``f``, ``p**2``, ``p * f``, ``f**2`` and
+    ``implemented``.  Those sums are kept on a difference array over the
+    positions (``sums[c][k]`` holds sum ``c``'s change at position ``k``),
+    so a run costs one update per sum, not one per point it covers.  Every
+    value is over one denominator ``den``, squares over ``den**2``; ``den``
+    grows to the lcm of every run's, as :meth:`CellStats._widen` grows a
+    cell's, so the cells' values, and so their columns, do not depend on
+    which trials a slice holds.
+    """
+
+    def __init__(self, positions: int):
+        self.n = 0
+        self.den = 1
+        self.sums = [[0] * positions for _ in range(11)]
+        self.factors: dict[int, int] = {}  # run den -> den // run den
+
+    def add(self, runs):
+        """Add one trial's runs, in position order, starting at position 0."""
+        factors = self.factors
+        for run in runs:  # widen first, so no value below is on an old den
+            if run[5] not in factors:
+                self._widen(run[5])
+        A, S, AA, AS, SS, P, F, PP, PF, FF, I = self.sums
+        self.n += 1
+        # each sum's value over the positions of the previous run
+        a0 = s0 = aa0 = as0 = ss0 = p0 = f0 = pp0 = pf0 = ff0 = i0 = 0
+        for k, a, s, p, f, den, implemented in runs:
+            m = factors[den]
+            if m != 1:
+                a, s, p, f = a * m, s * m, p * m, f * m
+            A[k] += a - a0
+            S[k] += s - s0
+            x = a * a
+            AA[k] += x - aa0
+            aa0 = x
+            x = a * s
+            AS[k] += x - as0
+            as0 = x
+            x = s * s
+            SS[k] += x - ss0
+            ss0 = x
+            P[k] += p - p0
+            F[k] += f - f0
+            x = p * p
+            PP[k] += x - pp0
+            pp0 = x
+            x = p * f
+            PF[k] += x - pf0
+            pf0 = x
+            x = f * f
+            FF[k] += x - ff0
+            ff0 = x
+            I[k] += implemented - i0
+            a0, s0, p0, f0, i0 = a, s, p, f, implemented
+
+    def _widen(self, den: int):
+        """Grow ``self.den`` to a multiple of ``den`` and record the factor
+        that brings a value over ``den`` onto it."""
+        if self.den % den:
+            g = den // math.gcd(self.den, den)
+            self.den *= g
+            for c, sums in enumerate(self.sums[:10]):
+                by = g * g if c in (2, 3, 4, 7, 8, 9) else g  # squares and products are over den**2
+                sums[:] = [x * by for x in sums]
+            for d in self.factors:
+                self.factors[d] *= g
+        self.factors[den] = self.den // den
+
+    def cells(self, units) -> list[CellStats]:
+        """The cell of each position, whose point's unit is ``units[k]``."""
+        A, S, AA, AS, SS, P, F, PP, PF, FF, I = map(accumulate, self.sums)
+        n, den = self.n, self.den
+        return [
+            CellStats(n, den, a - s * u, aa - 2 * u * as_ + u * u * ss, p * u + f, pp * u * u + 2 * u * pf + ff, i)
+            for u, a, s, aa, as_, ss, p, f, pp, pf, ff, i in zip(units, A, S, AA, AS, SS, P, F, PP, PF, FF, I)
+        ]
+
+
 def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, details: bool, trials):
     """Run ``trials`` and fold them into fresh cells; returns the cells and,
     if ``details``, the detail records per cost point in trial order.
@@ -331,19 +426,19 @@ def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, 
     the catalog at ``cost_points[p]`` as factor p, ``cost_points[p] /
     spec.cost``, since every family's catalog costs are proportional to
     ``spec.cost``, and each mechanism settles every point of it in one
-    ``run_mechanism`` call."""
+    ``run_mechanism`` call, whose runs are added to the mechanism's
+    :class:`RunSums`.  Each cell is built once, after the last trial."""
     order = sorted(range(len(factors.nums)), key=factors.nums.__getitem__)
     games = ScaledTrials(spec, factors)
-    cells = {(m, cost): CellStats() for m in mechanisms for cost in cost_points}
-    columns = [(m, [cells[(m, cost)] for cost in cost_points]) for m in mechanisms]  # per point, no Fraction hashing
+    sums = {m: RunSums(len(order)) for m in mechanisms}
     records = [[] for _ in cost_points] if details else None
     for trial in trials:
         game = games.game(trial)
-        for mechanism, column in columns:
-            for point, (cell, result) in enumerate(zip(column, run_mechanism(mechanism, game, order))):
-                cell.add(*result)
-                if records is not None:
-                    utility, balance, den, implemented = result
+        for mechanism in mechanisms:
+            runs = run_mechanism(mechanism, game, order)
+            sums[mechanism].add(runs)
+            if records is not None:
+                for point, (utility, balance, den, implemented) in enumerate(point_rows(runs, game.units, order)):
                     record = {
                         "mechanism": mechanism,
                         "cost": render_exact(cost_points[point]),
@@ -353,6 +448,13 @@ def _fold_trials(spec: ScenarioSpec, mechanisms, cost_points, factors: Factors, 
                         "implemented": bool(implemented),
                     }
                     records[point].append(record)
+    units = [games.units[p] for p in order]
+    position = sorted(range(len(order)), key=order.__getitem__)  # each point's position in order
+    cells = {}
+    for mechanism in mechanisms:
+        by_position = sums[mechanism].cells(units)
+        for cost, k in zip(cost_points, position):
+            cells[mechanism, cost] = by_position[k]
     return cells, records
 
 

@@ -51,7 +51,7 @@ from .core import (
     UserId,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, common_scale, served_and_paid, settle_points, totals
+from .scaled import ScaledGame, ScaledSettlement, SettleRun, common_scale, served_and_paid, settle_points, totals
 
 
 def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tuple[Money, Money]:
@@ -200,10 +200,10 @@ def _implement(game: ScaledGame, j: OptId, t: Slot, cost: int, entries: dict) ->
     return None if loss else descending[den - 1] * den
 
 
-def trigger_points(game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, bool]]:
-    """The cell rows of :func:`trigger` at every cost point of an additive
-    ``game``, in point order, without building a settlement; ``order``
-    lists the points by rising cost.
+def trigger_points(game: ScaledGame, order: Sequence[int]) -> list[SettleRun]:
+    """The settle runs (:data:`~optshare.scaled.SettleRun`) of
+    :func:`trigger` over the cost points of an additive ``game``, without
+    building a settlement; ``order`` lists the points by rising cost.
 
     The regret before each slot does not depend on the cost, so it is summed
     once, and a point's trigger slots are bisections of it.  The riders,

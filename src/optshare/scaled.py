@@ -30,8 +30,9 @@ into an offline result; each result keeps it and its game, and :func:`fold`
 scores it per user.  A sweep settles its cost points through
 :func:`settle_points`, one walk by ceilings for every settler: it takes one
 settle step per distinct outcome (a kernel run folded by :func:`totals`,
-:func:`kernel_step`, or the additive regret's bisections) and hands each
-point its cell row.
+:func:`kernel_step`, or the additive regret's bisections) and returns one
+run per step, which gives each point it covers its cell row from the
+point's unit (:func:`point_rows` expands them).
 Every kernel's equal share is one closed form, :func:`_fixed_point`.
 
 Construction from a game checks, once per game, what the game's
@@ -278,11 +279,20 @@ def kernel_step(kernel, game: ScaledGame, costs: Mapping[OptId, int], unit: int)
     return realized, spent // unit, (paid - fixed) // unit, fixed, lcm, top
 
 
-def settle_points(step, game: ScaledGame, order: Sequence[int]) -> list[tuple[int, int, int, bool]]:
-    """Each cost point's row ``(utility, balance, den, implemented)`` of
-    ``game``, in point order: total utility and cloud balance, each over
-    ``den``, and whether anything was implemented; ``order`` lists the
-    points by rising cost.
+# One settle step's share of a walk (:func:`settle_points`): ``(first, a,
+# s, p, f, den, implemented)`` covers the points ``order[first:]`` up to the
+# next run's ``first``, and at each of them, at unit ``u``, total utility is
+# ``(a - s * u) / den`` and cloud balance ``(p * u + f) / den``;
+# ``implemented`` tells whether anything was implemented there.
+SettleRun = tuple[int, int, int, int, int, int, bool]
+
+
+def settle_points(step, game: ScaledGame, order: Sequence[int]) -> list[SettleRun]:
+    """The runs of ``game``'s cost points, one per settle step, by rising
+    first position in ``order``, which lists the points by rising cost; the
+    first run starts at position 0 and each covers the positions up to the
+    next one's start (:data:`SettleRun`).  :func:`point_rows` expands them
+    to one row per point.
 
     ``step(game, costs, unit)`` settles the point at ``costs`` and returns
     ``(realized, spent, paid, fixed, lcm, top)``: the realized value, the
@@ -292,22 +302,35 @@ def settle_points(step, game: ScaledGame, order: Sequence[int]) -> list[tuple[in
     cost scaled alike, all of it holds (``math.inf`` if every dearer one).
     Every cost at point ``p`` is ``units[p]`` times a base cost, so the walk
     up the sorted points settles the cheapest point not yet settled and
-    fills every following point up to ``top`` without a step: its spent
+    covers every following point up to ``top`` without a step: its spent
     cost and scaling charges are its unit times the same integers.  So a
     step runs once per distinct outcome: :func:`kernel_step` for the
     kernels, and ``regret.trigger_points``' step for the additive regret.
     """
-    units, scale = game.units, game.scale
-    out: list = [None] * len(units)
+    units, costs, scale = game.units, game.costs, game.scale
+    runs: list[SettleRun] = []
     top = 0  # the dearest unit at which the last step holds
-    for p in order:
+    for k, p in enumerate(order):
         unit = units[p]
         if unit > top:
-            realized, spent, paid, fixed, lcm, top = step(game, game.costs[p], unit)
+            realized, spent, paid, fixed, lcm, top = step(game, costs[p], unit)
             # utility and the scaling part of balance, per unit, over den
-            realized, spent, paid, den = realized * lcm, spent * lcm, paid - spent * lcm, scale * lcm
-        out[p] = (realized - spent * unit, paid * unit + fixed, den, spent > 0)
-    return out
+            runs.append((k, realized * lcm, spent * lcm, paid - spent * lcm, fixed, scale * lcm, spent > 0))
+    return runs
+
+
+def point_rows(runs: Sequence[SettleRun], units: Sequence[int], order: Sequence[int]) -> list[tuple[int, int, int, bool]]:
+    """Each cost point's row ``(utility, balance, den, implemented)``, in
+    point order, from the :func:`settle_points` runs over ``order``: total
+    utility and cloud balance, each over ``den``, and whether anything was
+    implemented."""
+    rows: list = [None] * len(order)
+    ends = [run[0] for run in runs[1:]] + [len(order)]
+    for (k, a, s, p, f, den, implemented), end in zip(runs, ends):
+        for point in order[k:end]:
+            unit = units[point]
+            rows[point] = (a - s * unit, p * unit + f, den, implemented)
+    return rows
 
 
 def fold(

@@ -525,7 +525,8 @@ def reference_trigger(game, costs):
 def each_point(kernel, game):
     """The cell row ``(utility, balance, den, implemented)`` of ``kernel``
     run at every cost point of ``game``, in point order, built from its
-    ``scaled.totals`` there as ``harness.run_mechanism`` reports it."""
+    ``scaled.totals`` there as ``scaled.point_rows`` expands the runs
+    ``harness.run_mechanism`` reports."""
     rows = []
     for costs in game.costs:
         realized, spent, paid, lcm = totals(game, kernel(game, costs), costs)

@@ -698,6 +698,35 @@ def test_cli_run_rejects_bad_workers(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, workers, field",
+    [
+        (["--trials", "0"], "1", "scenario.trials: must be >= 1"),
+        (["--trials", "-3"], "1", "scenario.trials: must be >= 1"),
+        (["--trials", "100000000"], "1", "scenario.trials: must be <= 1000000"),
+        (["--trials", "2"], "x", "OPTSHARE_WORKERS: not an integer"),
+        (["--trials", "2", "--out", "{file}"], "1", "--out: "),
+        (["--trials", "2", "--out", "{file}/sub"], "1", "--out: "),
+    ],
+)
+def test_run_trends_exits_2_naming_the_bad_input(tmp_path, args, workers, field):
+    """``scripts/run_trends.py`` reports bad input as ``optshare run`` does:
+    exit 2, ``config error: <field>: ...`` and no traceback, never exit 1,
+    which means a property violation."""
+    (tmp_path / "file").write_text("")
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_trends.py"
+    src = str(pathlib.Path(optshare.__file__).resolve().parents[1])
+    args = [a.replace("{file}", str(tmp_path / "file")) for a in args]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=src, OPTSHARE_WORKERS=workers)
+    done = subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"config error: {field}")
+    assert "Traceback" not in done.stderr and done.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize(
     "change, field",
     [
         ({"cost_sweep": {"start": "abc", "stop": "0.3", "step": "0.1"}}, "cost_sweep.start"),

@@ -2,12 +2,14 @@
 
 ``harness.run_mechanism`` settles every cost point of one scaled game per
 trial and reads utility, balance and implemented straight from the
-kernels.  The reference here never touches that path's arithmetic: at each
-cost point it re-costs the game in Fractions (``oracles.recost``), runs
-the public mechanism and scores its trace with ``analysis.score``.
+kernels, as one run per settle step, which ``scaled.point_rows`` expands
+to one row per point.  The reference here never touches that path's
+arithmetic: at each cost point it re-costs the game in Fractions
+(``oracles.recost``), runs the public mechanism and scores its trace with
+``analysis.score``.
 
 The harness shares work across the points by one walk up their costs
-(``scaled.settle_points``), filling every point within the ceilings of the
+(``scaled.settle_points``), covering every point within the ceilings of the
 last settlement.  On additive games that rests on one premise, checked here
 too: as the cost rises, no bid's ``serve`` join slot and no optimization's
 ``trigger`` slot moves earlier.  The tests here check that each point the
@@ -38,7 +40,7 @@ from optshare.core import (
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
 from optshare import regret
 from optshare.regret import regret_run, trigger
-from optshare.scaled import Factors, ScaledGame, kernel_step, settle_points
+from optshare.scaled import Factors, ScaledGame, kernel_step, point_rows, settle_points
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import grant, subst_on
 from optshare.verification import rand_additive_online, rand_subst_online
@@ -66,9 +68,15 @@ def reference(mechanism, game):
     return metrics.total_utility, metrics.cloud_balance, bool(trace.implemented)
 
 
+def rows(mechanism, scaled):
+    """``run_mechanism``'s runs on ``scaled``, expanded to one cell row per
+    cost point, in point order."""
+    return point_rows(run_mechanism(mechanism, scaled), scaled.units, by_cost(scaled))
+
+
 def kernel(mechanism, scaled):
     """(utility, balance, implemented) of every cost point, in point order."""
-    return [(F(u, den), F(b, den), implemented) for u, b, den, implemented in run_mechanism(mechanism, scaled)]
+    return [(F(u, den), F(b, den), implemented) for u, b, den, implemented in rows(mechanism, scaled)]
 
 
 positive_money = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4))
@@ -195,7 +203,8 @@ def counted_serve_points(scaled):
         runs.append(costs)
         return serve(game, costs)
 
-    return settle_points(partial(kernel_step, counting_serve), scaled, by_cost(scaled)), runs
+    order = by_cost(scaled)
+    return point_rows(settle_points(partial(kernel_step, counting_serve), scaled, order), scaled.units, order), runs
 
 
 def test_serve_runs_once_for_points_with_one_outcome():
@@ -246,6 +255,8 @@ def walked(kernel, scaled):
 
     order = by_cost(scaled)
     settled = settle_points(partial(kernel_step, recording), scaled, order)
+    assert [order[run[0]] for run in settled] == ran  # each run starts at the point it settled
+    settled = point_rows(settled, scaled.units, order)
     filler = {}
     for p in order:
         if ran and ran[0] == p:
@@ -310,7 +321,7 @@ def test_substitutable_walk_settles_every_point_as_a_run_there(seed, data, facto
     for game in subst_online_games(random.Random(seed), data):
         scaled = ScaledGame(game, factors)
         for mechanism, run in (("subst_on", grant), ("regret", trigger)):
-            assert run_mechanism(mechanism, scaled) == each_point(run, scaled)
+            assert rows(mechanism, scaled) == each_point(run, scaled)
 
 
 @given(seed=st.integers(0, 2**32), data=st.data(), factors=clustered_factors)
@@ -322,7 +333,7 @@ def test_additive_walk_settles_every_point_as_a_run_there(seed, data, factors):
     for game in (rand_additive_online(rng, max_users=7, max_slots=6), rand_additive_multi(rng), scenario):
         scaled = ScaledGame(game, factors)
         for mechanism, run in (("add_on", serve), ("regret", trigger)):
-            assert run_mechanism(mechanism, scaled) == each_point(run, scaled)
+            assert rows(mechanism, scaled) == each_point(run, scaled)
 
 
 def test_additive_regret_settles_once_per_trigger_slot_and_buyer_count(monkeypatch):
@@ -351,7 +362,7 @@ def test_additive_regret_settles_once_per_trigger_slot_and_buyer_count(monkeypat
 
     posted_price = regret._posted_price
     monkeypatch.setattr(regret, "_posted_price", counting)
-    settled = run_mechanism("regret", scaled)
+    settled = rows("regret", scaled)
     # settled at 1, 5 (one unit past the revenue) and 11 (past the regret),
     # and at 16 with nothing triggered; 4, 10 and 15 are filled
     assert priced == [scaled.costs[factors.index(f)][1] for f in (F(1), F(5), F(11))]
