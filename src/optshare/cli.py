@@ -50,11 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
+    flag = "--config"  # the flag whose path a failed file operation was on
     try:
         config = load_config(args.config)
+        flag = "--out"
         written = run_experiment(config, args.out, workers=default_workers())
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: {flag}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for path in written:
         print(path)

@@ -1,7 +1,8 @@
 """Experiment engine: run mechanism-vs-baseline sweeps over seeded Monte
 Carlo scenarios and emit deterministic CSV summaries.
 
-Sweeps run trial-major: each trial's draws go straight into the integer rows
+Sweeps run trial-major: each trial's draws, read in Python from its PCG64
+stream at every skew (``scenarios.draw``), go straight into the integer rows
 of a ``scaled.ScaledGame`` (``scenarios.ScaledTrials``), on one scale for
 the sweep, with one integer cost per cost point, and each requested
 mechanism settles every point of it in one ``run_mechanism`` call.  The
@@ -43,7 +44,7 @@ from .core import AdditiveOnlineGame, SubstOnlineGame
 from .money import Money, parse_money, render_decimal, render_exact, render_ratio, render_ratio_sqrt
 from .regret import trigger, trigger_points
 from .scaled import Factors, ScaledGame, SettleRun, kernel_step, point_rows, settle_points
-from .scenarios import FAMILIES, ScaledTrials, ScenarioError, ScenarioSpec, draws_with_numpy, load_numpy
+from .scenarios import FAMILIES, ScaledTrials, ScenarioError, ScenarioSpec
 from .substitutable import grant
 
 # Bound here only for perfbench/spans.py, whose traced run wraps each of
@@ -530,9 +531,7 @@ def sweep(
     and the parent folds the first slice itself while they run;
     then it receives each helper's partial cells (and detail records, if
     asked for) in slice order and merges them into its own.  With one slice
-    no helper is started, so a serial sweep runs the same code.  If the
-    spec draws through numpy, ``numpy.random`` is imported before any helper
-    starts, so no forked helper spends its slice's time importing it.  Exact
+    no helper is started, so a serial sweep runs the same code.  Exact
     sums do not depend on how the trials are split.  Detail records are
     handed to ``detail_sink`` in (cost, trial, mechanism) order.  No helper
     outlives the call, whether it returns or raises, in a helper or in the
@@ -546,8 +545,6 @@ def sweep(
     processes = min(workers, os.cpu_count() or 1, trials)
     bounds = [trials * k // processes for k in range(processes + 1)]
     first, *rest = (range(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
-    if draws_with_numpy(spec):
-        load_numpy()  # helpers fork with numpy.random loaded, not each importing it
     helpers = []
     try:
         for part in rest:

@@ -14,39 +14,33 @@ builds a sweep's :class:`~optshare.scaled.ScaledGame` of the same game
 straight from the integers, on one scale for the whole sweep, with no
 ``Fraction``.
 
-The stream is read in one of two ways, and :func:`draws_with_numpy` says
-which:
-
-- Every spec whose numbers are all uniform integers reads it in Python, in
-  one :func:`_uniform_draws` loop over the trial's ranges: numpy's
-  ``SeedSequence`` hash, PCG64's XSL-RR output (O'Neill, "PCG: A Family of
-  Simple Fast Space-Efficient Statistically Good Algorithms for Random
-  Number Generation", 2014) and Lemire's bounded 32-bit draw (Lemire,
-  "Fast Random Integer Generation in an Interval", 2019), which give the
-  integers numpy's ``integers`` and ``choice`` calls return.  That is every
-  family at uniform skew, and duration_spread and usecase_shape at any
-  skew, as they do not read it.  At perfbench's sizes a trial costs about
-  what numpy's calls do (best per-trial µs, Python 3.11, numpy 2.4, a
-  2-vCPU VM): 18 against 21 at 6 users, 34 against 23 at 24 users
-  (collab_large), 48 against 49 and 53 against 56 for selectivity at 4
-  and 12 optimizations.  Each number costs about 0.5 µs, so numpy's array
-  calls are faster where a trial draws thousands: a catalog of 1000
-  optimizations, or substitute sets of hundreds.
-- An early or late arrival, on a family that reads the skew, draws
-  ``exponential`` through numpy's ``Generator``: numpy does not expose its
-  ziggurat tables.
-
-numpy is imported by :func:`load_numpy` at the first numpy draw of a
-process, not with this module: nothing else in the package needs it, so
-``verify``, ``replay`` and a sweep of uniform arrivals never load it.
+The stream is read in Python, in one :func:`_uniform_draws` loop over the
+trial's ranges: numpy's ``SeedSequence`` hash, PCG64's XSL-RR output
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", 2014), Lemire's bounded 32-bit
+draw (Lemire, "Fast Random Integer Generation in an Interval", 2019) and,
+for an early or late arrival on a family that reads the skew, numpy's
+256-layer ziggurat exponential (Marsaglia and Tsang, "The Ziggurat Method
+for Generating Random Variables", 2000) on numpy's own tables
+(``_ziggurat``, generated by ``scripts/ziggurat_tables.py``).  These give
+the numbers numpy's ``integers``, ``choice`` and ``exponential`` calls
+return, so every spec draws the games numpy would, and no module of the
+package imports numpy.  At perfbench's sizes a trial costs about what
+numpy's calls do (best per-trial µs, Python 3.11, numpy 2.4, a 2-vCPU VM):
+18 against 21 at 6 users, 34 against 23 at 24 users (collab_large), 48
+against 49 and 53 against 56 for selectivity at 4 and 12 optimizations,
+and 22 against 27 for an early or late arrival_skew trial.  Each number costs
+about 0.5 µs, so numpy's array calls would be faster where a trial draws
+thousands: a catalog of 1000 optimizations, or substitute sets of hundreds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     AdditiveOnlineBid,
@@ -58,10 +52,8 @@ from .core import (
     SubstitutableOnlineBid,
 )
 from .money import Money, parse_money
+from ._ziggurat import FE, KE, WE
 from .scaled import Factors, ScaledGame, cost_rows
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GRID = 10**6
 
@@ -159,22 +151,6 @@ class ScenarioSpec:
             raise ScenarioError(f"scenario: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
-def load_numpy():
-    """numpy with ``numpy.random`` loaded, imported at the first call in a
-    process and bound for the rest of it.  A parallel sweep of a spec that
-    :func:`draws_with_numpy` calls it before starting its helpers, so forked
-    helpers start with it loaded."""
-    import numpy.random  # binds numpy, with its random submodule loaded
-
-    return numpy
-
-
-def _trial_rng(spec: ScenarioSpec, trial: int) -> np.random.Generator:
-    npr = load_numpy().random
-    return npr.Generator(npr.PCG64(npr.SeedSequence((spec.seed, trial))))
-
-
 # numpy's stream of ``Generator(PCG64(SeedSequence((seed, trial))))`` in
 # Python integers.  SeedSequence's hash multipliers do not depend on the
 # entropy, so they are computed here once: the 16 of mixing a 4-word pool
@@ -214,16 +190,16 @@ def _entropy_words(n: int) -> list[int]:
     return words
 
 
-def _uniform_draws(seed: int, trial: int, ranges: Sequence[int]) -> list[int]:
-    """Per ``r`` of ``ranges``, in turn, the integer on 0..r that numpy's
-    ``integers(0, r, endpoint=True)`` draws from ``Generator(PCG64(
-    SeedSequence((seed, trial))))``.  The stream's 32-bit words are the low
-    half of each PCG64 XSL-RR output and then its high half; each range
-    takes Lemire's multiply, rejecting the low words below ``2**32 % (r +
-    1)``.  ``r == 0`` reads nothing; a negative ``r`` is refused, and so is
-    ``r >= 2**32 - 1``, which numpy draws by another method.  ``seed <
-    2**64`` and ``trial < 2**32``, so the entropy is 2 or 3 words and fits
-    SeedSequence's 4-word pool."""
+# A range that marks an exponential draw.  It fails the bounded draw's
+# ``0 < r < 2**32 - 1`` check, so the uniform ranges take no extra test.
+EXPONENTIAL = math.inf
+_ZIGGURAT_R = 7.69711747013104972  # the right edge of the base layer, where the tail starts
+
+
+def _pcg64(seed: int, trial: int) -> tuple[int, int]:
+    """The ``(state, increment)`` of ``PCG64(SeedSequence((seed, trial)))``
+    before its first output.  ``seed < 2**64`` and ``trial < 2**32``, so the
+    entropy is 2 or 3 words and fits SeedSequence's 4-word pool."""
     entropy = _entropy_words(seed) + _entropy_words(trial) + [0, 0]  # zero-filled to the pool
     pool = []  # SeedSequence's mix_entropy: hash the words into the pool, then mix
     for word, (x, m) in zip(entropy, _FILL_KEYS):
@@ -241,10 +217,59 @@ def _uniform_draws(seed: int, trial: int, ranges: Sequence[int]) -> list[int]:
     # seeds its state with w0:w1 and its increment with w2:w3.
     initstate = s[1] << 96 | s[0] << 64 | s[3] << 32 | s[2]
     inc = (s[5] << 97 | s[4] << 65 | s[7] << 33 | s[6] << 1 | 1) & _M128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _M128  # PCG's seeding: a step, the add, a step
+    return ((inc + initstate) * _PCG_MULT + inc) & _M128, inc  # PCG's seeding: a step, the add, a step
+
+
+def _uniform_draws(seed: int, trial: int, ranges: Sequence[float]) -> list[int | float]:
+    """Per ``r`` of ``ranges``, in turn, the number numpy's ``Generator(PCG64(
+    SeedSequence((seed, trial))))`` draws: the integer on 0..r of
+    ``integers(0, r, endpoint=True)``, or for ``r`` = :data:`EXPONENTIAL` the
+    float of ``standard_exponential()``."""
+    return _stream_draws(*_pcg64(seed, trial), ranges)
+
+
+def _stream_draws(state: int, inc: int, ranges: Sequence[float]) -> list[int | float]:
+    """:func:`_uniform_draws` from the PCG64 ``state`` and increment ``inc``.
+
+    The integer draws read 32-bit words: the low half of each XSL-RR output
+    and then its high half.  Each range takes Lemire's multiply, rejecting
+    the low words below ``2**32 % (r + 1)``.  ``r == 0`` reads nothing; a
+    negative ``r`` is refused, and so is ``r >= 2**32 - 1``, which numpy
+    draws by another method.
+
+    An exponential takes whole 64-bit outputs and leaves a buffered high
+    half for the next integer draw, as numpy's does.  Of an output, bits
+    3..10 pick a layer ``idx`` and bits 11..63 a point ``ri`` across it, at
+    ``x = ri * WE[idx]``, which is taken if ``ri < KE[idx]``.  Otherwise a
+    second output gives ``u`` on [0, 1): layer 0 takes the tail
+    ``_ZIGGURAT_R - log1p(-u)``, and any other layer takes ``x`` if the
+    wedge test ``(FE[idx - 1] - FE[idx]) * u + FE[idx] < exp(-x)`` holds and
+    else draws again.  The tables are numpy's own (:mod:`._ziggurat`)."""
     draws, high = [], -1  # high: the last word's high half while it is unread
     for r in ranges:
         if not 0 < r < _M32:
+            if r == EXPONENTIAL:
+                idx = -1  # the layer whose fast test failed, while its u is undrawn
+                while True:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    rot = state >> 122
+                    word = (state >> 64 ^ state) & _M64
+                    word = (word >> rot | word << (64 - rot)) & _M64
+                    if idx < 0:
+                        idx, ri = word >> 3 & 0xFF, word >> 11
+                        x = ri * WE[idx]
+                        if ri < KE[idx]:
+                            break
+                        continue
+                    u = (word >> 11) * 2.0**-53
+                    if idx == 0:
+                        x = _ZIGGURAT_R - math.log1p(-u)
+                        break
+                    if (FE[idx - 1] - FE[idx]) * u + FE[idx] < math.exp(-x):
+                        break
+                    idx = -1
+                draws.append(x)
+                continue
             if r:
                 raise ValueError(f"bounded draw: range {r} outside 0..{_M32 - 1}")
             draws.append(0)
@@ -282,93 +307,61 @@ class Draws(NamedTuple):
     picks: Sequence[frozenset[int]] = ()
 
 
-def draws_with_numpy(spec: ScenarioSpec) -> bool:
-    """Whether ``spec``'s trials are drawn through numpy's ``Generator``: an
-    early or late arrival, on a family whose slots read the skew, needs
-    numpy's ``exponential``.  Every other spec reads the same stream in
-    Python (:func:`_uniform_draws`)."""
-    return spec.skew != "uniform" and spec.family not in ("duration_spread", "usecase_shape")
-
-
 def draw(spec: ScenarioSpec, trial: int) -> Draws:
-    """The draws of one trial of a scenario."""
+    """The draws of one trial of a scenario, by one :func:`_uniform_draws`
+    call over the ranges of numpy's calls, in their order: per user a window
+    (usecase_shape), or a slot and a value on the grid; selectivity draws
+    its catalog first, and after each user's value ``choice(opt_count,
+    substitutes_per_user, replace=False)``.  A slot is uniform on 1..z, or,
+    for an early or late arrival on a family that reads the skew, an
+    exponential (:func:`_slots`).  numpy makes the choice by Floyd's
+    algorithm (a draw on 0..j for j = n - k to n - 1, taking j itself on a
+    repeat) and then shuffles it (a draw on 0..i for i = k - 1 down to 1);
+    the set is the same in any order, so the shuffle's draws are read and
+    not applied."""
     if not (0 <= trial < spec.trials):
         raise ScenarioError(f"trial {trial} outside 0..{spec.trials - 1}")
-    if draws_with_numpy(spec):
-        numpy_draw = _draw_selectivity if spec.family == "selectivity" else _draw_single_opt
-        return numpy_draw(spec, _trial_rng(spec, trial))
-    return _draw_uniform(spec, trial)
-
-
-def _draw_uniform(spec: ScenarioSpec, trial: int) -> Draws:
-    """The draws of a trial whose every number is uniform, by one
-    :func:`_uniform_draws` call over the ranges numpy's calls draw, in their
-    order: per user a window (usecase_shape), or a slot on 1..z and a value
-    on the grid; selectivity draws its catalog first, and after each user's
-    value ``choice(opt_count, substitutes_per_user, replace=False)``.  numpy
-    makes that choice by Floyd's algorithm (a draw on 0..j for j = n - k to
-    n - 1, taking j itself on a repeat) and then shuffles it (a draw on 0..i
-    for i = k - 1 down to 1); the set is the same in any order, so the
-    shuffle's draws are read and not applied."""
     n, k, z = spec.opt_count, spec.substitutes_per_user, spec.slots
     if spec.family == "usecase_shape":
         windows = _windows(z)
         picked = [windows[w] for w in _uniform_draws(spec.seed, trial, [len(windows) - 1] * spec.users)]
         return Draws([s for s, _ in picked], [e for _, e in picked])
+    skew = "uniform" if spec.family == "duration_spread" else spec.skew  # duration_spread ignores the skew
+    slot = z - 1 if skew == "uniform" else EXPONENTIAL
     if spec.family == "selectivity":
-        user = [z - 1, GRID, *range(n - k, n), *range(k - 1, 0, -1)]
+        user = [slot, GRID, *range(n - k, n), *range(k - 1, 0, -1)]
         out = _uniform_draws(spec.seed, trial, [GRID - 1] * n + user * spec.users)
-        slots, values, picks = [], [], []
-        for i in range(n, len(out), len(user)):
-            slots.append(1 + out[i])
-            values.append(out[i + 1] or 1)
+        picks = []
+        for i in range(n + 2, len(out), len(user)):
             chosen = set()
-            for j, p in zip(range(n - k, n), out[i + 2 : i + 2 + k]):
+            for j, p in zip(range(n - k, n), out[i : i + k]):
                 chosen.add(j if p in chosen else p)
             picks.append(frozenset(p + 1 for p in chosen))
+        slots = _slots(out[n :: len(user)], z, skew)
+        values = [v or 1 for v in out[n + 1 :: len(user)]]
         return Draws(slots, slots, values, [1 + c for c in out[:n]], picks)
-    out = _uniform_draws(spec.seed, trial, [z - 1, GRID] * spec.users)
-    starts = [1 + s for s in out[0::2]]
+    out = _uniform_draws(spec.seed, trial, [slot, GRID] * spec.users)
+    starts = _slots(out[0::2], z, skew)
     ends = [min(s + spec.duration - 1, z) for s in starts] if spec.family == "duration_spread" else starts
     return Draws(starts, ends, out[1::2])
+
+
+def _slots(draws: list, z: int, skew: str) -> list[int]:
+    """Each user's slot from its draw: ``1 + d`` for a uniform draw on
+    0..z-1; for an exponential ``e``, ``1.2 * e`` slots after the first
+    (early) or before the last (late), rounded half to even and clamped to
+    1..z, as ``1 + rng.exponential(1.2)`` or ``z - rng.exponential(1.2)``
+    would be."""
+    if skew == "uniform":
+        return [1 + d for d in draws]
+    if skew == "early":
+        return [min(max(round(1 + 1.2 * e), 1), z) for e in draws]
+    return [min(max(round(z - 1.2 * e), 1), z) for e in draws]
 
 
 @lru_cache(maxsize=32)
 def _windows(z: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, e) for s in range(1, z + 1) for e in range(s, z + 1))
-
-
-def _start_slot(rng, z: int, skew: str) -> int:
-    if skew == "uniform":
-        return int(rng.integers(1, z, endpoint=True))
-    offset = rng.exponential(1.2)
-    raw = 1 + offset if skew == "early" else z - offset
-    return min(max(int(round(raw)), 1), z)
-
-
-def _draw_single_opt(spec: ScenarioSpec, rng) -> Draws:
-    """collab_size, overlap_slots and arrival_skew through numpy's calls:
-    per user one slot and its value, for one optimization.  This and
-    :func:`_draw_selectivity` draw at any skew; :func:`draw` sends them the
-    specs :func:`draws_with_numpy` names."""
-    slots, values = [], []
-    for _ in range(spec.users):
-        slots.append(_start_slot(rng, spec.slots, spec.skew))
-        values.append(int(rng.integers(0, GRID, endpoint=True)))
-    return Draws(slots, slots, values)
-
-
-def _draw_selectivity(spec: ScenarioSpec, rng) -> Draws:
-    """Selectivity through numpy's calls, in the order of
-    :func:`_draw_uniform`."""
-    catalog = rng.integers(1, GRID, size=spec.opt_count, endpoint=True).tolist()
-    slots, values, picks = [], [], []
-    for _ in range(spec.users):
-        slots.append(_start_slot(rng, spec.slots, spec.skew))
-        values.append(int(rng.integers(0, GRID, endpoint=True)) or 1)
-        chosen = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False).tolist()
-        picks.append(frozenset(p + 1 for p in chosen))
-    return Draws(slots, slots, values, catalog, picks)
 
 
 # Per-execution savings for the headline view, one entry per user, and the

@@ -17,9 +17,11 @@ checked and logged in every slot of ``trigger``.  ``each_point`` settles a
 sweep's cost points with one kernel run per point and builds each point's
 cell row from its totals, the path the harness's ceiling walk
 (``scaled.settle_points``) replaces.  The scenario oracles
-draw every number with its own scalar numpy call and build each game in
-``Fraction``s (``reference_generate``), and re-cost a generated game by
-rebuilding its catalog (``recost``).  The renderers' oracles round in
+draw every number with its own scalar numpy call, either as a trial's
+integer draws (``reference_draw``, the path ``scenarios.draw`` reads in
+Python from the same PCG64 stream) or as a game in ``Fraction``s
+(``reference_generate``), and re-cost a generated game by rebuilding its
+catalog (``recost``).  The renderers' oracles round in
 ``Fraction`` arithmetic.  The suite draw oracles build every drawn value
 and cost as a fresh ``Fraction`` and sum them in ``Fraction`` arithmetic.
 
@@ -34,6 +36,8 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from optshare.additive_online import OnlineTrace
 from optshare.analysis import (
@@ -71,8 +75,7 @@ from optshare.scenarios import (
     USECASE_HEADLINE_CENTS,
     USECASE_OTHER_CENTS,
     USECASE_STRIDES,
-    _start_slot,
-    _trial_rng,
+    Draws,
 )
 from optshare.scaled import _fixed_point
 
@@ -538,11 +541,49 @@ def each_point(kernel, game):
 # Scenarios
 
 
+def numpy_rng(seed, trial):
+    """numpy's ``Generator`` for one trial: ``PCG64(SeedSequence((seed, trial)))``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
+
+
+def reference_start_slot(rng, z, skew):
+    """A user's slot on 1..z by numpy's calls: uniform, or an exponential
+    offset of mean 1.2 from the first slot (early) or the last (late),
+    rounded and clamped."""
+    if skew == "uniform":
+        return int(rng.integers(1, z, endpoint=True))
+    offset = rng.exponential(1.2)
+    raw = 1 + offset if skew == "early" else z - offset
+    return min(max(int(round(raw)), 1), z)
+
+
+def reference_draw(spec, trial):
+    """``scenarios.draw`` by numpy's calls for the families whose slots read
+    the skew (collab_size, overlap_slots, arrival_skew and selectivity):
+    per user one slot and its value; selectivity draws its catalog first
+    and each user's substitute set after the value."""
+    rng = numpy_rng(spec.seed, trial)
+    if spec.family != "selectivity":
+        slots, values = [], []
+        for _ in range(spec.users):
+            slots.append(reference_start_slot(rng, spec.slots, spec.skew))
+            values.append(int(rng.integers(0, GRID, endpoint=True)))
+        return Draws(slots, slots, values)
+    catalog = rng.integers(1, GRID, size=spec.opt_count, endpoint=True).tolist()
+    slots, values, picks = [], [], []
+    for _ in range(spec.users):
+        slots.append(reference_start_slot(rng, spec.slots, spec.skew))
+        values.append(int(rng.integers(0, GRID, endpoint=True)) or 1)
+        chosen = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False).tolist()
+        picks.append(frozenset(p + 1 for p in chosen))
+    return Draws(slots, slots, values, catalog, picks)
+
+
 def reference_generate(spec, trial):
     """``scenarios.generate`` with one scalar numpy call per number, in the
     order the families define: per user its slot (or window), then its
     value, then (selectivity) its substitutes; selectivity's catalog first."""
-    rng = _trial_rng(spec, trial)
+    rng = numpy_rng(spec.seed, trial)
     horizon = SlotHorizon(spec.slots)
     z = spec.slots
 
@@ -556,7 +597,7 @@ def reference_generate(spec, trial):
             k = int(rng.integers(1, GRID, endpoint=True))
             catalog.append(Optimization(j, 2 * spec.cost * Fraction(k, GRID)))
         for user in range(1, spec.users + 1):
-            slot = _start_slot(rng, z, spec.skew)
+            slot = reference_start_slot(rng, z, spec.skew)
             value = grid_value()
             picks = rng.choice(spec.opt_count, size=spec.substitutes_per_user, replace=False)
             substitutes = frozenset(int(p) + 1 for p in picks)
@@ -587,7 +628,7 @@ def reference_generate(spec, trial):
             end = min(start + spec.duration - 1, z)
             per_slot = grid_value() / spec.duration
         else:
-            start = end = _start_slot(rng, z, spec.skew)
+            start = end = reference_start_slot(rng, z, spec.skew)
             per_slot = grid_value()
         bids.append(AdditiveOnlineBid(user, 1, start, end, (per_slot,) * (end - start + 1)))
     return AdditiveOnlineGame((Optimization(1, spec.cost),), horizon, tuple(bids))

@@ -166,13 +166,11 @@ def package_definitions():
 
 
 def test_every_annotation_in_the_package_resolves():
-    import numpy  # scenarios imports it as ``np`` for type checkers only
-
     definitions = dict(package_definitions())
     assert "optshare.analysis.efficient_outcome" in definitions
     assert "optshare.scaled.ScaledGame.values" in definitions
     for name, obj in definitions.items():
         try:
-            typing.get_type_hints(obj, localns={"np": numpy})
+            typing.get_type_hints(obj)
         except NameError as exc:
             raise AssertionError(f"{name}: {exc}") from None

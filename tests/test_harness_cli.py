@@ -190,6 +190,21 @@ def test_cli_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_run_names_the_flag_whose_file_operation_failed(tmp_path, capsys, flag):
+    """A missing config, or an output directory that is a file, exits 2
+    with the flag in the message and nothing on stdout."""
+    (tmp_path / "file").write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_dict()))
+    paths = {"--config": str(cfg_path), "--out": str(tmp_path / "out")}
+    paths[flag] = str(tmp_path / ("missing.json" if flag == "--config" else "file"))
+    assert main(["run", "--config", paths["--config"], "--out", paths["--out"]]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: {flag}: [Errno ") and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+
+
 def test_cli_verify_golden(capsys):
     assert main(["verify", "--suite", "golden_examples"]) == 0
     assert "PASS golden_examples" in capsys.readouterr().out
@@ -298,57 +313,32 @@ def run_fresh(code: str) -> list:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_verify_and_replay_never_import_numpy_and_a_draw_does():
-    loaded = run_fresh("""
-        import optshare, optshare.cli
-        from optshare import scenarios
-        codes = [optshare.cli.main(["verify", "--suite", "golden_examples"]),
-                 optshare.cli.main(["replay", "--game", GAMES + "/two_views.json", "--mechanism", "regret"])]
-        before = "numpy" in sys.modules
-        scenarios.draw(scenarios.ScenarioSpec(family="arrival_skew", skew="early", trials=1), 0)
-        print(json.dumps([codes, before, "numpy" in sys.modules]))
-    """)
-    assert loaded == [[0, 0], False, True]
-
-
-def test_parallel_sweep_starts_every_helper_with_numpy_random_loaded():
-    """In-process tests run with numpy loaded; a fresh parent that has drawn
-    nothing must still import numpy.random before its first helper, or
-    every helper imports it again on every sweep."""
-    seen, parallel, serial = run_fresh("""
+def test_sweeps_verify_and_replay_run_with_numpy_blocked():
+    """No module of the package imports numpy: with ``import numpy`` made
+    to fail, every family sweeps at every skew, serially and in two slices
+    that agree, and ``verify`` and ``replay`` exit 0."""
+    codes, agree = run_fresh("""
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
         import os
         from fractions import Fraction
-        from optshare import harness
-        from optshare.scenarios import ScenarioSpec
+        from optshare import cli, harness
+        from optshare.scenarios import FAMILIES, SKEWS, ScenarioSpec
 
-        seen = ["numpy" in sys.modules]
-        real_start, real_fold = harness._start_helper, harness._fold_trials
-
-        def recording_start(fold, trials):
-            seen.append(["helper", "numpy.random" in sys.modules])
-            return real_start(fold, trials)
-
-        def recording_fold(*args):  # a forked helper records into its own copy of seen
-            seen.append(["parent", "numpy.random" in sys.modules])
-            return real_fold(*args)
-
-        harness._start_helper, harness._fold_trials = recording_start, recording_fold
-        os.cpu_count = lambda: 3
-        spec = ScenarioSpec(family="arrival_skew", skew="early", users=4, slots=6, cost=Fraction("0.3"), seed=5, trials=30)
-        points = (Fraction("0.2"), Fraction("0.4"))
-
-        def columns(workers):
-            cells = harness.sweep(spec, ("add_on", "regret"), points, workers=workers)
-            return sorted([m, str(cost), *cell.columns()] for (m, cost), cell in cells.items())
-
-        parallel = columns(3)  # first: no draw in this process has loaded numpy yet
-        print(json.dumps([seen, parallel, columns(1)]))
+        os.cpu_count = lambda: 2
+        agree = []
+        for family in FAMILIES:
+            mechanisms = ("subst_on" if family == "selectivity" else "add_on", "regret")
+            for skew in SKEWS:
+                spec = ScenarioSpec(family=family, skew=skew, opt_count=4, duration=3, trials=20)
+                serial, parallel = (harness.sweep(spec, mechanisms, (Fraction(1, 2), Fraction(2)), workers=w)
+                                    for w in (1, 2))
+                agree.append(serial == parallel)
+        codes = [cli.main(["verify", "--suite", "golden_examples"]),
+                 cli.main(["replay", "--game", GAMES + "/two_views.json", "--mechanism", "regret"])]
+        print(json.dumps([codes, agree]))
     """)
-    # numpy absent at the start; numpy.random loaded at each helper's start
-    # and at the parent's fold of its own slice, in the parallel sweep and
-    # then the serial one
-    assert seen == [False, ["helper", True], ["helper", True], ["parent", True], ["parent", True]]
-    assert parallel == serial
+    assert codes == [0, 0]
+    assert agree == [True] * len(scenarios.FAMILIES) * len(scenarios.SKEWS)
 
 
 @pytest.mark.parametrize("family", scenarios.FAMILIES)
@@ -387,14 +377,11 @@ def test_parallel_uniform_sweep_never_imports_numpy(family):
         folds = sorted(json.load(open(os.path.join(log, name))) for name in os.listdir(log))
         shutil.rmtree(log)
         serial = columns(1)
-        parent = "numpy" in sys.modules
-        skewed = ScenarioSpec(family="arrival_skew", skew="early", trials=2)
-        harness.sweep(skewed, ("add_on",), (Fraction(1),), workers=1)
-        print(json.dumps([folds, [parent, "numpy" in sys.modules], parallel, serial]))
+        print(json.dumps([folds, "numpy" in sys.modules, parallel, serial]))
     """))
     # two helpers and the parent each folded a slice, none with numpy loaded
     assert folds == [[False, False], [False, False], [True, False]]
-    assert parent == [False, True]  # nor the parent, until it swept a family that draws through numpy
+    assert parent is False  # nor the parent, after both sweeps
     assert parallel == serial
 
 

@@ -1,27 +1,32 @@
+import importlib.util
+import os
+import pathlib
+import struct
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from optshare import _ziggurat
 from optshare.core import AdditiveOnlineGame, SubstOnlineGame
 from optshare.scenarios import (
+    EXPONENTIAL,
     FAMILIES,
     GRID,
     MAX_SIZES,
     SKEWS,
     ScenarioError,
     ScenarioSpec,
-    _draw_selectivity,
-    _trial_rng,
+    _PCG_MULT,
+    _stream_draws,
     _uniform_draws,
     draw,
-    draws_with_numpy,
     generate,
-    load_numpy,
 )
 
-from oracles import recost, reference_generate
+from oracles import numpy_rng, recost, reference_draw, reference_generate
 
 F = Fraction
 
@@ -103,15 +108,9 @@ def test_uniform_selectivity_reads_numpys_stream_at_the_bounds(opt_count, substi
     has range 0 and consumes nothing), and seeds of one and two entropy words."""
     k = {"one": 1, "all": opt_count}.get(substitutes) or data.draw(st.integers(1, opt_count))
     s = spec(family="selectivity", opt_count=opt_count, substitutes_per_user=k, seed=seed, users=users, slots=slots)
-    assert not draws_with_numpy(s)
     for trial in (0, 1, s.trials - 1):
-        assert draw(s, trial) == _draw_selectivity(s, _trial_rng(s, trial))
+        assert draw(s, trial) == reference_draw(s, trial)
         assert generate(s, trial) == reference_generate(s, trial)
-
-
-def numpy_rng(seed, trial):
-    npr = load_numpy().random
-    return npr.Generator(npr.PCG64(npr.SeedSequence((seed, trial))))
 
 
 # 2**31 - 1: a power-of-two range, whose rejection threshold is 0 and every
@@ -170,20 +169,89 @@ def test_uniform_draws_are_numpys_scalar_draws(ranges, seed, trial):
     assert _uniform_draws(seed, trial, ranges) == [int(rng.integers(0, r, endpoint=True)) for r in ranges]
 
 
-# The (family, skew) pairs drawn through numpy: an early or late arrival on
-# a family whose slots read the skew.  The other 10 pairs draw in Python.
-NUMPY_PAIRS = {(family, skew) for family in ("collab_size", "overlap_slots", "arrival_skew", "selectivity")
-               for skew in ("early", "late")}
+# The families whose slots read the skew.
+SKEW_FAMILIES = ("collab_size", "overlap_slots", "arrival_skew", "selectivity")
 
 
 @pytest.mark.parametrize("skew", SKEWS)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_draws_with_numpy_only_for_a_skew_its_family_reads(family, skew):
+def test_only_families_that_read_the_skew_change_with_it(family, skew):
     s = spec(family=family, skew=skew, opt_count=4, trials=3)
-    assert draws_with_numpy(s) is ((family, skew) in NUMPY_PAIRS)
     skewed = [draw(s, t) for t in range(3)]
     uniform = [draw(replace(s, skew="uniform"), t) for t in range(3)]
-    assert (skewed != uniform) is draws_with_numpy(s)  # only the numpy pairs read the skew
+    assert (skewed != uniform) is (skew != "uniform" and family in SKEW_FAMILIES)
+
+
+@pytest.mark.parametrize("skew", ("early", "late"))
+@pytest.mark.parametrize("family", SKEW_FAMILIES)
+@given(
+    data=st.data(),
+    users=st.sampled_from([1, 6, 24, 100]),
+    slots=st.sampled_from([1, 2, 12, MAX_SIZES["slots"]]),
+    trial=st.one_of(st.integers(0, 3), st.integers(0, MAX_SIZES["trials"] - 1)),
+)
+@settings(max_examples=40, deadline=None)
+def test_skewed_arrivals_draw_numpys_exponential(family, skew, data, users, slots, trial):
+    """An early or late arrival's slot is numpy's ``exponential(1.2)`` from
+    the trial's stream, and the draws after it stay in step."""
+    s = replace(data.draw(specs(family)), skew=skew, users=users, slots=slots, duration=1, trials=MAX_SIZES["trials"])
+    assert draw(s, trial) == reference_draw(s, trial)
+
+
+ZIGGURAT_TABLES = {"we": _ziggurat.WE, "ke": _ziggurat.KE, "fe": _ziggurat.FE}
+
+
+def test_committed_ziggurat_tables_are_numpys_bit_for_bit():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "ziggurat_tables.py"
+    module_spec = importlib.util.spec_from_file_location("ziggurat_tables", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    archive = script.archive_path()
+    assert os.path.exists(archive), f"numpy's static library is missing: {archive}"
+    read = script.read_tables(archive)
+    assert read.keys() == ZIGGURAT_TABLES.keys()
+    for key, (_, code) in script.SYMBOLS.items():
+        packed = struct.Struct(f"<{script.LAYERS}{code}").pack
+        assert packed(*ZIGGURAT_TABLES[key]) == packed(*read[key]), key
+
+
+def forced_generator(first, second):
+    """The PCG64 ``(state, inc)`` whose next two outputs are ``first`` and
+    ``second``, each below ``2**64``, of different parity (``inc`` is odd),
+    and numpy's ``Generator`` at that state.  A state whose high half is 0
+    outputs its low half unrotated; the state before it is one LCG step back."""
+    inc = (second - first * _PCG_MULT) % 2**128
+    state = (first - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128
+    assert inc & 1
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return state, inc, np.random.Generator(bit_generator)
+
+
+def test_every_ziggurat_branch_draws_numpys_exponential():
+    """For every layer, a point just inside its fast region and one just
+    outside, with a second word for ``u`` near 0 and near 1: the fast
+    path, the tail of layer 0 and both outcomes of the wedge test."""
+    we, ke = _ziggurat.WE, _ziggurat.KE
+    outcomes = {"fast": 0, "tail": 0, "wedge kept": 0, "wedge redrawn": 0}
+    for idx in range(256):
+        for ri in (ke[idx] - 1, ke[idx]):
+            if ri < 0:  # layer 1 has no fast region
+                continue
+            for u53 in (0, 1, 2**52, 2**53 - 2, 2**53 - 1):
+                first, second = ri << 11 | idx << 3, u53 << 11 | 1
+                state, inc, rng = forced_generator(first, second)
+                ours = _stream_draws(state, inc, [EXPONENTIAL, EXPONENTIAL, GRID])
+                theirs = [rng.standard_exponential(), rng.standard_exponential()]
+                assert ours == [*theirs, int(rng.integers(0, GRID, endpoint=True))], (idx, ri, u53)
+                if ri < ke[idx]:
+                    outcomes["fast"] += 1
+                elif idx == 0:
+                    outcomes["tail"] += 1
+                else:
+                    outcomes["wedge kept" if ours[0] == ri * we[idx] else "wedge redrawn"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_collab_size_supports():
