@@ -522,20 +522,25 @@ def multi_identity_probe(
             if i >= n:
                 true_rows[i - n].append((t, v))
 
-    def utilities(ks):  # identity c's rows are ks[c] times the true ones
+    rivals = list(dict.fromkeys([b.user for b in others]))
+
+    def utilities(ks) -> tuple[list[int], int]:
+        """The splitter's and then each rival's utility, as numerators over
+        one denominator, when identity c's rows are ``ks[c]`` times the true
+        ones."""
         new = [(k, n + c * m + q, row) for c, k in enumerate(ks) if k > 0 for q, row in enumerate(true_rows)]
         realized, paid, den = fold(lab.settle(new), users, scaled, owner)
-        charged = den * lab.scale
+        to_paid = den * unit
+        return [realized.get(u, 0) * to_paid - paid.get(u, 0) for u in (splitter, *rivals)], den * lab.scale
 
-        def utility(user):
-            return Fraction(realized.get(user, 0) * den * unit - paid.get(user, 0), charged)
-
-        return utility(splitter), {b.user: utility(b.user) for b in others}
-
-    base_mine, base_others = utilities([unit])
+    (mine, *base), base_den = utilities([unit])
+    base_mine, base_others = Fraction(mine, base_den), {u: Fraction(v, base_den) for u, v in zip(rivals, base)}
     splits = []
     multiples = itertools.product([int(level * unit) for level in split_levels], repeat=identities)
     for levels, ks in zip(itertools.product(split_levels, repeat=identities), multiples):
-        mine_u, others_u = utilities(ks)
-        splits.append(SplitOutcome(levels, mine_u, {u: others_u[u] - base_others[u] for u in base_others}))
+        (mine, *theirs), den = utilities(ks)
+        common = den * base_den
+        deltas = [v * base_den - b * den for v, b in zip(theirs, base)]
+        harm = {u: Fraction(d, common) if d else ZERO for u, d in zip(rivals, deltas)}
+        splits.append(SplitOutcome(levels, Fraction(mine, den), harm))
     return ProbeReport(mechanism, splitter, identities, base_mine, base_others, tuple(splits))

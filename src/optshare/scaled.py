@@ -12,15 +12,20 @@ The harness builds one per trial straight from the trial's draws
 (``scenarios.ScaledTrials``, through :meth:`ScaledGame.from_rows`), on one
 scale for the whole sweep, with the factor ``cost / spec.cost`` of each cost
 point: every family's catalog costs are proportional to ``spec.cost``, so
-that factor costs the generated catalog at ``cost``.  Both constructors
-share one assembly step (suffix sums, offers and their sort).  The public
-mechanism functions build one per call from a game, and the strategy lab
-one per deviator (or splitter) of its truthful profile, with the single
-factor 1, which makes the scale the least common denominator of the game's
-own costs and values; the lab runs every misreport or identity split on its
-offers, with the new rows merged in.  An offline game is the one-slot
-online game it degenerates to (z = 1), so the offline mechanisms run on the
-same kernels.
+that factor costs the generated catalog at ``cost``.  The public mechanism
+functions lower their game to one per call, and the strategy lab one per
+deviator (or splitter) of its truthful profile, with the single factor 1,
+which makes the scale the least common denominator of the game's own
+costs and values; the lab runs every misreport or identity split on its
+offers, with the new rows merged in.  Lowering is one pass per game kind:
+it reads each value's numerator and denominator once and takes one lcm
+over the distinct denominators.  An online game then goes through the
+assembly step :meth:`ScaledGame.from_rows` shares (suffix sums, offers and
+their sort).  An offline game is built directly as the one-slot online
+game it degenerates to (z = 1), one suffix ``[v, 0]`` per bid and one
+offer list in slot 1, so the offline mechanisms run on the same kernels;
+``shapley`` lowers its bid map straight into such a game through
+:meth:`ScaledGame.from_rows`.
 
 Every kernel (``serve``, ``grant``, ``trigger``) returns one
 :data:`ScaledSettlement`, its served bids, implemented optimizations and
@@ -118,6 +123,18 @@ def cost_rows(base: Mapping[OptId, int], units: Sequence[int]) -> list[dict[OptI
     return [{j: c * unit for j, c in base.items()} for unit in units]
 
 
+def _check_one_bid(additive: bool, users: Sequence[UserId], interest: Sequence) -> None:
+    """Raise a :class:`GameError` naming the first bid that repeats a user
+    (a user and optimization, for additive bids)."""
+    seen = set()
+    for key in zip(users, interest) if additive else users:
+        if key in seen:
+            if additive:
+                raise GameError(f"duplicate bid for user {key[0]}, optimization {key[1][0]}")
+            raise GameError("one bid per user per game")
+        seen.add(key)
+
+
 class ScaledGame:
     """Bids and costs of one game as integers over ``scale``.
 
@@ -126,10 +143,12 @@ class ScaledGame:
     and optimization ids, or an :class:`AdditiveOfflineGame` or a
     :class:`SubstOfflineGame`, played as the one-slot online game it
     degenerates to: an additive bid gives one bid per optimization it
-    values, a substitutable bid one bid, each in slot 1.  Bids are numbered in game order: ``users[i]``, ``starts[i]``
-    and ``ends[i]`` are bid ``i``'s user and window, ``suffix[i][k]`` its
-    scaled value from slot ``starts[i] + k`` on, with a trailing 0, and
-    ``interest[i]`` the optimizations it values.  ``costs[p][j]`` is
+    values, a substitutable bid one bid, each offering its positive value
+    in slot 1 (built in place, with no slot loop).  Bids are numbered in
+    game order: ``users[i]``, ``starts[i]`` and ``ends[i]`` are bid ``i``'s
+    user and window, ``suffix[i][k]`` its scaled value from slot
+    ``starts[i] + k`` on, with a trailing 0, and ``interest[i]`` the
+    optimizations it values.  ``costs[p][j]`` is
     optimization ``j``'s scaled cost at cost point ``p``, a fixed integer
     per optimization times ``units[p]``, so the points rank by ``units`` as
     by their factors.  ``factors`` are Money values or a :class:`Factors`
@@ -140,37 +159,50 @@ class ScaledGame:
 
     def __init__(self, game, factors: Sequence[Money] | Factors = ONE):
         factors = factors if isinstance(factors, Factors) else Factors(factors)
-        catalog = game.catalog
-        additive = not isinstance(game, (SubstOnlineGame, SubstOfflineGame))
-        z = 1
-        # (user, interest, start, end, per-slot values) of each bid
+        bids = game.bids
+        offline = isinstance(game, (AdditiveOfflineGame, SubstOfflineGame))
+        # each bid's user and interest, and its values as (numerator,
+        # denominator): one per offline bid, a row per online one
         if isinstance(game, AdditiveOfflineGame):
-            bids = [(b.user, (j,), 1, 1, (v,)) for b in game.bids for j, v in b.values.items() if v]
-        elif isinstance(game, SubstOfflineGame):
-            bids = [(b.user, b.substitutes, 1, 1, (b.value,)) for b in game.bids]
+            additive, users, interest, values = True, [], [], []
+            for b in bids:
+                for j, v in b.values.items():
+                    if v:
+                        users.append(b.user)
+                        interest.append((j,))
+                        values.append(v.as_integer_ratio())
+        elif offline:
+            additive, users, interest = False, [b.user for b in bids], [b.substitutes for b in bids]
+            values = [b.value.as_integer_ratio() for b in bids]
         else:
-            z = game.horizon.z
-            bids = [(b.user, (b.opt,) if additive else b.substitutes, b.start, b.end, b.per_slot) for b in game.bids]
+            additive = not isinstance(game, SubstOnlineGame)
+            interest = [(b.opt,) for b in bids] if additive else [b.substitutes for b in bids]
+            users, starts, ends, values = [], [], [], []
+            for b in bids:  # one loop: a comprehension per field would cost a call each
+                users.append(b.user)
+                starts.append(b.start)
+                ends.append(b.end)
+                values.append([v.as_integer_ratio() for v in b.per_slot])
+        if len(set(users)) < len(users):  # only then can a bid repeat one
+            _check_one_bid(additive, users, interest)
         # Costs need cost_lcm, factors factors.lcm and values the lcm of their
         # denominators; every product cost * factor * scale is then an integer.
-        cost_lcm = math.lcm(*[o.cost.denominator for o in catalog])
-        scale, units = factors.scale(cost_lcm, math.lcm(*[v.denominator for *_, row in bids for v in row]))
-        base = {o.id: o.cost.numerator * (cost_lcm // o.cost.denominator) for o in catalog}
-        users, starts, ends, interest, rows = [], [], [], [], []
-        seen = set()
-        for user, opts, start, end, row in bids:
-            key = (user, opts) if additive else user
-            if key in seen:
-                if additive:
-                    raise GameError(f"duplicate bid for user {user}, optimization {opts[0]}")
-                raise GameError("one bid per user per game")
-            seen.add(key)
-            users.append(user)
-            starts.append(start)
-            ends.append(end)
-            interest.append(opts)
-            rows.append([v.numerator * (scale // v.denominator) for v in row])
-        self._assemble(additive, z, scale, units, cost_rows(base, units), users, starts, ends, interest, rows)
+        ratios = [o.cost.as_integer_ratio() for o in game.catalog]
+        cost_lcm = math.lcm(*{d for _, d in ratios})
+        dens = {d for _, d in values} if offline else {d for row in values for _, d in row}
+        scale, units = factors.scale(cost_lcm, math.lcm(*dens))
+        costs = cost_rows({o.id: n * (cost_lcm // d) for o, (n, d) in zip(game.catalog, ratios)}, units)
+        if not offline:
+            rows = [[n * (scale // d) for n, d in row] for row in values]
+            self._assemble(additive, game.horizon.z, scale, units, costs, users, starts, ends, interest, rows)
+            return
+        # the one-slot game: every value is positive, offered in slot 1
+        scaled = [n * (scale // d) for n, d in values]
+        self.additive, self.z, self.scale, self.units, self.costs = additive, 1, scale, units, costs
+        self.users, self.starts, self.ends, self.interest = users, [1] * len(users), [1] * len(users), interest
+        self.suffix = [[v, 0] for v in scaled]
+        self.offers = [[], sorted(zip(scaled, range(len(scaled))), reverse=True)]
+        self._values = self._by_opt = None
 
     @classmethod
     def from_rows(cls, additive: bool, z: int, scale: int, units, costs, users, starts, ends, interest, rows) -> "ScaledGame":

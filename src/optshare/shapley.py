@@ -9,11 +9,14 @@ result is the unique maximal set whose members can all cover an equal split.
 Both mechanisms are the online additive mechanism on one slot (z = 1): an
 offline game rescaled to integers once (:class:`~optshare.scaled.ScaledGame`)
 and settled by the online kernel :func:`~optshare.additive_online.serve`.
-:func:`shapley` passes its infinite bids to the kernel as a pinned count.
+:func:`shapley` checks its cost and finite bids, lowers the positive ones
+straight into that one-slot game (:meth:`~optshare.scaled.ScaledGame.from_rows`)
+and passes its infinite bids to the kernel as a pinned count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -51,11 +54,25 @@ def shapley(cost: Money, bids: Mapping[UserId, Bid]) -> ShapleyResult:
     """
     if cost <= 0:
         raise GameError("optimization cost must be positive")
-    pinned = [u for u, bid in bids.items() if is_infinite(bid)]
-    finite = tuple(AdditiveOfflineBid(u, {0: bid}) for u, bid in bids.items() if not is_infinite(bid))
-    game = ScaledGame(AdditiveOfflineGame((Optimization(0, cost),), finite))
+    pinned, users, values = [], [], []
+    for u, bid in bids.items():
+        if is_infinite(bid):
+            pinned.append(u)
+        elif bid < 0:
+            raise GameError(f"user {u}: bid values must be >= 0")
+        elif bid:
+            users.append(u)
+            values.append(bid.as_integer_ratio())
+    # the one-slot game of the positive bids, on the least common
+    # denominator of the cost and the bids
+    cost_num, cost_den = cost.as_integer_ratio()
+    scale = math.lcm(cost_den, *{d for _, d in values})
+    unit = scale // cost_den
+    n = len(users)
+    rows = [[v * (scale // d)] for v, d in values]
+    game = ScaledGame.from_rows(True, 1, scale, [unit], [{0: cost_num * unit}], users, [1] * n, [1] * n, [(0,)] * n, rows)
     entries, _, _ = serve(game, game.costs[0], len(pinned))
-    serviced = frozenset([*pinned, *(game.users[i] for i in entries)])
+    serviced = frozenset([*pinned, *(users[i] for i in entries)])
     share = cost / len(serviced) if serviced else None
     return ShapleyResult(serviced, share, {u: (share if u in serviced else ZERO) for u in bids})
 

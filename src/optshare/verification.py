@@ -7,7 +7,9 @@ functions back ``optshare verify`` and the acceptance tests.
 
 The random games are drawn in whole cents: values and running totals are
 integers, each value is looked up in one table of shared ``Fraction``s
-(:data:`CENTS`), and each cost is one ``Fraction`` of integer cents.
+(:data:`CENTS`), and each cost is one ``Fraction`` of integer cents.  Each
+``randint`` is drawn straight from the generator's ``getrandbits``
+(:func:`randint`), the same numbers from the same draws.
 ``tests/oracles.py`` keeps the ``Fraction`` generators as the reference.
 """
 
@@ -98,30 +100,46 @@ def run_suite(name: str, seed: int = 0, games: int | None = None, mechanism: str
 CENTS = tuple(F(k, 100) for k in range(201))  # every amount a generator draws, shared
 
 
+def randint(rng, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` of a ``random.Random``, for ``a <= b``: the same
+    number from the same draws, so ``rng`` is left in the same state.
+    CPython draws ``randint`` as ``a + _randbelow(b - a + 1)``, which takes
+    ``k`` bits, ``k`` the bit length of the width, and draws again while
+    they are not below the width (``Random._randbelow_with_getrandbits``);
+    this runs that loop on ``rng.getrandbits`` without ``randint``'s and
+    ``randrange``'s own calls and checks."""
+    width = b - a + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return a + r
+
+
 def rand_money(rng, lo=0, hi=200):
-    cents = rng.randint(lo, hi)
+    cents = randint(rng, lo, hi)
     return CENTS[cents] if 0 <= cents <= 200 else F(cents, 100)
 
 
 def _rand_row(rng, slots: int) -> tuple[tuple[Fraction, ...], int]:
     """``slots`` drawn per-slot values, and their sum in cents."""
-    cents = [rng.randint(0, 200) for _ in range(slots)]
+    cents = [randint(rng, 0, 200) for _ in range(slots)]
     return tuple([CENTS[c] for c in cents]), sum(cents)
 
 
 def _cost_near(rng, total_cents: int, n: int = 1, lo_pct=5, hi_pct=130):
     """``total_cents / (100 n)`` times a drawn percentage, or drawn cents
     when that is 0."""
-    pct = rng.randint(lo_pct, hi_pct)
-    return F(total_cents * pct, 10000 * n) if total_cents else CENTS[rng.randint(1, 100)]
+    pct = randint(rng, lo_pct, hi_pct)
+    return F(total_cents * pct, 10000 * n) if total_cents else CENTS[randint(rng, 1, 100)]
 
 
 def rand_additive_offline(rng, max_users=5, max_opts=3, hi_pct=130) -> AdditiveOfflineGame:
-    m, n = rng.randint(1, max_users), rng.randint(1, max_opts)
+    m, n = randint(rng, 1, max_users), randint(rng, 1, max_opts)
     bids = []
     columns = [0] * (n + 1)  # cents per optimization
     for u in range(1, m + 1):
-        cents = {j: rng.randint(0, 200) for j in range(1, n + 1) if rng.random() < 0.85}
+        cents = {j: randint(rng, 0, 200) for j in range(1, n + 1) if rng.random() < 0.85}
         for j, c in cents.items():
             columns[j] += c
         bids.append(AdditiveOfflineBid(u, {j: CENTS[c] for j, c in cents.items()}))
@@ -130,12 +148,12 @@ def rand_additive_offline(rng, max_users=5, max_opts=3, hi_pct=130) -> AdditiveO
 
 
 def rand_additive_online(rng, max_users=5, max_slots=4) -> AdditiveOnlineGame:
-    m, z = rng.randint(1, max_users), rng.randint(1, max_slots)
+    m, z = randint(rng, 1, max_users), randint(rng, 1, max_slots)
     bids = []
     total = 0
     for u in range(1, m + 1):
-        s = rng.randint(1, z)
-        e = rng.randint(s, z)
+        s = randint(rng, 1, z)
+        e = randint(rng, s, z)
         row, cents = _rand_row(rng, e - s + 1)
         total += cents
         bids.append(AdditiveOnlineBid(u, 1, s, e, row))
@@ -143,13 +161,13 @@ def rand_additive_online(rng, max_users=5, max_slots=4) -> AdditiveOnlineGame:
 
 
 def rand_subst_offline(rng, max_users=5, max_opts=3) -> SubstOfflineGame:
-    m, n = rng.randint(1, max_users), rng.randint(1, max_opts)
+    m, n = randint(rng, 1, max_users), randint(rng, 1, max_opts)
     bids = []
     total = 0
     for u in range(1, m + 1):
-        k = rng.randint(1, n)
+        k = randint(rng, 1, n)
         subs = frozenset(rng.sample(range(1, n + 1), k))
-        cents = rng.randint(1, 200)
+        cents = randint(rng, 1, 200)
         total += cents
         bids.append(SubstitutableOfflineBid(u, subs, CENTS[cents]))
     catalog = tuple(Optimization(j, _cost_near(rng, total, n)) for j in range(1, n + 1))
@@ -157,14 +175,14 @@ def rand_subst_offline(rng, max_users=5, max_opts=3) -> SubstOfflineGame:
 
 
 def rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4) -> SubstOnlineGame:
-    m, n, z = rng.randint(1, max_users), rng.randint(1, max_opts), rng.randint(1, max_slots)
+    m, n, z = randint(rng, 1, max_users), randint(rng, 1, max_opts), randint(rng, 1, max_slots)
     bids = []
     total = 0
     for u in range(1, m + 1):
-        k = rng.randint(1, n)
+        k = randint(rng, 1, n)
         subs = frozenset(rng.sample(range(1, n + 1), k))
-        s = rng.randint(1, z)
-        e = rng.randint(s, z)
+        s = randint(rng, 1, z)
+        e = randint(rng, s, z)
         row, cents = _rand_row(rng, e - s + 1)
         total += cents
         bids.append(SubstitutableOnlineBid(u, subs, s, e, row))
@@ -431,9 +449,9 @@ def _naive_control(seed: int, games: int) -> list[Violation]:
 
 
 def _rand_naive_game(rng) -> AdditiveOfflineGame:
-    cents = [rng.randint(1, 200) for _ in range(rng.randint(2, 4))]
+    cents = [randint(rng, 1, 200) for _ in range(randint(rng, 2, 4))]
     bids = [AdditiveOfflineBid(u, {1: CENTS[c]}) for u, c in enumerate(cents, 1)]
-    cost = F(sum(cents) * rng.randint(10, 80), 10000)
+    cost = F(sum(cents) * randint(rng, 10, 80), 10000)
     return AdditiveOfflineGame((Optimization(1, cost),), tuple(bids))
 
 

@@ -24,6 +24,10 @@ Python from the same PCG64 stream) or as a game in ``Fraction``s
 catalog (``recost``).  The renderers' oracles round in
 ``Fraction`` arithmetic.  The suite draw oracles build every drawn value
 and cost as a fresh ``Fraction`` and sum them in ``Fraction`` arithmetic.
+The lowering oracles build a ``ScaledGame`` of every game kind from one
+bid list assembled slot by slot (``reference_scaled_game``), and run
+``shapley`` through the game types it was once built from
+(``reference_shapley``), the paths the one-pass lowering replaces.
 
 Helpers that only tests read live here too: the pay-your-bid control
 mechanism (``naive_pay_your_bid``, whose result ``score`` folds like any
@@ -39,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from optshare.additive_online import OnlineTrace
+from optshare.additive_online import OnlineTrace, serve
 from optshare.analysis import (
     DEFAULT_SPLIT_LEVELS,
     GRID_SCALES,
@@ -66,9 +70,10 @@ from optshare.core import (
     SubstOfflineGame,
     SubstOnlineGame,
 )
-from optshare.money import render_ratio_sqrt
+from optshare.money import is_infinite, render_ratio_sqrt
 from optshare.regret import RegretTrace, _posted_price, _price_curve, _riders
-from optshare.scaled import ScaledGame, outcome_and_ledger, totals
+from optshare.scaled import ONE, Factors, ScaledGame, cost_rows, outcome_and_ledger, totals
+from optshare.shapley import ShapleyResult
 from optshare.substitutable import SubstOffResult, SubstOnlineTrace
 from optshare.scenarios import (
     GRID,
@@ -646,6 +651,64 @@ def recost(game, spec, cost):
         catalog = tuple(Optimization(o.id, cost) for o in game.catalog)
         return AdditiveOnlineGame(catalog, game.horizon, game.bids)
     return AdditiveOnlineGame((Optimization(game.catalog[0].id, cost),), game.horizon, game.bids)
+
+
+# ---------------------------------------------------------------------------
+# Lowering a game: ``ScaledGame`` built as one bid list for every kind
+
+
+def reference_scaled_game(game, factors=ONE):
+    """``ScaledGame(game, factors)`` built the way the one-pass lowering
+    replaced: every kind of game as one list of (user, interest, start, end,
+    per-slot values) bids, the values' numerators and denominators read
+    through ``Fraction``'s properties, a duplicate bid found with one set,
+    and every game, the one-slot ones too, assembled slot by slot by
+    ``ScaledGame.from_rows``."""
+    factors = factors if isinstance(factors, Factors) else Factors(factors)
+    catalog = game.catalog
+    additive = not isinstance(game, (SubstOnlineGame, SubstOfflineGame))
+    z = 1
+    if isinstance(game, AdditiveOfflineGame):
+        bids = [(b.user, (j,), 1, 1, (v,)) for b in game.bids for j, v in b.values.items() if v]
+    elif isinstance(game, SubstOfflineGame):
+        bids = [(b.user, b.substitutes, 1, 1, (b.value,)) for b in game.bids]
+    else:
+        z = game.horizon.z
+        bids = [(b.user, (b.opt,) if additive else b.substitutes, b.start, b.end, b.per_slot) for b in game.bids]
+    cost_lcm = math.lcm(*[o.cost.denominator for o in catalog])
+    scale, units = factors.scale(cost_lcm, math.lcm(*[v.denominator for *_, row in bids for v in row]))
+    base = {o.id: o.cost.numerator * (cost_lcm // o.cost.denominator) for o in catalog}
+    users, starts, ends, interest, rows = [], [], [], [], []
+    seen = set()
+    for user, opts, start, end, row in bids:
+        key = (user, opts) if additive else user
+        if key in seen:
+            if additive:
+                raise GameError(f"duplicate bid for user {user}, optimization {opts[0]}")
+            raise GameError("one bid per user per game")
+        seen.add(key)
+        users.append(user)
+        starts.append(start)
+        ends.append(end)
+        interest.append(opts)
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    return ScaledGame.from_rows(additive, z, scale, units, cost_rows(base, units), users, starts, ends, interest, rows)
+
+
+def reference_shapley(cost, bids):
+    """``shapley.shapley`` through the game types: the finite bids become
+    ``AdditiveOfflineBid``s of one ``AdditiveOfflineGame``, whose
+    constructors check them, lowered by ``reference_scaled_game``; the
+    infinite ones are the kernel's pinned count."""
+    if cost <= 0:
+        raise GameError("optimization cost must be positive")
+    pinned = [u for u, bid in bids.items() if is_infinite(bid)]
+    finite = tuple(AdditiveOfflineBid(u, {0: bid}) for u, bid in bids.items() if not is_infinite(bid))
+    game = reference_scaled_game(AdditiveOfflineGame((Optimization(0, cost),), finite))
+    entries, _, _ = serve(game, game.costs[0], len(pinned))
+    serviced = frozenset([*pinned, *(game.users[i] for i in entries)])
+    share = cost / len(serviced) if serviced else None
+    return ShapleyResult(serviced, share, {u: (share if u in serviced else ZERO) for u in bids})
 
 
 # ---------------------------------------------------------------------------

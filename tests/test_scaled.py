@@ -29,12 +29,16 @@ from hypothesis import given, settings, strategies as st
 from optshare.additive_online import add_on, serve
 from optshare.analysis import score
 from optshare.core import (
+    AdditiveOfflineBid,
+    AdditiveOfflineGame,
     AdditiveOnlineBid,
     AdditiveOnlineGame,
     GameError,
     Optimization,
     SlotHorizon,
+    SubstOfflineGame,
     SubstOnlineGame,
+    SubstitutableOfflineBid,
     SubstitutableOnlineBid,
 )
 from optshare.harness import FAMILY_MECHANISMS, ConfigError, run_mechanism
@@ -43,8 +47,14 @@ from optshare.regret import regret_run, trigger
 from optshare.scaled import Factors, ScaledGame, kernel_step, point_rows, settle_points
 from optshare.scenarios import FAMILIES, SKEWS, ScaledTrials, ScenarioSpec, generate
 from optshare.substitutable import grant, subst_on
-from optshare.verification import rand_additive_online, rand_subst_online
-from oracles import each_point, per_opt_games, recost
+from optshare.verification import (
+    _rand_naive_game,
+    rand_additive_offline,
+    rand_additive_online,
+    rand_subst_offline,
+    rand_subst_online,
+)
+from oracles import each_point, per_opt_games, recost, reference_scaled_game
 from test_traces import _rand_multi as rand_additive_multi, _rand_tied_subst
 
 F = Fraction
@@ -490,3 +500,91 @@ def test_scaled_game_checks_bids_and_costs():
         ScaledGame(multi, (F(1), F(0)))
     with pytest.raises(ConfigError, match="subst_on cannot run on additive games"):
         run_mechanism("subst_on", ScaledGame(multi))
+
+
+def lowered(game, factors):
+    """``ScaledGame(game, factors)`` and ``reference_scaled_game``'s, as
+    field dicts, or the text of the ``GameError`` each raised."""
+    out = []
+    for build in (ScaledGame, reference_scaled_game):
+        try:
+            out.append(vars(build(game, *factors)))
+        except GameError as exc:
+            out.append(f"GameError: {exc}")
+    return out
+
+
+@given(seed=st.integers(0, 2**32), factors=st.just(()) | st.lists(positive_money, min_size=1, max_size=3).map(lambda f: (f,)))
+@settings(max_examples=200, deadline=None)
+def test_lowering_equals_the_reference_on_suite_games(seed, factors):
+    rng = random.Random(seed)
+    games = (
+        rand_additive_offline(rng),
+        rand_additive_offline(rng, max_users=4, max_opts=2),
+        _rand_naive_game(rng),
+        rand_subst_offline(rng),
+        rand_additive_online(rng),
+        rand_additive_multi(rng),
+        rand_subst_online(rng),
+    )
+    for game in games:
+        got, want = lowered(game, factors)
+        assert isinstance(got, dict) and got == want
+
+
+# values with zeros and several denominators
+lowering_values = st.builds(F, st.integers(0, 30), st.sampled_from((1, 2, 3, 7, 100)))
+
+
+@st.composite
+def lowering_games(draw):
+    """A game of any of the four kinds, whose additive online users may bid
+    on several optimizations and whose bids may repeat a user."""
+    kind = draw(st.sampled_from((AdditiveOfflineGame, AdditiveOnlineGame, SubstOfflineGame, SubstOnlineGame)))
+    ids = list(range(1, draw(st.integers(1, 3)) + 1))
+    catalog = tuple(Optimization(j, draw(positive_money)) for j in ids)
+    z = draw(st.integers(1, 4))
+    subsets = st.frozensets(st.sampled_from(ids), min_size=1)
+    bids = []
+    for u in range(1, draw(st.integers(0, 5)) + 1):
+        if kind is AdditiveOfflineGame:
+            bids.append(AdditiveOfflineBid(u, draw(st.dictionaries(st.sampled_from(ids), lowering_values))))
+        elif kind is SubstOfflineGame:
+            bids.append(SubstitutableOfflineBid(u, draw(subsets), draw(lowering_values.filter(bool))))
+        else:
+            for opt in sorted(draw(subsets)) if kind is AdditiveOnlineGame else (None,):
+                s = draw(st.integers(1, z))
+                e = draw(st.integers(s, z))
+                row = tuple(draw(lowering_values) for _ in range(e - s + 1))
+                if opt is None:
+                    bids.append(SubstitutableOnlineBid(u, draw(subsets), s, e, row))
+                else:
+                    bids.append(AdditiveOnlineBid(u, opt, s, e, row))
+    if bids and kind is not AdditiveOfflineGame and draw(st.booleans()):  # its constructor refuses a repeated user
+        bids.insert(draw(st.integers(0, len(bids))), draw(st.sampled_from(bids)))
+    if kind in (AdditiveOfflineGame, SubstOfflineGame):
+        return kind(catalog, tuple(bids))
+    return kind(catalog, SlotHorizon(z), tuple(bids))
+
+
+@given(game=lowering_games(), factors=st.just(()) | st.lists(positive_money, min_size=1, max_size=3).map(lambda f: (f,)))
+@settings(max_examples=400, deadline=None)
+def test_lowering_equals_the_reference_field_by_field_and_error_by_error(game, factors):
+    got, want = lowered(game, factors)
+    assert got == want
+
+
+def test_lowering_names_the_first_repeated_bid_as_the_reference_does():
+    opt1, opt2 = Optimization(1, F(1)), Optimization(2, F(3, 2))
+    online = (
+        AdditiveOnlineBid(1, 1, 1, 1, (F(1),)),
+        AdditiveOnlineBid(1, 2, 1, 1, (F(0),)),
+        AdditiveOnlineBid(2, 2, 1, 2, (F(1), F(1, 3))),
+        AdditiveOnlineBid(2, 2, 2, 2, (F(1),)),
+        AdditiveOnlineBid(1, 1, 2, 2, (F(1),)),
+    )
+    game = AdditiveOnlineGame((opt1, opt2), SlotHorizon(2), online)
+    assert lowered(game, ()) == ["GameError: duplicate bid for user 2, optimization 2"] * 2
+    subst = SubstOfflineGame((opt1, opt2), tuple(SubstitutableOfflineBid(u, frozenset({1}), F(1)) for u in (3, 1, 3)))
+    assert lowered(subst, ()) == ["GameError: one bid per user per game"] * 2
+    assert lowered(subst, ([F(1), F(0)],)) == ["GameError: optimization cost must be positive"] * 2

@@ -8,7 +8,7 @@ from optshare.core import AdditiveOfflineBid, GameError, Optimization
 from optshare.money import INFINITE_BID
 from optshare.shapley import add_off, shapley
 
-from oracles import equal_share_payments, maximal_feasible_set
+from oracles import equal_share_payments, maximal_feasible_set, reference_shapley
 
 F = Fraction
 
@@ -102,6 +102,29 @@ def test_insertion_order_is_irrelevant(pairs, cost):
     shuffled = list(pairs)
     rng.shuffle(shuffled)
     assert shapley(cost, dict(pairs)) == shapley(cost, dict(shuffled))
+
+
+def shapley_or_error(shapley_fn, cost, bids):
+    try:
+        return shapley_fn(cost, bids)
+    except GameError as exc:
+        return f"GameError: {exc}"
+
+
+# bids of several denominators, zero and negative ones among them
+any_bid = st.builds(F, st.integers(-3, 40), st.sampled_from((1, 2, 3, 7, 100))) | st.just(INFINITE_BID)
+
+
+@given(st.dictionaries(st.integers(0, 10), any_bid, max_size=8), st.builds(F, st.integers(-2, 60), st.sampled_from((1, 3, 10))))
+@settings(max_examples=400)
+def test_equals_the_game_type_reference_and_its_errors(bids, cost):
+    assert shapley_or_error(shapley, cost, bids) == shapley_or_error(reference_shapley, cost, bids)
+
+
+def test_names_the_first_negative_bid_after_the_cost():
+    bids = {1: INFINITE_BID, 2: F(0), 3: F(-1, 3), 4: F(-2)}
+    for cost, text in ((F(1), "user 3: bid values must be >= 0"), (F(0), "optimization cost must be positive")):
+        assert shapley_or_error(shapley, cost, bids) == shapley_or_error(reference_shapley, cost, bids) == f"GameError: {text}"
 
 
 def test_add_off_singleton_catalog_equals_shapley():
