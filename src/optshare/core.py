@@ -71,6 +71,11 @@ class SlotHorizon:
         return range(1, self.z + 1)
 
 
+def negative_bid(user: UserId) -> GameError:
+    """The error for a negative declared value of ``user``'s."""
+    return GameError(f"user {user}: bid values must be >= 0")
+
+
 @dataclass(frozen=True)
 class AdditiveOfflineBid:
     """Per-optimization declared values; an absent entry means 0."""
@@ -81,7 +86,7 @@ class AdditiveOfflineBid:
     def __post_init__(self):
         object.__setattr__(self, "values", FrozenDict(self.values))
         if any(v < 0 for v in self.values.values()):
-            raise GameError(f"user {self.user}: bid values must be >= 0")
+            raise negative_bid(self.user)
 
     def value_for(self, opt: OptId) -> Money:
         return self.values.get(opt, ZERO)

@@ -18,14 +18,14 @@ deviator (or splitter) of its truthful profile, with the single factor 1,
 which makes the scale the least common denominator of the game's own
 costs and values; the lab runs every misreport or identity split on its
 offers, with the new rows merged in.  Lowering is one pass per game kind:
-it reads each value's numerator and denominator once and takes one lcm
-over the distinct denominators.  An online game then goes through the
-assembly step :meth:`ScaledGame.from_rows` shares (suffix sums, offers and
-their sort).  An offline game is built directly as the one-slot online
-game it degenerates to (z = 1), one suffix ``[v, 0]`` per bid and one
-offer list in slot 1, so the offline mechanisms run on the same kernels;
-``shapley`` lowers its bid map straight into such a game through
-:meth:`ScaledGame.from_rows`.
+it reads each cost's and value's numerator and denominator once and takes
+one lcm over the distinct denominators.  An online game is then assembled
+as :meth:`ScaledGame.from_rows` does (suffix sums, offers and their sort).
+An offline game is built directly as the one-slot online game it
+degenerates to (z = 1), one suffix ``[v, 0]`` per bid and one offer list in
+slot 1, so the offline mechanisms run on the same kernels; ``shapley``
+lowers its bid map straight into such a game
+(:meth:`ScaledGame.from_ratios`).
 
 Every kernel (``serve``, ``grant``, ``trigger``) returns one
 :data:`ScaledSettlement`, its served bids, implemented optimizations and
@@ -143,24 +143,24 @@ class ScaledGame:
     and optimization ids, or an :class:`AdditiveOfflineGame` or a
     :class:`SubstOfflineGame`, played as the one-slot online game it
     degenerates to: an additive bid gives one bid per optimization it
-    values, a substitutable bid one bid, each offering its positive value
-    in slot 1 (built in place, with no slot loop).  Bids are numbered in
-    game order: ``users[i]``, ``starts[i]`` and ``ends[i]`` are bid ``i``'s
-    user and window, ``suffix[i][k]`` its scaled value from slot
-    ``starts[i] + k`` on, with a trailing 0, and ``interest[i]`` the
-    optimizations it values.  ``costs[p][j]`` is
+    values, a substitutable bid one bid, each offering its value in slot
+    1.  Bids are numbered in game order: ``users[i]``, ``starts[i]`` and
+    ``ends[i]`` are bid ``i``'s user and window, ``suffix[i][k]`` its
+    scaled value from slot ``starts[i] + k`` on, with a trailing 0, and
+    ``interest[i]`` the optimizations it values.  ``costs[p][j]`` is
     optimization ``j``'s scaled cost at cost point ``p``, a fixed integer
     per optimization times ``units[p]``, so the points rank by ``units`` as
     by their factors.  ``factors`` are Money values or a :class:`Factors`
-    built from them.  :meth:`from_rows` builds one from integer rows with no
-    game.  ``values`` and ``by_opt``, which only the regret baseline reads,
-    are built on first use.
+    built from them.  :meth:`from_ratios` builds an additive one-slot game
+    from values as (numerator, denominator) pairs, and :meth:`from_rows` any
+    game from integer rows, with no game object.  ``values`` and ``by_opt``, which only the regret
+    baseline reads, are built on first use.
     """
 
     def __init__(self, game, factors: Sequence[Money] | Factors = ONE):
         factors = factors if isinstance(factors, Factors) else Factors(factors)
         bids = game.bids
-        offline = isinstance(game, (AdditiveOfflineGame, SubstOfflineGame))
+        cost_ratios = {o.id: o.cost.as_integer_ratio() for o in game.catalog}
         # each bid's user and interest, and its values as (numerator,
         # denominator): one per offline bid, a row per online one
         if isinstance(game, AdditiveOfflineGame):
@@ -171,11 +171,13 @@ class ScaledGame:
                         users.append(b.user)
                         interest.append((j,))
                         values.append(v.as_integer_ratio())
-        elif offline:
+            z = starts = ends = None
+        elif isinstance(game, SubstOfflineGame):
             additive, users, interest = False, [b.user for b in bids], [b.substitutes for b in bids]
             values = [b.value.as_integer_ratio() for b in bids]
+            z = starts = ends = None
         else:
-            additive = not isinstance(game, SubstOnlineGame)
+            additive, z = not isinstance(game, SubstOnlineGame), game.horizon.z
             interest = [(b.opt,) for b in bids] if additive else [b.substitutes for b in bids]
             users, starts, ends, values = [], [], [], []
             for b in bids:  # one loop: a comprehension per field would cost a call each
@@ -185,18 +187,36 @@ class ScaledGame:
                 values.append([v.as_integer_ratio() for v in b.per_slot])
         if len(set(users)) < len(users):  # only then can a bid repeat one
             _check_one_bid(additive, users, interest)
+        self._lower(additive, cost_ratios, users, interest, values, factors, z, starts, ends)
+
+    @classmethod
+    def from_ratios(cls, cost_ratios, users, interest, values) -> "ScaledGame":
+        """The one-slot game (z = 1) an :class:`AdditiveOfflineGame` lowers
+        to, over the catalog ``{opt: (numerator, denominator) of its cost}``
+        at its own costs: bid ``i`` is ``users[i]``'s, values the
+        optimizations ``interest[i]`` and offers its one positive value,
+        ``values[i]`` as a (numerator, denominator) pair, in slot 1.
+        Nothing is checked."""
+        game = cls.__new__(cls)
+        game._lower(True, cost_ratios, users, interest, values, ONE, None, None, None)
+        return game
+
+    def _lower(self, additive, cost_ratios, users, interest, values, factors, z, starts, ends):
+        """Set the fields from the costs and values as (numerator,
+        denominator) pairs: with a horizon ``z``, a row of per-slot values
+        per bid over its window; with none (``z``, ``starts`` and ``ends``
+        None), the one-slot game, one positive value per bid."""
         # Costs need cost_lcm, factors factors.lcm and values the lcm of their
         # denominators; every product cost * factor * scale is then an integer.
-        ratios = [o.cost.as_integer_ratio() for o in game.catalog]
-        cost_lcm = math.lcm(*{d for _, d in ratios})
-        dens = {d for _, d in values} if offline else {d for row in values for _, d in row}
+        cost_lcm = math.lcm(*{d for _, d in cost_ratios.values()})
+        dens = {d for _, d in values} if z is None else {d for row in values for _, d in row}
         scale, units = factors.scale(cost_lcm, math.lcm(*dens))
-        costs = cost_rows({o.id: n * (cost_lcm // d) for o, (n, d) in zip(game.catalog, ratios)}, units)
-        if not offline:
+        costs = cost_rows({j: n * (cost_lcm // d) for j, (n, d) in cost_ratios.items()}, units)
+        if z is not None:
             rows = [[n * (scale // d) for n, d in row] for row in values]
-            self._assemble(additive, game.horizon.z, scale, units, costs, users, starts, ends, interest, rows)
+            self._assemble(additive, z, scale, units, costs, users, starts, ends, interest, rows)
             return
-        # the one-slot game: every value is positive, offered in slot 1
+        # the one-slot game: each bid offers its positive value in slot 1
         scaled = [n * (scale // d) for n, d in values]
         self.additive, self.z, self.scale, self.units, self.costs = additive, 1, scale, units, costs
         self.users, self.starts, self.ends, self.interest = users, [1] * len(users), [1] * len(users), interest

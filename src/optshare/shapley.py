@@ -10,13 +10,12 @@ Both mechanisms are the online additive mechanism on one slot (z = 1): an
 offline game rescaled to integers once (:class:`~optshare.scaled.ScaledGame`)
 and settled by the online kernel :func:`~optshare.additive_online.serve`.
 :func:`shapley` checks its cost and finite bids, lowers the positive ones
-straight into that one-slot game (:meth:`~optshare.scaled.ScaledGame.from_rows`)
+straight into that one-slot game (:meth:`~optshare.scaled.ScaledGame.from_ratios`)
 and passes its infinite bids to the kernel as a pinned count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -29,6 +28,7 @@ from .core import (
     Outcome,
     PaymentLedger,
     UserId,
+    negative_bid,
 )
 from .money import ZERO, Bid, Money, is_infinite
 from .scaled import ScaledGame, outcome_and_ledger
@@ -59,18 +59,11 @@ def shapley(cost: Money, bids: Mapping[UserId, Bid]) -> ShapleyResult:
         if is_infinite(bid):
             pinned.append(u)
         elif bid < 0:
-            raise GameError(f"user {u}: bid values must be >= 0")
-        elif bid:
+            raise negative_bid(u)
+        elif bid:  # a zero bid never covers a positive share
             users.append(u)
             values.append(bid.as_integer_ratio())
-    # the one-slot game of the positive bids, on the least common
-    # denominator of the cost and the bids
-    cost_num, cost_den = cost.as_integer_ratio()
-    scale = math.lcm(cost_den, *{d for _, d in values})
-    unit = scale // cost_den
-    n = len(users)
-    rows = [[v * (scale // d)] for v, d in values]
-    game = ScaledGame.from_rows(True, 1, scale, [unit], [{0: cost_num * unit}], users, [1] * n, [1] * n, [(0,)] * n, rows)
+    game = ScaledGame.from_ratios({0: cost.as_integer_ratio()}, users, [(0,)] * len(users), values)
     entries, _, _ = serve(game, game.costs[0], len(pinned))
     serviced = frozenset([*pinned, *(users[i] for i in entries)])
     share = cost / len(serviced) if serviced else None
