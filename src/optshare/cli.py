@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .analysis import MECHANISMS, runner, score, settled
+from .analysis import MECHANISMS
 from .core import GameError
-from .gamefiles import load_game, money_str
+from .gamefiles import load_game
 from .harness import ConfigError, default_workers, load_config, run_experiment
-from .scaled import fold
-from .verification import MAX_GAMES, SUITES, run_suite
+from .verification import MAX_GAMES, SUITES, replay_lines, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -88,25 +86,12 @@ def cmd_verify(args) -> int:
 
 def cmd_replay(args) -> int:
     try:
-        game = load_game(args.game)
-        metrics, payments = _replay(args.mechanism, game)
+        lines = replay_lines(args.mechanism, load_game(args.game))
     except (GameError, ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    for user in sorted(payments):
-        print(f"user {user} pays {money_str(payments[user])}")
-    print(f"total value {money_str(metrics.total_value)}")
-    print(f"total cost {money_str(metrics.total_cost)}")
-    print(f"total utility {money_str(metrics.total_utility)}")
-    print(f"cloud balance {money_str(metrics.cloud_balance)}")
+    print("\n".join(lines))
     return EXIT_OK
-
-
-def _replay(mechanism: str, game):
-    result = runner(mechanism, game)(game, game.bids)
-    scaled, settlement = settled(result)
-    _, paid, den = fold(settlement, scaled.users, scaled)
-    return score(game, result), {b.user: Fraction(paid.get(b.user, 0), den * scaled.scale) for b in game.bids}
 
 
 def main(argv=None) -> int:

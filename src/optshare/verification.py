@@ -3,7 +3,9 @@ splits, degenerations, and oracle dominance.
 
 Each suite returns a list of violations (empty = pass); a violation carries
 the serialized offending game so it can be replayed with the CLI.  The same
-functions back ``optshare verify`` and the acceptance tests.
+functions back ``optshare verify`` and the acceptance tests.  The golden
+suite reads the paper's worked examples, packaged as game files in
+``optshare/examples`` with the lines ``optshare replay`` prints for each.
 
 The random games are drawn in whole cents: values and running totals are
 integers, each value is looked up in one table of shared ``Fraction``s
@@ -15,17 +17,21 @@ integers, each value is looked up in one table of shared ``Fraction``s
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .additive_online import add_on, new_session, step_session
 from .analysis import (
+    MECHANISMS,
     TRUTHFUL_MECHANISMS,
     deviation_search,
     efficient_outcome,
     multi_identity_probe,
+    runner,
     score,
+    settled,
 )
 from .core import (
     AdditiveOfflineBid,
@@ -40,8 +46,9 @@ from .core import (
     SubstitutableOnlineBid,
     validate_outcome,
 )
-from .gamefiles import game_json
+from .gamefiles import game_from_dict, game_json, money_str
 from .money import ZERO
+from .scaled import fold
 from .shapley import add_off, shapley
 from .substitutable import subst_off, subst_on
 
@@ -194,93 +201,88 @@ def rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4) -> SubstOnlineG
 # Golden traces
 
 
-# A substitutable identity split that harms a rival (utility 4.5 -> 2).
-SUBST_SPLIT_GAME = SubstOfflineGame(
-    (Optimization(1, F(6)), Optimization(2, F(5))),
-    (
-        SubstitutableOfflineBid(1, frozenset({1}), F(5)),
-        SubstitutableOfflineBid(2, frozenset({1, 2}), F("2.51")),
-        SubstitutableOfflineBid(3, frozenset({2}), F(7)),
-    ),
-)
+RECORDED_REPLAYS = "replays.json"  # per example file, per mechanism: the lines replay prints
 
 
-def suite_golden_examples() -> list[Violation]:
+def examples_dir():
+    """The directory of the worked examples, ``optshare/examples``: one game
+    file each, and :data:`RECORDED_REPLAYS`."""
+    from importlib.resources import files  # only a suite that reads the examples imports it
+
+    return files(__package__) / "examples"
+
+
+def example_files(examples) -> dict:
+    """The game files in ``examples``, by name without ``.json``."""
+    return {p.name[:-5]: p for p in examples.iterdir() if p.name.endswith(".json") and p.name != RECORDED_REPLAYS}
+
+
+def load_example(path):
+    """The game in the example file at ``path``."""
+    return game_from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def replay_lines(mechanism: str, game) -> list[str]:
+    """What ``optshare replay`` prints for ``mechanism`` on ``game``: each
+    user's payment, then the run's total value, total cost, total utility
+    and cloud balance.  A ``ValueError`` if ``mechanism`` does not run on
+    ``game``."""
+    result = runner(mechanism, game)(game, game.bids)
+    scaled, settlement = settled(result)
+    _, paid, den = fold(settlement, scaled.users, scaled)
+    metrics = score(game, result)
+    users = sorted({b.user for b in game.bids})
+    return [f"user {u} pays {money_str(F(paid.get(u, 0), den * scaled.scale))}" for u in users] + [
+        f"total value {money_str(metrics.total_value)}",
+        f"total cost {money_str(metrics.total_cost)}",
+        f"total utility {money_str(metrics.total_utility)}",
+        f"cloud balance {money_str(metrics.cloud_balance)}",
+    ]
+
+
+def suite_golden_examples(examples=None) -> list[Violation]:
+    """The paper's worked examples, read from ``examples`` (by default
+    :func:`examples_dir`).  Every example file replayed by every mechanism
+    of the registry that runs on it prints the lines that
+    :data:`RECORDED_REPLAYS` records for that pair, and the table records
+    no other pair.  What a replay does not print is checked here, by file
+    name."""
+    examples = examples_dir() if examples is None else examples
+    games = {name: load_example(path) for name, path in example_files(examples).items()}
+    recorded = json.loads((examples / RECORDED_REPLAYS).read_text(encoding="utf-8"))
     out: list[Violation] = []
 
     def check(ok, label, game=None):
         if not ok:
             out.append(Violation("golden_examples", label, game))
 
-    # Online additive, staggered arrivals: early leaver pays the whole cost,
-    # later joiners split the lowered share.
-    game = AdditiveOnlineGame(
-        (Optimization(1, F(100)),),
-        SlotHorizon(3),
-        (
-            AdditiveOnlineBid(1, 1, 1, 1, (F(101),)),
-            AdditiveOnlineBid(2, 1, 1, 3, (F(16), F(16), F(16))),
-            AdditiveOnlineBid(3, 1, 2, 2, (F(26),)),
-            AdditiveOnlineBid(4, 1, 2, 2, (F(26),)),
-        ),
-    )
+    pairs = {(name, m) for name, game in games.items() for m, (kinds, _) in MECHANISMS.items() if isinstance(game, kinds)}
+    keys = {(name, m) for name, lines in recorded.items() for m in lines}
+    for name, m in sorted(pairs - keys):
+        check(False, f"{name}: no recorded replay by {m}", game_json(games[name]))
+    for name, m in sorted(keys - pairs):
+        check(False, f"{name}: a replay by {m} is recorded, but no such example runs it")
+    for name, m in sorted(pairs & keys):
+        game = games[name]
+        check(replay_lines(m, game) == recorded[name][m], f"{name}: replay by {m} differs from the recorded lines", game_json(game))
+    missing = sorted({"staggered_arrivals", "phased_selection", "substitutable_split"} - games.keys())
+    if missing:  # the checks below read these files
+        return out + [Violation("golden_examples", f"{name}: example file missing") for name in missing]
+
+    # Online additive, staggered arrivals: the early leaver is the only user
+    # in the cumulative set at slot 1, the later joiners are in it from slot 2.
+    game = games["staggered_arrivals"]
     trace = add_on(game)
-    check(trace.payments == {1: F(100), 2: F(25), 3: F(25), 4: F(25)}, "staggered arrivals: payments", game_json(game))
-    check(trace.schedule.cumulative_at(1, 1) == {1}, "staggered arrivals: cumulative set at slot 1", game_json(game))
-    for t in (2, 3):
-        check(
-            trace.schedule.cumulative_at(1, t) == {1, 2, 3, 4},
-            f"staggered arrivals: cumulative set at slot {t}",
-            game_json(game),
-        )
+    for t, want in ((1, {1}), (2, {1, 2, 3, 4}), (3, {1, 2, 3, 4})):
+        check(trace.schedule.cumulative_at(1, t) == want, f"staggered arrivals: cumulative set at slot {t}", game_json(game))
 
     # Offline substitutable, three optimizations, phased selection.
-    game6 = SubstOfflineGame(
-        (Optimization(1, F(60)), Optimization(2, F(180)), Optimization(3, F(100))),
-        (
-            SubstitutableOfflineBid(1, frozenset({1, 2}), F(100)),
-            SubstitutableOfflineBid(2, frozenset({3}), F(101)),
-            SubstitutableOfflineBid(3, frozenset({1, 2, 3}), F(60)),
-            SubstitutableOfflineBid(4, frozenset({2}), F(70)),
-        ),
-    )
-    res = subst_off(game6.catalog, game6.bids)
-    check(res.outcome.implemented == {1, 3}, "phased selection: implemented set", game_json(game6))
-    want = {1: F(30), 2: F(100), 3: F(30), 4: F(0)}
-    check(
-        {u: res.payments.total_for(u) for u in (1, 2, 3, 4)} == want,
-        "phased selection: payments",
-        game_json(game6),
-    )
+    game = games["phased_selection"]
+    implemented = subst_off(game.catalog, game.bids).outcome.implemented
+    check(implemented == {1, 3}, "phased selection: implemented set", game_json(game))
 
-    # Online substitutable: no switching; a departed user keeps lowering the
-    # share of the optimization she was granted.
-    cat8 = (Optimization(1, F(60)), Optimization(2, F(100)), Optimization(3, F(50)))
-    game8 = SubstOnlineGame(
-        cat8,
-        SlotHorizon(3),
-        (
-            SubstitutableOnlineBid(1, frozenset({1, 2}), 1, 2, (F(100), F(100))),
-            SubstitutableOnlineBid(2, frozenset({1, 2, 3}), 2, 3, (F(100), F(100))),
-            SubstitutableOnlineBid(3, frozenset({3}), 3, 3, (F(100),)),
-        ),
-    )
-    t8 = subst_on(cat8, SlotHorizon(3), game8.bids)
-    check(t8.payments == {1: F(30), 2: F(30), 3: F(50)}, "online substitutable: payments", game_json(game8))
-    game8v = SubstOnlineGame(
-        cat8,
-        SlotHorizon(3),
-        game8.bids + (SubstitutableOnlineBid(4, frozenset({3}), 3, 3, (F(100),)),),
-    )
-    t8v = subst_on(cat8, SlotHorizon(3), game8v.bids)
-    check(
-        {u: t8v.payments[u] for u in (2, 3, 4)} == {2: F(30), 3: F(25), 4: F(25)},
-        "online substitutable variant: payments",
-        game_json(game8v),
-    )
-
-    # Dominant single bidder: alone she covers the cost; split into two
-    # identities everyone is serviced at share 1 and her utility jumps to 99.
+    # Dominant single bidder: alone they cover the cost; split into two
+    # identities everyone is serviced at share 1 and their utility jumps to 99.
     alice_bids = {0: F(101), **{i: F(1) for i in range(1, 100)}}
     r = shapley(F(101), alice_bids)
     check(r.serviced == {0} and r.share == F(101), "dominant bidder: serviced alone at full cost")
@@ -301,18 +303,17 @@ def suite_golden_examples() -> list[Violation]:
     )
 
     # Substitutable identity split can harm a rival: utility 4.5 -> 2.
-    game62 = SUBST_SPLIT_GAME
-    base = score(game62, subst_off(game62.catalog, game62.bids))
+    game = games["substitutable_split"]
+    base = score(game, subst_off(game.catalog, game.bids))
     check(
         base.per_user_utility == {1: ZERO, 2: F("0.01"), 3: F("4.5")},
         "substitutable split: baseline utilities",
-        game_json(game62),
+        game_json(game),
     )
-    probe62 = multi_identity_probe("subst_off", game62, splitter=1, identities=2, split_levels=(F(1, 2),))
-    s62 = probe62.splits[0]
-    check(s62.splitter_utility == F(1), "substitutable split: splitter utility 1", game_json(game62))
-    check(s62.other_deltas.get(3) == F(2) - F("4.5"), "substitutable split: rival drops 4.5 -> 2", game_json(game62))
-    check(s62.harmed == (3,), "substitutable split: harm detected", game_json(game62))
+    split = multi_identity_probe("subst_off", game, splitter=1, identities=2, split_levels=(F(1, 2),)).splits[0]
+    check(split.splitter_utility == F(1), "substitutable split: splitter utility 1", game_json(game))
+    check(split.other_deltas.get(3) == F(2) - F("4.5"), "substitutable split: rival drops 4.5 -> 2", game_json(game))
+    check(split.harmed == (3,), "substitutable split: harm detected", game_json(game))
     return out
 
 
@@ -484,10 +485,11 @@ def suite_multi_identity(seed: int, games: int) -> list[Violation]:
                 message = f"{mechanism}: split {s.levels} of user {splitter} gains and harms {s.harmed}"
                 out.append(Violation("multi_identity", message, game_json(game)))
     # Demonstration (not a pass property): a substitutable split that harms.
-    probe = multi_identity_probe("subst_off", SUBST_SPLIT_GAME, 1, 2, (F(1, 2),))
+    game = load_example(examples_dir() / "substitutable_split.json")
+    probe = multi_identity_probe("subst_off", game, 1, 2, (F(1, 2),))
     if probe.splits[0].other_deltas.get(3, ZERO) >= 0:
         message = "substitutable demonstration failed: expected rival harm was not reproduced"
-        out.append(Violation("multi_identity", message, game_json(SUBST_SPLIT_GAME)))
+        out.append(Violation("multi_identity", message, game_json(game)))
     return out
 
 

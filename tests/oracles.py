@@ -31,12 +31,14 @@ bid list assembled slot by slot (``reference_scaled_game``), and run
 
 Helpers that only tests read live here too: the pay-your-bid control
 mechanism (``naive_pay_your_bid``, whose result ``score`` folds like any
-other), and readers of the library's types and money text that no command
-uses.
+other), readers of the library's types and money text that no command
+uses, and the shipped trend configs (``trend_config``) and example game
+files (``EXAMPLE_GAMES``).
 """
 
 import itertools
 import math
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -70,6 +72,7 @@ from optshare.core import (
     SubstOfflineGame,
     SubstOnlineGame,
 )
+from optshare.harness import load_config
 from optshare.money import is_infinite, render_ratio_sqrt
 from optshare.regret import RegretTrace, _posted_price, _price_curve, _riders
 from optshare.scaled import ONE, Factors, ScaledGame, cost_rows, outcome_and_ledger, totals
@@ -83,6 +86,7 @@ from optshare.scenarios import (
     Draws,
 )
 from optshare.scaled import _fixed_point
+from optshare.verification import example_files, examples_dir
 
 ZERO = Fraction(0)
 
@@ -820,3 +824,16 @@ def reference_render_decimal_sqrt(value, digits=9):
         y += 1
     whole, frac = divmod(y, scale)
     return f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
+EXAMPLES = examples_dir()
+EXAMPLE_GAMES = sorted(example_files(EXAMPLES).values())  # the packaged game files, by name
+
+
+def trend_config(name, trials=None):
+    """The shipped trend config ``scripts/configs/<name>.json``, at
+    ``trials`` trials per cost point if given, as ``scripts/run_trends.py
+    --trials`` runs it."""
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    return config if trials is None else replace(config, scenario=replace(config.scenario, trials=trials))

@@ -16,17 +16,18 @@ from fractions import Fraction
 
 import pytest
 
-from optshare.experiments import (
-    SKEW_COST,
-    arrival_skew_config,
-    large_group_config,
-    selectivity_config,
-    small_group_config,
-)
 from optshare.harness import run_experiment, sweep
 from optshare.verification import run_suite
 
+from oracles import trend_config
+
 F = Fraction
+
+TRIALS = 10_000  # per cost point, as each shipped trend config runs
+
+# Mid-range cost point for the arrival-skew comparison; at this cost the
+# uniform-vs-early and late-vs-early utility gaps are stable and wide.
+SKEW_COST = trend_config("arrival_skew_uniform").scenario.cost
 
 # Mean regret balance is exactly <= 0 per game and strictly negative in
 # expectation at every positive cost (rare draws leave the trigger without
@@ -117,13 +118,13 @@ def test_criterion2_oracle_dominance():
 
 @pytest.fixture(scope="module")
 def small_group():
-    config = small_group_config()
+    config = trend_config("collab_small", TRIALS)
     return config, _cells(config)
 
 
 @pytest.fixture(scope="module")
 def large_group():
-    config = large_group_config()
+    config = trend_config("collab_large", TRIALS)
     return config, _cells(config)
 
 
@@ -179,7 +180,7 @@ def test_criterion3_large_group_additive(large_group):
 def skew_cells():
     out = {}
     for skew in ("uniform", "early", "late"):
-        config = arrival_skew_config(skew)
+        config = trend_config(f"arrival_skew_{skew}", TRIALS)
         out[skew] = _cells(config)
     return out
 
@@ -201,7 +202,7 @@ def test_criterion3_arrival_skew(skew_cells):
 def selectivity_cells():
     out = {}
     for n in (4, 12):
-        config = selectivity_config(n)
+        config = trend_config(f"selectivity_3of{n}", TRIALS)
         out[n] = (config, _cells(config))
     return out
 
@@ -240,7 +241,7 @@ def test_criterion3_runtime_budget(small_group, large_group, skew_cells, selecti
 
 
 def test_criterion4_byte_identical_csv(tmp_path):
-    config = arrival_skew_config("uniform", trials=1_000)
+    config = trend_config("arrival_skew_uniform", trials=1_000)
     first = run_experiment(config, tmp_path / "run1")
     second = run_experiment(config, tmp_path / "run2")
     a = open(first[0], "rb").read()

@@ -25,7 +25,6 @@ import io
 import json
 import math
 import os
-import pathlib
 import random
 import re
 import tempfile
@@ -39,9 +38,9 @@ from optshare.core import GameError
 from optshare.gamefiles import KINDS, MAX_BIDS, load_game
 from optshare.scenarios import MAX_SIZES
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
-GAMES = sorted(SCRIPTS.glob("games/*.json"))
-CONFIGS = sorted(SCRIPTS.glob("configs/*.json"))
+from oracles import CONFIG_DIR, EXAMPLE_GAMES as GAMES
+
+CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 # Replacement values by kind; a mutation draws the kind first.
 REPLACEMENTS = (

@@ -19,7 +19,6 @@ from optshare.cli import main
 from optshare.core import AdditiveOnlineBid, AdditiveOnlineGame, GameError, Optimization, SlotHorizon
 from optshare.gamefiles import MAX_BIDS, MAX_SCALE_DIGITS, dump_game, game_from_dict, game_to_dict, load_game, money_str
 from optshare import harness, scenarios
-from optshare.experiments import trend_configs
 from optshare.harness import (
     MAX_OUTPUT_BYTES,
     CellStats,
@@ -42,6 +41,8 @@ from optshare.verification import (
     rand_subst_online,
     run_suite,
 )
+
+from oracles import CONFIG_DIR, EXAMPLE_GAMES, EXAMPLES, trend_config
 
 F = Fraction
 
@@ -242,14 +243,12 @@ def test_cli_verify_rejects_a_count_for_golden_examples(capsys):
 
 
 def test_shipped_configs_and_games_parse():
-    scripts = os.path.join(os.path.dirname(__file__), "..", "scripts")
-    configs = sorted(os.listdir(os.path.join(scripts, "configs")))
-    games = sorted(os.listdir(os.path.join(scripts, "games")))
-    assert len(configs) == 7 and games
-    for name in configs:
-        harness.load_config(os.path.join(scripts, "configs", name))
-    for name in games:
-        load_game(os.path.join(scripts, "games", name))
+    configs = sorted(CONFIG_DIR.iterdir())
+    assert len(configs) == 7 and EXAMPLE_GAMES
+    for path in configs:
+        load_config(path)
+    for path in EXAMPLE_GAMES:
+        load_game(path)
 
 
 def test_verify_cost_recovery_small():
@@ -305,8 +304,7 @@ def run_fresh(code: str) -> list:
     tree under test (this one has numpy loaded already); returns the JSON
     its last stdout line prints."""
     src = str(pathlib.Path(optshare.__file__).resolve().parents[1])
-    games = str(pathlib.Path(__file__).resolve().parents[1] / "scripts" / "games")
-    prelude = f"import json, sys\nsys.path.insert(0, {src!r})\nGAMES = {games!r}\n"
+    prelude = f"import json, sys\nsys.path.insert(0, {src!r})\nEXAMPLES = {str(EXAMPLES)!r}\n"
     done = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -334,7 +332,7 @@ def test_sweeps_verify_and_replay_run_with_numpy_blocked():
                                     for w in (1, 2))
                 agree.append(serial == parallel)
         codes = [cli.main(["verify", "--suite", "golden_examples"]),
-                 cli.main(["replay", "--game", GAMES + "/two_views.json", "--mechanism", "regret"])]
+                 cli.main(["replay", "--game", EXAMPLES + "/two_views.json", "--mechanism", "regret"])]
         print(json.dumps([codes, agree]))
     """)
     assert codes == [0, 0]
@@ -442,8 +440,8 @@ def test_details_bytes_are_recorded_ones(tmp_path, name, workers):
     assert hashlib.sha256(open(details_path, "rb").read()).hexdigest() == details_sha
 
 
-# sha256 of each trend_configs(200) CSV, recorded on the Fraction-based
-# trial-major sweep before the integer kernels.
+# sha256 of each shipped trend config's CSV at 200 trials, recorded on the
+# Fraction-based trial-major sweep before the integer kernels.
 TREND_DIGESTS = {
     "collab_small": "4164625d0592aade5d8af7595cd1814aa409158bd84711b0dee6bcecebd8d0df",
     "collab_large": "e1df90c4c6459c63d0e1c49f80db55cdf4625ab342dcda1eb7526b24e857b897",
@@ -458,8 +456,24 @@ TREND_DIGESTS = {
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(TREND_DIGESTS))
 def test_trend_csv_bytes_are_recorded_ones(tmp_path, name, workers):
-    (csv_path,) = run_experiment(trend_configs(200)[name], tmp_path, workers=workers)
+    (csv_path,) = run_experiment(trend_config(name, trials=200), tmp_path, workers=workers)
     assert hashlib.sha256(open(csv_path, "rb").read()).hexdigest() == TREND_DIGESTS[name]
+
+
+RUN_TRENDS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_trends.py"
+
+
+def test_run_trends_writes_the_recorded_csvs(tmp_path):
+    """``scripts/run_trends.py --trials 200`` runs every shipped config and
+    writes each one's recorded CSV bytes."""
+    src = str(pathlib.Path(optshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPTSHARE_WORKERS="1")
+    done = subprocess.run([sys.executable, str(RUN_TRENDS), "--trials", "200", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert [line.split(":")[0] for line in done.stdout.splitlines()] == sorted(TREND_DIGESTS)
+    digests = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert digests == TREND_DIGESTS
 
 
 def test_cell_stats_merge_equals_adding_in_any_order():
@@ -700,13 +714,12 @@ def test_run_trends_exits_2_naming_the_bad_input(tmp_path, args, workers, field)
     exit 2, ``config error: <field>: ...`` and no traceback, never exit 1,
     which means a property violation."""
     (tmp_path / "file").write_text("")
-    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_trends.py"
     src = str(pathlib.Path(optshare.__file__).resolve().parents[1])
     args = [a.replace("{file}", str(tmp_path / "file")) for a in args]
     if "--out" not in args:
         args += ["--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=src, OPTSHARE_WORKERS=workers)
-    done = subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, str(RUN_TRENDS), *args], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 2
     assert done.stderr.startswith(f"config error: {field}")
     assert "Traceback" not in done.stderr and done.stdout == ""
@@ -843,8 +856,7 @@ def test_cli_verify_rejects_runs_past_the_bound(capsys, suite, games):
     ],
 )
 def test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field):
-    with open(os.path.join(os.path.dirname(__file__), "..", "scripts", "games", "staggered_arrivals.json")) as fh:
-        game = json.load(fh)
+    game = json.loads((EXAMPLES / "staggered_arrivals.json").read_text())
     break_it(game)
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game))
@@ -865,9 +877,6 @@ def test_cli_replay_rejects_money_beyond_the_bound(tmp_path, capsys, break_it, f
     test_cli_replay_rejects_malformed_game(tmp_path, capsys, break_it, field)
 
 
-GAMES_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "games"
-
-
 def replay_output(path, capsys, mechanism="add_on"):
     rc = main(["replay", "--game", str(path), "--mechanism", mechanism])
     captured = capsys.readouterr()
@@ -876,24 +885,19 @@ def replay_output(path, capsys, mechanism="add_on"):
 
 def test_an_additive_online_bid_may_leave_out_opt_only_on_one_optimization(tmp_path, capsys):
     # staggered_arrivals has one optimization: a bid without opt bids on it
-    game = json.loads((GAMES_DIR / "staggered_arrivals.json").read_text())
+    game = json.loads((EXAMPLES / "staggered_arrivals.json").read_text())
     for bid in game["bids"]:
         del bid["opt"]
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game))
-    assert replay_output(path, capsys) == replay_output(GAMES_DIR / "staggered_arrivals.json", capsys)
+    assert replay_output(path, capsys) == replay_output(EXAMPLES / "staggered_arrivals.json", capsys)
     # two_views has two: a bid without opt is rejected, by name
-    game = json.loads((GAMES_DIR / "two_views.json").read_text())
+    game = json.loads((EXAMPLES / "two_views.json").read_text())
     del game["bids"][2]["opt"]
     path.write_text(json.dumps(game))
     rc, out, err = replay_output(path, capsys)
     assert (rc, out) == (2, "")
     assert err.startswith("config error: bids[2].opt: missing")
-
-
-def test_shipped_configs_are_the_canonical_definitions():
-    shipped = {path.stem: load_config(path) for path in GAMES_DIR.parent.glob("configs/*.json")}
-    assert shipped == trend_configs()
 
 
 def one_slot_game(cost: str, values) -> dict:
@@ -945,35 +949,9 @@ def test_a_game_at_the_size_bounds_loads():
         game_from_dict(one_slot_game(f"1/{two}", values + [f"1/{2 * two}"]))
 
 
-PINNED_SUBSTITUTES = os.path.join(os.path.dirname(__file__), "..", "scripts", "games", "pinned_substitutes.json")
-
-
 def test_shipped_substitutable_game_ties_and_keeps_a_lapsed_pin():
-    game = load_game(PINNED_SUBSTITUTES)
+    game = load_game(EXAMPLES / "pinned_substitutes.json")
     phases = subst_on(game.catalog, game.horizon, game.bids).slot_phases
     assert (phases[1][0].opt, phases[1][0].serviced, phases[1][0].tied_with) == (1, {1, 2}, (2,))
     # user 1's window ends in slot 1, but the pin still counts: user 3 joins at 60 / 3
     assert (phases[2][0].opt, phases[2][0].serviced, phases[2][0].share) == (1, {1, 2, 3}, F(20))
-
-
-# stdout recorded before the phase loop took pin counts
-REPLAYS = {
-    "subst_on": (30, 20, 20, 40, 0, "130", "100", "30", "10"),
-    "regret": (0, 0, 0, 0, 0, "10", "60", "-50", "-60"),
-}
-
-
-@pytest.mark.parametrize("mechanism", sorted(REPLAYS))
-def test_replay_of_the_shipped_substitutable_game(capsys, mechanism):
-    assert main(["replay", "--game", PINNED_SUBSTITUTES, "--mechanism", mechanism]) == 0
-    template = """user 1 pays {}
-user 2 pays {}
-user 3 pays {}
-user 4 pays {}
-user 5 pays {}
-total value {}
-total cost {}
-total utility {}
-cloud balance {}
-"""
-    assert capsys.readouterr().out == template.format(*REPLAYS[mechanism])
