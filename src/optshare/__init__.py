@@ -1,6 +1,6 @@
 """Cost-sharing mechanisms and simulators for pricing shared optimizations."""
 
-from .additive_online import OnlineTrace, add_on, new_session, step_session
+from .additive_online import add_on, new_session, step_session
 from .analysis import (
     DeviationReport,
     MECHANISMS,
@@ -29,9 +29,10 @@ from .core import (
     validate_revision,
 )
 from .money import INFINITE_BID, Money, parse_money, render_decimal, render_exact
-from .regret import RegretTrace, optimal_posted_price, regret_run
+from .regret import optimal_posted_price, regret_run
+from .scaled import Settlement
 from .scenarios import ScenarioSpec, generate
 from .shapley import ShapleyResult, add_off, shapley
-from .substitutable import SubstOffResult, SubstOnlineTrace, subst_off, subst_on
+from .substitutable import subst_off, subst_on
 
 __all__ = [name for name in dir() if not name.startswith("_")]

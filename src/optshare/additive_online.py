@@ -11,20 +11,19 @@ keep lowering later arrivals' shares.
 The mechanism itself is one integer kernel, :func:`serve`, over a
 :class:`~optshare.scaled.ScaledGame`.  :func:`add_on` and the slot-by-slot
 session on one optimization (:func:`step_session`, which plays the bids
-still in play with its serviced users pinned) build their traces from its
-settlement.  Its log is its ceilings, as for every kernel: per
-optimization, the highest cost at which the same bids join in the same
-slots, so a sweep (:func:`~optshare.scaled.settle_points`) runs it once per
-distinct outcome and fills every dearer point up to a ceiling without a
-run.  On one slot it is the offline equal-share mechanism
+still in play with its serviced users pinned) return its settlement as a
+:class:`~optshare.scaled.Settlement`.  Its log is its ceilings, as for
+every kernel: per optimization, the highest cost at which the same bids
+join in the same slots, so a sweep (:func:`~optshare.scaled.settle_points`)
+runs it once per distinct outcome and fills every dearer point up to a
+ceiling without a run.  On one slot it is the offline equal-share mechanism
 (:mod:`optshare.shapley`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .core import (
@@ -34,7 +33,6 @@ from .core import (
     Optimization,
     RevisionError,
     RevisionViolation,
-    ServiceSchedule,
     SlotHorizon,
     SlotOrderError,
     Slot,
@@ -42,30 +40,21 @@ from .core import (
     validate_revision,
 )
 from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, _fixed_point, served_and_paid
+from .scaled import ScaledGame, ScaledSettlement, Settlement, _fixed_point
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; the session rescales through ``ScaledGame`` like ``add_on``.
 from .scaled import common_scale  # noqa: F401
 
 
-@dataclass(frozen=True)
-class OnlineTrace:
-    schedule: ServiceSchedule
-    payments: dict[UserId, Money]
-    share_history: dict[tuple[OptId, Slot], Money]  # (opt, slot) -> cost/|cumulative| once non-empty
-    _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
-    _run: ScaledSettlement = field(repr=False, compare=False)
-
-
 def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through: Slot | None = None) -> ScaledSettlement:
     """The online additive mechanism for every optimization in ``costs``, at
     its scaled cost there; ``pinned`` users outside the game, serviced before
     it, count toward every share.  A bid joining at slot t is served from t
-    to its end and pays ``cost / count[end]``.  The implemented optimizations
-    are a dict: ``count``, the serviced users after each slot (index 0
-    unused), of each optimization whose count ends positive.  Play stops
-    after slot ``through`` (the horizon if None): no bid joins later.
+    to its end and pays ``cost / count[end]``, ``count`` the serviced users
+    after each slot.  An optimization is implemented in the slot its first
+    bid joins.  Play stops after slot ``through`` (the horizon if None): no
+    bid joins later.
 
     The log holds each optimization's ceiling, if any bid joins it: the
     highest cost at which the same bids join in the same slots, the least
@@ -79,7 +68,7 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
     runs ``serve`` once per distinct outcome.
     """
     entries = {}
-    counts = {}
+    implemented = {}
     ceilings = {}
     offers, interest, ends, z = game.offers, game.interest, game.ends, game.z
     last = z if through is None else through
@@ -104,30 +93,17 @@ def serve(game: ScaledGame, costs: Mapping[OptId, int], pinned: int = 0, through
             count[last + 1 :] = [k] * (z - last)
         for i, t in joined.items():
             entries[i] = (j, t, ends[i], cost, count[ends[i]])
-        if k:
-            counts[j] = count
         if joined:
+            implemented[j] = next(iter(joined.values()))  # joins come in slot order
             ceilings[j] = ceiling
-    return entries, counts, ceilings
+    return entries, implemented, ceilings
 
 
-def _trace(game: ScaledGame, run: ScaledSettlement, through: Slot) -> OnlineTrace:
-    """The trace of ``serve``'s settlement of a game played through slot
-    ``through``, where every bid's service ends: each optimization's share
-    in each slot once some user is serviced, optimization by optimization."""
-    history = {}
-    for opt, count in run[1].items():
-        cost, count = game.costs[0][opt], count[: through + 1]
-        shares = {k: Fraction(cost, k * game.scale) for k in set(count) if k}
-        history.update(((opt, t), shares[k]) for t, k in enumerate(count) if k)
-    return OnlineTrace(*served_and_paid(game, run), history, game, run)
-
-
-def add_on(game: AdditiveOnlineGame) -> OnlineTrace:
+def add_on(game: AdditiveOnlineGame) -> Settlement:
     """Run the online additive mechanism on every optimization of the game
     for the whole horizon."""
     scaled = ScaledGame(game)
-    return _trace(scaled, serve(scaled, scaled.costs[0]), game.horizon.z)
+    return Settlement(scaled, serve(scaled, scaled.costs[0]), game.horizon.z)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +122,7 @@ class SessionState:
     def cumulative(self) -> frozenset[UserId]:
         return frozenset(self.joined)
 
-    def trace(self) -> OnlineTrace:
+    def trace(self) -> Settlement:
         """The declared bids played through the last fed slot, each serviced
         one served from its join slot: through its end if that has been
         fed, when it pays, else through the last fed slot, charged 0."""
@@ -160,7 +136,7 @@ class SessionState:
             for i, u in enumerate(game.users)
             if u in joined
         }
-        return _trace(game, (entries, {opt: count} if joined else {}, {}), through)
+        return Settlement(game, (entries, {opt: slots[0]} if joined else {}, {}), through)
 
 
 def new_session(optimization: Optimization, horizon: SlotHorizon) -> SessionState:

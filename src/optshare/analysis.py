@@ -1,7 +1,8 @@
 """The mechanism registry and scoring; the efficiency oracle; the strategy lab.
 
-Every public result keeps the ``ScaledGame`` and integer settlement it was
-built from, and :func:`score` is one fold of them
+Every mechanism of the registry returns one
+:class:`~optshare.scaled.Settlement`, its ``ScaledGame`` and integer kernel
+run, and :func:`score` is one fold of them
 (:func:`~optshare.scaled.fold`): utilities are computed against *true*
 values, even when the bids fed to a mechanism were deviations, and payments
 are whatever the mechanism charged.  The strategy lab searches
@@ -88,23 +89,18 @@ def runner(mechanism: str, game):
     return run
 
 
-def settled(result) -> tuple[ScaledGame, ScaledSettlement]:
-    """The ``ScaledGame`` and settlement a mechanism's result was built from;
-    an offline ``(Outcome, PaymentLedger)`` pair keeps them on its ledger."""
-    keeper = result[1] if isinstance(result, tuple) else result
-    if keeper._run is None:
-        raise TypeError("a payment ledger built by hand keeps no settlement to score")
-    return keeper._scaled, keeper._run
-
-
 def score(game, result, truth: Mapping[UserId, object] | None = None) -> Metrics:
     """Score any mechanism's result on ``game``, whose bids it was run on.
 
     One fold of the result's settlement: every bid realizes its true value
     in each slot of its window where the run served its user an
     optimization it names; ``truth`` replaces the game's bids user by user,
-    and a served user it lacks is an error."""
-    scaled, run = settled(result)
+    and a served user it lacks is an error.  A ``TypeError`` unless
+    ``result`` is a :class:`~optshare.scaled.Settlement`."""
+    try:
+        scaled, run = result.game, result.run
+    except AttributeError:
+        raise TypeError(f"a {type(result).__name__} built by hand keeps no settlement to score") from None
     if truth is None:
         bids, rows = game.bids, scaled
     else:

@@ -7,7 +7,7 @@ copies.  Monetary fields are exact rationals (see :mod:`optshare.money`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .money import Money, ZERO
 
@@ -173,8 +173,6 @@ class PaymentLedger:
     """Per (user, optimization) cost shares; all entries non-negative."""
 
     entries: dict[tuple[UserId, OptId], Money]
-    _scaled: object = field(default=None, repr=False, compare=False)  # a mechanism's: what it was built from
-    _run: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", FrozenDict(self.entries))

@@ -554,16 +554,16 @@ def sweep(
         # result is read.
         for part, (helper, receiver) in zip(rest, helpers):
             try:
-                result = receiver.recv()
+                received = receiver.recv()
             except EOFError:
                 helper.join()
                 raise RuntimeError(
                     f"sweep: the helper for trials {part.start}..{part.stop - 1} exited with "
                     f"code {helper.exitcode} before sending its cells"
                 ) from None
-            if isinstance(result, Exception):
-                raise result from HelperTraceback(result.helper_traceback)
-            part_cells, records = result
+            if isinstance(received, Exception):
+                raise received from HelperTraceback(received.helper_traceback)
+            part_cells, records = received
             for key, cell in part_cells.items():
                 cells[key].merge(cell)
             for point, point_records in enumerate(records or ()):

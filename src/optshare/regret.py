@@ -12,9 +12,10 @@ the truth.
 
 The baseline itself is one integer kernel, :func:`trigger`, a slot loop
 over a :class:`~optshare.scaled.ScaledGame` of either bid kind.  Like
-every kernel it returns its served bids, its implemented optimizations and
-its ceilings; :func:`regret_run` reads the posted prices, losses and regret
-series of its trace from that settlement.  Every posted price is a
+every kernel it returns its served bids, its implemented optimizations (here
+mapped to their trigger slots) and its ceilings; :func:`regret_run` returns
+that settlement as a :class:`~optshare.scaled.Settlement`, whose views read
+the posted prices, losses and regret series from it.  Every posted price is a
 bisection of a price curve (:func:`_price_curve`), the buyer counts whose
 revenue no larger count reaches.  The sweep walks its cost points by the
 baseline's ceilings (:func:`~optshare.scaled.settle_points`).  On
@@ -31,9 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -43,15 +42,13 @@ from .core import (
     GameError,
     OptId,
     Optimization,
-    ServiceSchedule,
     Slot,
     SlotHorizon,
     SubstOnlineGame,
     SubstitutableOnlineBid,
-    UserId,
 )
-from .money import ZERO, Money
-from .scaled import ScaledGame, ScaledSettlement, SettleRun, common_scale, served_and_paid, settle_points, totals
+from .money import Money
+from .scaled import ScaledGame, ScaledSettlement, SettleRun, Settlement, common_scale, settle_points
 
 
 def optimal_posted_price(cost: Money, future_residuals: Sequence[Money]) -> tuple[Money, Money]:
@@ -105,29 +102,6 @@ def _posted_price(cost: int, curve: tuple[list[int], list[int]]) -> tuple[int, i
         return 0, 1, cost, 0
     revenue, m = revenues[-1], buyers[-1]
     return revenue // m, 1, cost - revenue, m
-
-
-@dataclass(frozen=True)
-class RegretTrace:
-    implement_slot: dict[OptId, Slot]
-    posted_price: dict[OptId, Money]
-    price_loss: dict[OptId, Money]
-    serviced: ServiceSchedule
-    payments: dict[UserId, Money]
-    cloud_balance: Money  # total payments minus implemented costs (< 0 = loss)
-    realized_value: Money
-    total_cost: Money
-    _series_scaled: dict[tuple[OptId, Slot], int]
-    _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
-    _run: ScaledSettlement = field(repr=False, compare=False)
-
-    @cached_property
-    def regret_series(self) -> dict[tuple[OptId, Slot], Money]:
-        return {k: Fraction(v, self._scaled.scale) for k, v in self._series_scaled.items()}
-
-    @property
-    def total_utility(self) -> Money:
-        return self.realized_value - self.total_cost
 
 
 def trigger(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
@@ -297,61 +271,14 @@ def regret_run(
     catalog: Iterable[Optimization],
     horizon: SlotHorizon,
     values: Sequence[AdditiveOnlineBid] | Sequence[SubstitutableOnlineBid],
-) -> RegretTrace:
-    """Run the baseline on truthful per-slot values (see :func:`trigger`)
-    and read its trace from the settlement.  An implemented optimization's
-    posted price is the charge of any of its buyers (0 if it has none), and
-    its loss is its cost less their payments.  ``regret_series`` holds each
-    optimization's regret before every slot through its trigger, slot by
-    slot in ascending id: a bid adds its value in a slot to each
-    optimization it names until the trigger slot of the one that served
-    it."""
-    catalog = tuple(catalog)
+) -> Settlement:
+    """Run the baseline on truthful per-slot values (see :func:`trigger`);
+    the settlement's ``implement_slot``, ``posted_price``, ``price_loss``
+    and ``regret_series`` are its trace.  A game without bids is additive."""
     bids = tuple(values)
-    if not bids:
-        empty = ScaledGame(AdditiveOnlineGame(catalog, horizon, ()))
-        return RegretTrace({}, {}, {}, ServiceSchedule({}), {}, ZERO, ZERO, ZERO, {}, empty, ({}, {}, {}))
-    additive = isinstance(bids[0], AdditiveOnlineBid)
+    additive = not bids or isinstance(bids[0], AdditiveOnlineBid)
     if any(isinstance(b, AdditiveOnlineBid) != additive for b in bids):
         raise GameError("cannot mix additive and substitutable bids")
-    game = AdditiveOnlineGame(catalog, horizon, bids) if additive else SubstOnlineGame(catalog, horizon, bids)
+    game = (AdditiveOnlineGame if additive else SubstOnlineGame)(tuple(catalog), horizon, bids)
     scaled = ScaledGame(game)
-    costs, scale = scaled.costs[0], scaled.scale
-    run = trigger(scaled, costs)
-    entries, implement_slot, _ = run
-    price, buyers = {}, dict.fromkeys(implement_slot, 0)
-    for j, _, _, num, den in entries.values():
-        if num:
-            price[j] = num, den
-            buyers[j] += 1
-    posted, loss = {}, {}
-    for j in implement_slot:
-        num, den = price.get(j, (0, 1))
-        posted[j] = Fraction(num, den * scale)
-        loss[j] = Fraction(costs[j] - num * buyers[j] // den, scale)
-    closed = {i: implement_slot[e[0]] for i, e in entries.items()}  # the slot a bid stops accruing from
-    level = dict.fromkeys(sorted(costs), 0)
-    series = {}  # every open optimization's regret before each slot
-    for t in horizon.slots():
-        for j in level:
-            if implement_slot.get(j, t) >= t:
-                series[j, t] = level[j]
-        for i, v in scaled.values[t]:
-            if closed.get(i, t + 1) > t:
-                for j in scaled.interest[i]:
-                    level[j] += v
-    realized, spent, paid, lcm = totals(scaled, run, costs)
-    schedule, payments = served_and_paid(scaled, run)
-    return RegretTrace(
-        implement_slot,
-        posted,
-        loss,
-        schedule,
-        payments,
-        Fraction(paid - spent * lcm, lcm * scale),
-        Fraction(realized, scale),
-        Fraction(spent, scale),
-        series,
-        scaled,
-        run,
-    )
+    return Settlement(scaled, trigger(scaled, scaled.costs[0]), horizon.z)

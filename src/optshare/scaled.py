@@ -29,10 +29,11 @@ lowers its bid map straight into such a game
 
 Every kernel (``serve``, ``grant``, ``trigger``) returns one
 :data:`ScaledSettlement`, its served bids, implemented optimizations and
-ceilings, which :func:`totals` folds into the harness's sums,
-:func:`served_and_paid` into an online trace and :func:`outcome_and_ledger`
-into an offline result; each result keeps it and its game, and :func:`fold`
-scores it per user.  A sweep settles its cost points through
+ceilings, which :func:`totals` folds into the harness's sums.  Every public
+mechanism returns it with its game as one :class:`Settlement`, whose
+``Fraction`` views (outcome, payments, ledger, schedule and the traces of
+one kernel) are built on first read, and :func:`fold` scores it per user.
+A sweep settles its cost points through
 :func:`settle_points`, one walk by ceilings for every settler: it takes one
 settle step per distinct outcome (a kernel run folded by :func:`totals`,
 :func:`kernel_step`, or the additive regret's bisections) and returns one
@@ -50,11 +51,14 @@ are valid by construction.  Cost factors are checked positive where their
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     AdditiveOfflineGame,
+    FrozenDict,
     GameError,
     OptId,
     Outcome,
@@ -285,12 +289,12 @@ class ScaledGame:
 # What one kernel run settled on a :class:`ScaledGame`: ``(entries,
 # implemented, ceilings)``.  Served bid ``i`` is served ``opt`` in slots
 # ``first`` through ``last`` and charged ``num / (den * scale)``, where
-# ``entries[i] = (opt, first, last, num, den)``; ``implemented`` holds every
-# optimization paid for, served or not, and ``ceilings`` holds the highest
-# cost of each optimization up to which the run holds (see
-# :func:`kernel_step`).  A plain tuple: a named tuple's constructor costs a
-# Python call per kernel run.
-ScaledSettlement = tuple[dict[int, tuple[OptId, Slot, Slot, int, int]], Collection[OptId], Mapping[OptId, int]]
+# ``entries[i] = (opt, first, last, num, den)``; ``implemented`` maps every
+# optimization paid for, served or not, to the slot it was implemented in,
+# and ``ceilings`` holds the highest cost of each optimization up to which
+# the run holds (see :func:`kernel_step`).  A plain tuple: a named tuple's
+# constructor costs a Python call per kernel run.
+ScaledSettlement = tuple[dict[int, tuple[OptId, Slot, Slot, int, int]], Mapping[OptId, Slot], Mapping[OptId, int]]
 
 
 def totals(game: ScaledGame, run: ScaledSettlement, costs: Mapping[OptId, int]) -> tuple[int, int, int, int]:
@@ -418,33 +422,146 @@ def fold(
     return realized, paid, lcm
 
 
-def served_and_paid(game: ScaledGame, run: ScaledSettlement) -> tuple[ServiceSchedule, dict[UserId, Money]]:
-    """The schedule and payments of ``run``: the users served each
-    optimization in each slot, and each user's charges, in bid order."""
-    users, scale = game.users, game.scale
-    served: dict[tuple[OptId, Slot], list[UserId]] = {}
-    payments = dict.fromkeys(users, ZERO)
-    charges: dict[tuple[int, int], Money] = {}  # one Fraction per distinct charge
-    for i, (j, first, last, num, den) in run[0].items():
-        user = users[i]
-        for t in range(first, last + 1):
-            served.setdefault((j, t), []).append(user)
-        if (num, den) not in charges:
-            charges[num, den] = Fraction(num, den * scale)
-        paid = payments[user]  # a user with several bids pays for each
-        payments[user] = paid + charges[num, den] if paid else charges[num, den]
-    return ServiceSchedule({key: frozenset(members) for key, members in served.items()}), payments
+@dataclass(frozen=True)
+class Settlement:
+    """What every public mechanism returns: the kernel run ``run`` on
+    ``game``, played through slot ``through``.  Each view is built in
+    ``Fraction``s on its first read, and every mapping in one is read-only:
+
+    - ``ledger``, each served bid's charge by (user, optimization), in run
+      order; ``payments``, each bidding user's total charge, in bid order;
+      ``outcome``, the implemented optimizations and every (user,
+      optimization) served; and ``schedule``, the users served each
+      optimization in each slot.
+    - The traces: ``share_history``, the equal shares of ``serve``;
+      ``slot_phases`` and, of one slot, ``phases``, the phase log of
+      ``grant``; and ``implement_slot``, ``posted_price``, ``price_loss``
+      and ``regret_series``, the trace of ``trigger``.  Each is built the
+      same way from any run.
+
+    Equality compares every view; the repr shows the run."""
+
+    game: ScaledGame = field(repr=False)
+    run: ScaledSettlement
+    through: Slot
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, view) == getattr(other, view) for view in VIEWS)
+
+    def _charges(self) -> dict[int, Money]:
+        """Each served bid's charge, in run order, one ``Fraction`` per
+        distinct charge."""
+        scale, fractions, charges = self.game.scale, {}, {}
+        for i, (_, _, _, num, den) in self.run[0].items():
+            if (num, den) not in fractions:
+                fractions[num, den] = Fraction(num, den * scale)
+            charges[i] = fractions[num, den]
+        return charges
+
+    @cached_property
+    def ledger(self) -> PaymentLedger:
+        users, entries = self.game.users, self.run[0]
+        return PaymentLedger({(users[i], entries[i][0]): charge for i, charge in self._charges().items()})
+
+    @cached_property
+    def payments(self) -> FrozenDict:
+        users = self.game.users
+        payments = dict.fromkeys(users, ZERO)
+        for i, charge in self._charges().items():
+            paid = payments[users[i]]  # a user with several bids pays for each
+            payments[users[i]] = paid + charge if paid else charge
+        return FrozenDict(payments)
+
+    @cached_property
+    def outcome(self) -> Outcome:
+        users = self.game.users
+        return Outcome(frozenset(self.run[1]), frozenset([(users[i], e[0]) for i, e in self.run[0].items()]))
+
+    @cached_property
+    def schedule(self) -> ServiceSchedule:
+        users = self.game.users
+        served: dict[tuple[OptId, Slot], list[UserId]] = {}
+        for i, (j, first, last, _, _) in self.run[0].items():
+            for t in range(first, last + 1):
+                served.setdefault((j, t), []).append(users[i])
+        return ServiceSchedule({key: frozenset(members) for key, members in served.items()})
+
+    @cached_property
+    def share_history(self) -> FrozenDict:
+        """Each implemented optimization's share in each slot through
+        ``through`` once some bid is served it: its cost over the bids
+        served it from that slot or earlier, optimization by optimization."""
+        game, history = self.game, {}
+        joins = {j: [0] * (self.through + 2) for j in self.run[1]}
+        for j, first, *_ in self.run[0].values():
+            joins[j][first] += 1
+        for j, count in joins.items():
+            cost, k, shares = game.costs[0][j], 0, {}
+            for t in range(1, self.through + 1):
+                k += count[t]
+                if k:
+                    if k not in shares:
+                        shares[k] = Fraction(cost, k * game.scale)
+                    history[j, t] = shares[k]
+        return FrozenDict(history)
+
+    @cached_property
+    def slot_phases(self) -> FrozenDict:
+        """Every slot's phases of the offline substitutable mechanism over all
+        pins and the offers not served before it; no kernel needs them, so
+        the phase loop reruns here."""
+        from .substitutable import _phase_log  # which imports this module
+
+        return FrozenDict(_phase_log(self.game, self.run[0]))
+
+    @cached_property
+    def phases(self) -> tuple:
+        return self.slot_phases[1]
+
+    @cached_property
+    def implement_slot(self) -> FrozenDict:
+        return FrozenDict(self.run[1])
+
+    @cached_property
+    def posted_price(self) -> FrozenDict:
+        """Each implemented optimization's posted price: the charge of any
+        bid that pays for it, 0 if none does (riders pay 0)."""
+        prices = {j: charge for (_, j), charge in self.ledger.entries.items() if charge}
+        return FrozenDict({j: prices.get(j, ZERO) for j in self.run[1]})
+
+    @cached_property
+    def price_loss(self) -> FrozenDict:
+        """Each implemented optimization's cost less its payments."""
+        game, ledger = self.game, self.ledger
+        return FrozenDict({j: Fraction(game.costs[0][j], game.scale) - ledger.total_for_opt(j) for j in self.run[1]})
+
+    @cached_property
+    def regret_series(self) -> FrozenDict:
+        """Each optimization's regret before every slot through its
+        implementation slot (through ``through`` if it is never implemented),
+        slot by slot in ascending id: a bid adds its value in a slot to each
+        optimization it names until the implementation slot of the one that
+        served it.  A game without bids has no series."""
+        game, implement_slot, series = self.game, self.run[1], {}
+        if not game.users:
+            return FrozenDict()
+        closed = {i: implement_slot[e[0]] for i, e in self.run[0].items()}  # the slot a bid stops accruing from
+        level = dict.fromkeys(sorted(game.costs[0]), 0)
+        for t in range(1, self.through + 1):
+            for j in level:
+                if implement_slot.get(j, t) >= t:
+                    series[j, t] = Fraction(level[j], game.scale)
+            for i, v in game.values[t]:
+                if closed.get(i, t + 1) > t:
+                    for j in game.interest[i]:
+                        level[j] += v
+        return FrozenDict(series)
 
 
-def outcome_and_ledger(game: ScaledGame, run: ScaledSettlement) -> tuple[Outcome, PaymentLedger]:
-    """The offline result of ``run`` on a one-slot game: each served bid's
-    user granted its optimization and charged its entry's charge.  The
-    ledger keeps ``game`` and ``run``."""
-    users, scale = game.users, game.scale
-    entries: dict[tuple[UserId, OptId], Money] = {}
-    charges: dict[tuple[int, int], Money] = {}  # one Fraction per distinct charge
-    for i, (j, _, _, num, den) in run[0].items():
-        if (num, den) not in charges:
-            charges[num, den] = Fraction(num, den * scale)
-        entries[users[i], j] = charges[num, den]
-    return Outcome(frozenset(run[1]), frozenset(entries)), PaymentLedger(entries, game, run)
+# Every view of a Settlement, in the order its equality compares them.
+VIEWS = (
+    "outcome", "ledger", "payments", "schedule", "share_history", "slot_phases", "phases",
+    "implement_slot", "posted_price", "price_loss", "regret_series",
+)

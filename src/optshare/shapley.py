@@ -23,15 +23,14 @@ from .additive_online import serve
 from .core import (
     AdditiveOfflineBid,
     AdditiveOfflineGame,
+    FrozenDict,
     GameError,
     Optimization,
-    Outcome,
-    PaymentLedger,
     UserId,
     negative_bid,
 )
 from .money import ZERO, Bid, Money, is_infinite
-from .scaled import ScaledGame, outcome_and_ledger
+from .scaled import ScaledGame, Settlement
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; both mechanisms rescale through ``ScaledGame``.
@@ -42,7 +41,7 @@ from .scaled import common_scale  # noqa: F401
 class ShapleyResult:
     serviced: frozenset[UserId]
     share: Money | None  # equal split, set iff anyone is serviced
-    payments: dict[UserId, Money]
+    payments: FrozenDict[UserId, Money]
 
 
 def shapley(cost: Money, bids: Mapping[UserId, Bid]) -> ShapleyResult:
@@ -67,14 +66,14 @@ def shapley(cost: Money, bids: Mapping[UserId, Bid]) -> ShapleyResult:
     entries, _, _ = serve(game, game.costs[0], len(pinned))
     serviced = frozenset([*pinned, *(users[i] for i in entries)])
     share = cost / len(serviced) if serviced else None
-    return ShapleyResult(serviced, share, {u: (share if u in serviced else ZERO) for u in bids})
+    return ShapleyResult(serviced, share, FrozenDict((u, share if u in serviced else ZERO) for u in bids))
 
 
 def add_off(
     catalog: Iterable[Optimization], bids: Iterable[AdditiveOfflineBid]
-) -> tuple[Outcome, PaymentLedger]:
+) -> Settlement:
     """Additive offline mechanism: one independent equal-share run per
     optimization; an optimization is implemented iff its serviced set is
     non-empty."""
     game = ScaledGame(AdditiveOfflineGame(tuple(catalog), tuple(bids)))  # validates bid/catalog fit
-    return outcome_and_ledger(game, serve(game, game.costs[0]))
+    return Settlement(game, serve(game, game.costs[0]), 1)

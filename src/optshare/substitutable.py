@@ -18,25 +18,22 @@ game); pins are counts per optimization, and a slot plays only the phases
 that serve an offer (:func:`_grants`).  Each run reports per optimization
 the highest cost up to which, every cost scaled alike, it grants the same
 bids in the same slots, so a sweep runs it once per distinct outcome
-(:func:`~optshare.scaled.settle_points`).  The full phase log
-(:attr:`SubstOffResult.phases`, :attr:`SubstOnlineTrace.slot_phases`)
-reruns the phase loop :func:`_phases_scaled` per slot, so it is built from
-the settlement and its game only when read; no suite or kernel reads it.
+(:func:`~optshare.scaled.settle_points`).  Both mechanisms return its
+settlement as a :class:`~optshare.scaled.Settlement`.  Its full phase log
+(``phases``, ``slot_phases``) reruns the phase loop :func:`_phases_scaled`
+per slot (:func:`_phase_log`), so it is built from the settlement and its
+game only when read; no suite or kernel reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
     OptId,
     Optimization,
-    Outcome,
-    PaymentLedger,
-    ServiceSchedule,
     Slot,
     SlotHorizon,
     SubstOfflineGame,
@@ -46,7 +43,7 @@ from .core import (
     UserId,
 )
 from .money import Money
-from .scaled import ScaledGame, ScaledSettlement, _fixed_point, outcome_and_ledger, served_and_paid
+from .scaled import ScaledGame, ScaledSettlement, Settlement, _fixed_point
 
 # Bound here only for perfbench/spans.py, whose traced run wraps this name on
 # this module; both mechanisms rescale through ``ScaledGame``.
@@ -59,26 +56,6 @@ class Phase:
     serviced: frozenset[UserId]
     share: Money
     tied_with: tuple[OptId, ...] = ()  # other optimizations at the same share
-
-
-@dataclass(frozen=True)
-class SubstOffResult:
-    """What :func:`subst_off` settled; ``phases``, the one slot's phase log,
-    is built as :attr:`SubstOnlineTrace.slot_phases` is."""
-
-    outcome: Outcome
-    payments: PaymentLedger
-    _scaled: ScaledGame = field(repr=False, compare=False)  # the game and settlement it was built from
-    _run: ScaledSettlement = field(repr=False, compare=False)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.outcome, self.payments, self.phases) == (other.outcome, other.payments, other.phases)
-
-    @cached_property
-    def phases(self) -> tuple[Phase, ...]:
-        return _phase_log(self._scaled, self._run[0])[1]
 
 
 def _phases_scaled(
@@ -132,13 +109,12 @@ def _phases_scaled(
     return phases
 
 
-def subst_off(catalog: Iterable[Optimization], bids: Iterable[SubstitutableOfflineBid]) -> SubstOffResult:
+def subst_off(catalog: Iterable[Optimization], bids: Iterable[SubstitutableOfflineBid]) -> Settlement:
     """Offline mechanism for substitutable optimizations: :func:`grant` on
     the one-slot game, each of whose served bids pays its optimization's cost
     over the number of bids it serves."""
     game = ScaledGame(SubstOfflineGame(tuple(catalog), tuple(bids)))
-    run = grant(game, game.costs[0])
-    return SubstOffResult(*outcome_and_ledger(game, run), game, run)
+    return Settlement(game, grant(game, game.costs[0]), 1)
 
 
 def _phase_log(scaled: ScaledGame, entries: Mapping[int, tuple]) -> dict[Slot, tuple[Phase, ...]]:
@@ -163,36 +139,6 @@ def _phase_log(scaled: ScaledGame, entries: Mapping[int, tuple]) -> dict[Slot, t
 
 # ---------------------------------------------------------------------------
 # Online variant
-
-
-@dataclass(frozen=True)
-class SubstOnlineTrace:
-    """What :func:`subst_on` settled.  ``slot_phases`` holds every slot's
-    phases of the offline mechanism over all pins and the offers not granted
-    before it; no kernel needs them, so they are built on first read from
-    the settlement and its game, which the trace keeps.  Equality compares
-    them too; the repr leaves them out."""
-
-    schedule: ServiceSchedule
-    payments: dict[UserId, Money]
-    granted: dict[UserId, OptId]  # final pinning of each serviced user
-    grant_slot: dict[UserId, Slot]
-    implemented: frozenset[OptId]
-    _scaled: ScaledGame = field(compare=False, repr=False)
-    _run: ScaledSettlement = field(compare=False, repr=False)
-
-    def outcome(self) -> Outcome:
-        return Outcome(self.implemented, frozenset(self.granted.items()))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = ("schedule", "payments", "granted", "grant_slot", "implemented", "slot_phases")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
-
-    @cached_property
-    def slot_phases(self) -> dict[Slot, tuple[Phase, ...]]:
-        return _phase_log(self._scaled, self._run[0])
 
 
 def _grants(
@@ -277,11 +223,11 @@ def _grants(
 def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     """The online substitutable mechanism at scaled costs ``costs``.  A bid
     granted j in slot t is served j from t to the end of its window and pays
-    ``costs[j]`` over the number of bids granted j by its last slot.  The
-    implemented optimizations are those granted to anyone.  A slot with a
-    new offer plays :func:`_grants` with the bids granted before it as pin
-    counts: only the phases that serve an offer, each of which pins its
-    served bids to its optimization.
+    ``costs[j]`` over the number of bids granted j by its last slot.  An
+    optimization is implemented in the slot it is first granted.  A slot
+    with a new offer plays :func:`_grants` with the bids granted before it
+    as pin counts: only the phases that serve an offer, each of which pins
+    its served bids to its optimization.
 
     The log holds each granted optimization's ceiling, the least ``v *
     count`` over the phases that grant it (see :func:`_grants`).  With every
@@ -295,6 +241,7 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     granted: dict[int, tuple[OptId, Slot]] = {}
     tally: dict[OptId, int] = {}  # bids granted each optimization so far
     tallies = [tally]  # tallies[t]: the tally through slot t, never mutated
+    implemented: dict[OptId, Slot] = {}
     ceilings: dict[OptId, int] = {}
     interest = game.interest
     for t in range(1, game.z + 1):
@@ -304,7 +251,11 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
             if phases:
                 tally = tally.copy()
                 for opt, served in phases:
-                    tally[opt] = tally.get(opt, 0) + len(served)
+                    if opt in tally:
+                        tally[opt] += len(served)
+                    else:
+                        tally[opt] = len(served)
+                        implemented[opt] = t
                     for i in served:
                         granted[i] = (opt, t)
         tallies.append(tally)
@@ -313,26 +264,14 @@ def grant(game: ScaledGame, costs: Mapping[OptId, int]) -> ScaledSettlement:
     for i, (j, t) in granted.items():
         end = ends[i]
         entries[i] = (j, t, end, costs[j], tallies[end][j])
-    return entries, tally, ceilings
+    return entries, implemented, ceilings
 
 
 def subst_on(
     catalog: Iterable[Optimization],
     horizon: SlotHorizon,
     bids: Iterable[SubstitutableOnlineBid],
-) -> SubstOnlineTrace:
+) -> Settlement:
     """Online mechanism for substitutable optimizations."""
     scaled = ScaledGame(SubstOnlineGame(tuple(catalog), horizon, tuple(bids)))
-    run = grant(scaled, scaled.costs[0])
-    entries, implemented, _ = run
-    users = scaled.users
-    schedule, payments = served_and_paid(scaled, run)
-    return SubstOnlineTrace(
-        schedule,
-        payments,
-        {users[i]: e[0] for i, e in entries.items()},
-        {users[i]: e[1] for i, e in entries.items()},
-        frozenset(implemented),
-        scaled,
-        run,
-    )
+    return Settlement(scaled, grant(scaled, scaled.costs[0]), horizon.z)

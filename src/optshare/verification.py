@@ -31,7 +31,6 @@ from .analysis import (
     multi_identity_probe,
     runner,
     score,
-    settled,
 )
 from .core import (
     AdditiveOfflineBid,
@@ -48,7 +47,6 @@ from .core import (
 )
 from .gamefiles import game_from_dict, game_json, money_str
 from .money import ZERO
-from .scaled import fold
 from .shapley import add_off, shapley
 from .substitutable import subst_off, subst_on
 
@@ -228,11 +226,9 @@ def replay_lines(mechanism: str, game) -> list[str]:
     and cloud balance.  A ``ValueError`` if ``mechanism`` does not run on
     ``game``."""
     result = runner(mechanism, game)(game, game.bids)
-    scaled, settlement = settled(result)
-    _, paid, den = fold(settlement, scaled.users, scaled)
     metrics = score(game, result)
     users = sorted({b.user for b in game.bids})
-    return [f"user {u} pays {money_str(F(paid.get(u, 0), den * scaled.scale))}" for u in users] + [
+    return [f"user {u} pays {money_str(result.payments.get(u, ZERO))}" for u in users] + [
         f"total value {money_str(metrics.total_value)}",
         f"total cost {money_str(metrics.total_cost)}",
         f"total utility {money_str(metrics.total_utility)}",
@@ -327,16 +323,16 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
 
     for _ in range(games):
         game = rand_additive_offline(rng)
-        outcome, ledger = add_off(game.catalog, game.bids)
-        validate_outcome(outcome, game.catalog)
+        result = add_off(game.catalog, game.bids)
+        validate_outcome(result.outcome, game.catalog)
         for opt in game.catalog:
-            paid = ledger.total_for_opt(opt.id)
-            if opt.id in outcome.implemented:
+            paid = result.ledger.total_for_opt(opt.id)
+            if opt.id in result.outcome.implemented:
                 if paid != opt.cost:
                     out.append(Violation("cost_recovery", f"additive offline: optimization {opt.id} recovered {paid} != {opt.cost}", game_json(game)))
             elif paid != 0:
                 out.append(Violation("cost_recovery", f"additive offline: unimplemented optimization {opt.id} charged {paid}", game_json(game)))
-        metrics = score(game, (outcome, ledger))
+        metrics = score(game, result)
         if metrics.cloud_balance != 0:
             out.append(Violation("cost_recovery", f"additive offline: balance {metrics.cloud_balance} != 0", game_json(game)))
 
@@ -345,7 +341,7 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
         res = subst_off(game.catalog, game.bids)
         validate_outcome(res.outcome, game.catalog)
         for opt in game.catalog:
-            paid = res.payments.total_for_opt(opt.id)
+            paid = res.ledger.total_for_opt(opt.id)
             want = opt.cost if opt.id in res.outcome.implemented else ZERO
             if paid != want:
                 out.append(Violation("cost_recovery", f"substitutable offline: optimization {opt.id} recovered {paid} != {want}", game_json(game)))
@@ -374,15 +370,15 @@ def suite_cost_recovery(seed: int, games: int) -> list[Violation]:
     for _ in range(games):
         game = rand_subst_online(rng)
         trace = subst_on(game.catalog, game.horizon, game.bids)
-        validate_outcome(trace.outcome(), game.catalog)
+        validate_outcome(trace.outcome, game.catalog)
         costs = {o.id: o.cost for o in game.catalog}
         by_opt: dict[int, Fraction] = {}
-        for user, opt in trace.granted.items():
+        for user, opt in trace.outcome.grants:
             by_opt[opt] = by_opt.get(opt, ZERO) + trace.payments[user]
-        for opt in trace.implemented:
+        for opt in trace.outcome.implemented:
             if by_opt.get(opt, ZERO) < costs[opt]:
                 out.append(Violation("cost_recovery", f"substitutable online: optimization {opt} recovered {by_opt.get(opt, ZERO)} < {costs[opt]}", game_json(game)))
-        balance = sum(trace.payments.values(), ZERO) - sum((costs[j] for j in trace.implemented), ZERO)
+        balance = sum(trace.payments.values(), ZERO) - sum((costs[j] for j in trace.outcome.implemented), ZERO)
         if balance < 0:
             out.append(Violation("cost_recovery", f"substitutable online: negative balance {balance}", game_json(game)))
     return out
@@ -520,8 +516,8 @@ def suite_degeneration(seed: int, games: int) -> list[Violation]:
         )
         res = subst_off(game.catalog, singleton_bids)
         additive = tuple(AdditiveOfflineBid(b.user, {min(b.substitutes): b.value}) for b in game.bids)
-        outcome, ledger = add_off(game.catalog, additive)
-        if res.outcome != outcome or res.payments.entries != ledger.entries:
+        off = add_off(game.catalog, additive)
+        if res.outcome != off.outcome or res.ledger != off.ledger:
             out.append(Violation("degeneration", "singleton-partition substitutable != additive offline", game_json(game)))
 
     # One-slot online substitutable == offline substitutable.
@@ -534,7 +530,7 @@ def suite_degeneration(seed: int, games: int) -> list[Violation]:
             if b.per_slot[0] > 0
         )
         res = subst_off(game.catalog, offline_bids)
-        payments_off = {b.user: res.payments.total_for(b.user) for b in game.bids}
+        payments_off = {b.user: res.ledger.total_for(b.user) for b in game.bids}
         if trace.payments != payments_off:
             out.append(Violation("degeneration", "one-slot online substitutable != offline", game_json(game)))
 
@@ -561,8 +557,7 @@ def suite_oracle_dominance(seed: int, games: int) -> list[Violation]:
     rng = random.Random(seed)
     for _ in range(games):
         game = rand_additive_offline(rng, max_users=4, max_opts=3)
-        outcome, ledger = add_off(game.catalog, game.bids)
-        mech = score(game, (outcome, ledger)).total_utility
+        mech = score(game, add_off(game.catalog, game.bids)).total_utility
         _, best = efficient_outcome(game.catalog, game.bids)
         if best < mech:
             out.append(Violation("oracle_dominance", f"additive offline: oracle {best} < mechanism {mech}", game_json(game)))

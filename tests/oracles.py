@@ -3,10 +3,11 @@
 These deliberately avoid the library's internals: serviced sets come from
 all-subsets enumeration, online traces from a literal slot-by-slot replay,
 and posted prices from exhaustive candidate evaluation plus a fine grid.
-The reference scorer (``reference_score``) reads a result's public fields
-through ``settle``, which dispatches on the four result shapes, and walks
-each bid slot by slot in ``Fraction``s (``realized``): the path that the
-kernel settlement's integer fold replaces.  The reference deviation search
+The reference scorer (``reference_score``) reads a result's public views
+through ``settle`` (its schedule, payments and implemented set, the one
+shape every mechanism returns), and walks each bid slot by slot in
+``Fraction``s (``realized``): the path that the kernel settlement's integer
+fold replaces.  The reference deviation search
 and identity-split probe run every misreport or split as bids through the
 public mechanisms of the registry and score them the same way, the path
 the integer strategy lab replaces; the deviation search settles each
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from optshare.additive_online import OnlineTrace, serve
+from optshare.additive_online import serve
 from optshare.analysis import (
     DEFAULT_SPLIT_LEVELS,
     GRID_SCALES,
@@ -74,10 +75,9 @@ from optshare.core import (
 )
 from optshare.harness import load_config
 from optshare.money import is_infinite, render_ratio_sqrt
-from optshare.regret import RegretTrace, _posted_price, _price_curve, _riders
-from optshare.scaled import ONE, Factors, ScaledGame, cost_rows, outcome_and_ledger, totals
+from optshare.regret import _posted_price, _price_curve, _riders
+from optshare.scaled import ONE, Factors, ScaledGame, Settlement, cost_rows, totals
 from optshare.shapley import ShapleyResult
-from optshare.substitutable import SubstOffResult, SubstOnlineTrace
 from optshare.scenarios import (
     GRID,
     USECASE_HEADLINE_CENTS,
@@ -180,31 +180,20 @@ def efficient_enumeration_additive(costs, values):
 # Scoring and the identity-split probe on the registry path
 
 
-class Settlement(NamedTuple):
-    """What one mechanism run settled, whatever its result type: the users
-    served each optimization in each slot (offline results use slot 1, the
-    paper's one-slot degeneration), each user's total payment, and the
-    implemented optimizations."""
+class Served(NamedTuple):
+    """What one mechanism run settled: the users served each optimization in
+    each slot (offline results use slot 1, the paper's one-slot
+    degeneration), each user's total payment, and the implemented
+    optimizations."""
 
     served: dict
     payments: dict  # users absent from the map pay 0
     implemented: frozenset
 
 
-def settle(result) -> Settlement:
-    """The settlement of any mechanism's result, read from its public
-    fields: an offline ``(Outcome, PaymentLedger)`` pair, a
-    :class:`SubstOffResult`, or an online trace."""
-    if isinstance(result, OnlineTrace):
-        served = result.schedule.served
-        return Settlement(served, result.payments, frozenset([j for j, _ in served]))
-    if isinstance(result, SubstOnlineTrace):
-        return Settlement(result.schedule.served, result.payments, result.implemented)
-    if isinstance(result, RegretTrace):
-        return Settlement(result.serviced.served, result.payments, frozenset(result.implement_slot))
-    outcome, ledger = (result.outcome, result.payments) if isinstance(result, SubstOffResult) else result
-    served = {(j, 1): frozenset(u for u, o in outcome.grants if o == j) for j in outcome.implemented}
-    return Settlement(served, {u: ledger.total_for(u) for u, _ in ledger.entries}, outcome.implemented)
+def settle(result) -> Served:
+    """What any mechanism's result settled, read from its public views."""
+    return Served(result.schedule.served, result.payments, result.outcome.implemented)
 
 
 def realized(bid, ids, settlement):
@@ -289,14 +278,14 @@ def naive_pay_your_bid(catalog, bids):
     settlement (each served bid charged its own scaled value), so ``score``
     folds it like any mechanism's result."""
     game = ScaledGame(AdditiveOfflineGame(tuple(catalog), tuple(bids)))
-    entries, implemented = {}, []
+    entries, implemented = {}, {}
     for j, cost in game.costs[0].items():
         column = game.by_opt[j]
         if column and sum(game.suffix[i][0] for i in column) >= cost:
-            implemented.append(j)
+            implemented[j] = 1
             for i in column:
                 entries[i] = (j, 1, 1, game.suffix[i][0], 1)
-    return outcome_and_ledger(game, (entries, implemented, None))
+    return Settlement(game, (entries, implemented, {}), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +470,7 @@ def reference_grant(game, costs):
     offer plays every optimization, with every bid granted before it pinned
     in the map.  Returns the settlement with each slot's phases as its log
     (empty in a slot without a new offer)."""
-    granted, joined, tally, tallies, slot_phases = {}, {}, {}, [{}], [[]]
+    granted, joined, tally, tallies, slot_phases, implemented = {}, {}, {}, [{}], [[]], {}
     for t in range(1, game.z + 1):
         offers = [o for o in game.offers[t] if o[1] not in granted]
         phases = _reference_phases(costs, offers, game.interest, granted) if offers else []
@@ -490,13 +479,14 @@ def reference_grant(game, costs):
                 if i not in granted:
                     granted[i], joined[i] = opt, t
                     tally[opt] = tally.get(opt, 0) + 1
+                    implemented.setdefault(opt, t)
         tallies.append(tally.copy())
         slot_phases.append(phases)
     entries = {}
     for i, t in joined.items():
         j, end = granted[i], game.ends[i]
         entries[i] = (j, t, end, costs[j], tallies[end][j])
-    return entries, tally, slot_phases
+    return entries, implemented, slot_phases
 
 
 def reference_trigger(game, costs):

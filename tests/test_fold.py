@@ -1,13 +1,14 @@
-"""The integer fold against the registry path, and the frozen mappings.
+"""The integer fold against the registry path, the settlement's views, and
+the frozen mappings.
 
 ``score`` and ``multi_identity_probe`` fold the integer settlement a result
 keeps (``scaled.fold``); ``tests/oracles.py`` keeps the path they replace,
-which reads each result's public fields and walks every bid slot by slot in
+which reads each result's public views and walks every bid slot by slot in
 ``Fraction``s (``reference_score``, ``reference_multi_identity_probe``).
 The properties run every registry mechanism on every game kind it runs on,
 multi-optimization regret games and session traces, with true values on
 other denominators, at split levels that are not quarters and with one to
-three identities.
+three identities.  The views of one ``Settlement`` agree with each other.
 """
 
 import pickle
@@ -34,7 +35,9 @@ from optshare.core import (
     SlotHorizon,
     SubstitutableOfflineBid,
 )
-from optshare.shapley import add_off
+from optshare.shapley import add_off, shapley
+from optshare.regret import regret_run
+from optshare.substitutable import subst_off
 from optshare.verification import (
     _rand_naive_game,
     rand_additive_offline,
@@ -140,9 +143,35 @@ def test_score_rejects_a_served_user_missing_from_the_truth():
 
 def test_score_rejects_a_ledger_built_by_hand():
     game = AdditiveOfflineGame((Optimization(1, F(10)),), (AdditiveOfflineBid(1, {1: F(12)}),))
-    outcome, ledger = add_off(game.catalog, game.bids)
+    result = add_off(game.catalog, game.bids)
     with pytest.raises(TypeError, match="by hand"):
-        score(game, (outcome, PaymentLedger(dict(ledger.entries))))
+        score(game, (result.outcome, PaymentLedger(dict(result.ledger.entries))))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_settlement_views_agree(kind, seed):
+    """Every registry mechanism's views: each payment is the user's ledger
+    total, the grants are the schedule's (user, optimization) pairs and
+    their optimizations are implemented, every regret optimization's price
+    times its buyers plus its loss is its cost, and a second run on the same
+    game equals the first."""
+    game = KINDS[kind](random.Random(seed))
+    costs = {o.id: o.cost for o in game.catalog}
+    for name, (kinds, run) in MECHANISMS.items():
+        if not isinstance(game, kinds):
+            continue
+        result = run(game, game.bids)
+        outcome, ledger = result.outcome, result.ledger
+        assert all(paid == ledger.total_for(u) for u, paid in result.payments.items()), name
+        assert outcome.grants == {(u, j) for (j, _), users in result.schedule.served.items() for u in users}, name
+        assert all(j in outcome.implemented for _, j in outcome.grants), name
+        if name == "regret":
+            for j in outcome.implemented:
+                buyers = sum(1 for (_, o), charge in ledger.entries.items() if o == j and charge)
+                assert result.posted_price[j] * buyers + result.price_loss[j] == costs[j]
+        assert result == run(game, game.bids), name
 
 
 PROBED = {
@@ -212,15 +241,24 @@ def test_probe_of_a_splitter_without_value():
 def frozen_fields():
     bid = AdditiveOfflineBid(1, {1: F(12), 2: F(1, 3)})
     game = AdditiveOfflineGame((Optimization(1, F(10)), Optimization(2, F(1))), (bid, AdditiveOfflineBid(2, {1: F(3)})))
-    outcome, ledger = add_off(game.catalog, game.bids)
-    online = AdditiveOnlineGame((Optimization(1, F(10)),), SlotHorizon(2), (AdditiveOnlineBid(1, 1, 1, 2, (F(6), F(6))),))
-    schedule = add_on(online).schedule
+    offline = add_off(game.catalog, game.bids)
+    online = AdditiveOnlineGame((Optimization(1, F(10)),), SlotHorizon(3), (AdditiveOnlineBid(1, 1, 1, 3, (F(12), F(5), F(5))),))
+    trace, regret = add_on(online), regret_run(online.catalog, online.horizon, online.bids)
+    subst = subst_off((Optimization(1, F(1)),), (SubstitutableOfflineBid(1, frozenset({1}), F(2)),))
     return {
         "AdditiveOfflineBid.values": bid.values,
-        "PaymentLedger.entries": ledger.entries,
+        "PaymentLedger.entries": offline.ledger.entries,
         "PaymentLedger.entries (by hand)": PaymentLedger({(1, 1): F(2)}).entries,
-        "ServiceSchedule.served": schedule.served,
+        "ServiceSchedule.served": trace.schedule.served,
         "ServiceSchedule.served (by hand)": ServiceSchedule({(1, 1): frozenset({1})}).served,
+        "Settlement.payments": offline.payments,
+        "Settlement.share_history": trace.share_history,
+        "Settlement.slot_phases": subst.slot_phases,
+        "Settlement.implement_slot": regret.implement_slot,
+        "Settlement.posted_price": regret.posted_price,
+        "Settlement.price_loss": regret.price_loss,
+        "Settlement.regret_series": regret.regret_series,
+        "ShapleyResult.payments": shapley(F(10), {1: F(12), 2: F(3)}).payments,
     }
 
 

@@ -44,10 +44,10 @@ def test_add_off_is_the_equal_share_of_each_column(game):
             implemented.add(opt.id)
             grants.update((u, opt.id) for u in serviced)
             entries.update(((u, opt.id), share) for u in serviced)
-    outcome, ledger = add_off(catalog, bids)
-    assert outcome.implemented == implemented
-    assert outcome.grants == grants
-    assert ledger.entries == entries
+    result = add_off(catalog, bids)
+    assert result.outcome.implemented == implemented
+    assert result.outcome.grants == grants
+    assert result.ledger.entries == entries
 
 
 @st.composite
@@ -80,5 +80,5 @@ def test_subst_off_phases_are_the_reference_phase_loop(game):
         (opt, frozenset(serviced), ties) for opt, serviced, ties in want
     ]
     assert all(p.share == F(costs[p.opt], len(p.serviced)) for p in res.phases)
-    assert res.payments.entries == {(u, p.opt): p.share for p in res.phases for u in p.serviced}
+    assert res.ledger.entries == {(u, p.opt): p.share for p in res.phases for u in p.serviced}
     assert res.outcome.implemented == {p.opt for p in res.phases}

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
+    AdditiveOnlineGame,
     GameError,
     Optimization,
     SlotHorizon,
+    SubstOnlineGame,
     SubstitutableOnlineBid,
 )
 from optshare.regret import _posted_price, _price_curve, optimal_posted_price, regret_run, trigger
@@ -25,6 +28,14 @@ F = Fraction
 
 def bid(user, start, end, *values, opt=1):
     return AdditiveOnlineBid(user, opt, start, end, tuple(F(v) for v in values))
+
+
+def run(catalog, horizon, bids):
+    """``regret_run``'s settlement and its ``score``: the realized value,
+    total cost and cloud balance."""
+    kind = AdditiveOnlineGame if isinstance(bids[0], AdditiveOnlineBid) else SubstOnlineGame
+    t = regret_run(catalog, horizon, bids)
+    return t, score(kind(tuple(catalog), horizon, tuple(bids)), t)
 
 
 def test_posted_price_exact_recovery():
@@ -82,32 +93,32 @@ def test_posted_price_matches_exhaustive_search(cost_c, residual_c):
 
 def test_value_before_the_trigger_is_wasted():
     # one user, all value in slot 1, trigger only fires at slot 2
-    t = regret_run((Optimization(1, F(100)),), SlotHorizon(2), [bid(1, 1, 1, 101)])
+    t, m = run((Optimization(1, F(100)),), SlotHorizon(2), [bid(1, 1, 1, 101)])
     assert t.implement_slot == {1: 2}
     assert t.regret_series[(1, 1)] == 0 and t.regret_series[(1, 2)] == F(101)
     assert t.posted_price == {1: F(0)}
-    assert t.realized_value == 0
-    assert t.cloud_balance == F(-100)
-    assert t.total_utility == F(-100)
+    assert m.total_value == 0
+    assert m.cloud_balance == F(-100)
+    assert m.total_utility == F(-100)
 
 
 def test_trigger_slot_users_ride_free():
-    t = regret_run(
+    t, m = run(
         (Optimization(1, F(10)),),
         SlotHorizon(2),
         [bid(1, 1, 2, 5, 5), bid(2, 1, 2, 5, 5)],
     )
     assert t.implement_slot == {1: 2}
-    assert t.realized_value == F(10)  # both users' slot-2 value, free
+    assert m.total_value == F(10)  # both users' slot-2 value, free
     assert t.payments == {1: F(0), 2: F(0)}
-    assert t.cloud_balance == F(-10)
-    assert t.total_utility == 0
+    assert m.cloud_balance == F(-10)
+    assert m.total_utility == 0
 
 
 def test_never_triggered_when_cost_exceeds_all_regret():
-    t = regret_run((Optimization(1, F(1000)),), SlotHorizon(3), [bid(1, 1, 1, 101)])
+    t, m = run((Optimization(1, F(1000)),), SlotHorizon(3), [bid(1, 1, 1, 101)])
     assert t.implement_slot == {}
-    assert t.realized_value == 0 and t.cloud_balance == 0 and t.total_cost == 0
+    assert m.total_value == 0 and m.cloud_balance == 0 and m.total_cost == 0
 
 
 def test_nothing_implements_in_slot_one():
@@ -117,15 +128,15 @@ def test_nothing_implements_in_slot_one():
 
 def test_future_users_buy_at_the_posted_price():
     bids = [bid(1, 1, 1, 150), bid(2, 3, 4, 60, 0), bid(3, 4, 4, 60)]
-    t = regret_run((Optimization(1, F(100)),), SlotHorizon(4), bids)
+    t, m = run((Optimization(1, F(100)),), SlotHorizon(4), bids)
     assert t.implement_slot == {1: 2}
     assert t.posted_price == {1: F(50)}
     assert t.payments == {1: F(0), 2: F(50), 3: F(50)}
-    assert t.realized_value == F(120)
-    assert t.cloud_balance == 0
+    assert m.total_value == F(120)
+    assert m.cloud_balance == 0
     # buyers have access from the slot after the trigger
-    assert t.serviced.serviced_at(1, 3) == {2}
-    assert t.serviced.serviced_at(1, 4) == {2, 3}
+    assert t.schedule.serviced_at(1, 3) == {2}
+    assert t.schedule.serviced_at(1, 4) == {2, 3}
 
 
 def test_buyer_below_price_excluded():
@@ -133,7 +144,7 @@ def test_buyer_below_price_excluded():
     t = regret_run((Optimization(1, F(100)),), SlotHorizon(3), bids)
     assert t.posted_price == {1: F(60)}
     assert t.payments == {1: F(0), 2: F(60), 3: F(0)}
-    assert t.serviced.serviced_at(1, 3) == {2}
+    assert t.schedule.serviced_at(1, 3) == {2}
 
 
 def test_substitutable_binding_stops_regret():
@@ -142,7 +153,7 @@ def test_substitutable_binding_stops_regret():
         SubstitutableOnlineBid(1, frozenset({1, 2}), 1, 3, (F(6), F(6), F(6))),
         SubstitutableOnlineBid(2, frozenset({2}), 1, 3, (F(5), F(5), F(5))),
     ]
-    t = regret_run(catalog, SlotHorizon(3), bids)
+    t, m = run(catalog, SlotHorizon(3), bids)
     # optimization 2 gathers both users' regret and triggers first
     assert t.implement_slot == {2: 2}
     assert t.regret_series[(2, 2)] == F(11)
@@ -153,8 +164,8 @@ def test_substitutable_binding_stops_regret():
     # price for the remaining slot: two buyers at 5 recover the cost exactly
     assert t.posted_price == {2: F(5)}
     assert t.payments == {1: F(5), 2: F(5)}
-    assert t.realized_value == F(11) + F(11)
-    assert t.cloud_balance == 0
+    assert m.total_value == F(11) + F(11)
+    assert m.cloud_balance == 0
 
 
 def test_regret_series_is_non_decreasing_for_additive():
@@ -191,7 +202,7 @@ def regret_games(draw):
 @settings(max_examples=250, deadline=None)
 def test_additive_regret_invariants(args):
     catalog, horizon, bids = args
-    t = regret_run(catalog, horizon, bids)
+    t, m = run(catalog, horizon, bids)
     cost = catalog[0].cost
     if t.implement_slot:
         t_r = t.implement_slot[1]
@@ -206,9 +217,9 @@ def test_additive_regret_invariants(args):
             if paid == price and price > 0:
                 residual = sum((b.value_at(s) for s in range(t_r + 1, horizon.z + 1)), F(0))
                 assert residual >= price
-        assert t.cloud_balance == sum(t.payments.values(), F(0)) - cost
+        assert m.cloud_balance == sum(t.payments.values(), F(0)) - cost
     else:
-        assert t.realized_value == 0
+        assert m.total_value == 0
         assert all(p == 0 for p in t.payments.values())
 
 

@@ -75,7 +75,7 @@ def reference(mechanism, game):
         )
     trace = subst_on(game.catalog, game.horizon, game.bids)
     metrics = score(game, trace)
-    return metrics.total_utility, metrics.cloud_balance, bool(trace.implemented)
+    return metrics.total_utility, metrics.cloud_balance, bool(trace.outcome.implemented)
 
 
 def rows(mechanism, scaled):
@@ -235,8 +235,9 @@ def test_serve_runs_once_for_points_with_one_outcome():
 
 
 def outcome(run):
-    """The per-slot counts of a ``serve`` run, which tell its joins apart."""
-    return tuple(sorted((j, tuple(count)) for j, count in run[1].items()))
+    """The joins of a ``serve`` run: each served bid's optimization and join
+    slot."""
+    return tuple(sorted((i, j, first) for i, (j, first, *_) in run[0].items()))
 
 
 clustered_factors = st.lists(st.integers(1, 60).map(lambda k: F(k, 20)) | positive_money, min_size=1, max_size=25)

@@ -130,11 +130,11 @@ def test_names_the_first_negative_bid_after_the_cost():
 def test_add_off_singleton_catalog_equals_shapley():
     catalog = [Optimization(7, F(100))]
     bids = [AdditiveOfflineBid(1, {7: F(60)}), AdditiveOfflineBid(2, {7: F(50)})]
-    outcome, ledger = add_off(catalog, bids)
+    result = add_off(catalog, bids)
     r = shapley(F(100), {1: F(60), 2: F(50)})
-    assert outcome.implemented == {7}
-    assert {u for u, _ in outcome.grants} == r.serviced
-    assert ledger.total_for(1) == r.payments[1]
+    assert result.outcome.implemented == {7}
+    assert {u for u, _ in result.outcome.grants} == r.serviced
+    assert result.payments[1] == r.payments[1]
 
 
 def test_add_off_column_decomposition():
@@ -144,8 +144,9 @@ def test_add_off_column_decomposition():
         AdditiveOfflineBid(2, {1: F(50), 2: F(10)}),
         AdditiveOfflineBid(3, {1: F(40), 2: F(10)}),
     ]
-    outcome, ledger = add_off(catalog, bids)
-    assert outcome.implemented == {1}
+    result = add_off(catalog, bids)
+    ledger = result.ledger
+    assert result.outcome.implemented == {1}
     assert ledger.total_for_opt(1) == F(100)
     for u in (1, 2, 3):
         assert ledger.entries[(u, 1)] == F(100, 3)
@@ -155,10 +156,10 @@ def test_add_off_column_decomposition():
 def test_add_off_disjoint_bidders_union():
     catalog = [Optimization(1, F(10)), Optimization(2, F(4))]
     bids = [AdditiveOfflineBid(1, {1: F(12)}), AdditiveOfflineBid(2, {2: F(5)})]
-    outcome, ledger = add_off(catalog, bids)
-    assert outcome.implemented == {1, 2}
-    assert outcome.grants == {(1, 1), (2, 2)}
-    assert ledger.entries == {(1, 1): F(10), (2, 2): F(4)}
+    result = add_off(catalog, bids)
+    assert result.outcome.implemented == {1, 2}
+    assert result.outcome.grants == {(1, 1), (2, 2)}
+    assert result.ledger.entries == {(1, 1): F(10), (2, 2): F(4)}
 
 
 def test_add_off_rejects_unknown_optimization():

@@ -43,7 +43,7 @@ def test_phased_selection():
     assert [p.opt for p in r.phases] == [1, 3]
     assert r.phases[0].serviced == {1, 3} and r.phases[0].share == F(30)
     assert r.phases[1].serviced == {2} and r.phases[1].share == F(100)
-    assert [r.payments.total_for(u) for u in (1, 2, 3, 4)] == [F(30), F(100), F(30), F(0)]
+    assert [r.ledger.total_for(u) for u in (1, 2, 3, 4)] == [F(30), F(100), F(30), F(0)]
 
 
 def test_cheap_overlapping_pair():
@@ -95,7 +95,7 @@ def test_offline_phases_are_built_when_read_and_compared():
     assert "phases" in vars(a) and repr(a) == before == repr(b)
     assert a.phases[0].tied_with == (7,)
     c = subst_off(untied, bids)
-    assert (c.outcome, c.payments) == (a.outcome, a.payments)
+    assert (c.outcome, c.ledger) == (a.outcome, a.ledger)
     assert c.phases[0].tied_with == () and c != a
 
 
@@ -136,7 +136,7 @@ def test_offline_invariants(args):
             assert phase.share >= prev_share
         prev_share = phase.share
         for u in phase.serviced:
-            assert r.payments.entries[(u, phase.opt)] == phase.share
+            assert r.ledger.entries[(u, phase.opt)] == phase.share
     assert r.outcome.implemented == seen_opts
     # a serviced user's bid covers her share
     values = {b.user: b.value for b in bids}
@@ -152,9 +152,9 @@ def test_singleton_partition_degenerates_to_additive(args):
     singles = tuple(SubstitutableOfflineBid(b.user, frozenset({min(b.substitutes)}), b.value) for b in bids)
     r = subst_off(catalog, singles)
     additive = tuple(AdditiveOfflineBid(b.user, {min(b.substitutes): b.value}) for b in bids)
-    outcome, ledger = add_off(catalog, additive)
-    assert r.outcome == outcome
-    assert r.payments.entries == ledger.entries
+    off = add_off(catalog, additive)
+    assert r.outcome == off.outcome
+    assert r.ledger == off.ledger
 
 
 def test_online_no_switching_keeps_departed_users_counted():
@@ -166,8 +166,8 @@ def test_online_no_switching_keeps_departed_users_counted():
     )
     t = subst_on(catalog, SlotHorizon(3), bids)
     assert t.payments == {1: F(30), 2: F(30), 3: F(50)}
-    assert t.granted == {1: 1, 2: 1, 3: 3}
-    assert t.implemented == {1, 3}
+    assert t.outcome.grants == {(1, 1), (2, 1), (3, 3)}
+    assert t.outcome.implemented == {1, 3}
     # user 2 is still pinned to optimization 1 in the final slot
     assert t.schedule.serviced_at(1, 3) == {2}
     assert t.schedule.serviced_at(3, 3) == {3}
@@ -188,7 +188,7 @@ def test_online_slot_phases_are_built_when_read_and_compared():
     assert "slot_phases" in vars(a) and repr(a) == before == repr(b)
     assert a.slot_phases[1][0].tied_with == (2,)
     c = subst_on(untied, SlotHorizon(1), bids)
-    assert (c.payments, c.granted, c.implemented) == (a.payments, a.granted, a.implemented)
+    assert (c.payments, c.outcome) == (a.payments, a.outcome)
     assert c.slot_phases[1][0].tied_with == () and c != a
 
 
@@ -227,22 +227,23 @@ def test_online_invariants(args):
     catalog, horizon, bids = args
     t = subst_on(catalog, horizon, bids)
     costs = {o.id: o.cost for o in catalog}
+    grants = t.outcome.grants
     # nobody is ever granted two optimizations
-    assert len(t.granted) == len(set(t.granted))
-    for user, opt in t.granted.items():
-        assert opt in t.implemented
+    assert len({user for user, _ in grants}) == len(grants)
+    for user, opt in grants:
+        assert opt in t.outcome.implemented
     # per-optimization recovery and non-negative balance
     per_opt: dict = {}
-    for user, opt in t.granted.items():
+    for user, opt in grants:
         per_opt[opt] = per_opt.get(opt, F(0)) + t.payments[user]
-    for opt in t.implemented:
+    for opt in t.outcome.implemented:
         assert per_opt.get(opt, F(0)) >= costs[opt]
     paid = sum(t.payments.values(), F(0))
-    total_cost = sum((costs[j] for j in t.implemented), F(0))
+    total_cost = sum((costs[j] for j in t.outcome.implemented), F(0))
     assert paid >= total_cost
     # grants only to optimizations the user actually asked for
     wants = {b.user: b.substitutes for b in bids}
-    for user, opt in t.granted.items():
+    for user, opt in grants:
         assert opt in wants[user]
 
 
@@ -255,9 +256,8 @@ def test_single_slot_equals_offline(args):
         SubstitutableOfflineBid(b.user, b.substitutes, b.per_slot[0]) for b in bids if b.per_slot[0] > 0
     )
     r = subst_off(catalog, offline)
-    assert t.payments == {b.user: r.payments.total_for(b.user) for b in bids}
-    assert t.implemented == r.outcome.implemented
-    assert set(t.granted.items()) == set(r.outcome.grants)
+    assert t.payments == {b.user: r.ledger.total_for(b.user) for b in bids}
+    assert t.outcome == r.outcome
 
 
 @st.composite

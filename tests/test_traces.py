@@ -9,10 +9,10 @@ additive game is recorded one optimization at a time, its shares keyed by
 slot alone),
 ``subst_on``'s grants, grant slots, implemented set and per-slot phases
 (with their ties), and the regret baseline's trigger slots, posted prices,
-price losses, realized value, cloud balance, total cost and regret series.
-The sha256 of those lines was recorded before the three kernels returned
-one settlement shape; any change in who is served when, who pays what, or
-the order of a dict shows up here.
+price losses, regret series and, read through ``score``, realized value,
+cloud balance and total cost.  The sha256 of those lines was recorded
+before the three kernels returned one settlement shape; any change in who
+is served when, who pays what, or the order of a dict shows up here.
 """
 
 import hashlib
@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 
 from optshare.additive_online import add_on
+from optshare.analysis import score
 from optshare.core import (
     AdditiveOnlineBid,
     AdditiveOnlineGame,
@@ -110,23 +111,29 @@ def subst_on_lines(game):
         t: [(p.opt, sorted(p.serviced), p.share, p.tied_with) for p in slot]
         for t, slot in trace.slot_phases.items()
     }
+    granted = list(trace.ledger.entries)  # (user, optimization) in grant order
+    first = {}  # each user's first served slot
+    for (_, t), users in sorted(trace.schedule.served.items(), key=lambda item: item[0][1]):
+        for u in users:
+            first.setdefault(u, t)
     return [
         f"subst_on served {_served(trace.schedule)}",
         f"subst_on payments {list(trace.payments.items())!r}",
-        f"subst_on granted {list(trace.granted.items())!r} at {list(trace.grant_slot.items())!r}",
-        f"subst_on implemented {sorted(trace.implemented)}",
+        f"subst_on granted {granted!r} at {[(u, first[u]) for u, _ in granted]!r}",
+        f"subst_on implemented {sorted(trace.outcome.implemented)}",
         f"subst_on phases {list(phases.items())!r}",
     ]
 
 
 def regret_lines(game):
     trace = regret_run(game.catalog, game.horizon, game.bids)
+    metrics = score(game, trace)
     return [
         f"regret triggers {list(trace.implement_slot.items())!r}",
         f"regret prices {list(trace.posted_price.items())!r} losses {list(trace.price_loss.items())!r}",
-        f"regret served {_served(trace.serviced)}",
+        f"regret served {_served(trace.schedule)}",
         f"regret payments {list(trace.payments.items())!r}",
-        f"regret totals {trace.realized_value!r} {trace.cloud_balance!r} {trace.total_cost!r}",
+        f"regret totals {metrics.total_value!r} {metrics.cloud_balance!r} {metrics.total_cost!r}",
         f"regret series {list(trace.regret_series.items())!r}",
     ]
 
