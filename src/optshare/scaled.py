@@ -439,7 +439,9 @@ class Settlement:
       and ``regret_series``, the trace of ``trigger``.  Each is built the
       same way from any run.
 
-    Equality compares every view; the repr shows the run."""
+    Every view is a function of the game's bid rows and costs, the run and
+    ``through``, so equality compares those, building no view; the repr
+    shows the run."""
 
     game: ScaledGame = field(repr=False)
     run: ScaledSettlement
@@ -448,30 +450,30 @@ class Settlement:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return all(getattr(self, view) == getattr(other, view) for view in VIEWS)
+        return self._key() == other._key()
 
-    def _charges(self) -> dict[int, Money]:
-        """Each served bid's charge, in run order, one ``Fraction`` per
-        distinct charge."""
-        scale, fractions, charges = self.game.scale, {}, {}
-        for i, (_, _, _, num, den) in self.run[0].items():
-            if (num, den) not in fractions:
-                fractions[num, den] = Fraction(num, den * scale)
-            charges[i] = fractions[num, den]
-        return charges
+    def _key(self) -> tuple:
+        game, (entries, implemented, _) = self.game, self.run
+        rows = (game.users, game.starts, game.ends, game.interest, game.suffix)
+        return (game.scale, game.z, game.costs[0], rows, entries, implemented, self.through)
 
     @cached_property
     def ledger(self) -> PaymentLedger:
-        users, entries = self.game.users, self.run[0]
-        return PaymentLedger({(users[i], entries[i][0]): charge for i, charge in self._charges().items()})
+        """Each served bid's charge, in run order, one ``Fraction`` per
+        distinct charge."""
+        users, scale, fractions, ledger = self.game.users, self.game.scale, {}, {}
+        for i, (j, _, _, num, den) in self.run[0].items():
+            if (num, den) not in fractions:
+                fractions[num, den] = Fraction(num, den * scale)
+            ledger[users[i], j] = fractions[num, den]
+        return PaymentLedger(ledger)
 
     @cached_property
     def payments(self) -> FrozenDict:
-        users = self.game.users
-        payments = dict.fromkeys(users, ZERO)
-        for i, charge in self._charges().items():
-            paid = payments[users[i]]  # a user with several bids pays for each
-            payments[users[i]] = paid + charge if paid else charge
+        payments = dict.fromkeys(self.game.users, ZERO)
+        for (user, _), charge in self.ledger.entries.items():
+            paid = payments[user]  # a user with several bids pays for each
+            payments[user] = paid + charge if paid else charge
         return FrozenDict(payments)
 
     @cached_property
@@ -559,9 +561,3 @@ class Settlement:
                         level[j] += v
         return FrozenDict(series)
 
-
-# Every view of a Settlement, in the order its equality compares them.
-VIEWS = (
-    "outcome", "ledger", "payments", "schedule", "share_history", "slot_phases", "phases",
-    "implement_slot", "posted_price", "price_loss", "regret_series",
-)

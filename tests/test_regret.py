@@ -33,7 +33,7 @@ def bid(user, start, end, *values, opt=1):
 def run(catalog, horizon, bids):
     """``regret_run``'s settlement and its ``score``: the realized value,
     total cost and cloud balance."""
-    kind = AdditiveOnlineGame if isinstance(bids[0], AdditiveOnlineBid) else SubstOnlineGame
+    kind = SubstOnlineGame if bids and isinstance(bids[0], SubstitutableOnlineBid) else AdditiveOnlineGame
     t = regret_run(catalog, horizon, bids)
     return t, score(kind(tuple(catalog), horizon, tuple(bids)), t)
 
@@ -124,6 +124,14 @@ def test_never_triggered_when_cost_exceeds_all_regret():
 def test_nothing_implements_in_slot_one():
     t = regret_run((Optimization(1, F(1, 100)),), SlotHorizon(3), [bid(1, 1, 3, 50, 50, 50)])
     assert t.implement_slot == {1: 2}
+
+
+def test_a_game_without_bids_has_an_empty_trace():
+    catalog = (Optimization(1, F(10)), Optimization(2, F(5)))
+    t, m = run(catalog, SlotHorizon(3), ())
+    assert t.regret_series == {} and t.implement_slot == {} and t.posted_price == {} and t.price_loss == {}
+    assert t.payments == {} and t.schedule.served == {}
+    assert (m.total_value, m.total_cost, m.cloud_balance) == (0, 0, 0)
 
 
 def test_future_users_buy_at_the_posted_price():

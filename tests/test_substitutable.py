@@ -82,7 +82,7 @@ def test_tie_breaks_to_lowest_id_and_is_recorded():
 
 def test_offline_phases_are_built_when_read_and_compared():
     """``subst_off`` leaves its phase log to the first read; equality and
-    repr depend on neither that read nor the game object behind it, and
+    repr make no such read and depend on no game object's identity, and
     equality tells apart results that settle alike but phase differently
     (here a tie that one catalog has and the other lacks)."""
     tied = (Optimization(3, F(10)), Optimization(7, F(10)))
@@ -91,8 +91,8 @@ def test_offline_phases_are_built_when_read_and_compared():
     a, b = subst_off(tied, bids), subst_off(tied, bids)
     assert "phases" not in vars(a)
     before = repr(a)
-    assert a == b  # builds both results' phases
-    assert "phases" in vars(a) and repr(a) == before == repr(b)
+    assert a == b  # compares the games and runs, building no phases
+    assert "phases" not in vars(a) and repr(a) == before == repr(b)
     assert a.phases[0].tied_with == (7,)
     c = subst_off(untied, bids)
     assert (c.outcome, c.ledger) == (a.outcome, a.ledger)
@@ -175,7 +175,7 @@ def test_online_no_switching_keeps_departed_users_counted():
 
 def test_online_slot_phases_are_built_when_read_and_compared():
     """``subst_on`` leaves its slot phases to the first read; equality and
-    repr depend on neither that read nor the game object behind it, and
+    repr make no such read and depend on no game object's identity, and
     equality tells apart traces that settle alike but phase differently
     (here a tie that one catalog has and the other lacks)."""
     tied = (Optimization(1, F(1)), Optimization(2, F(1)))
@@ -184,8 +184,8 @@ def test_online_slot_phases_are_built_when_read_and_compared():
     a, b = subst_on(tied, SlotHorizon(1), bids), subst_on(tied, SlotHorizon(1), bids)
     assert "slot_phases" not in vars(a)
     before = repr(a)
-    assert a == b  # builds both traces' phases
-    assert "slot_phases" in vars(a) and repr(a) == before == repr(b)
+    assert a == b  # compares the games and runs, building no phases
+    assert "slot_phases" not in vars(a) and repr(a) == before == repr(b)
     assert a.slot_phases[1][0].tied_with == (2,)
     c = subst_on(untied, SlotHorizon(1), bids)
     assert (c.payments, c.outcome) == (a.payments, a.outcome)
