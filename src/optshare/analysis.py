@@ -7,9 +7,10 @@ run, and :func:`score` is one fold of them
 values, even when the bids fed to a mechanism were deviations, and payments
 are whatever the mechanism charged.  The strategy lab searches
 bid/timing/set misreports on a finite grid, one scale per cell of scales
-that settle alike, and identity splits at a grid of levels, each a run of
-an integer kernel on the others' offers with the new rows merged in, folded
-the same way (fractions are built only for the report).
+that settle alike, past those that provably cannot beat the best found, and
+identity splits at a grid of levels, each a run of an integer kernel on the
+others' offers with the new rows merged in, folded the same way (fractions
+are built only for the report).
 """
 
 from __future__ import annotations
@@ -194,10 +195,20 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
     offers cannot tell apart, the smallest the grid allows in it, in
     ascending order (:meth:`_Lab.firsts`): a larger scale in the same cell
     settles alike, and under the strict ``>`` a tie never replaces the
-    best, so the report is the one every grid point gives.  The deviator
-    must hold one bid, and the mechanism must run on the game's type
-    (``shapley`` and the pay-your-bid control ``naive_pay_bid`` as
-    ``add_off``).
+    best, so the report is the one every grid point gives.
+
+    Two cuts of branch and bound skip runs that cannot change the report.
+    A declaration whose :meth:`_Lab.ceiling` is at most the best found so
+    far is skipped: served a true substitute ``j``, the deviator realizes
+    at most their true value over the window and pays at least ``cost_j``
+    over the bids naming ``j``, and served anything else they gain at most
+    0.  A scale below the declaration's first breakpoint scores 0 with no
+    run: there their offer covers no share at any head count, so no
+    equal-share fixed point keeps it.
+
+    The deviator must hold one bid, and the mechanism must run on the
+    game's type (``shapley`` and the pay-your-bid control ``naive_pay_bid``
+    as ``add_off``).
     """
     true_bid, others = _subject(mechanism, game, deviator, (*TRUTHFUL_MECHANISMS, "shapley", "naive_pay_bid"))
     if isinstance(game, AdditiveOfflineGame):
@@ -212,10 +223,13 @@ def deviation_search(mechanism: str, game, deviator: UserId) -> DeviationReport:
         others = [b for b in others if b.start <= true_bid.start]
         window = (true_bid.start, true_bid.end)
     lab = _Lab(game, others, true_bid)
-    utility, scale = lab.utility, lab.scale
+    utility, ceiling, scale = lab.utility, lab.ceiling, lab.scale
     truthful = best = utility(window, own, 10)
     best_at = None
     for window, subset, ks in _declarations(game, true_bid):
+        most = ceiling(window, subset)
+        if most[0] * best[1] <= best[0] * most[1]:
+            continue  # no scale of it can beat the best
         for k in lab.firsts(window, subset, ks):
             u = utility(window, subset, k)
             if u[0] * best[1] > best[0] * u[1]:
@@ -280,26 +294,37 @@ class _Offers:
 
 
 class _Lab(_Offers):
-    """The deviator's strategy lab and its scale: :meth:`utility` is her
+    """The deviator's strategy lab and its scale: :meth:`utility` is their
     true utility, ``n / (c * scale)`` as ``(n, c)``, declaring ``subset``
-    (None: her one optimization) over ``window`` at her true values times
-    ``k/10``.  At ten times the truthful profile's scale each declaration
-    is k times an integer row, merged into the others' per-slot offers,
-    and the mechanism's kernel settles it (:meth:`run`).  Served ``j`` from
-    slot ``t``, she realizes her true value from ``t`` to her declared end
-    if ``j`` is a true substitute, and pays her entry's charge.
+    (None: their one optimization) over ``window`` at their true values
+    times ``k/10``.  At ten times the truthful profile's scale each
+    declaration is k times an integer row, merged into the others' per-slot
+    offers, and the mechanism's kernel settles it (:meth:`run`).  Served
+    ``j`` from slot ``t``, they realize their true value from ``t`` to
+    their declared end if ``j`` is a true substitute, and pay their entry's
+    charge.
 
-    The kernel runs once per :meth:`cell` of scales.  For ``k >= 1`` her
-    offer in slot ``t`` is ``k * r_t`` (``r_t`` her true value from ``t`` to
-    her declared end), and a kernel reads it only in the equal-share fixed
-    point, as ``k * r_t * c >= cost_j`` for ``j`` she declares and a head
-    count ``c`` of at most every bidder.  The run, and her realized value,
-    are therefore the same for every ``k`` between two breakpoints
+    The kernel runs once per :meth:`cell` of scales.  For ``k >= 1`` their
+    offer in slot ``t`` is ``k * r_t`` (``r_t`` their true value from ``t``
+    to their declared end), and a kernel reads it only in the equal-share
+    fixed point, as ``k * r_t * c >= cost_j`` for ``j`` they declare and a
+    head count ``c`` of at most every bidder.  The run, and their realized
+    value, are therefore the same for every ``k`` between two breakpoints
     ``ceil(cost_j / (c * r_t))``; ``k = 0`` makes no offer and is a cell of
     its own.  The search therefore evaluates only the smallest allowed
     scale of each cell (:meth:`firsts`, from the declaration's
     :meth:`breaks`, computed once), and :meth:`utility` keeps one result per
-    cell, which the truthful scale shares with the search."""
+    cell, which the truthful scale shares with the search.
+
+    Two cuts spare runs that cannot change a report.  Below the first
+    breakpoint (``k = 0`` included) :meth:`utility` is ``(0, 1)`` with no
+    run: there ``k * r_t * c < cost_j`` for every head count ``c <= n + 1``,
+    so no fixed point keeps their offer.  And :meth:`ceiling` bounds the
+    utility at every scale of a declaration: served ``j``, they realize at
+    most their true value over the window and pay at least ``cost_j /
+    heads_j``, since ``serve``'s count and ``grant``'s tally on ``j`` hold
+    only bids that name it; served nothing or no true substitute, they gain
+    at most 0."""
 
     def __init__(self, game, others, true_bid):
         super().__init__(game, others, true_bid, 10)
@@ -309,17 +334,38 @@ class _Lab(_Offers):
         start, suffix = scaled.starts[n], scaled.suffix[n]
         row = [v - w for v, w in zip(suffix, suffix[1:])]
         self.prefix = list(accumulate([0] * start + row + [0] * (scaled.z - scaled.ends[n])))
+        # the most bids a kernel can count on an optimization: theirs and every other naming it
+        self.heads = {j: 1 + sum(j in named for named in scaled.interest[:n]) for j in self.costs}
         self.rows: dict = {}  # window -> its row
         self.breakpoints: dict = {}  # (window, subset) -> sorted breakpoints
         self.settled: dict = {}  # (window, subset, cell) -> utility
 
     def utility(self, window, subset, k) -> tuple[int, int]:
-        """:meth:`run`, once per cell."""
-        key = (window, subset, self.cell(window, subset, k))
+        """:meth:`run`, once per cell; ``(0, 1)`` with no run below the
+        first breakpoint."""
+        cell = self.cell(window, subset, k)
+        if cell <= 0:
+            return 0, 1
+        key = (window, subset, cell)
         u = self.settled.get(key)
         if u is None:
             u = self.settled[key] = self.run(window, subset, k)
         return u
+
+    def ceiling(self, window, subset) -> tuple[int, int]:
+        """The most their utility can be at any scale of the declaration,
+        as ``(n, c)``: the largest of 0 and ``value - cost_j / heads_j`` for
+        each true substitute ``j`` they declare, ``value`` their true value
+        over the window."""
+        (s, e), own, heads, costs = window, self.own, self.heads, self.costs
+        value = 10 * (self.prefix[e] - self.prefix[s - 1])
+        most = (0, 1)
+        for j in subset or own:
+            if j in own:
+                gain = (value * heads[j] - costs[j], heads[j])
+                if gain[0] * most[1] > most[0] * gain[1]:
+                    most = gain
+        return most
 
     def breaks(self, window, subset) -> list[int]:
         """The declaration's breakpoints, distinct and ascending, computed

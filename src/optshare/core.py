@@ -8,6 +8,7 @@ copies.  Monetary fields are exact rationals (see :mod:`optshare.money`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .money import Money, ZERO
 
@@ -47,13 +48,29 @@ class FrozenDict(dict):
         return type(self), (dict(self),)
 
 
+# The sign checks read a Fraction's or an int's numerator: comparing a
+# Fraction with an int would pass through the int's ABC check on every
+# amount.  Any other type is compared as it is.
+_EXACT = (Fraction, int)
+
+
+def _negative(v) -> bool:
+    """``v < 0``."""
+    return v.numerator < 0 if type(v) in _EXACT else v < 0
+
+
+def _nonpositive(v) -> bool:
+    """``v <= 0``."""
+    return v.numerator <= 0 if type(v) in _EXACT else v <= 0
+
+
 @dataclass(frozen=True)
 class Optimization:
     id: OptId
     cost: Money
 
     def __post_init__(self):
-        if self.cost <= 0:
+        if _nonpositive(self.cost):
             raise GameError(f"optimization {self.id}: cost must be positive")
 
 
@@ -85,7 +102,7 @@ class AdditiveOfflineBid:
 
     def __post_init__(self):
         object.__setattr__(self, "values", FrozenDict(self.values))
-        if any(v < 0 for v in self.values.values()):
+        if any(_negative(v) for v in self.values.values()):
             raise negative_bid(self.user)
 
     def value_for(self, opt: OptId) -> Money:
@@ -102,7 +119,7 @@ class OnlineBid:
             raise GameError(f"user {self.user}: bad slot window [{self.start}, {self.end}]")
         if len(self.per_slot) != self.end - self.start + 1:
             raise GameError(f"user {self.user}: per-slot vector length mismatch")
-        if any(v < 0 for v in self.per_slot):
+        if any(_negative(v) for v in self.per_slot):
             raise GameError(f"user {self.user}: per-slot values must be >= 0")
 
     def value_at(self, t: Slot) -> Money:
@@ -134,7 +151,7 @@ class SubstitutableOfflineBid:
         object.__setattr__(self, "substitutes", frozenset(self.substitutes))
         if not self.substitutes:
             raise GameError(f"user {self.user}: substitute set must be non-empty")
-        if self.value <= 0:
+        if _nonpositive(self.value):
             raise GameError(f"user {self.user}: value must be positive")
 
 
@@ -176,7 +193,7 @@ class PaymentLedger:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", FrozenDict(self.entries))
-        if any(v < 0 for v in self.entries.values()):
+        if any(_negative(v) for v in self.entries.values()):
             raise GameError("payments must be >= 0")
 
     def total_for(self, user: UserId) -> Money:

@@ -1,7 +1,9 @@
 import importlib
 import inspect
 import pkgutil
+import re
 import typing
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from optshare.core import (
     SubstitutableOnlineBid,
     validate_revision,
 )
+from optshare.shapley import add_off
 
 from oracles import cost_of_outcome, grand_total, residual_from, schedule_opts, value_of_outcome
 
@@ -95,6 +98,41 @@ def test_bid_validation():
         SubstitutableOnlineBid(1, frozenset({1}), 1, 1, (F(-1),))
     with pytest.raises(GameError):  # one additive offline bid per user
         AdditiveOfflineGame((Optimization(1, F(1)),), (AdditiveOfflineBid(1, {1: F(1)}), AdditiveOfflineBid(1, {})))
+
+
+# Exact amounts, whose sign the checks read from the numerator, and others,
+# which they compare with 0 as they are (a NaN compares false either way).
+SIGNED = (F(-1, 3), F(0), F(2, 7), -2, 0, 3, -0.5, 0.0, 0.25, float("nan"), Decimal("-0.1"), Decimal("0.1"))
+
+
+@pytest.mark.parametrize("v", SIGNED, ids=repr)
+def test_sign_checks_agree_with_comparing_to_zero(v):
+    checks = [
+        (lambda: Optimization(1, v), "optimization 1: cost must be positive", v <= 0),
+        (lambda: SubstitutableOfflineBid(1, {1}, v), "user 1: value must be positive", v <= 0),
+        (lambda: AdditiveOfflineBid(1, {1: F(1), 2: v}), "user 1: bid values must be >= 0", v < 0),
+        (lambda: AdditiveOnlineBid(1, 1, 1, 2, (F(1), v)), "user 1: per-slot values must be >= 0", v < 0),
+        (lambda: SubstitutableOnlineBid(1, {1}, 1, 2, (v, F(1))), "user 1: per-slot values must be >= 0", v < 0),
+        (lambda: PaymentLedger({(1, 1): F(1), (2, 1): v}), "payments must be >= 0", v < 0),
+    ]
+    for build, message, rejected in checks:
+        if rejected:
+            with pytest.raises(GameError, match=f"^{re.escape(message)}$"):
+                build()
+        else:
+            build()
+
+
+def test_a_float_cost_and_bid_settle_as_they_compare():
+    """A float is checked by comparison, not by its numerator, so a float
+    game still settles under ``add_off``."""
+    catalog = (Optimization(1, 0.5),)
+    shared = add_off(catalog, (AdditiveOfflineBid(1, {1: 0.25}), AdditiveOfflineBid(2, {1: F(1, 4)})))
+    assert shared.outcome == Outcome(frozenset({1}), frozenset({(1, 1), (2, 1)}))
+    assert dict(shared.payments) == {1: F(1, 4), 2: F(1, 4)}
+    alone = add_off(catalog, (AdditiveOfflineBid(1, {1: 1.0}), AdditiveOfflineBid(2, {1: F(1, 8)})))
+    assert alone.outcome == Outcome(frozenset({1}), frozenset({(1, 1)}))
+    assert dict(alone.payments) == {1: F(1, 2), 2: F(0)}
 
 
 def test_online_bid_residuals():

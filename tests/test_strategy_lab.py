@@ -10,7 +10,10 @@ deviators who arrive in the last slot.
 
 The lab runs its kernel once per cell of grid scales; the premise tests
 below run the kernel uncached at every scale and require each settlement,
-whole, to equal the one at its cell's first scale.
+whole, to equal the one at its cell's first scale.  The search skips the
+declarations and scales that cannot beat its best; the bound tests run
+every scale uncached and require none to beat what its declaration's
+ceiling allows.
 """
 
 import random
@@ -288,43 +291,130 @@ def test_one_run_per_cell_on_any_coarse_game(mechanism, data):
     assert_premise(mechanism, game, [deviator])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(tuple(LAB_KINDS)), st.data())
+def test_no_scale_beats_a_best_the_bound_rules_out(mechanism, data):
+    """Both cuts of the search are sound: no grid scale of a declaration,
+    run uncached, gains more than the declaration's ceiling, so no best the
+    ceiling rules out is beaten; and every scale below the first breakpoint
+    settles to ``(0, 1)``."""
+    game = lab_game(
+        LAB_KINDS[mechanism],
+        lambda lo, hi: data.draw(st.integers(lo, hi)),
+        lambda options: data.draw(st.sampled_from(options)),
+        users=5,
+        slots=4,
+        opts=3,
+    )
+    deviator = data.draw(st.sampled_from([b.user for b in game.bids]))
+    lab, declared = lab_of(mechanism, game, deviator)
+    for window, subset in declared:
+        most = lab.ceiling(window, subset)
+        assert most[0] >= 0 < most[1]
+        breaks = lab.breaks(window, subset)
+        for k in range(len(GRID_SCALES)):
+            n, c = lab.run(window, subset, k)
+            assert n * most[1] <= most[0] * c, (window, subset, k)
+            if not breaks or k < breaks[0]:
+                assert (n, c) == (0, 1), (window, subset, k)
+
+
+def most_gained(game, bid, window, subset) -> Fraction:
+    """What the deviator can gain at most by declaring ``subset`` (None:
+    their one optimization) over ``window``, in money, from the game itself:
+    0, or their true value over the window less ``cost_j / heads_j`` for
+    each true substitute ``j`` they declare, ``heads_j`` one plus the others
+    present at their arrival who name ``j``."""
+
+    def named(b):
+        return getattr(b, "substitutes", None) or {b.opt}
+
+    online = isinstance(bid, OnlineBid)
+    others = [b for b in game.bids if b.user != bid.user and (not online or b.start <= bid.start)]
+    value = sum(bid.value_at(t) for t in range(window[0], window[1] + 1)) if online else bid.value
+    costs = {o.id: o.cost for o in game.catalog}
+    heads = {j: 1 + sum(j in named(b) for b in others) for j in costs}
+    return max([F(0)] + [value - costs[j] / heads[j] for j in (subset or named(bid)) & named(bid)])
+
+
+def expected_search(lab, game, bid, truthful, run) -> tuple[list, list, int]:
+    """The scales the search should evaluate for ``bid`` after the truthful
+    one and the kernel runs it should make, each as (window, subset, k), and
+    how many first runs of a cell its skipped declarations spare.  The
+    search is replayed with each utility from ``run``, uncached: a
+    declaration is skipped when :func:`most_gained` is at most the running
+    best, and then no allowed scale of it may beat that best; otherwise the
+    smallest allowed scale of each cell is evaluated, ascending, and runs
+    unless the cell is below the first breakpoint or already ran.  The
+    allowed scales come from the registry-path enumeration of the
+    oracles."""
+    online = isinstance(bid, OnlineBid)
+    allowed = {note for _, note in reference_misreports(game, bid)}
+    evaluated, expected, done, spared = [], [], set(), 0
+
+    def exact(*at) -> Fraction:
+        return F(*run(lab, *at)) / lab.scale
+
+    def first_run(window, subset, k) -> bool:
+        cell = lab.cell(window, subset, k)
+        due = cell > 0 and (window, subset, cell) not in done
+        done.add((window, subset, cell))
+        return due
+
+    if first_run(*truthful):
+        expected.append(truthful)
+    best = exact(*truthful)
+    for window, subset, _ in _declarations(game, bid):
+        ks = [k for k in range(len(GRID_SCALES)) if _note(online, window, subset, k) in allowed]
+        firsts = {}  # cell -> its smallest allowed scale
+        for k in ks:
+            firsts.setdefault(lab.cell(window, subset, k), k)
+        if most_gained(game, bid, window, subset) <= best:
+            assert all(exact(window, subset, k) <= best for k in ks), (window, subset)
+            spared += sum(first_run(window, subset, k) for k in firsts.values())
+            continue
+        for k in firsts.values():
+            evaluated.append((window, subset, k))
+            if first_run(window, subset, k):
+                expected.append((window, subset, k))
+            best = max(best, exact(window, subset, k))
+    return evaluated, expected, spared
+
+
 def test_the_search_evaluates_one_scale_per_cell(monkeypatch):
-    """Per declaration, the search evaluates the smallest of its allowed
-    grid scales in each cell, ascending, and no other scale.  The allowed
-    scales come from the registry-path enumeration of the oracles."""
-    evaluated = []
-    utility = _Lab.utility
+    """The search evaluates and runs exactly what :func:`expected_search`
+    says: in the declarations whose most possible gain (computed from the
+    game, not the lab) beats the running best, the smallest allowed scale of
+    each cell, ascending, with a kernel run once per cell at or above the
+    first breakpoint.  Every scale of a skipped declaration does not beat
+    the best at the skip, and the skips spare over half the kernel runs."""
+    evaluated, ran = [], []
+    run, utility = _Lab.run, _Lab.utility
     monkeypatch.setattr(_Lab, "utility", lambda lab, *at: evaluated.append((lab, *at)) or utility(lab, *at))
+    monkeypatch.setattr(_Lab, "run", lambda lab, *at: ran.append(at) or run(lab, *at))
     rng = random.Random("one-scale-per-cell")
     draws = {
         "add_on": lambda: rand_additive_online(rng, max_users=5, max_slots=4),
         "subst_off": lambda: rand_subst_offline(rng, max_users=5, max_opts=3),
         "subst_on": lambda: rand_subst_online(rng, max_users=5, max_opts=3, max_slots=4),
     }
-    skipped = 0
+    kept = spared = 0
     for mechanism, draw in draws.items():
         for _ in range(6):
             for game in (lab_game(LAB_KINDS[mechanism], rng.randint, rng.choice, 5, 4, 3), draw()):
                 for bid in game.bids:
                     evaluated.clear()
+                    ran.clear()
                     deviation_search(mechanism, game, bid.user)
-                    lab, *truthful = evaluated.pop(0)
+                    (lab, *truthful), *searched = evaluated
                     online = isinstance(bid, OnlineBid)
                     assert truthful == [(bid.start, bid.end) if online else (1, 1), getattr(bid, "substitutes", None), 10]
-                    allowed = {note for _, note in reference_misreports(game, bid)}
-                    searched = {}
-                    for _, window, subset, k in evaluated:
-                        searched.setdefault((window, subset), []).append(k)
-                    _, declared = lab_of(mechanism, game, bid.user)
-                    for window, subset in declared:
-                        ks = [k for k in range(len(GRID_SCALES)) if _note(online, window, subset, k) in allowed]
-                        firsts = {}  # cell -> its smallest allowed scale
-                        for k in ks:
-                            firsts.setdefault(lab.cell(window, subset, k), k)
-                        assert searched.pop((window, subset), []) == list(firsts.values()), (window, subset)
-                        skipped += len(ks) - len(firsts)
-                    assert not searched
-    assert skipped > 0
+                    scales, expected, skips = expected_search(lab, game, bid, tuple(truthful), run)
+                    assert [at for _, *at in searched] == [list(at) for at in scales], (mechanism, game, bid.user)
+                    assert ran == expected, (mechanism, game, bid.user)
+                    kept += len(ran)
+                    spared += skips
+    assert spared > kept
 
 
 def test_everyone_sharing_one_optimization_decides_the_grant():
